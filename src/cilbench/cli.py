@@ -95,6 +95,8 @@ def _cmd_run(args) -> int:
         return _fail("config", "no output directory (set out_dir or pass --out)", EXIT_CONFIG)
     try:
         report = run_benchmark(cfg, artifact_dir=out_dir)
+    except ConfigError as exc:
+        return _fail("config", str(exc), EXIT_CONFIG)
     except DataError as exc:
         return _fail("data", str(exc), EXIT_DATA)
     except Exception as exc:

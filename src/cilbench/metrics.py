@@ -25,17 +25,10 @@ def _check(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the group mean rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group of c tied values ending at 1-based rank e has mean rank
+    # e - (c - 1) / 2; every term is an exact half-integer
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def auroc(id_scores, ood_scores) -> float:

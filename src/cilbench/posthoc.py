@@ -10,6 +10,10 @@ T=1000 / eps=0.0014, ReAct 90th percentile, GEN gamma=0.1 with the top
 min(100, C) probabilities, k=10 neighbours for the feature-bank scorers.
 ``relation_simplified`` is a deliberately reduced form of the relation
 scorer (positive-cosine neighbours weighted by their MSP).
+
+The feature-bank scorers compare queries with the bank in blocks of query
+rows, so their memory is bounded by one block of about 2^21 similarities
+(16 MB, or 48 query rows for a larger bank) and not by queries x bank.
 """
 from __future__ import annotations
 
@@ -125,13 +129,37 @@ def fit_scorer(
     return ScorerFit(name, bank_features=_l2_rows(Z), bank_msp=P.max(axis=1))
 
 
-def _topk_sims(fit: ScorerFit, Z: np.ndarray, k: int) -> np.ndarray:
-    """Cosine similarities of each row to its k nearest bank rows."""
-    sims = _l2_rows(Z) @ fit.bank_features.T
-    k = min(k, sims.shape[1])
-    part = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k:]
-    idx = np.argpartition(sims, sims.shape[1] - k, axis=1)[:, -k:]
-    return part, idx
+# Block size is a budget in cells, not rows: a block holds rows x bank
+# similarities, so a fixed row count would let memory grow with the bank.
+_BLOCK_CELLS = 1 << 21  # 16 MB of float64
+# Blocks hold a whole multiple of this many rows.  OpenBLAS multiplies in
+# row tiles and finishes leftover rows with other kernels, so a block edge
+# that cuts a tile can change the last bits of those rows.  48 covers the
+# x86 dgemm row tiles: with single-threaded BLAS, blocks of 24 or 48 rows
+# matched the full product bit for bit on an AVX-512 Xeon, blocks of 16, 32
+# or 64 rows did not, and one-row blocks (computed by gemv) never did.
+_BLOCK_ALIGN = 48
+
+
+def _topk_sims(
+    fit: ScorerFit, Z: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine similarities of each row to its k nearest bank rows and the
+    bank indices of those rows, both (n, min(k, bank)) in selection order."""
+    Q = _l2_rows(Z)
+    bank_t = fit.bank_features.T
+    nb = bank_t.shape[1]
+    k = min(k, nb)
+    rows = max(_BLOCK_ALIGN, _BLOCK_CELLS // nb // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    sims = np.empty((Q.shape[0], k))
+    idx = np.empty((Q.shape[0], k), dtype=np.intp)
+    for start in range(0, Q.shape[0], rows):
+        block = Q[start : start + rows] @ bank_t
+        top = np.argpartition(block, nb - k, axis=1)[:, -k:]
+        sims[start : start + rows] = np.take_along_axis(block, top, axis=1)
+        idx[start : start + rows] = top
+        del block, top  # free this block before the next one is built
+    return sims, idx
 
 
 def score_batch(

@@ -45,6 +45,20 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+def _check_ood_sizes(n_classes: int, step_size: int, ood_sizes) -> None:
+    """Reject a suite that cannot run: ``ood_subset`` takes floor(n / T)
+    rows of each OOD set at step 1, so a set needs at least T rows."""
+    if step_size > n_classes:
+        raise ConfigError(f"step_size {step_size} exceeds class count {n_classes}")
+    steps = -(-n_classes // step_size)
+    smallest = min(ood_sizes)
+    if smallest < steps:
+        raise ConfigError(
+            f"an OOD set of {smallest} rows is empty at step 1 of {steps}; "
+            f"each set needs at least {steps} rows"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One benchmark run: data, step size, one CIL method, one OOD method."""
@@ -67,6 +81,8 @@ class RunConfig:
             raise ConfigError("step_size must be >= 2")
         if self.memory_budget < 0:
             raise ConfigError("memory_budget must be >= 0")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if self.class_order not in ("identity", "seeded"):
             raise ConfigError(f"unknown class_order {self.class_order!r}")
         if not ({"synth", "manifest"} & set(self.data)):
@@ -82,7 +98,11 @@ class RunConfig:
         self.ber_config()
         self.posthoc_params()
         if "synth" in self.data:
-            SynthSpec.from_dict(self.data["synth"])
+            try:
+                spec = SynthSpec.from_dict(self.data["synth"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad synth spec: {exc}") from exc
+            _check_ood_sizes(spec.n_classes, self.step_size, [spec.n_ood_per_set])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -186,6 +206,7 @@ def _load_run_data(cfg: RunConfig, seed: int):
         spec = SynthSpec.from_dict({**cfg.data["synth"], "seed": seed})
         return generate(spec)
     train, test, suite = load_suite_manifest(cfg.data["manifest"])
+    _check_ood_sizes(train.n_classes, cfg.step_size, [e.dataset.n for e in suite.entries])
     return train, test, suite
 
 
@@ -325,7 +346,8 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     """Execute every seed (optionally in parallel) and aggregate.
 
     A failing seed is recorded under ``failures`` and does not abort the
-    others.  Results are independent of thread count.
+    others; a :class:`ConfigError` found once the data is loaded aborts the
+    run.  Results are independent of thread count.
     """
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     results: dict[int, list[dict]] = {}
@@ -344,6 +366,8 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
                 results[s] = recs
             except DataError as exc:
                 failures.append({"seed": seed, "error": f"data: {exc}"})
+            except ConfigError:
+                raise  # the same for every seed
             except Exception as exc:  # seed-level isolation
                 failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
     else:
@@ -353,6 +377,8 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
                 results[seed] = recs
             except DataError as exc:
                 failures.append({"seed": seed, "error": f"data: {exc}"})
+            except ConfigError:
+                raise
             except Exception as exc:
                 failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
 

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from cilbench.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,6 +28,44 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     bad.write_text('{"data": {"synth": {"n_classes": 8}}, "ood": {"method": "nope"}}')
     assert main(["validate-config", "--config", str(bad)]) == 1
     assert "CILBENCH-ERROR [config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"threads": 0},
+        # 8 classes in steps of 2 is 4 steps; 3 rows per OOD set give
+        # floor(3 / 4) = 0 rows at step 1
+        {"data": {"synth": {**SMALL_RUN["data"]["synth"], "n_ood_per_set": 3}},
+         "step_size": 2},
+        {"step_size": 9},  # more than the 8 classes
+        {"data": {"synth": {"n_classes": 2}}},
+    ],
+)
+def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, **change}))
+    assert main(["validate-config", "--config", str(cfg)]) == 1
+    assert "CILBENCH-ERROR [config]" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_run_rejects_manifest_with_too_few_ood_rows(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n_classes": 8, "dim": 16, "n_train_per_class": 30,
+        "n_test_per_class": 10, "n_ood_per_set": 3, "seed": 7,
+    }))
+    suite_dir = tmp_path / "suite"
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(suite_dir)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        **SMALL_RUN, "data": {"manifest": str(suite_dir / "manifest.json")}, "step_size": 2,
+    }))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "empty at step 1 of 4" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_run_missing_data_file_exits_2(tmp_path, capsys):

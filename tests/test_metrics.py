@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cilbench.metrics import (
+    _midranks,
     auroc,
     average_over_steps,
     average_precision,
@@ -140,3 +143,42 @@ def test_metric_input_validation():
         fpr_at_tpr95([1.0], [])
     with pytest.raises(ValueError):
         average_precision([np.nan], [1.0])
+
+
+def loop_midranks(values):
+    """The Python loop that _midranks replaced, kept as its oracle."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# a pool of 1-40 distinct-or-not values sets the tie density of each draw;
+# signed zeros are in every pool's reach so -0.0 / 0.0 ties occur
+_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_VALUE, min_size=1, max_size=40).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)
+    )
+)
+@example([0.0, -0.0, 0.0, 1.0, -0.0, -1.0])
+@example([-0.0])
+def test_midranks_matches_loop_oracle(values):
+    x = np.array(values, dtype=np.float64)
+    got = _midranks(x)
+    expect = loop_midranks(x)
+    assert got.dtype == expect.dtype
+    assert got.tobytes() == expect.tobytes()

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cilbench import posthoc
 from cilbench.cil import CilModel
 from cilbench.model import Extractor, LinearHead
-from cilbench.numerics import logsumexp, softmax
+from cilbench.numerics import logsumexp, logsumexp_rows, softmax
 from cilbench.posthoc import (
     SCORER_NAMES,
     PosthocParams,
@@ -290,3 +292,80 @@ def test_fit_scorer_rejects_unknown():
     model = logit_model(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         fit_scorer("mahalanobis", model, np.ones((2, 2)))
+
+
+def unit_dyadic_rows(gen, n, d, splits):
+    """Unit rows of signed powers of two, grown by splitting an entry m into
+    four entries m/2 (which keeps the norm at 1).  Their cosines are sums of
+    dyadic products, exact in any summation order, so every matmul kernel
+    and blocking gives the same bits."""
+    X = np.zeros((n, d))
+    for row in X:
+        row[gen.integers(d)] = 1.0
+        for _ in range(splits):
+            free = np.flatnonzero(row == 0)
+            if free.size < 3:
+                break
+            i = gen.choice(np.flatnonzero(row))
+            row[i] /= 2
+            row[gen.choice(free, size=3, replace=False)] = row[i]
+        row *= gen.choice([-1.0, 1.0], size=d)
+    return X
+
+
+def full_topk(fit, Z, k):
+    """The whole query x bank matrix with partition / argpartition."""
+    sims = posthoc._l2_rows(Z) @ fit.bank_features.T
+    k = min(k, sims.shape[1])
+    part = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k:]
+    idx = np.argpartition(sims, sims.shape[1] - k, axis=1)[:, -k:]
+    return part, idx
+
+
+@pytest.mark.parametrize(
+    "n_query, n_bank, block_cells, k",
+    [
+        (130, 100, 4800, 10),  # 48-row blocks, 130 is not a multiple of 48
+        (130, 100, 30_000, 10),  # 288 rows per block: one block
+        (200, 300, 1000, 10),  # bank above the cell budget: 48-row floor
+        (97, 5, 1 << 21, 10),  # k larger than the bank
+        (0, 50, 1 << 21, 10),  # no queries
+    ],
+)
+def test_blocked_topk_matches_full_matrix(monkeypatch, n_query, n_bank, block_cells, k):
+    monkeypatch.setattr(posthoc, "_BLOCK_CELLS", block_cells)
+    gen = np.random.default_rng(n_query + n_bank)
+    d, C = 24, 5
+    model = logit_model(gen.normal(size=(C, d)), gen.normal(size=C))
+    bank = unit_dyadic_rows(gen, n_bank, d, 6)
+    Z = unit_dyadic_rows(gen, n_query, d, 6)
+    params = PosthocParams(knn_k=k)
+    for name in ("nnguide", "relation_simplified"):
+        fit = fit_scorer(name, model, bank, params)
+        part, idx = full_topk(fit, Z, k)
+        sims, got_idx = posthoc._topk_sims(fit, Z, k)
+        assert sims.tobytes() == part.tobytes()
+        np.testing.assert_array_equal(got_idx, idx)
+        if name == "nnguide":
+            energy = logsumexp_rows(model.head.logits(Z), params.tau)
+            expect = energy * part.mean(axis=1)
+        else:
+            expect = (np.maximum(part, 0.0) * fit.bank_msp[idx]).sum(axis=1)
+        got = score_batch(name, model, fit, Z, params)
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_bank_scoring_memory_is_bounded_by_the_block():
+    gen = np.random.default_rng(13)
+    n, d = 4000, 32
+    model = logit_model(gen.normal(size=(10, d)), gen.normal(size=10))
+    fit = fit_scorer("nnguide", model, gen.normal(size=(n, d)))
+    X = gen.normal(size=(n, d))
+    full_matrix = n * n * 8  # 128 MB
+    tracemalloc.start()
+    try:
+        score_batch("nnguide", model, fit, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_matrix / 3
