@@ -5,8 +5,8 @@ step the configured OOD method is attached (here: the bidirectional
 energy fine-tuner scored with energy), the ID test set grows to the
 union of seen tasks, and each OOD dataset contributes a nested subset
 that keeps the OOD/ID ratio fixed.  The report aggregates per step,
-near/far, and over seeds, and is byte-stable across reruns and thread
-counts.
+near/far, and over seeds, and is byte-stable across reruns.  Seeds run
+one after another.
 """
 from cilbench import RunConfig, emit_report, run_benchmark
 
@@ -19,7 +19,6 @@ cfg = RunConfig.from_dict(
         "cil": {"method": "replay"},
         "ood": {"method": "ber", "params": {"hinge_orientation": "energy_paper"}},
         "seeds": [0, 1, 2],
-        "threads": 3,
     }
 )
 report = run_benchmark(cfg)

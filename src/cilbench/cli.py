@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime
 failure.  Errors print one machine-parsable line to stderr with the
-prefix ``CILBENCH-ERROR [kind]:``.  ``--threads`` caps seed-level
-parallelism without changing results; the environment variable
-``OPENCIL_THREADS`` is the fallback when the flag is absent.
+prefix ``CILBENCH-ERROR [kind]:``.  ``--threads`` (fallback: the
+environment variable ``OPENCIL_THREADS``) is validated and kept for
+compatibility; seeds always run one after another, so it changes
+neither how a run executes nor what it writes.
 """
 from __future__ import annotations
 

@@ -37,7 +37,14 @@ import numpy as np
 from .cil import CilModel
 from .data import MemoryBuffer, TaskStream, features_by_class, memory_rows
 from .model import LinearHead, SgdState, ce_loss, expand_head, sgd_step
-from .numerics import RngStream, logsumexp, logsumexp_rows, sample_beta, softmax_rows
+from .numerics import (
+    RngStream,
+    log_softmax_rows,
+    logsumexp,
+    logsumexp_rows,
+    sample_beta,
+    softmax_rows,
+)
 
 __all__ = [
     "BerConfig",
@@ -254,9 +261,7 @@ def logitnorm_ce_loss(
     norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
     U = Z / (norms * tau_ln)
     P = softmax_rows(U)
-    logp = U - U.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    loss = -logp[np.arange(n), y_rows].mean()
+    loss = -log_softmax_rows(U)[np.arange(n), y_rows].mean()
     Gu = P
     Gu[np.arange(n), y_rows] -= 1.0
     Gu /= n
@@ -272,6 +277,33 @@ def t2f_transform(Z: np.ndarray, tau: float) -> np.ndarray:
     return Z / (norms * tau)
 
 
+def _ber_terms(
+    head: LinearHead,
+    ce_rows: np.ndarray,
+    ce_targets: np.ndarray,
+    id_rows: np.ndarray,
+    pseudo: PseudoOodBatch | np.ndarray,
+    mixed: MixedOldBatch | np.ndarray | None,
+    cfg: BerConfig,
+) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+    """(ce, l_n, l_o, dW, db) with dW, db the gradient of
+    CE + alpha * (l_n + l_o).  A term switched off by ``use_nter`` /
+    ``use_oter``, or with no rows to regularize, is 0 and adds nothing."""
+    l_ce, dW, db = ce_loss(head, ce_rows, ce_targets)
+    l_n = l_o = 0.0
+    if cfg.use_nter:
+        l_n, dWn, dbn = nter_loss(head, id_rows, pseudo, cfg)
+        dW += cfg.alpha * dWn
+        db += cfg.alpha * dbn
+    if cfg.use_oter and mixed is not None:
+        rows = mixed.rows if isinstance(mixed, MixedOldBatch) else np.asarray(mixed)
+        if rows.shape[0]:
+            l_o, dWo, dbo = oter_loss(head, mixed, cfg)
+            dW += cfg.alpha * dWo
+            db += cfg.alpha * dbo
+    return l_ce, l_n, l_o, dW, db
+
+
 def ber_total_loss(
     head: LinearHead,
     ce_rows: np.ndarray,
@@ -281,20 +313,30 @@ def ber_total_loss(
     mixed: MixedOldBatch | np.ndarray | None,
     cfg: BerConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """CE + alpha * (new-task hinges + old-task hinge)."""
-    loss, dW, db = ce_loss(head, ce_rows, ce_targets)
-    ln, dWn, dbn = nter_loss(head, id_rows, pseudo, cfg)
-    loss += cfg.alpha * ln
-    dW += cfg.alpha * dWn
-    db += cfg.alpha * dbn
-    if mixed is not None:
-        rows = mixed.rows if isinstance(mixed, MixedOldBatch) else np.asarray(mixed)
-        if rows.shape[0]:
-            lo, dWo, dbo = oter_loss(head, mixed, cfg)
-            loss += cfg.alpha * lo
-            dW += cfg.alpha * dWo
-            db += cfg.alpha * dbo
-    return loss, dW, db
+    """CE + alpha * (new-task hinges + old-task hinge): the objective the
+    ``ber`` fine-tuner trains."""
+    l_ce, l_n, l_o, dW, db = _ber_terms(
+        head, ce_rows, ce_targets, id_rows, pseudo, mixed, cfg
+    )
+    return l_ce + cfg.alpha * l_n + cfg.alpha * l_o, dW, db
+
+
+def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key):
+    """BER terms for one batch of new-task rows: the first half feeds CE
+    and the ID hinge, the second half is mixed into boundary samples, and
+    a replay batch joins CE and is blended into the old-task hinge."""
+    half = (len(by) + 1) // 2
+    ax, ay = bx[:half], by[:half]
+    pseudo = synth_pseudo_ood(bx[half:], by[half:], cfg.beta_params, rng.child(f"mix-{key}"))
+    if Z_mem.shape[0] == 0:
+        return _ber_terms(head, ax, ay, ax, pseudo, None, cfg)
+    pick = rng.child(f"membatch-{key}").gen.choice(
+        Z_mem.shape[0], size=min(cfg.batch_size, Z_mem.shape[0]), replace=False
+    )
+    mX, my = Z_mem[pick], y_mem[pick]
+    mixed = synth_old_mix(bx, mX, my, cfg.lambda_old, rng.child(f"oldmix-{key}"))
+    ce_X, ce_y = np.concatenate([ax, mX]), np.concatenate([ay, my])
+    return _ber_terms(head, ce_X, ce_y, ax, pseudo, mixed, cfg)
 
 
 def _init_extra_head(model: CilModel, cfg: BerConfig, rng: RngStream) -> LinearHead:
@@ -318,11 +360,13 @@ def finetune_step_loop(
 ) -> LinearHead:
     """Train the extra classifier for step t; the frozen model is untouched.
 
-    ``mem`` must be the replay memory from steps < t (it may be empty at
-    t = 1, in which case the old-task term is skipped with a warning).
-    Returns the fine-tuned head; for the normalized-feature method the
-    caller must score through :func:`t2f_transform` (see
-    ``CilModel.feature_tau``).
+    ``mem`` must be the replay memory from steps < t (it is empty at
+    t = 1, in which case the old-task term is skipped).  Plain, logitnorm
+    and t2fnorm train on new-task rows and memory pooled; ``ber`` epochs
+    run over new-task rows and draw a replay batch per step.  Each epoch
+    appends its mean ``ce``/``l_n``/``l_o`` to ``log_sink``.  Returns the
+    fine-tuned head; for the normalized-feature method the caller must
+    score through :func:`t2f_transform` (see ``CilModel.feature_tau``).
     """
     if method not in FINETUNE_METHODS:
         raise ValueError(f"unknown fine-tune method {method!r}")
@@ -343,94 +387,47 @@ def finetune_step_loop(
     head = _init_extra_head(model, cfg, rng.child(f"ft-init-t{t}"))
     state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
 
-    if method == "ber" and Z_mem.shape[0] == 0:
-        log.warning("step %d: empty replay memory, old-task term skipped", t)
-        if log_sink is not None:
-            log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
-
     if method == "ber":
-        _ber_loop(model, head, state, Z_new, y_new, Z_mem, y_mem, t, cfg, rng, log_sink)
-    else:
-        pool_X = np.concatenate([Z_new, Z_mem]) if Z_mem.size else Z_new
-        pool_y = np.concatenate([y_new, y_mem]) if Z_mem.size else y_new
-        n = pool_X.shape[0]
-        iters = math.ceil(n / cfg.batch_size)
-        total = cfg.epochs * iters
-        step = 0
-        for epoch in range(cfg.epochs):
-            perm = rng.child(f"ft-epoch-t{t}-{epoch}").gen.permutation(n)
-            ep_loss = 0.0
-            for it in range(iters):
-                sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-                if method == "logitnorm":
-                    loss, dW, db = logitnorm_ce_loss(
-                        head, pool_X[sel], pool_y[sel], cfg.logitnorm_tau
-                    )
-                else:
-                    loss, dW, db = ce_loss(head, pool_X[sel], pool_y[sel])
-                sgd_step(state, head, dW, db, step, total)
-                ep_loss += loss
-                step += 1
+        if Z_mem.shape[0] == 0:
+            # step 1 has no memory by design; later steps only with budget 0
+            log.log(
+                logging.DEBUG if t == 1 else logging.WARNING,
+                "seed %d step %d: empty replay memory, old-task term skipped",
+                rng.seed, t,
+            )
             if log_sink is not None:
-                log_sink.append(
-                    {"task": t, "epoch": epoch, "ce": ep_loss / iters, "l_n": 0.0, "l_o": 0.0}
-                )
-    return head
+                log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
+        X, y, label = Z_new, y_new, "ber-epoch"
 
+        def objective(bx, by, key):
+            return _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key)
+    else:
+        X = np.concatenate([Z_new, Z_mem]) if Z_mem.size else Z_new
+        y = np.concatenate([y_new, y_mem]) if Z_mem.size else y_new
+        label = "ft-epoch"
 
-def _ber_loop(model, head, state, Z_new, y_new, Z_mem, y_mem, t, cfg, rng, log_sink):
-    n = Z_new.shape[0]
+        def objective(bx, by, key):
+            if method == "logitnorm":
+                loss, dW, db = logitnorm_ce_loss(head, bx, by, cfg.logitnorm_tau)
+            else:
+                loss, dW, db = ce_loss(head, bx, by)
+            return loss, 0.0, 0.0, dW, db
+
+    n = X.shape[0]
     iters = math.ceil(n / cfg.batch_size)
     total = cfg.epochs * iters
-    has_mem = Z_mem.shape[0] > 0
-    step = 0
     for epoch in range(cfg.epochs):
-        perm = rng.child(f"ber-epoch-t{t}-{epoch}").gen.permutation(n)
+        perm = rng.child(f"{label}-t{t}-{epoch}").gen.permutation(n)
         sums = {"ce": 0.0, "l_n": 0.0, "l_o": 0.0}
         for it in range(iters):
             sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-            bx, by = Z_new[sel], y_new[sel]
-            half = (len(sel) + 1) // 2
-            ax, ay = bx[:half], by[:half]
-            pseudo = synth_pseudo_ood(
-                bx[half:], by[half:], cfg.beta_params, rng.child(f"mix-t{t}-{epoch}-{it}")
-            )
-            if has_mem:
-                pick = rng.child(f"membatch-t{t}-{epoch}-{it}").gen.choice(
-                    Z_mem.shape[0],
-                    size=min(cfg.batch_size, Z_mem.shape[0]),
-                    replace=False,
-                )
-                ce_X = np.concatenate([ax, Z_mem[pick]])
-                ce_y = np.concatenate([ay, y_mem[pick]])
-                mixed = synth_old_mix(
-                    bx, Z_mem[pick], y_mem[pick], cfg.lambda_old,
-                    rng.child(f"oldmix-t{t}-{epoch}-{it}"),
-                )
-            else:
-                ce_X, ce_y, mixed = ax, ay, None
-            l_ce, dW, db = ce_loss(head, ce_X, ce_y)
-            l_n = l_o = 0.0
-            if cfg.use_nter:
-                l_n, dWn, dbn = nter_loss(head, ax, pseudo, cfg)
-                dW += cfg.alpha * dWn
-                db += cfg.alpha * dbn
-            if cfg.use_oter and mixed is not None:
-                l_o, dWo, dbo = oter_loss(head, mixed, cfg)
-                dW += cfg.alpha * dWo
-                db += cfg.alpha * dbo
-            sgd_step(state, head, dW, db, step, total)
-            step += 1
+            l_ce, l_n, l_o, dW, db = objective(X[sel], y[sel], f"t{t}-{epoch}-{it}")
+            sgd_step(state, head, dW, db, epoch * iters + it, total)
             sums["ce"] += l_ce
             sums["l_n"] += l_n
             sums["l_o"] += l_o
         if log_sink is not None:
             log_sink.append(
-                {
-                    "task": t,
-                    "epoch": epoch,
-                    "ce": sums["ce"] / iters,
-                    "l_n": sums["l_n"] / iters,
-                    "l_o": sums["l_o"] / iters,
-                }
+                {"task": t, "epoch": epoch, **{k: v / iters for k, v in sums.items()}}
             )
+    return head

@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import RngStream, softmax_rows
+from .numerics import RngStream, log_softmax_rows, softmax_rows
 
 __all__ = [
     "Extractor",
     "LinearHead",
     "SgdState",
-    "forward_logits",
     "expand_head",
     "cosine_lr",
     "sgd_step",
@@ -110,14 +109,6 @@ class LinearHead:
 
     def clone(self) -> "LinearHead":
         return LinearHead(self.W.copy(), self.b.copy())
-
-
-def forward_logits(head: LinearHead, x) -> np.ndarray:
-    """W x + b for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a single feature vector")
-    return head.logits(x[None, :])[0]
 
 
 def expand_head(
@@ -230,9 +221,7 @@ def ce_loss(
     Z = head.logits(X)
     P = softmax_rows(Z)
     n = X.shape[0]
-    logp = Z - Z.max(axis=1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    loss = -logp[np.arange(n), y_rows].mean()
+    loss = -log_softmax_rows(Z)[np.arange(n), y_rows].mean()
     G = P
     G[np.arange(n), y_rows] -= 1.0
     G /= n

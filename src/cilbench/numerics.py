@@ -17,6 +17,7 @@ __all__ = [
     "logsumexp_rows",
     "softmax",
     "softmax_rows",
+    "log_softmax_rows",
     "sample_beta",
     "cosine_sim",
 ]
@@ -84,6 +85,13 @@ def softmax_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
     scaled = scaled - scaled.max(axis=1, keepdims=True)
     e = np.exp(scaled)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def log_softmax_rows(m: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax with max subtraction; finite for any finite m."""
+    m = np.asarray(m, dtype=np.float64)
+    shifted = m - m.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def softmax(v, tau: float = 1.0) -> np.ndarray:

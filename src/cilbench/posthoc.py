@@ -30,15 +30,6 @@ __all__ = [
     "SCORER_NAMES",
     "fit_scorer",
     "score_batch",
-    "score_msp",
-    "score_maxlogit",
-    "score_energy",
-    "score_gen",
-    "score_odin",
-    "score_react",
-    "score_klm",
-    "score_nnguide",
-    "score_relation_simplified",
 ]
 
 SCORER_NAMES = (
@@ -242,22 +233,3 @@ def _backprop_feature_map(model, X: np.ndarray, G: np.ndarray) -> np.ndarray:
     inner = (G * unit).sum(axis=1, keepdims=True)
     return (G - unit * inner) / (norms * tau)
 
-
-def _scalar(name):
-    def op(model, fit, x, params: PosthocParams | None = None) -> float:
-        return float(score_batch(name, model, fit, np.asarray(x)[None, :], params)[0])
-
-    op.__name__ = f"score_{name}"
-    op.__doc__ = f"Scalar {name} score for one feature vector (higher = ID)."
-    return op
-
-
-score_msp = _scalar("msp")
-score_maxlogit = _scalar("maxlogit")
-score_energy = _scalar("energy")
-score_gen = _scalar("gen")
-score_odin = _scalar("odin")
-score_react = _scalar("react")
-score_klm = _scalar("klm")
-score_nnguide = _scalar("nnguide")
-score_relation_simplified = _scalar("relation_simplified")

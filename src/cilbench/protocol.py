@@ -7,13 +7,14 @@ OOD subsets, then aggregated over steps, near/far tags, and seeds.
 Post-hoc methods score through the incremental head; fine-tuning
 methods train an extra head per step and score through it, so the CIL
 accuracy trajectory is untouched by construction.  Reports are
-byte-stable: records are sorted, aggregation is an ordered reduction,
-and seed-level parallelism never changes results.
+byte-stable: records are sorted and aggregation is an ordered
+reduction.  Seeds run one after another; the ``threads`` setting is
+accepted and validated for compatibility but does not change how a run
+executes or what it writes.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,7 +72,7 @@ class RunConfig:
     cil: dict = field(default_factory=dict)
     ood: dict = field(default_factory=lambda: {"method": "energy"})
     seeds: tuple[int, ...] = (0, 1, 2)
-    threads: int = 1
+    threads: int = 1  # validated for compatibility; seeds always run serially
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -236,7 +237,6 @@ def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict
     mem = MemoryBuffer(cfg.memory_budget)
     rng = RngStream(seed, "run")
     train_log: list = []
-    ft_log: list = []
 
     records = []
     for t in range(1, T + 1):
@@ -288,7 +288,7 @@ def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict
     return records
 
 
-def _aggregate(records: list[dict], seeds, failures) -> dict:
+def _aggregate(records: list[dict], seeds) -> dict:
     steps = sorted({r["step"] for r in records})
     metrics = ("acc", "auroc", "fpr95", "ap")
 
@@ -334,60 +334,38 @@ def _aggregate(records: list[dict], seeds, failures) -> dict:
 
 def verify_consistency(report: BenchmarkReport) -> bool:
     """Recompute aggregates from the raw records and compare."""
-    fresh = _aggregate(
-        report.records, report.config.get("seeds", []), report.failures
-    )
+    fresh = _aggregate(report.records, report.config.get("seeds", []))
     stored = dict(report.aggregates)
     fresh["consistency_ok"] = stored.get("consistency_ok", True)
     return fresh == stored
 
 
 def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
-    """Execute every seed (optionally in parallel) and aggregate.
+    """Execute every seed in turn and aggregate.
 
     A failing seed is recorded under ``failures`` and does not abort the
     others; a :class:`ConfigError` found once the data is loaded aborts the
-    run.  Results are independent of thread count.
+    run.
     """
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     results: dict[int, list[dict]] = {}
     failures: list[dict] = []
-
-    def one(seed: int):
-        return seed, _run_seed(cfg, seed, artifact_dir)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(one, s) for s in cfg.seeds]
-            outcomes = [f for f in futures]
-        for fut, seed in zip(outcomes, cfg.seeds):
-            try:
-                s, recs = fut.result()
-                results[s] = recs
-            except DataError as exc:
-                failures.append({"seed": seed, "error": f"data: {exc}"})
-            except ConfigError:
-                raise  # the same for every seed
-            except Exception as exc:  # seed-level isolation
-                failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
-    else:
-        for seed in cfg.seeds:
-            try:
-                _, recs = one(seed)
-                results[seed] = recs
-            except DataError as exc:
-                failures.append({"seed": seed, "error": f"data: {exc}"})
-            except ConfigError:
-                raise
-            except Exception as exc:
-                failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+    for seed in cfg.seeds:
+        try:
+            results[seed] = _run_seed(cfg, seed, artifact_dir)
+        except DataError as exc:
+            failures.append({"seed": seed, "error": f"data: {exc}"})
+        except ConfigError:
+            raise  # the same for every seed
+        except Exception as exc:  # seed-level isolation
+            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
 
     records: list[dict] = []
     for seed in sorted(results):
         records.extend(results[seed])
     records.sort(key=lambda r: (r["seed"], r["step"], r["ood_dataset"]))
     failures.sort(key=lambda f: f["seed"])
-    aggregates = _aggregate(records, cfg.seeds, failures)
+    aggregates = _aggregate(records, cfg.seeds)
     # thread count and output location are execution details, not
     # experiment identity: the report must not depend on them
     echo = cfg.to_dict()

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -235,6 +236,16 @@ def test_composite_reduces_to_ce():
     loss2, dW2, db2 = ber_total_loss(head, X, y, quiet, np.zeros((0, 4)), None, cfg)
     assert loss2 == pytest.approx(base_loss, abs=1e-15)
     np.testing.assert_allclose(dW2, base_dW, atol=1e-15)
+    # both terms switched off with active hinges and a replay batch: CE bit for bit
+    X_ps = gen.normal(size=(5, 4))
+    mixed = gen.normal(size=(4, 4))
+    on = ber_total_loss(head, X, y, X, X_ps, mixed, BerConfig(alpha=0.1))
+    assert on[0] != base_loss
+    off = BerConfig(alpha=0.1, use_nter=False, use_oter=False)
+    loss3, dW3, db3 = ber_total_loss(head, X, y, X, X_ps, mixed, off)
+    assert loss3 == base_loss
+    np.testing.assert_array_equal(dW3, base_dW)
+    np.testing.assert_array_equal(db3, base_db)
 
 
 def test_t2f_transform_row_norms():
@@ -295,15 +306,20 @@ def test_plain_finetune_matches_base_accuracy():
     assert abs(acc_h - acc_f) <= 0.02
 
 
-def test_ber_t1_empty_memory_warns_and_runs():
+def test_ber_t1_empty_memory_warns_and_runs(caplog):
     model, stream, mems = small_trained_model(seed=4, tasks_done=1)
     sink: list = []
     cfg = BerConfig(epochs=2, batch_size=64)
-    f_head = finetune_step_loop(
-        model, stream, 1, MemoryBuffer(0), "ber", cfg, RngStream(3, "ft"), sink
-    )
+    with caplog.at_level(logging.DEBUG, logger="cilbench.finetune"):
+        f_head = finetune_step_loop(
+            model, stream, 1, MemoryBuffer(0), "ber", cfg, RngStream(3, "ft"), sink
+        )
     assert any("warning" in e for e in sink)
     assert f_head.n_classes == 4
+    # an empty memory is expected at step 1: logged at debug level, naming the seed
+    [rec] = [r for r in caplog.records if "empty replay memory" in r.getMessage()]
+    assert rec.levelno == logging.DEBUG
+    assert "seed 3 step 1" in rec.getMessage()
 
 
 def test_ber_widens_id_ood_score_gap():
@@ -349,3 +365,20 @@ def test_finetune_epoch_log_components():
     epochs = [e for e in sink if "epoch" in e]
     assert len(epochs) == 2
     assert {"ce", "l_n", "l_o"} <= set(epochs[0])
+
+
+def test_ber_log_has_one_record_per_epoch_with_switched_terms():
+    model, stream, mems = small_trained_model(seed=5)
+    for t, mem, kw in ((1, mems[0], {}), (2, mems[1], {"use_nter": False})):
+        sink: list = []
+        cfg = BerConfig(epochs=3, batch_size=64, **kw)
+        finetune_step_loop(model, stream, t, mem, "ber", cfg, RngStream(4, "ft"), sink)
+        epochs = [e for e in sink if "epoch" in e]
+        assert [e["epoch"] for e in epochs] == [0, 1, 2]
+        assert all(e["task"] == t and e["ce"] > 0 for e in epochs)
+        if t == 1:  # no replay memory yet: no old-task term
+            assert all(e["l_o"] == 0.0 for e in epochs)
+            assert any(e["l_n"] > 0 for e in epochs)
+        else:
+            assert all(e["l_n"] == 0.0 for e in epochs)
+            assert any(e["l_o"] > 0 for e in epochs)

@@ -8,7 +8,6 @@ from cilbench.model import (
     ce_loss,
     cosine_lr,
     expand_head,
-    forward_logits,
     head_fingerprint,
     load_head,
     save_head,
@@ -18,6 +17,11 @@ from cilbench.model import (
 from cilbench.numerics import RngStream
 
 
+def row_logits(head, x):
+    """W x + b for one feature vector."""
+    return head.logits(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
 def random_head(C, d, seed=0):
     gen = np.random.default_rng(seed)
     return LinearHead(gen.normal(size=(C, d)), gen.normal(size=C))
@@ -25,9 +29,9 @@ def random_head(C, d, seed=0):
 
 def test_forward_identity_and_bias_only():
     head = LinearHead(np.eye(2), np.zeros(2))
-    np.testing.assert_array_equal(forward_logits(head, [3.0, 4.0]), [3.0, 4.0])
+    np.testing.assert_array_equal(row_logits(head, [3.0, 4.0]), [3.0, 4.0])
     head2 = LinearHead(np.zeros((2, 3)), np.array([1.0, -1.0]))
-    np.testing.assert_array_equal(forward_logits(head2, [9.0, 9.0, 9.0]), [1.0, -1.0])
+    np.testing.assert_array_equal(row_logits(head2, [9.0, 9.0, 9.0]), [1.0, -1.0])
 
 
 def test_forward_matches_triple_loop_oracle():
@@ -36,12 +40,12 @@ def test_forward_matches_triple_loop_oracle():
     expected = [
         sum(head.W[i, j] * x[j] for j in range(2)) + head.b[i] for i in range(3)
     ]
-    np.testing.assert_allclose(forward_logits(head, x), expected, atol=1e-12)
+    np.testing.assert_allclose(row_logits(head, x), expected, atol=1e-12)
 
 
 def test_forward_dim_mismatch():
     with pytest.raises(ValueError):
-        forward_logits(random_head(2, 3), [1.0, 2.0])
+        row_logits(random_head(2, 3), [1.0, 2.0])
 
 
 def test_expand_from_empty_and_bit_preservation():
@@ -55,7 +59,7 @@ def test_expand_from_empty_and_bit_preservation():
     np.testing.assert_array_equal(bigger.W[3:], 0.0)
     x = np.ones(4)
     np.testing.assert_array_equal(
-        forward_logits(bigger, x)[:3], forward_logits(head, x)
+        row_logits(bigger, x)[:3], row_logits(head, x)
     )
 
 

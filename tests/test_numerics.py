@@ -6,9 +6,11 @@ import pytest
 from cilbench.numerics import (
     RngStream,
     cosine_sim,
+    log_softmax_rows,
     logsumexp,
     sample_beta,
     softmax,
+    softmax_rows,
 )
 
 
@@ -137,3 +139,18 @@ def test_cosine_errors():
         cosine_sim([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         cosine_sim([1.0], [1.0, 2.0])
+
+
+def test_log_softmax_rows_matches_log_of_softmax():
+    gen = np.random.default_rng(0)
+    M = gen.normal(size=(20, 7)) * 4
+    np.testing.assert_allclose(log_softmax_rows(M), np.log(softmax_rows(M)), atol=1e-12)
+
+
+def test_log_softmax_rows_finite_for_large_logits():
+    gen = np.random.default_rng(1)
+    M = 1e3 + gen.normal(size=(10, 5)) * 1e3
+    out = log_softmax_rows(M)
+    assert np.all(np.isfinite(out))
+    assert np.all(out <= 0.0)
+    np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)

@@ -16,18 +16,14 @@ from cilbench.posthoc import (
     odin_input_gradient,
     percentile_nearest_rank,
     score_batch,
-    score_energy,
-    score_gen,
-    score_klm,
-    score_maxlogit,
-    score_msp,
-    score_nnguide,
-    score_odin,
-    score_react,
-    score_relation_simplified,
 )
 
 P = PosthocParams()
+
+
+def score_one(name, model, fit, x, params=None):
+    """The score of one feature vector, through the batch scorer."""
+    return float(score_batch(name, model, fit, np.asarray(x)[None, :], params)[0])
 
 
 def logit_model(W, b):
@@ -45,37 +41,37 @@ def passthrough(logits):
 
 def test_msp_examples():
     model, x = passthrough([0.0, 0.0])
-    assert score_msp(model, None, x) == pytest.approx(0.5, abs=1e-12)
+    assert score_one("msp", model, None, x) == pytest.approx(0.5, abs=1e-12)
     model, x = passthrough([10.0, 0.0])
-    assert score_msp(model, None, x) == pytest.approx(
+    assert score_one("msp", model, None, x) == pytest.approx(
         math.exp(10) / (math.exp(10) + 1), abs=1e-9
     )
     model, x = passthrough([1.3, -0.4, 2.2])
     shifted_model = logit_model(np.eye(3), np.full(3, 7.0))
-    assert score_msp(model, None, x) == pytest.approx(
-        score_msp(shifted_model, None, x), abs=1e-12
+    assert score_one("msp", model, None, x) == pytest.approx(
+        score_one("msp", shifted_model, None, x), abs=1e-12
     )
 
 
 def test_maxlogit_examples():
     model, x = passthrough([3.0, -1.0])
-    assert score_maxlogit(model, None, x) == 3.0
+    assert score_one("maxlogit", model, None, x) == 3.0
     shifted = logit_model(np.eye(2), np.full(2, 5.0))
-    assert score_maxlogit(shifted, None, x) == 8.0
+    assert score_one("maxlogit", shifted, None, x) == 8.0
     gen = np.random.default_rng(0)
     for _ in range(20):
         v = gen.normal(size=4)
         model, x = passthrough(v)
-        assert score_maxlogit(model, None, x) == max(v)
+        assert score_one("maxlogit", model, None, x) == max(v)
 
 
 def test_energy_examples():
     model, x = passthrough([0.0, 0.0])
-    assert score_energy(model, None, x) == pytest.approx(math.log(2), abs=1e-12)
+    assert score_one("energy", model, None, x) == pytest.approx(math.log(2), abs=1e-12)
     single = logit_model(np.array([[1.0]]), np.zeros(1))
-    assert score_energy(single, None, np.array([4.2])) == pytest.approx(4.2, abs=1e-12)
+    assert score_one("energy", single, None, np.array([4.2])) == pytest.approx(4.2, abs=1e-12)
     model, x = passthrough([1.0, 2.0, 3.0])
-    assert score_energy(model, None, x) == pytest.approx(
+    assert score_one("energy", model, None, x) == pytest.approx(
         logsumexp([1.0, 2.0, 3.0], 1.0), abs=1e-12
     )
 
@@ -83,16 +79,16 @@ def test_energy_examples():
 def test_gen_examples():
     # sharp distribution scores near zero (the maximum)
     model, x = passthrough([200.0, 0.0])
-    assert score_gen(model, None, x) == pytest.approx(0.0, abs=1e-8)
+    assert score_one("gen", model, None, x) == pytest.approx(0.0, abs=1e-8)
     model, x = passthrough([0.0, 0.0])
-    assert score_gen(model, None, x) == pytest.approx(
+    assert score_one("gen", model, None, x) == pytest.approx(
         -2.0 * 0.5**0.2, abs=1e-12
     )  # frozen: -1.7411011265922483
     # sharpening along a one-parameter family increases the score
     scores = []
     for a in np.linspace(0.0, 5.0, 11):
         model, x = passthrough([a, -a])
-        scores.append(score_gen(model, None, x))
+        scores.append(score_one("gen", model, None, x))
     assert all(s2 > s1 for s1, s2 in zip(scores, scores[1:]))
 
 
@@ -102,8 +98,8 @@ def test_odin_degenerate_equals_msp():
     params = PosthocParams(odin_epsilon=0.0, odin_temperature=1.0)
     for _ in range(50):
         x = gen.normal(size=5)
-        assert score_odin(model, None, x, params) == pytest.approx(
-            score_msp(model, None, x), abs=1e-12
+        assert score_one("odin", model, None, x, params) == pytest.approx(
+            score_one("msp", model, None, x), abs=1e-12
         )
 
 
@@ -113,7 +109,7 @@ def test_odin_eps0_is_tempered_msp():
     params = PosthocParams(odin_epsilon=0.0, odin_temperature=1000.0)
     x = gen.normal(size=3)
     expect = softmax(model.logits(x[None, :])[0], 1000.0).max()
-    assert score_odin(model, None, x, params) == pytest.approx(expect, abs=1e-15)
+    assert score_one("odin", model, None, x, params) == pytest.approx(expect, abs=1e-15)
 
 
 def test_odin_gradient_matches_finite_differences():
@@ -166,7 +162,7 @@ def test_react_p100_equals_energy_exactly():
     assert fit.react_threshold == np.inf
     for _ in range(1000):
         x = gen.normal(size=6) * 10
-        assert score_react(model, fit, x) == score_energy(model, None, x)
+        assert score_one("react", model, fit, x) == score_one("energy", model, None, x)
 
 
 def test_react_saturation_is_constant():
@@ -174,7 +170,7 @@ def test_react_saturation_is_constant():
     model = logit_model(gen.normal(size=(3, 4)), gen.normal(size=3))
     fit = ScorerFit("react", react_threshold=-5.0)
     xs = gen.normal(size=(5, 4)) + 10.0  # all activations above the threshold
-    vals = [score_react(model, fit, x) for x in xs]
+    vals = [score_one("react", model, fit, x) for x in xs]
     expect = logsumexp(model.head.logits(np.full((1, 4), -5.0))[0], 1.0)
     assert all(v == pytest.approx(expect, abs=1e-12) for v in vals)
 
@@ -193,13 +189,13 @@ def test_klm_template_match_scores_zero():
     model = logit_model(gen.normal(size=(3, 3)), np.zeros(3))
     row = gen.normal(size=(1, 3))
     fit = fit_scorer("klm", model, row)
-    assert score_klm(model, fit, row[0]) == pytest.approx(0.0, abs=1e-12)
+    assert score_one("klm", model, fit, row[0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_klm_uniform_template_one_hot_input():
     model, x = passthrough([1000.0, 0.0])
     fit = ScorerFit("klm", klm_templates=np.array([[0.5, 0.5]]))
-    assert score_klm(model, fit, x) == pytest.approx(-math.log(2), abs=1e-12)
+    assert score_one("klm", model, fit, x) == pytest.approx(-math.log(2), abs=1e-12)
 
 
 def test_klm_finite_for_extreme_inputs():
@@ -207,7 +203,7 @@ def test_klm_finite_for_extreme_inputs():
     model = logit_model(gen.normal(size=(4, 4)), np.zeros(4))
     fit = fit_scorer("klm", model, gen.normal(size=(30, 4)))
     x = np.array([1e4, -1e4, 0.0, 0.0])
-    assert np.isfinite(score_klm(model, fit, x))
+    assert np.isfinite(score_one("klm", model, fit, x))
 
 
 def test_nnguide_identity_and_orthogonal():
@@ -215,11 +211,11 @@ def test_nnguide_identity_and_orthogonal():
     bank_row = np.array([[2.0, 0.0]])
     fit = fit_scorer("nnguide", model, bank_row, PosthocParams(knn_k=1))
     x = np.array([3.0, 0.0])  # same direction as the bank row
-    assert score_nnguide(model, fit, x, PosthocParams(knn_k=1)) == pytest.approx(
-        score_energy(model, None, x), abs=1e-12
+    assert score_one("nnguide", model, fit, x, PosthocParams(knn_k=1)) == pytest.approx(
+        score_one("energy", model, None, x), abs=1e-12
     )
     x_orth = np.array([0.0, 4.0])
-    assert score_nnguide(model, fit, x_orth, PosthocParams(knn_k=1)) == pytest.approx(
+    assert score_one("nnguide", model, fit, x_orth, PosthocParams(knn_k=1)) == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -236,8 +232,8 @@ def test_nnguide_matches_exhaustive_knn():
         sims = sorted(
             (b / np.linalg.norm(b)) @ z for b in model.penultimate(bank)
         )[-3:]
-        expect = score_energy(model, None, x) * np.mean(sims)
-        assert score_nnguide(model, fit, x, params) == pytest.approx(expect, abs=1e-12)
+        expect = score_one("energy", model, None, x) * np.mean(sims)
+        assert score_one("nnguide", model, fit, x, params) == pytest.approx(expect, abs=1e-12)
 
 
 def test_relation_examples_and_oracle():
@@ -245,15 +241,13 @@ def test_relation_examples_and_oracle():
     # single bank row equal to x
     bank = np.array([[4.0, 0.0]])
     fit = fit_scorer("relation_simplified", model, bank, PosthocParams(knn_k=1))
-    msp_of_row = score_msp(model, None, bank[0])
+    msp_of_row = score_one("msp", model, None, bank[0])
     x = np.array([4.0, 0.0])
-    assert score_relation_simplified(
-        model, fit, x, PosthocParams(knn_k=1)
+    assert score_one("relation_simplified", model, fit, x, PosthocParams(knn_k=1)
     ) == pytest.approx(msp_of_row, abs=1e-12)
     # all-negative similarities give zero
     x_neg = np.array([-4.0, 0.0])
-    assert score_relation_simplified(
-        model, fit, x_neg, PosthocParams(knn_k=1)
+    assert score_one("relation_simplified", model, fit, x_neg, PosthocParams(knn_k=1)
     ) == pytest.approx(0.0, abs=1e-12)
 
     gen = np.random.default_rng(11)
@@ -267,11 +261,11 @@ def test_relation_examples_and_oracle():
         pairs = []
         for b in bank2:
             sim = (b / np.linalg.norm(b)) @ z
-            msp_b = score_msp(model2, None, b)
+            msp_b = score_one("msp", model2, None, b)
             pairs.append((sim, msp_b))
         pairs.sort()
         expect = sum(max(0.0, s) * m for s, m in pairs[-5:])
-        assert score_relation_simplified(model2, fit2, x, params) == pytest.approx(
+        assert score_one("relation_simplified", model2, fit2, x, params) == pytest.approx(
             expect, abs=1e-12
         )
 
