@@ -27,6 +27,7 @@ from .model import (
     LinearHead,
     SgdState,
     ce_loss,
+    check_finite_epoch,
     cosine_lr,
     expand_head,
     sgd_step,
@@ -99,13 +100,13 @@ class CilModel:
 
 
 def _distill_grads(
-    Z_new: np.ndarray, P_old: np.ndarray, T: float
+    Z_new: np.ndarray, P_old: np.ndarray, logp: np.ndarray, T: float
 ) -> tuple[float, np.ndarray]:
-    """KL(P_old || softmax(Z_new/T)) * T^2, mean over rows, with dL/dZ_new."""
+    """KL(P_old || softmax(Z_new/T)) * T^2, mean over rows, with dL/dZ_new;
+    ``logp`` is log(max(P_old, 1e-300)), fixed for the task."""
     n, c_old = P_old.shape
     Q = softmax_rows(Z_new[:, :c_old], T)
     logq = np.log(np.maximum(Q, 1e-300))
-    logp = np.log(np.maximum(P_old, 1e-300))
     loss = float((P_old * (logp - logq)).sum(axis=1).mean() * T * T)
     G = np.zeros_like(Z_new)
     G[:, :c_old] = T * (Q - P_old) / n
@@ -125,7 +126,10 @@ def train_task(
 
     ``mem`` must reflect steps < t; the returned buffer covers classes
     through t.  The head is expanded before training and, for the WA
-    method with t > 1, aligned afterwards.
+    method with t > 1, aligned afterwards.  Each batch's logits are
+    computed once, before its update, and serve the loss, the
+    distillation term and the logged ``train_acc``.  Raises
+    ``DivergenceError`` after an epoch with a non-finite loss or head.
     """
     task = stream.tasks[t - 1]
     if task.train.n == 0:
@@ -149,36 +153,43 @@ def train_task(
     y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
     if old_head is not None:
         P_old = softmax_rows(old_head.logits(X), cfg.distill_temperature)
+        logp_old = np.log(np.maximum(P_old, 1e-300))
 
     n = X.shape[0]
     iters = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs_per_task * iters
     state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+    distill = old_head is not None and cfg.distill_weight != 0.0
     step = 0
     for epoch in range(cfg.epochs_per_task):
         perm = rng.child(f"epoch-t{t}-{epoch}").gen.permutation(n)
         epoch_loss = 0.0
+        correct = 0
         for it in range(iters):
             sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
             bx, by = X[sel], y_rows[sel]
-            loss, dW, db = ce_loss(head, bx, by)
-            if old_head is not None and cfg.distill_weight != 0.0:
-                dl, G = _distill_grads(head.logits(bx), P_old[sel], cfg.distill_temperature)
+            Z = head.logits(bx)
+            correct += int(np.count_nonzero(np.argmax(Z, axis=1) == by))
+            loss, dW, db = ce_loss(head, bx, by, Z)
+            if distill:
+                dl, G = _distill_grads(Z, P_old[sel], logp_old[sel], cfg.distill_temperature)
                 loss += cfg.distill_weight * dl
                 dW += cfg.distill_weight * (G.T @ bx)
                 db += cfg.distill_weight * G.sum(axis=0)
             sgd_step(state, head, dW, db, step, total_steps)
             epoch_loss += loss
             step += 1
+        check_finite_epoch("CIL training", epoch_loss, head, rng.seed, t, epoch)
         if log_sink is not None:
-            preds = np.argmax(head.logits(X), axis=1)
             log_sink.append(
                 {
                     "task": t,
                     "epoch": epoch,
                     "loss": epoch_loss / iters,
                     "lr": cosine_lr(cfg.lr0, step, total_steps),
-                    "train_acc": float((preds == y_rows).mean()),
+                    # running accuracy of the epoch's batches, each taken
+                    # before its update
+                    "train_acc": correct / n,
                 }
             )
 

@@ -5,7 +5,9 @@ failure.  Errors print one machine-parsable line to stderr with the
 prefix ``CILBENCH-ERROR [kind]:``.  ``--threads`` (fallback: the
 environment variable ``OPENCIL_THREADS``) is validated and kept for
 compatibility; seeds always run one after another, so it changes
-neither how a run executes nor what it writes.
+neither how a run executes nor what it writes.  ``report`` re-checks the
+aggregates of the report it reads against its records (exit 2 when they
+disagree).
 """
 from __future__ import annotations
 
@@ -16,7 +18,14 @@ import sys
 from pathlib import Path
 
 from .data import DataError
-from .protocol import BenchmarkReport, ConfigError, RunConfig, emit_report, run_benchmark
+from .protocol import (
+    BenchmarkReport,
+    ConfigError,
+    RunConfig,
+    emit_report,
+    run_benchmark,
+    verify_consistency,
+)
 from .synthgen import SynthSpec, write_synth_suite
 
 EXIT_OK = 0
@@ -47,7 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output directory (defaults to config out_dir)")
     run.add_argument("--threads", type=int, default=None)
 
-    rep = sub.add_parser("report", help="re-emit csv/markdown from a report.json")
+    rep = sub.add_parser(
+        "report", help="check a report.json against its records and re-emit csv/markdown"
+    )
     rep.add_argument("--in", dest="input", required=True)
     rep.add_argument("--format", choices=("md", "csv"), required=True)
     rep.add_argument("--out", default=None, help="output directory (defaults alongside input)")
@@ -122,6 +133,12 @@ def _cmd_report(args) -> int:
         report = BenchmarkReport.from_dict(doc)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail("data", f"cannot read report: {exc}", EXIT_DATA)
+    try:
+        consistent = verify_consistency(report)
+    except (KeyError, TypeError) as exc:
+        return _fail("data", f"malformed report records: {exc}", EXIT_DATA)
+    if not consistent:
+        return _fail("data", f"aggregates disagree with the records in {args.input}", EXIT_DATA)
     out_dir = args.out or Path(args.input).parent
     fmt = {"md": "markdown", "csv": "csv"}[args.format]
     try:

@@ -341,8 +341,17 @@ def herding_select(class_features: np.ndarray, q: int) -> list[int]:
     chosen: list[int] = []
     running = np.zeros(feats.shape[1])
     taken = np.zeros(n, dtype=bool)
+    buf = np.empty_like(feats)
     for s in range(1, q + 1):
-        dists = np.linalg.norm(mu - (running + feats) / s, axis=1)
+        # ||mu - (running + x) / s|| for every row, in one reused buffer and
+        # with np.linalg.norm's own operations; the sqrt stays, since two
+        # different squared distances can round to one norm, and that tie
+        # goes to the lower index
+        np.add(running, feats, out=buf)
+        buf /= s
+        np.subtract(mu, buf, out=buf)
+        buf *= buf
+        dists = np.sqrt(np.add.reduce(buf, axis=1))
         dists[taken] = np.inf
         i = int(np.argmin(dists))  # argmin returns the lowest tied index
         chosen.append(i)

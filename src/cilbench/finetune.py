@@ -36,14 +36,20 @@ import numpy as np
 
 from .cil import CilModel
 from .data import MemoryBuffer, TaskStream, features_by_class, memory_rows
-from .model import LinearHead, SgdState, ce_loss, expand_head, sgd_step
+from .model import (
+    LinearHead,
+    SgdState,
+    ce_loss,
+    check_finite_epoch,
+    expand_head,
+    sgd_step,
+)
 from .numerics import (
     RngStream,
-    log_softmax_rows,
     logsumexp,
     logsumexp_rows,
     sample_beta,
-    softmax_rows,
+    softmax_cross_entropy,
 )
 
 __all__ = [
@@ -212,8 +218,14 @@ def _hinge_energy_grads(
     if X.shape[0] == 0:
         d = head.dim
         return 0.0, np.zeros((head.n_classes, d)), np.zeros(head.n_classes)
-    Z = head.logits(X)
-    E = energy_rows(Z, tau)
+    # one exp for E = -logsumexp_rows(Z, tau) and P = softmax_rows(Z, tau),
+    # bit for bit the values of those two functions
+    scaled = head.logits(X) / tau
+    peak = scaled.max(axis=1, keepdims=True)
+    P = np.exp(scaled - peak)
+    total = P.sum(axis=1, keepdims=True)
+    E = -(tau * (peak[:, 0] + np.log(total[:, 0])))
+    P /= total
     a = (margin - E) if side == "below" else (E - margin)
     active = np.maximum(a, 0.0)
     loss = float((active**2).mean())
@@ -221,7 +233,6 @@ def _hinge_energy_grads(
     dE = 2.0 * active / X.shape[0]
     if side == "below":
         dE = -dE
-    P = softmax_rows(Z, tau)
     G = -dE[:, None] * P
     return loss, G.T @ X, G.sum(axis=0)
 
@@ -257,17 +268,12 @@ def logitnorm_ce_loss(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy on z / (||z|| * tau_ln) with analytic gradients."""
     Z = head.logits(X)
-    n = X.shape[0]
     norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
     U = Z / (norms * tau_ln)
-    P = softmax_rows(U)
-    loss = -log_softmax_rows(U)[np.arange(n), y_rows].mean()
-    Gu = P
-    Gu[np.arange(n), y_rows] -= 1.0
-    Gu /= n
+    loss, Gu = softmax_cross_entropy(U, y_rows)
     hat = Z / norms
     Gz = (Gu - hat * (Gu * hat).sum(axis=1, keepdims=True)) / (norms * tau_ln)
-    return float(loss), Gz.T @ X, Gz.sum(axis=0)
+    return loss, Gz.T @ X, Gz.sum(axis=0)
 
 
 def t2f_transform(Z: np.ndarray, tau: float) -> np.ndarray:
@@ -364,7 +370,8 @@ def finetune_step_loop(
     t = 1, in which case the old-task term is skipped).  Plain, logitnorm
     and t2fnorm train on new-task rows and memory pooled; ``ber`` epochs
     run over new-task rows and draw a replay batch per step.  Each epoch
-    appends its mean ``ce``/``l_n``/``l_o`` to ``log_sink``.  Returns the
+    appends its mean ``ce``/``l_n``/``l_o`` to ``log_sink``; an epoch
+    with a non-finite loss or head raises ``DivergenceError``.  Returns the
     fine-tuned head; for the normalized-feature method the caller must
     score through :func:`t2f_transform` (see ``CilModel.feature_tau``).
     """
@@ -426,6 +433,9 @@ def finetune_step_loop(
             sums["ce"] += l_ce
             sums["l_n"] += l_n
             sums["l_o"] += l_o
+        check_finite_epoch(
+            f"{method} fine-tuning", sum(sums.values()), head, rng.seed, t, epoch
+        )
         if log_sink is not None:
             log_sink.append(
                 {"task": t, "epoch": epoch, **{k: v / iters for k, v in sums.items()}}

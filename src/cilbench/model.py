@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import RngStream, log_softmax_rows, softmax_rows
+from .numerics import RngStream, softmax_cross_entropy
 
 __all__ = [
     "Extractor",
@@ -29,6 +29,8 @@ __all__ = [
     "sgd_step",
     "weight_align",
     "ce_loss",
+    "DivergenceError",
+    "check_finite_epoch",
     "save_head",
     "load_head",
     "head_fingerprint",
@@ -189,10 +191,31 @@ def sgd_step(
     if dW.shape != head.W.shape or db.shape != head.b.shape:
         raise ValueError("gradient shapes must match parameters")
     lr = cosine_lr(state.lr0, step_index, total_steps)
-    state.vW = state.momentum * state.vW + (dW + state.weight_decay * head.W)
-    state.vb = state.momentum * state.vb + (db + state.weight_decay * head.b)
-    head.W -= lr * state.vW
-    head.b -= lr * state.vb
+    # in place, in the order of the formula (products and sums commute
+    # bit for bit); the caller's gradients are only read
+    for p, g, v in ((head.W, dW, state.vW), (head.b, db, state.vb)):
+        step = p * state.weight_decay
+        step += g
+        v *= state.momentum
+        v += step
+        np.multiply(v, lr, out=step)
+        p -= step
+
+
+class DivergenceError(ArithmeticError):
+    """Training produced a non-finite loss or parameter."""
+
+
+def check_finite_epoch(
+    what: str, loss: float, head: LinearHead, seed: int, step: int, epoch: int
+) -> None:
+    """Raise :class:`DivergenceError` naming seed, step and epoch unless the
+    epoch's summed loss and the head it leaves behind are finite."""
+    where = f"{what} diverged at seed {seed} step {step} epoch {epoch}"
+    if not math.isfinite(loss):
+        raise DivergenceError(f"{where}: loss is {loss}")
+    if not (np.isfinite(head.W).all() and np.isfinite(head.b).all()):
+        raise DivergenceError(f"{where}: head weights are not finite")
 
 
 def weight_align(head: LinearHead, old_rows, new_rows) -> LinearHead:
@@ -211,21 +234,18 @@ def weight_align(head: LinearHead, old_rows, new_rows) -> LinearHead:
 
 
 def ce_loss(
-    head: LinearHead, X: np.ndarray, y_rows: np.ndarray
+    head: LinearHead, X: np.ndarray, y_rows: np.ndarray, Z: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch with analytic gradients.
 
-    ``y_rows`` holds head-row indices (not global class ids).
+    ``y_rows`` holds head-row indices (not global class ids).  ``Z`` is
+    ``head.logits(X)`` when the caller already has it; it is not modified.
     Returns (loss, dW, db).
     """
-    Z = head.logits(X)
-    P = softmax_rows(Z)
-    n = X.shape[0]
-    loss = -log_softmax_rows(Z)[np.arange(n), y_rows].mean()
-    G = P
-    G[np.arange(n), y_rows] -= 1.0
-    G /= n
-    return float(loss), G.T @ X, G.sum(axis=0)
+    if Z is None:
+        Z = head.logits(X)
+    loss, G = softmax_cross_entropy(Z, y_rows)
+    return loss, G.T @ X, G.sum(axis=0)
 
 
 def save_head(head: LinearHead, path) -> None:

@@ -18,6 +18,7 @@ __all__ = [
     "softmax",
     "softmax_rows",
     "log_softmax_rows",
+    "softmax_cross_entropy",
     "sample_beta",
     "cosine_sim",
 ]
@@ -92,6 +93,25 @@ def log_softmax_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     shifted = m - m.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def softmax_cross_entropy(Z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of logit rows ``Z`` against column indices ``y``,
+    and its gradient w.r.t. ``Z``: (softmax(Z) - onehot(y)) / n.
+
+    One max-shifted exp serves both; the values are bit for bit those of
+    :func:`log_softmax_rows` and :func:`softmax_rows`.  ``Z`` is not modified.
+    """
+    n = Z.shape[0]
+    rows = np.arange(n)
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    G = np.exp(shifted)
+    total = G.sum(axis=1, keepdims=True)
+    loss = -(shifted[rows, y] - np.log(total[:, 0])).mean()
+    G /= total
+    G[rows, y] -= 1.0
+    G /= n
+    return float(loss), G
 
 
 def softmax(v, tau: float = 1.0) -> np.ndarray:

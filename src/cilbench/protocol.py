@@ -10,13 +10,17 @@ accuracy trajectory is untouched by construction.  Reports are
 byte-stable: records are sorted and aggregation is an ordered
 reduction.  Seeds run one after another; the ``threads`` setting is
 accepted and validated for compatibility but does not change how a run
-executes or what it writes.
+executes or what it writes.  With an artifact directory, each seed also
+writes its head checkpoints, its training log and its per-step phase
+timings (``logs/timings_seed{s}.jsonl``) beside the report, never into it.
 """
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -40,6 +44,18 @@ from .synthgen import SynthSpec, generate
 __all__ = ["RunConfig", "BenchmarkReport", "run_benchmark", "emit_report"]
 
 OOD_METHODS = tuple(SCORER_NAMES) + FINETUNE_METHODS[1:] + ("plain",)
+
+# wall seconds per (seed, step) written to logs/timings_seed{s}.jsonl;
+# score_id includes the step's accuracy evaluation on the same ID rows
+PHASES = (
+    "cil_train",
+    "finetune",
+    "scorer_fit",
+    "score_id",
+    "score_ood",
+    "metrics",
+    "checkpoint_io",
+)
 
 
 class ConfigError(ValueError):
@@ -78,6 +94,9 @@ class RunConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"seeds must be distinct; repeated: {repeated}")
         if self.step_size < 2:
             raise ConfigError("step_size must be >= 2")
         if self.memory_budget < 0:
@@ -225,6 +244,15 @@ def _score_model_for_step(cfg, model, stream, t, mem_t, rng):
     return f_model, cfg.ood.get("score_with", "energy")
 
 
+@contextmanager
+def _timed(phases: dict, name: str):
+    t0 = perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] += perf_counter() - t0
+
+
 def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict]:
     train, test, suite = _load_run_data(cfg, seed)
     order = RngStream(seed, "class-order") if cfg.class_order == "seeded" else None
@@ -237,27 +265,42 @@ def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict
     mem = MemoryBuffer(cfg.memory_budget)
     rng = RngStream(seed, "run")
     train_log: list = []
+    timings: list = []
 
     records = []
     for t in range(1, T + 1):
+        took = {"seed": seed, "step": t, **dict.fromkeys(PHASES, 0.0)}
+        timings.append(took)
         mem_t = mem
-        model, mem = train_task(model, stream, t, mem_t, cil_cfg, rng.child("cil"), train_log)
+        with _timed(took, "cil_train"):
+            model, mem = train_task(model, stream, t, mem_t, cil_cfg, rng.child("cil"), train_log)
         id_test = stream.test_through(t)
-        acc = evaluate_accuracy(model, id_test)
+        with _timed(took, "score_id"):
+            acc = evaluate_accuracy(model, id_test)
 
-        score_model, scorer = _score_model_for_step(cfg, model, stream, t, mem_t, rng)
-        fit_X, _ = memory_rows(mem_t, features_by_class(stream, t))
-        fit_rows = (
-            np.concatenate([stream.tasks[t - 1].train.features, fit_X])
-            if fit_X.size
-            else stream.tasks[t - 1].train.features
-        )
-        fit = fit_scorer(scorer, score_model, fit_rows, params)
-        id_scores = score_batch(scorer, score_model, fit, id_test.features, params)
+        with _timed(took, "finetune"):
+            score_model, scorer = _score_model_for_step(cfg, model, stream, t, mem_t, rng)
+        with _timed(took, "scorer_fit"):
+            fit_X, _ = memory_rows(mem_t, features_by_class(stream, t))
+            fit_rows = (
+                np.concatenate([stream.tasks[t - 1].train.features, fit_X])
+                if fit_X.size
+                else stream.tasks[t - 1].train.features
+            )
+            fit = fit_scorer(scorer, score_model, fit_rows, params)
+        with _timed(took, "score_id"):
+            id_scores = score_batch(scorer, score_model, fit, id_test.features, params)
 
         for entry in suite.entries:
-            sub = ood_subset(entry.dataset, t, T, RngStream(seed, f"oodsubset/{entry.name}"))
-            ood_scores = score_batch(scorer, score_model, fit, sub.features, params)
+            with _timed(took, "score_ood"):
+                sub = ood_subset(entry.dataset, t, T, RngStream(seed, f"oodsubset/{entry.name}"))
+                ood_scores = score_batch(scorer, score_model, fit, sub.features, params)
+            with _timed(took, "metrics"):
+                detection = {
+                    "auroc": auroc(id_scores, ood_scores),
+                    "fpr95": fpr_at_tpr95(id_scores, ood_scores),
+                    "ap": average_precision(id_scores, ood_scores),
+                }
             records.append(
                 {
                     "seed": seed,
@@ -267,24 +310,24 @@ def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict
                     "n_id_test": int(id_test.n),
                     "n_ood_test": int(sub.n),
                     "acc": acc,
-                    "auroc": auroc(id_scores, ood_scores),
-                    "fpr95": fpr_at_tpr95(id_scores, ood_scores),
-                    "ap": average_precision(id_scores, ood_scores),
+                    **detection,
                 }
             )
         if artifact_dir is not None:
-            ckpt = artifact_dir / "checkpoints"
-            ckpt.mkdir(parents=True, exist_ok=True)
-            save_head(model.head, ckpt / f"head_seed{seed}_step{t}.och")
-            if score_model is not model:
-                save_head(score_model.head, ckpt / f"extra_head_seed{seed}_step{t}.och")
+            with _timed(took, "checkpoint_io"):
+                ckpt = artifact_dir / "checkpoints"
+                ckpt.mkdir(parents=True, exist_ok=True)
+                save_head(model.head, ckpt / f"head_seed{seed}_step{t}.och")
+                if score_model is not model:
+                    save_head(score_model.head, ckpt / f"extra_head_seed{seed}_step{t}.och")
 
     if artifact_dir is not None:
         logs = artifact_dir / "logs"
         logs.mkdir(parents=True, exist_ok=True)
-        with open(logs / f"train_seed{seed}.jsonl", "w") as fh:
-            for entry in train_log:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        for name, entries in (("train", train_log), ("timings", timings)):
+            with open(logs / f"{name}_seed{seed}.jsonl", "w") as fh:
+                for entry in entries:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return records
 
 

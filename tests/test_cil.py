@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,25 @@ from cilbench.cil import (
     msp_confidences,
     train_task,
 )
-from cilbench.data import FeatureDataset, MemoryBuffer, split_tasks
-from cilbench.model import Extractor, LinearHead, head_fingerprint
-from cilbench.numerics import RngStream
+from cilbench.data import (
+    FeatureDataset,
+    MemoryBuffer,
+    features_by_class,
+    memory_rows,
+    rebalance_memory,
+    split_tasks,
+)
+from cilbench.model import (
+    DivergenceError,
+    Extractor,
+    LinearHead,
+    SgdState,
+    cosine_lr,
+    expand_head,
+    head_fingerprint,
+    weight_align,
+)
+from cilbench.numerics import RngStream, log_softmax_rows, softmax_rows
 from cilbench.synthgen import SynthSpec, generate
 
 FAST = CilConfig(epochs_per_task=10, batch_size=64)
@@ -170,3 +188,121 @@ def test_training_log_entries():
     model, _ = train_task(model, stream, 1, MemoryBuffer(0), cfg, RngStream(0), log)
     assert len(log) == 3
     assert {"task", "epoch", "loss", "lr", "train_acc"} <= set(log[0])
+
+
+def per_batch_log_distill_grads(Z_new, P_old, T):
+    """_distill_grads before log(P_old) was taken once per task."""
+    n, c_old = P_old.shape
+    Q = softmax_rows(Z_new[:, :c_old], T)
+    logq = np.log(np.maximum(Q, 1e-300))
+    logp = np.log(np.maximum(P_old, 1e-300))
+    loss = float((P_old * (logp - logq)).sum(axis=1).mean() * T * T)
+    G = np.zeros_like(Z_new)
+    G[:, :c_old] = T * (Q - P_old) / n
+    return loss, G
+
+
+def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
+    """train_task before the one-forward batch: ce_loss with two exps, a
+    second forward for distillation and log(P_old) per batch, the
+    out-of-place momentum update, and a full-data forward per epoch for
+    accuracy.  The log holds that
+    full-data accuracy as ``full_acc`` and the running accuracy of the
+    batches, each before its update, as ``batch_acc``."""
+    task = stream.tasks[t - 1]
+    fbc = features_by_class(stream, t)
+    mem_X_raw, mem_y = memory_rows(mem, fbc)
+    old_count = model.head.n_classes
+    old_head = model.head.clone() if (cfg.method != "replay" and t > 1) else None
+    head = expand_head(model.head, len(task.classes), cfg.head_init, rng.child(f"init-t{t}"))
+    seen = list(model.seen_classes) + list(task.classes)
+    row_of = {c: i for i, c in enumerate(seen)}
+    X_raw = np.concatenate([task.train.features, mem_X_raw]) if mem_X_raw.size else task.train.features
+    y = np.concatenate([task.train.labels, mem_y]) if mem_y.size else task.train.labels
+    X = model.extractor.extract(X_raw)
+    y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
+    if old_head is not None:
+        P_old = softmax_rows(old_head.logits(X), cfg.distill_temperature)
+    n = X.shape[0]
+    iters = math.ceil(n / cfg.batch_size)
+    total_steps = cfg.epochs_per_task * iters
+    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+    state.ensure(head)
+    step = 0
+    for epoch in range(cfg.epochs_per_task):
+        perm = rng.child(f"epoch-t{t}-{epoch}").gen.permutation(n)
+        epoch_loss = 0.0
+        correct = 0
+        for it in range(iters):
+            sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
+            bx, by = X[sel], y_rows[sel]
+            Z = head.logits(bx)
+            correct += int((np.argmax(Z, axis=1) == by).sum())
+            m = bx.shape[0]
+            loss = float(-log_softmax_rows(Z)[np.arange(m), by].mean())
+            G = softmax_rows(Z)
+            G[np.arange(m), by] -= 1.0
+            G /= m
+            dW, db = G.T @ bx, G.sum(axis=0)
+            if old_head is not None and cfg.distill_weight != 0.0:
+                dl, Gd = per_batch_log_distill_grads(
+                    head.logits(bx), P_old[sel], cfg.distill_temperature
+                )
+                loss += cfg.distill_weight * dl
+                dW += cfg.distill_weight * (Gd.T @ bx)
+                db += cfg.distill_weight * Gd.sum(axis=0)
+            lr = cosine_lr(state.lr0, step, total_steps)
+            state.vW = state.momentum * state.vW + (dW + state.weight_decay * head.W)
+            state.vb = state.momentum * state.vb + (db + state.weight_decay * head.b)
+            head.W -= lr * state.vW
+            head.b -= lr * state.vb
+            epoch_loss += loss
+            step += 1
+        log_sink.append({
+            "task": t,
+            "epoch": epoch,
+            "loss": epoch_loss / iters,
+            "lr": cosine_lr(cfg.lr0, step, total_steps),
+            "full_acc": float((np.argmax(head.logits(X), axis=1) == y_rows).mean()),
+            "batch_acc": correct / n,
+        })
+    if cfg.method == "replay_distill_wa" and t > 1:
+        head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
+    new_mem = rebalance_memory(mem, stream, t, fbc, cfg.exemplar_strategy, rng.child(f"mem-t{t}"))
+    return CilModel(model.extractor, head, seen), new_mem
+
+
+def test_one_forward_training_matches_two_forward_loop():
+    stream = small_stream(seed=9)
+    cfg = CilConfig(epochs_per_task=5, batch_size=48, method="replay_distill_wa")
+    fast = slow = CilModel.fresh(Extractor(), 16)
+    fast_mem = slow_mem = MemoryBuffer(40)
+    for t in range(1, stream.num_steps + 1):
+        fast_log, slow_log = [], []
+        fast, fast_mem = train_task(fast, stream, t, fast_mem, cfg, RngStream(4, "cil"), fast_log)
+        slow, slow_mem = two_forward_train_task(
+            slow, stream, t, slow_mem, cfg, RngStream(4, "cil"), slow_log
+        )
+        assert fast.head.W.tobytes() == slow.head.W.tobytes()
+        assert fast.head.b.tobytes() == slow.head.b.tobytes()
+        assert fast.seen_classes == slow.seen_classes
+        assert fast_mem.entries == slow_mem.entries
+        assert len(fast_log) == len(slow_log) == cfg.epochs_per_task
+        for got, want in zip(fast_log, slow_log):
+            assert (got["task"], got["epoch"], got["loss"], got["lr"]) == (
+                want["task"], want["epoch"], want["loss"], want["lr"]
+            )
+            assert 0.0 <= got["train_acc"] <= 1.0
+            assert got["train_acc"] == want["batch_acc"]
+    # the running batch accuracy is not the end-of-epoch full-data pass
+    assert any(g["train_acc"] != w["full_acc"] for g, w in zip(fast_log, slow_log))
+
+
+def test_training_divergence_names_seed_step_and_epoch():
+    stream = small_stream(seed=7, k=4)
+    cfg = CilConfig(epochs_per_task=30, batch_size=64, lr0=1e6)
+    model = CilModel.fresh(Extractor(), 16)
+    with np.errstate(all="ignore"), pytest.raises(
+        DivergenceError, match=r"^CIL training diverged at seed 3 step 1 epoch \d+: "
+    ):
+        train_task(model, stream, 1, MemoryBuffer(0), cfg, RngStream(3, "cil"))

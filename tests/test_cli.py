@@ -40,6 +40,7 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
          "step_size": 2},
         {"step_size": 9},  # more than the 8 classes
         {"data": {"synth": {"n_classes": 2}}},
+        {"seeds": [0, 0]},  # would run seed 0 twice and report one seed lost
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
@@ -139,3 +140,20 @@ def test_seed_override_and_env_threads(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", str(out), "--seed-override", "5"]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["config"]["seeds"] == [5]
+
+
+def test_report_rejects_aggregates_that_disagree_with_records(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_RUN))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["report", "--in", str(out / "report.json"), "--format", "csv"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    doc["records"][0]["auroc"] = 1.0 - doc["records"][0]["auroc"]
+    edited = tmp_path / "edited" / "report.json"
+    edited.parent.mkdir()
+    edited.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--in", str(edited), "--format", "md"]) == 2
+    assert "aggregates disagree with the records" in capsys.readouterr().err
+    assert not (edited.parent / "report.md").exists()

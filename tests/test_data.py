@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cilbench.data import (
     DimensionMismatchError,
@@ -162,6 +164,47 @@ def test_herding_full_and_errors():
 def test_herding_degenerate_ties_deterministic():
     feats = np.ones((5, 3))
     assert herding_select(feats, 2) == [0, 1]
+
+
+def norm_loop_herding(feats, q):
+    """herding_select before the reused buffer: np.linalg.norm per pick."""
+    n = feats.shape[0]
+    mu = feats.mean(axis=0)
+    chosen = []
+    running = np.zeros(feats.shape[1])
+    taken = np.zeros(n, dtype=bool)
+    for s in range(1, q + 1):
+        dists = np.linalg.norm(mu - (running + feats) / s, axis=1)
+        dists[taken] = np.inf
+        i = int(np.argmin(dists))
+        chosen.append(i)
+        taken[i] = True
+        running += feats[i]
+    return chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 6),
+    distinct=st.integers(1, 40),
+    grid=st.sampled_from([0.0, 0.5, 0.1]),
+    seed=st.integers(0, 2**32 - 1),
+    q_frac=st.floats(0.0, 1.0),
+)
+# two different squared distances whose square roots round to one value:
+# comparing squared distances instead would pick another row here
+@example(n=8, d=2, distinct=3, grid=0.0, seed=0, q_frac=1.0)
+def test_herding_matches_norm_loop_at_random_tie_densities(n, d, distinct, grid, seed, q_frac):
+    # rows drawn from a pool of `distinct` rows (duplicates tie exactly);
+    # on a coarse grid, distinct rows also tie in distance
+    gen = np.random.default_rng(seed)
+    pool = gen.normal(size=(min(distinct, n), d)) * 3.0
+    if grid:
+        pool = np.round(pool / grid) * grid
+    feats = pool[gen.integers(0, pool.shape[0], n)]
+    q = max(1, round(q_frac * n))
+    assert herding_select(feats, q) == norm_loop_herding(feats, q)
 
 
 def test_rebalance_quota_and_budget():

@@ -9,8 +9,10 @@ from cilbench.data import MemoryBuffer, split_tasks
 from cilbench.finetune import (
     BerConfig,
     PseudoOodBatch,
+    _hinge_energy_grads,
     ber_total_loss,
     energy,
+    energy_rows,
     finetune_step_loop,
     logitnorm_ce_loss,
     nter_loss,
@@ -19,8 +21,8 @@ from cilbench.finetune import (
     synth_pseudo_ood,
     t2f_transform,
 )
-from cilbench.model import Extractor, LinearHead, ce_loss, head_fingerprint
-from cilbench.numerics import RngStream, logsumexp
+from cilbench.model import DivergenceError, Extractor, LinearHead, ce_loss, head_fingerprint
+from cilbench.numerics import RngStream, logsumexp, softmax_rows
 from cilbench.synthgen import SynthSpec, generate
 
 CFG = BerConfig()
@@ -382,3 +384,42 @@ def test_ber_log_has_one_record_per_epoch_with_switched_terms():
         else:
             assert all(e["l_n"] == 0.0 for e in epochs)
             assert any(e["l_o"] > 0 for e in epochs)
+
+
+def two_pass_hinge_grads(head, X, margin, side, tau):
+    """_hinge_energy_grads before the fused kernel: energy_rows, then softmax_rows."""
+    Z = head.logits(X)
+    E = energy_rows(Z, tau)
+    a = (margin - E) if side == "below" else (E - margin)
+    active = np.maximum(a, 0.0)
+    loss = float((active**2).mean())
+    dE = 2.0 * active / X.shape[0]
+    if side == "below":
+        dE = -dE
+    G = -dE[:, None] * softmax_rows(Z, tau)
+    return loss, G.T @ X, G.sum(axis=0)
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("tau", [0.3, 1.0, 2.5])
+def test_fused_hinge_grads_are_bit_exact(side, tau):
+    gen = np.random.default_rng(int(tau * 10) + (side == "below"))
+    for C, d, n, scale in ((3, 4, 1, 1.0), (6, 8, 40, 5.0), (10, 16, 128, 30.0)):
+        head = LinearHead(gen.normal(size=(C, d)) * scale, gen.normal(size=C))
+        X = gen.normal(size=(n, d))
+        # a margin at the median energy leaves about half the rows active
+        margin = float(np.median(energy_rows(head.logits(X), tau)))
+        got = _hinge_energy_grads(head, X, margin, side, tau)
+        want = two_pass_hinge_grads(head, X, margin, side, tau)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def test_finetune_divergence_names_seed_step_and_epoch():
+    model, stream, _ = small_trained_model(seed=2, tasks_done=1)
+    cfg = BerConfig(lr0=1e6, epochs=30, hinge_orientation="energy_paper")
+    with np.errstate(all="ignore"), pytest.raises(
+        DivergenceError, match=r"^ber fine-tuning diverged at seed 5 step 1 epoch \d+: "
+    ):
+        finetune_step_loop(model, stream, 1, MemoryBuffer(0), "ber", cfg, RngStream(5, "ft"))

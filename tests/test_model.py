@@ -5,7 +5,9 @@ from cilbench.model import (
     Extractor,
     LinearHead,
     SgdState,
+    DivergenceError,
     ce_loss,
+    check_finite_epoch,
     cosine_lr,
     expand_head,
     head_fingerprint,
@@ -14,7 +16,7 @@ from cilbench.model import (
     sgd_step,
     weight_align,
 )
-from cilbench.numerics import RngStream
+from cilbench.numerics import RngStream, log_softmax_rows, softmax_rows
 
 
 def row_logits(head, x):
@@ -190,3 +192,73 @@ def test_extractor_projection_fixed_and_backprop():
     np.testing.assert_allclose(ext.backprop_input(G), G @ ext.matrix, atol=1e-15)
     ident = Extractor()
     np.testing.assert_array_equal(ident.extract(X), X)
+
+
+def two_pass_ce_loss(head, X, y_rows):
+    """ce_loss before the fused kernel: softmax_rows and log_softmax_rows."""
+    Z = head.logits(X)
+    P = softmax_rows(Z)
+    n = X.shape[0]
+    loss = -log_softmax_rows(Z)[np.arange(n), y_rows].mean()
+    G = P
+    G[np.arange(n), y_rows] -= 1.0
+    G /= n
+    return float(loss), G.T @ X, G.sum(axis=0)
+
+
+@pytest.mark.parametrize("pass_logits", [False, True])
+@pytest.mark.parametrize("scale", [0.1, 1.0, 40.0, 1e3])
+def test_fused_ce_loss_is_bit_exact(scale, pass_logits):
+    gen = np.random.default_rng(int(scale * 10) + pass_logits)
+    for C, d, n in ((2, 3, 1), (5, 8, 17), (12, 16, 128)):
+        head = LinearHead(gen.normal(size=(C, d)) * scale, gen.normal(size=C))
+        X = gen.normal(size=(n, d))
+        y = gen.integers(0, C, n)
+        Z = head.logits(X)
+        Z_before = Z.copy()
+        got = ce_loss(head, X, y, Z) if pass_logits else ce_loss(head, X, y)
+        want = two_pass_ce_loss(head, X, y)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert Z.tobytes() == Z_before.tobytes()  # the caller's logits are read only
+
+
+def formula_sgd_step(state, head, dW, db, step_index, total_steps):
+    """sgd_step before the in-place update: new arrays for every term."""
+    state.ensure(head)
+    lr = cosine_lr(state.lr0, step_index, total_steps)
+    state.vW = state.momentum * state.vW + (dW + state.weight_decay * head.W)
+    state.vb = state.momentum * state.vb + (db + state.weight_decay * head.b)
+    head.W -= lr * state.vW
+    head.b -= lr * state.vb
+
+
+def test_in_place_sgd_matches_formula_through_head_growth():
+    gen = np.random.default_rng(21)
+    heads = [random_head(3, 5, seed=4), random_head(3, 5, seed=4)]
+    states = [SgdState(0.1, 0.9, 0.02), SgdState(0.1, 0.9, 0.02)]
+    total = 12
+    for step in range(total):
+        if step in (4, 9):  # the head grows mid-schedule; velocity rows follow
+            heads = [expand_head(h, 2, "seeded_uniform", RngStream(step, "grow")) for h in heads]
+        dW = gen.normal(size=heads[0].W.shape)
+        db = gen.normal(size=heads[0].b.shape)
+        grads = dW.tobytes(), db.tobytes()
+        sgd_step(states[0], heads[0], dW, db, step, total)
+        assert (dW.tobytes(), db.tobytes()) == grads  # gradients are only read
+        formula_sgd_step(states[1], heads[1], dW, db, step, total)
+        assert heads[0].W.tobytes() == heads[1].W.tobytes()
+        assert heads[0].b.tobytes() == heads[1].b.tobytes()
+        assert states[0].vW.tobytes() == states[1].vW.tobytes()
+        assert states[0].vb.tobytes() == states[1].vb.tobytes()
+
+
+def test_check_finite_epoch_names_seed_step_and_epoch():
+    head = random_head(2, 3)
+    check_finite_epoch("CIL training", 1.5, head, 7, 2, 4)
+    with pytest.raises(DivergenceError, match="at seed 7 step 2 epoch 4: loss is nan"):
+        check_finite_epoch("CIL training", float("nan"), head, 7, 2, 4)
+    head.W[1, 2] = np.inf
+    with pytest.raises(DivergenceError, match="seed 7 step 2 epoch 4: head weights"):
+        check_finite_epoch("CIL training", 1.5, head, 7, 2, 4)

@@ -10,6 +10,7 @@ from cilbench.numerics import (
     logsumexp,
     sample_beta,
     softmax,
+    softmax_cross_entropy,
     softmax_rows,
 )
 
@@ -154,3 +155,19 @@ def test_log_softmax_rows_finite_for_large_logits():
     assert np.all(np.isfinite(out))
     assert np.all(out <= 0.0)
     np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.01, 1.0, 50.0, 1e3])
+def test_softmax_cross_entropy_is_bit_exact_with_two_pass_oracle(scale):
+    gen = np.random.default_rng(int(scale * 100))
+    for n, c in ((1, 2), (9, 4), (64, 11)):
+        M = gen.normal(size=(n, c)) * scale
+        y = gen.integers(0, c, n)
+        M_before = M.copy()
+        loss, G = softmax_cross_entropy(M, y)
+        want_G = softmax_rows(M)
+        want_G[np.arange(n), y] -= 1.0
+        want_G /= n
+        assert loss == float(-log_softmax_rows(M)[np.arange(n), y].mean())
+        assert G.tobytes() == want_G.tobytes()
+        assert M.tobytes() == M_before.tobytes()

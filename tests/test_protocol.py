@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 import cilbench.protocol as protocol
 from cilbench.protocol import (
+    PHASES,
     BenchmarkReport,
     ConfigError,
     RunConfig,
@@ -203,3 +205,45 @@ def test_artifacts_written(tmp_path):
     log = (tmp_path / "logs" / "train_seed0.jsonl").read_text().strip().splitlines()
     assert len(log) == 2 * 4  # steps x epochs
     assert {"task", "epoch", "loss", "lr", "train_acc"} <= set(json.loads(log[0]))
+
+
+def test_repeated_seed_is_rejected():
+    with pytest.raises(ConfigError, match=r"repeated: \[0\]"):
+        small_config(seeds=[0, 1, 0])
+    with pytest.raises(ConfigError, match=r"repeated: \[2, 5\]"):
+        small_config(seeds=[5, 2, 5, 2])
+
+
+@pytest.mark.parametrize(
+    "change, what",
+    [
+        ({"cil": {"method": "replay", "epochs_per_task": 30, "batch_size": 64, "lr0": 1e6}},
+         "CIL training"),
+        ({"ood": {"method": "ber", "params": {"lr0": 1e6, "epochs": 30}}}, "ber fine-tuning"),
+    ],
+)
+def test_divergence_is_a_named_seed_failure(change, what):
+    with np.errstate(all="ignore"):
+        report = run_benchmark(small_config(**{"seeds": [3], **change}))
+    assert report.records == []
+    assert len(report.failures) == 1
+    failure = report.failures[0]
+    assert failure["seed"] == 3
+    assert re.match(
+        rf"DivergenceError: {what} diverged at seed 3 step \d+ epoch \d+: ", failure["error"]
+    )
+
+
+def test_phase_timings_sidecar(tmp_path):
+    cfg = small_config(ood={"method": "ber"})
+    report = run_benchmark(cfg, artifact_dir=tmp_path)
+    for seed in cfg.seeds:
+        lines = (tmp_path / "logs" / f"timings_seed{seed}.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines]
+        assert [(r["seed"], r["step"]) for r in rows] == [(seed, 1), (seed, 2)]
+        for r in rows:
+            assert set(r) == {"seed", "step", *PHASES}
+            assert all(isinstance(r[p], float) and r[p] >= 0.0 for p in PHASES)
+            assert r["cil_train"] > 0.0 and r["finetune"] > 0.0
+    # timings stay out of the report
+    assert "timings" not in json.dumps(report.to_dict())
