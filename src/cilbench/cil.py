@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (
-    FeatureDataset,
-    MemoryBuffer,
-    TaskStream,
-    features_by_class,
-    memory_rows,
-    rebalance_memory,
-)
+from .data import FeatureDataset, MemoryBuffer, TaskStream, rebalance_memory, step_rows
 from .model import (
     Extractor,
     LinearHead,
@@ -33,9 +26,11 @@ from .model import (
     sgd_step,
     weight_align,
 )
-from .numerics import RngStream, softmax_rows
+from .numerics import RngStream, l2_rows, softmax_rows
 
-__all__ = ["CilConfig", "CilModel", "train_task", "evaluate_accuracy", "msp_confidences"]
+__all__ = [
+    "CilConfig", "CilModel", "sgd_epochs", "train_task", "evaluate_accuracy", "msp_confidences"
+]
 
 _METHODS = ("replay", "replay_distill", "replay_distill_wa")
 
@@ -90,10 +85,7 @@ class CilModel:
 
     def penultimate(self, X: np.ndarray) -> np.ndarray:
         Z = self.extractor.extract(X)
-        if self.feature_tau:
-            norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
-            Z = Z / (norms * self.feature_tau)
-        return Z
+        return l2_rows(Z, self.feature_tau) if self.feature_tau else Z
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.head.logits(self.penultimate(X))
@@ -111,6 +103,38 @@ def _distill_grads(
     G = np.zeros_like(Z_new)
     G[:, :c_old] = T * (Q - P_old) / n
     return loss, G
+
+
+def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
+    """Momentum SGD on ``head`` over n rows: the one epoch loop of CIL
+    training and of every fine-tuner.  ``cfg`` (a :class:`CilConfig` or a
+    ``BerConfig``) gives ``batch_size``, ``lr0``, ``momentum`` and
+    ``weight_decay``.
+
+    Epoch e walks the permutation drawn from ``rng.child(f"{label}-{e}")``
+    in batches of ``batch_size``.  ``objective(sel, e, it)`` returns
+    ``(*terms, dW, db)`` for the rows ``sel`` of batch ``it`` at the
+    head's current weights, and ``sgd_step`` applies (dW, db) as step
+    ``e * iters + it`` of ``epochs * iters``.  After each epoch the sum of
+    all terms and the head must be finite (``DivergenceError`` names
+    ``what``, the seed, step t and the epoch); then ``(e, sums, iters)``
+    is yielded, ``sums`` being each term summed over the epoch's batches.
+    Training happens as the caller iterates, so it must iterate to the end.
+    """
+    batch_size = cfg.batch_size
+    iters = math.ceil(n / batch_size)
+    total = epochs * iters
+    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+    for epoch in range(epochs):
+        perm = rng.child(f"{label}-{epoch}").gen.permutation(n)
+        sums = None
+        for it in range(iters):
+            sel = perm[it * batch_size : (it + 1) * batch_size]
+            *terms, dW, db = objective(sel, epoch, it)
+            sgd_step(state, head, dW, db, epoch * iters + it, total)
+            sums = [s + v for s, v in zip(sums or [0.0] * len(terms), terms)]
+        check_finite_epoch(what, sum(sums), head, rng.seed, t, epoch)
+        yield epoch, sums, iters
 
 
 def train_task(
@@ -135,9 +159,6 @@ def train_task(
     if task.train.n == 0:
         raise ValueError(f"task {t} has an empty train set")
 
-    fbc = features_by_class(stream, t)
-    mem_X_raw, mem_y = memory_rows(mem, fbc)
-
     old_count = model.head.n_classes
     old_head = model.head.clone() if (cfg.method != "replay" and t > 1) else None
 
@@ -147,59 +168,45 @@ def train_task(
     seen = list(model.seen_classes) + list(task.classes)
     row_of = {c: i for i, c in enumerate(seen)}
 
-    X_raw = np.concatenate([task.train.features, mem_X_raw]) if mem_X_raw.size else task.train.features
-    y = np.concatenate([task.train.labels, mem_y]) if mem_y.size else task.train.labels
+    X_raw, y = step_rows(stream, t, mem)
     X = model.extractor.extract(X_raw)
     y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
+    distill = old_head is not None and cfg.distill_weight != 0.0
     if old_head is not None:
         P_old = softmax_rows(old_head.logits(X), cfg.distill_temperature)
         logp_old = np.log(np.maximum(P_old, 1e-300))
 
+    def objective(sel, epoch, it):
+        """(loss, correct predictions, dW, db) of one batch from one forward."""
+        bx, by = X[sel], y_rows[sel]
+        Z = head.logits(bx)
+        correct = int(np.count_nonzero(np.argmax(Z, axis=1) == by))
+        loss, dW, db = ce_loss(head, bx, by, Z)
+        if distill:
+            dl, G = _distill_grads(Z, P_old[sel], logp_old[sel], cfg.distill_temperature)
+            loss += cfg.distill_weight * dl
+            dW += cfg.distill_weight * (G.T @ bx)
+            db += cfg.distill_weight * G.sum(axis=0)
+        return loss, correct, dW, db
+
     n = X.shape[0]
-    iters = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs_per_task * iters
-    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
-    distill = old_head is not None and cfg.distill_weight != 0.0
-    step = 0
-    for epoch in range(cfg.epochs_per_task):
-        perm = rng.child(f"epoch-t{t}-{epoch}").gen.permutation(n)
-        epoch_loss = 0.0
-        correct = 0
-        for it in range(iters):
-            sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-            bx, by = X[sel], y_rows[sel]
-            Z = head.logits(bx)
-            correct += int(np.count_nonzero(np.argmax(Z, axis=1) == by))
-            loss, dW, db = ce_loss(head, bx, by, Z)
-            if distill:
-                dl, G = _distill_grads(Z, P_old[sel], logp_old[sel], cfg.distill_temperature)
-                loss += cfg.distill_weight * dl
-                dW += cfg.distill_weight * (G.T @ bx)
-                db += cfg.distill_weight * G.sum(axis=0)
-            sgd_step(state, head, dW, db, step, total_steps)
-            epoch_loss += loss
-            step += 1
-        check_finite_epoch("CIL training", epoch_loss, head, rng.seed, t, epoch)
+    epochs = sgd_epochs(
+        head, n, objective, cfg, cfg.epochs_per_task, rng, f"epoch-t{t}", "CIL training", t
+    )
+    for epoch, (loss, correct), iters in epochs:
         if log_sink is not None:
+            # train_acc: the running accuracy of the epoch's batches, each
+            # taken before its update
+            lr = cosine_lr(cfg.lr0, (epoch + 1) * iters, cfg.epochs_per_task * iters)
             log_sink.append(
-                {
-                    "task": t,
-                    "epoch": epoch,
-                    "loss": epoch_loss / iters,
-                    "lr": cosine_lr(cfg.lr0, step, total_steps),
-                    # running accuracy of the epoch's batches, each taken
-                    # before its update
-                    "train_acc": correct / n,
-                }
+                {"task": t, "epoch": epoch, "loss": loss / iters, "lr": lr, "train_acc": correct / n}
             )
 
     if cfg.method == "replay_distill_wa" and t > 1:
         head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
 
     new_model = CilModel(model.extractor, head, seen)
-    new_mem = rebalance_memory(
-        mem, stream, t, fbc, cfg.exemplar_strategy, rng.child(f"mem-t{t}")
-    )
+    new_mem = rebalance_memory(mem, stream, t, cfg.exemplar_strategy, rng.child(f"mem-t{t}"))
     return new_model, new_mem
 
 

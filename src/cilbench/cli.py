@@ -86,7 +86,12 @@ def _resolve_threads(flag_value) -> int | None:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("OPENCIL_THREADS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"OPENCIL_THREADS must be an integer, got {env!r}") from None
 
 
 def _cmd_run(args) -> int:

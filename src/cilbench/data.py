@@ -36,8 +36,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "split_tasks",
-    "features_by_class",
-    "memory_rows",
+    "step_rows",
     "rebalance_memory",
     "herding_select",
     "ood_subset",
@@ -153,6 +152,13 @@ class TaskStream:
             out.extend(task.classes)
         return tuple(out)
 
+    def class_features(self, c: int) -> np.ndarray:
+        """Training rows of class c, in their original order."""
+        for task in self.tasks:
+            if c in task.classes:
+                return task.train.features[task.train.rows_for_class(c)]
+        raise DataError(f"class {c} is in no task")
+
     def test_through(self, t: int) -> FeatureDataset:
         """Union of the test sets of tasks 1..t."""
         feats = np.concatenate([task.test.features for task in self.tasks[:t]])
@@ -164,7 +170,7 @@ class TaskStream:
 @dataclass
 class MemoryBuffer:
     """Fixed-budget exemplar store; ``entries[c]`` indexes rows of class c
-    within that class's training rows (see :func:`features_by_class`)."""
+    within that class's training rows (see :meth:`TaskStream.class_features`)."""
 
     budget: int
     entries: dict[int, list[int]] = field(default_factory=dict)
@@ -298,30 +304,21 @@ def split_tasks(
     return TaskStream(tuple(tasks), k)
 
 
-def features_by_class(stream: TaskStream, t: int) -> dict[int, np.ndarray]:
-    """Per-class training rows (original row order) for classes of tasks 1..t."""
-    out: dict[int, np.ndarray] = {}
-    for task in stream.tasks[:t]:
-        for c in task.classes:
-            rows = task.train.rows_for_class(c)
-            out[c] = task.train.features[rows]
-    return out
-
-
-def memory_rows(
-    mem: MemoryBuffer, feats_by_class: dict[int, np.ndarray]
+def step_rows(
+    stream: TaskStream, t: int, mem: MemoryBuffer
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize the exemplar store as (features, labels), class-ordered."""
-    xs, ys = [], []
+    """The rows a head trains on at step t (1-based): task t's training
+    rows, then the exemplars of ``mem`` in ascending class order, as
+    (features, labels).  With no exemplars, task t's own arrays."""
+    train = stream.tasks[t - 1].train
+    xs, ys = [train.features], [train.labels]
     for c in sorted(mem.entries):
         idx = mem.entries[c]
-        if not idx:
-            continue
-        xs.append(feats_by_class[c][np.asarray(idx, dtype=np.int64)])
-        ys.append(np.full(len(idx), c, dtype=np.int64))
-    if not xs:
-        d = next(iter(feats_by_class.values())).shape[1] if feats_by_class else 0
-        return np.zeros((0, d)), np.zeros(0, dtype=np.int64)
+        if idx:
+            xs.append(stream.class_features(c)[np.asarray(idx, dtype=np.int64)])
+            ys.append(np.full(len(idx), c, dtype=np.int64))
+    if len(xs) == 1:
+        return train.features, train.labels
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -364,7 +361,6 @@ def rebalance_memory(
     mem: MemoryBuffer,
     stream: TaskStream,
     t: int,
-    feats_by_class: dict[int, np.ndarray],
     strategy: str = "herding",
     rng: RngStream | None = None,
 ) -> MemoryBuffer:
@@ -387,8 +383,8 @@ def rebalance_memory(
     if q == 0:
         return MemoryBuffer(mem.budget, entries)
     for c in seen:
-        feats = feats_by_class.get(c)
-        if feats is None or feats.shape[0] == 0:
+        feats = stream.class_features(c)
+        if feats.shape[0] == 0:
             raise DataError(f"class {c} has no training rows")
         quota = min(q, feats.shape[0])
         old = mem.entries.get(c)

@@ -4,7 +4,8 @@ At each step an extra classifier is trained on top of the frozen
 extractor while the incremental head stays untouched; detection scores
 come from the extra head, ID classification stays on the original one.
 
-Four trainers share one loop: plain cross-entropy, logit normalization
+Four trainers, each a batch objective for the SGD epoch loop CIL training
+also uses (``cil.sgd_epochs``): plain cross-entropy, logit normalization
 (CE on f / (||f|| * tau_ln)), normalized-feature training (features
 L2-normalized and divided by a temperature before the head, train and
 test alike), and bidirectional energy regularization.  The last one
@@ -29,23 +30,17 @@ gradients are analytic and finite-difference checked.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cil import CilModel
-from .data import MemoryBuffer, TaskStream, features_by_class, memory_rows
-from .model import (
-    LinearHead,
-    SgdState,
-    ce_loss,
-    check_finite_epoch,
-    expand_head,
-    sgd_step,
-)
+from .cil import CilModel, sgd_epochs
+from .data import MemoryBuffer, TaskStream, step_rows
+from .model import LinearHead, ce_loss, expand_head
+from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
 from .numerics import (
     RngStream,
+    l2_rows,
     logsumexp,
     logsumexp_rows,
     sample_beta,
@@ -64,7 +59,6 @@ __all__ = [
     "nter_loss",
     "oter_loss",
     "logitnorm_ce_loss",
-    "t2f_transform",
     "ber_total_loss",
     "finetune_step_loop",
 ]
@@ -276,13 +270,6 @@ def logitnorm_ce_loss(
     return loss, Gz.T @ X, Gz.sum(axis=0)
 
 
-def t2f_transform(Z: np.ndarray, tau: float) -> np.ndarray:
-    """L2-normalize rows then divide by tau (applied train and test alike)."""
-    Z = np.asarray(Z, dtype=np.float64)
-    norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
-    return Z / (norms * tau)
-
-
 def _ber_terms(
     head: LinearHead,
     ce_rows: np.ndarray,
@@ -373,26 +360,24 @@ def finetune_step_loop(
     appends its mean ``ce``/``l_n``/``l_o`` to ``log_sink``; an epoch
     with a non-finite loss or head raises ``DivergenceError``.  Returns the
     fine-tuned head; for the normalized-feature method the caller must
-    score through :func:`t2f_transform` (see ``CilModel.feature_tau``).
+    score through ``l2_rows(., t2f_tau)`` (see ``CilModel.feature_tau``).
     """
     if method not in FINETUNE_METHODS:
         raise ValueError(f"unknown fine-tune method {method!r}")
-    task = stream.tasks[t - 1]
     row_of = model.class_to_row()
-
-    Z_new = model.extractor.extract(task.train.features)
-    y_new = np.array([row_of[int(c)] for c in task.train.labels], dtype=np.int64)
-    mem_X_raw, mem_y = memory_rows(mem, features_by_class(stream, t))
-    Z_mem = model.extractor.extract(mem_X_raw) if mem_X_raw.size else mem_X_raw
-    y_mem = np.array([row_of[int(c)] for c in mem_y], dtype=np.int64)
-
+    X_raw, labels = step_rows(stream, t, mem)
+    y_all = np.array([row_of[int(c)] for c in labels], dtype=np.int64)
+    # new-task rows and memory rows go through the extractor separately:
+    # one projection product over both is not guaranteed to round the same
+    n_new = stream.tasks[t - 1].train.n
+    Z_new = model.extractor.extract(X_raw[:n_new])
+    Z_mem = model.extractor.extract(X_raw[n_new:])
+    y_new, y_mem = y_all[:n_new], y_all[n_new:]
     if method == "t2fnorm":
-        Z_new = t2f_transform(Z_new, cfg.t2f_tau)
-        if Z_mem.size:
-            Z_mem = t2f_transform(Z_mem, cfg.t2f_tau)
+        Z_new = l2_rows(Z_new, cfg.t2f_tau)
+        Z_mem = l2_rows(Z_mem, cfg.t2f_tau)
 
     head = _init_extra_head(model, cfg, rng.child(f"ft-init-t{t}"))
-    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
 
     if method == "ber":
         if Z_mem.shape[0] == 0:
@@ -404,40 +389,28 @@ def finetune_step_loop(
             )
             if log_sink is not None:
                 log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
-        X, y, label = Z_new, y_new, "ber-epoch"
+        X, y, label = Z_new, y_new, f"ber-epoch-t{t}"
 
-        def objective(bx, by, key):
-            return _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key)
+        def objective(sel, epoch, it):
+            key = f"t{t}-{epoch}-{it}"
+            return _ber_batch(head, X[sel], y[sel], Z_mem, y_mem, cfg, rng, key)
     else:
         X = np.concatenate([Z_new, Z_mem]) if Z_mem.size else Z_new
         y = np.concatenate([y_new, y_mem]) if Z_mem.size else y_new
-        label = "ft-epoch"
+        label = f"ft-epoch-t{t}"
 
-        def objective(bx, by, key):
+        def objective(sel, epoch, it):
             if method == "logitnorm":
-                loss, dW, db = logitnorm_ce_loss(head, bx, by, cfg.logitnorm_tau)
+                loss, dW, db = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
             else:
-                loss, dW, db = ce_loss(head, bx, by)
+                loss, dW, db = ce_loss(head, X[sel], y[sel])
             return loss, 0.0, 0.0, dW, db
 
-    n = X.shape[0]
-    iters = math.ceil(n / cfg.batch_size)
-    total = cfg.epochs * iters
-    for epoch in range(cfg.epochs):
-        perm = rng.child(f"{label}-t{t}-{epoch}").gen.permutation(n)
-        sums = {"ce": 0.0, "l_n": 0.0, "l_o": 0.0}
-        for it in range(iters):
-            sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-            l_ce, l_n, l_o, dW, db = objective(X[sel], y[sel], f"t{t}-{epoch}-{it}")
-            sgd_step(state, head, dW, db, epoch * iters + it, total)
-            sums["ce"] += l_ce
-            sums["l_n"] += l_n
-            sums["l_o"] += l_o
-        check_finite_epoch(
-            f"{method} fine-tuning", sum(sums.values()), head, rng.seed, t, epoch
-        )
+    epochs = sgd_epochs(
+        head, X.shape[0], objective, cfg, cfg.epochs, rng, label, f"{method} fine-tuning", t
+    )
+    for epoch, sums, iters in epochs:
         if log_sink is not None:
-            log_sink.append(
-                {"task": t, "epoch": epoch, **{k: v / iters for k, v in sums.items()}}
-            )
+            means = {k: v / iters for k, v in zip(("ce", "l_n", "l_o"), sums)}
+            log_sink.append({"task": t, "epoch": epoch, **means})
     return head

@@ -1,9 +1,11 @@
-"""Frozen feature extractor, expandable linear head, and SGD machinery.
+"""Frozen feature extractor, expandable linear head, and one SGD update.
 
 The head is the only trainable object in the benchmark.  All gradients in
 this package are hand-derived; :func:`ce_loss` provides the shared
 cross-entropy building block (mean over the batch) used by both the
-incremental trainer and the fine-tuning methods.
+incremental trainer and the fine-tuning methods.  :func:`sgd_step` is one
+momentum update; the epoch loop that drives it for both is
+``cil.sgd_epochs``.
 
 Head checkpoints use the binary layout:
     magic "OCH1" | u32 C | u32 d | float64 W row-major | float64 b

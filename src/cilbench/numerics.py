@@ -19,6 +19,7 @@ __all__ = [
     "softmax_rows",
     "log_softmax_rows",
     "softmax_cross_entropy",
+    "l2_rows",
     "sample_beta",
     "cosine_sim",
 ]
@@ -112,6 +113,14 @@ def softmax_cross_entropy(Z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarr
     G[rows, y] -= 1.0
     G /= n
     return float(loss), G
+
+
+def l2_rows(X: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """Rows scaled to unit L2 norm, then divided by ``tau``; a row of norm
+    below 1e-12 is divided by 1e-12 * tau instead (a zero row stays zero)."""
+    X = np.asarray(X, dtype=np.float64)
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    return X / (norms * tau)
 
 
 def softmax(v, tau: float = 1.0) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import logsumexp_rows, softmax_rows
+from .numerics import l2_rows, logsumexp_rows, softmax_rows
 
 __all__ = [
     "PosthocParams",
@@ -76,11 +76,6 @@ class ScorerFit:
     bank_msp: np.ndarray | None = None
 
 
-def _l2_rows(X: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    return X / np.maximum(norms, 1e-12)
-
-
 def percentile_nearest_rank(values: np.ndarray, p: float) -> float:
     """Nearest-rank percentile: sorted[ceil(p/100 * n) - 1]."""
     flat = np.sort(np.asarray(values, dtype=np.float64).ravel())
@@ -117,7 +112,7 @@ def fit_scorer(
                 templates.append(np.maximum(P[sel].mean(axis=0), 1e-12))
         return ScorerFit(name, klm_templates=np.array(templates))
     # feature banks for nnguide / relation_simplified
-    return ScorerFit(name, bank_features=_l2_rows(Z), bank_msp=P.max(axis=1))
+    return ScorerFit(name, bank_features=l2_rows(Z), bank_msp=P.max(axis=1))
 
 
 # Block size is a budget in cells, not rows: a block holds rows x bank
@@ -137,7 +132,7 @@ def _topk_sims(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cosine similarities of each row to its k nearest bank rows and the
     bank indices of those rows, both (n, min(k, bank)) in selection order."""
-    Q = _l2_rows(Z)
+    Q = l2_rows(Z)
     bank_t = fit.bank_features.T
     nb = bank_t.shape[1]
     k = min(k, nb)

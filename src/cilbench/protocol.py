@@ -11,8 +11,10 @@ byte-stable: records are sorted and aggregation is an ordered
 reduction.  Seeds run one after another; the ``threads`` setting is
 accepted and validated for compatibility but does not change how a run
 executes or what it writes.  With an artifact directory, each seed also
-writes its head checkpoints, its training log and its per-step phase
-timings (``logs/timings_seed{s}.jsonl``) beside the report, never into it.
+writes its head checkpoints, its CIL training log
+(``logs/train_seed{s}.jsonl``), for a fine-tuning method its fine-tune log
+(``logs/finetune_seed{s}.jsonl``), and its per-step phase timings
+(``logs/timings_seed{s}.jsonl``) beside the report, never into it.
 """
 from __future__ import annotations
 
@@ -28,11 +30,10 @@ from .cil import CilConfig, CilModel, evaluate_accuracy, train_task
 from .data import (
     DataError,
     MemoryBuffer,
-    features_by_class,
     load_suite_manifest,
-    memory_rows,
     ood_subset,
     split_tasks,
+    step_rows,
 )
 from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
@@ -76,6 +77,10 @@ def _check_ood_sizes(n_classes: int, step_size: int, ood_sizes) -> None:
         )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One benchmark run: data, step size, one CIL method, one OOD method."""
@@ -92,6 +97,11 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.seeds, (list, tuple)) or not all(map(_is_int, self.seeds)):
+            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
+        for name in ("step_size", "memory_budget", "threads"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
@@ -126,8 +136,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, not {type(doc).__name__}")
         doc = dict(doc)
-        if "seeds" in doc:
+        if isinstance(doc.get("seeds"), list):
             doc["seeds"] = tuple(doc["seeds"])
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
@@ -230,14 +242,15 @@ def _load_run_data(cfg: RunConfig, seed: int):
     return train, test, suite
 
 
-def _score_model_for_step(cfg, model, stream, t, mem_t, rng):
-    """The (model, scorer_name) pair used for OOD scoring at step t."""
+def _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log):
+    """The (model, scorer_name) pair used for OOD scoring at step t; a
+    fine-tuner appends its per-epoch records to ``ft_log``."""
     method = cfg.ood["method"]
     if method in SCORER_NAMES:
         return model, method
     ber_cfg = cfg.ber_config()
     f_head = finetune_step_loop(
-        model, stream, t, mem_t, method, ber_cfg, rng.child(f"ft-t{t}")
+        model, stream, t, mem_t, method, ber_cfg, rng.child(f"ft-t{t}"), ft_log
     )
     feature_tau = ber_cfg.t2f_tau if method == "t2fnorm" else None
     f_model = CilModel(model.extractor, f_head, list(model.seen_classes), feature_tau)
@@ -265,6 +278,7 @@ def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict
     mem = MemoryBuffer(cfg.memory_budget)
     rng = RngStream(seed, "run")
     train_log: list = []
+    ft_log: list | None = [] if cfg.ood["method"] in FINETUNE_METHODS else None
     timings: list = []
 
     records = []
@@ -279,15 +293,9 @@ def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict
             acc = evaluate_accuracy(model, id_test)
 
         with _timed(took, "finetune"):
-            score_model, scorer = _score_model_for_step(cfg, model, stream, t, mem_t, rng)
+            score_model, scorer = _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log)
         with _timed(took, "scorer_fit"):
-            fit_X, _ = memory_rows(mem_t, features_by_class(stream, t))
-            fit_rows = (
-                np.concatenate([stream.tasks[t - 1].train.features, fit_X])
-                if fit_X.size
-                else stream.tasks[t - 1].train.features
-            )
-            fit = fit_scorer(scorer, score_model, fit_rows, params)
+            fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
         with _timed(took, "score_id"):
             id_scores = score_batch(scorer, score_model, fit, id_test.features, params)
 
@@ -324,7 +332,9 @@ def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict
     if artifact_dir is not None:
         logs = artifact_dir / "logs"
         logs.mkdir(parents=True, exist_ok=True)
-        for name, entries in (("train", train_log), ("timings", timings)):
+        for name, entries in (("train", train_log), ("finetune", ft_log), ("timings", timings)):
+            if entries is None:
+                continue
             with open(logs / f"{name}_seed{seed}.jsonl", "w") as fh:
                 for entry in entries:
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -17,11 +17,10 @@ from cilbench.finetune import (
     finetune_step_loop,
     nter_loss,
     oter_loss,
-    t2f_transform,
 )
 from cilbench.metrics import auroc, average_over_steps, average_precision, fpr_at_tpr95
 from cilbench.model import Extractor, LinearHead, ce_loss
-from cilbench.numerics import RngStream, softmax_rows
+from cilbench.numerics import RngStream, l2_rows, softmax_rows
 from cilbench.posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from cilbench.protocol import RunConfig, emit_report, run_benchmark
 from cilbench.synthgen import SynthSpec, generate
@@ -165,7 +164,7 @@ def test_criterion_2_gradient_suite():
         from cilbench.finetune import logitnorm_ce_loss
 
         assert _grad_ok(head, lambda: logitnorm_ce_loss(head, X, y, 0.04), tol=5e-6)
-        Xt = t2f_transform(X, 0.1)
+        Xt = l2_rows(X, 0.1)
         assert _grad_ok(head, lambda: ce_loss(head, Xt, y))
         for cfg in cfgs:
             assert _grad_ok(head, lambda: nter_loss(head, X_id, X_ps, cfg))

@@ -13,10 +13,9 @@ from cilbench.cil import (
 from cilbench.data import (
     FeatureDataset,
     MemoryBuffer,
-    features_by_class,
-    memory_rows,
     rebalance_memory,
     split_tasks,
+    step_rows,
 )
 from cilbench.model import (
     DivergenceError,
@@ -210,15 +209,12 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     full-data accuracy as ``full_acc`` and the running accuracy of the
     batches, each before its update, as ``batch_acc``."""
     task = stream.tasks[t - 1]
-    fbc = features_by_class(stream, t)
-    mem_X_raw, mem_y = memory_rows(mem, fbc)
     old_count = model.head.n_classes
     old_head = model.head.clone() if (cfg.method != "replay" and t > 1) else None
     head = expand_head(model.head, len(task.classes), cfg.head_init, rng.child(f"init-t{t}"))
     seen = list(model.seen_classes) + list(task.classes)
     row_of = {c: i for i, c in enumerate(seen)}
-    X_raw = np.concatenate([task.train.features, mem_X_raw]) if mem_X_raw.size else task.train.features
-    y = np.concatenate([task.train.labels, mem_y]) if mem_y.size else task.train.labels
+    X_raw, y = step_rows(stream, t, mem)
     X = model.extractor.extract(X_raw)
     y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
     if old_head is not None:
@@ -268,7 +264,7 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
         })
     if cfg.method == "replay_distill_wa" and t > 1:
         head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
-    new_mem = rebalance_memory(mem, stream, t, fbc, cfg.exemplar_strategy, rng.child(f"mem-t{t}"))
+    new_mem = rebalance_memory(mem, stream, t, cfg.exemplar_strategy, rng.child(f"mem-t{t}"))
     return CilModel(model.extractor, head, seen), new_mem
 
 

@@ -41,11 +41,18 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         {"step_size": 9},  # more than the 8 classes
         {"data": {"synth": {"n_classes": 2}}},
         {"seeds": [0, 0]},  # would run seed 0 twice and report one seed lost
+        {"seeds": 5},
+        {"seeds": [0, "x"]},  # would lose seed "x" mid-run
+        {"seeds": [True]},
+        {"seeds": [0.0]},
+        [SMALL_RUN],  # a document that is not an object
+        {"memory_budget": 32.5},  # would fail every seed in herding
+        {"step_size": 4.0},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**SMALL_RUN, **change}))
+    cfg.write_text(json.dumps({**SMALL_RUN, **change} if isinstance(change, dict) else change))
     assert main(["validate-config", "--config", str(cfg)]) == 1
     assert "CILBENCH-ERROR [config]" in capsys.readouterr().err
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
@@ -140,6 +147,15 @@ def test_seed_override_and_env_threads(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg), "--out", str(out), "--seed-override", "5"]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["config"]["seeds"] == [5]
+
+
+def test_run_rejects_non_integer_env_threads(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_RUN))
+    monkeypatch.setenv("OPENCIL_THREADS", "abc")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "CILBENCH-ERROR [config]: OPENCIL_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_report_rejects_aggregates_that_disagree_with_records(tmp_path, capsys):

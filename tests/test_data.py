@@ -12,15 +12,14 @@ from cilbench.data import (
     NonFiniteFeatureError,
     OodEntry,
     OodSuite,
-    features_by_class,
     herding_select,
     load_dataset,
     load_suite_manifest,
-    memory_rows,
     ood_subset,
     rebalance_memory,
     save_dataset,
     split_tasks,
+    step_rows,
 )
 from cilbench.numerics import RngStream
 
@@ -214,8 +213,7 @@ def test_rebalance_quota_and_budget():
     rng = RngStream(0, "mem")
     mem = MemoryBuffer(10)
     for t in range(1, 4):
-        fbc = features_by_class(stream, t)
-        mem = rebalance_memory(mem, stream, t, fbc, "herding", rng)
+        mem = rebalance_memory(mem, stream, t, "herding", rng)
         seen = stream.classes_through(t)
         q = 10 // len(seen)
         assert mem.total() <= 10
@@ -229,10 +227,7 @@ def test_rebalance_benchmark_scale_quota():
     tr = make_ds(120, 20, 4)
     te = make_ds(2, 20, 4, seed=1)
     stream = split_tasks(tr, te, 10)
-    fbc = features_by_class(stream, 2)
-    mem = rebalance_memory(
-        MemoryBuffer(2000), stream, 2, fbc, "random", RngStream(0, "q")
-    )
+    mem = rebalance_memory(MemoryBuffer(2000), stream, 2, "random", RngStream(0, "q"))
     assert all(len(v) == 100 for v in mem.entries.values())
     assert mem.total() == 2000
 
@@ -242,9 +237,9 @@ def test_rebalance_truncation_keeps_herding_prefix():
     te = make_ds(4, 4, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     rng = RngStream(1, "mem")
-    mem = rebalance_memory(MemoryBuffer(8), stream, 1, features_by_class(stream, 1), "herding", rng)
+    mem = rebalance_memory(MemoryBuffer(8), stream, 1, "herding", rng)
     first = {c: list(v) for c, v in mem.entries.items()}
-    mem2 = rebalance_memory(mem, stream, 2, features_by_class(stream, 2), "herding", rng)
+    mem2 = rebalance_memory(mem, stream, 2, "herding", rng)
     for c in first:
         assert mem2.entries[c] == first[c][: len(mem2.entries[c])]
 
@@ -253,24 +248,37 @@ def test_rebalance_random_strategy_deterministic():
     tr = make_ds(30, 4, 3)
     te = make_ds(3, 4, 3, seed=1)
     stream = split_tasks(tr, te, 2)
-    fbc = features_by_class(stream, 2)
-    a = rebalance_memory(MemoryBuffer(6), stream, 2, fbc, "random", RngStream(7, "m"))
-    b = rebalance_memory(MemoryBuffer(6), stream, 2, fbc, "random", RngStream(7, "m"))
+    a = rebalance_memory(MemoryBuffer(6), stream, 2, "random", RngStream(7, "m"))
+    b = rebalance_memory(MemoryBuffer(6), stream, 2, "random", RngStream(7, "m"))
     assert a.entries == b.entries
 
 
-def test_memory_rows_materialization():
-    tr = make_ds(10, 4, 3)
-    te = make_ds(2, 4, 3, seed=1)
+def test_step_rows_materialization():
+    tr = make_ds(10, 6, 3)
+    te = make_ds(2, 6, 3, seed=1)
     stream = split_tasks(tr, te, 2)
-    fbc = features_by_class(stream, 2)
-    mem = rebalance_memory(MemoryBuffer(8), stream, 2, fbc, "herding", RngStream(0))
-    X, y = memory_rows(mem, fbc)
+    mem = rebalance_memory(MemoryBuffer(8), stream, 2, "herding", RngStream(0))
+    task = stream.tasks[2].train
+    X_all, y_all = step_rows(stream, 3, mem)
+    # task 3's rows first, then the memory, class-ordered
+    np.testing.assert_array_equal(X_all[: task.n], task.features)
+    np.testing.assert_array_equal(y_all[: task.n], task.labels)
+    X, y = X_all[task.n :], y_all[task.n :]
     assert X.shape[0] == mem.total() == len(y)
+    assert list(y) == sorted(y)
     for c in mem.entries:
+        class_rows = tr.features[tr.labels == c]
         np.testing.assert_array_equal(
-            X[y == c], fbc[c][np.asarray(mem.entries[c])]
+            X[y == c], class_rows[np.asarray(mem.entries[c])]
         )
+
+
+def test_step_rows_without_memory_is_the_task_itself():
+    stream = split_tasks(make_ds(10, 4, 3), make_ds(2, 4, 3, seed=1), 2)
+    task = stream.tasks[1].train
+    for mem in (MemoryBuffer(0), MemoryBuffer(8, {0: [], 1: []})):
+        X, y = step_rows(stream, 2, mem)
+        assert X is task.features and y is task.labels
 
 
 def test_ood_subset_sizes_and_nesting():

@@ -9,7 +9,9 @@ from cilbench.data import MemoryBuffer, split_tasks
 from cilbench.finetune import (
     BerConfig,
     PseudoOodBatch,
+    _ber_batch,
     _hinge_energy_grads,
+    _init_extra_head,
     ber_total_loss,
     energy,
     energy_rows,
@@ -19,9 +21,16 @@ from cilbench.finetune import (
     oter_loss,
     synth_old_mix,
     synth_pseudo_ood,
-    t2f_transform,
 )
-from cilbench.model import DivergenceError, Extractor, LinearHead, ce_loss, head_fingerprint
+from cilbench.model import (
+    DivergenceError,
+    Extractor,
+    LinearHead,
+    SgdState,
+    ce_loss,
+    head_fingerprint,
+    sgd_step,
+)
 from cilbench.numerics import RngStream, logsumexp, softmax_rows
 from cilbench.synthgen import SynthSpec, generate
 
@@ -250,13 +259,6 @@ def test_composite_reduces_to_ce():
     np.testing.assert_array_equal(db3, base_db)
 
 
-def test_t2f_transform_row_norms():
-    gen = np.random.default_rng(12)
-    Z = gen.normal(size=(10, 6))
-    out = t2f_transform(Z, 0.1)
-    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 10.0, atol=1e-9)
-
-
 def small_trained_model(seed=0, tasks_done=2):
     spec = SynthSpec(
         n_classes=8, dim=16, n_train_per_class=60, n_test_per_class=25,
@@ -322,6 +324,99 @@ def test_ber_t1_empty_memory_warns_and_runs(caplog):
     [rec] = [r for r in caplog.records if "empty replay memory" in r.getMessage()]
     assert rec.levelno == logging.DEBUG
     assert "seed 3 step 1" in rec.getMessage()
+
+
+def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
+    """finetune_step_loop with its own epoch loop and its own row assembly
+    (per-class rows of every seen class, then the memory), as it was before
+    it shared the CIL epoch loop."""
+    task = stream.tasks[t - 1]
+    row_of = model.class_to_row()
+    fbc = {}
+    for tk in stream.tasks[:t]:
+        for c in tk.classes:
+            fbc[c] = tk.train.features[tk.train.rows_for_class(c)]
+    xs = [fbc[c][np.asarray(mem.entries[c], dtype=np.int64)] for c in sorted(mem.entries)
+          if mem.entries[c]]
+    ys = [np.full(len(mem.entries[c]), c, dtype=np.int64) for c in sorted(mem.entries)
+          if mem.entries[c]]
+    mem_X_raw = np.concatenate(xs) if xs else np.zeros((0, task.train.dim))
+    mem_y = np.concatenate(ys) if ys else np.zeros(0, dtype=np.int64)
+    Z_new = model.extractor.extract(task.train.features)
+    y_new = np.array([row_of[int(c)] for c in task.train.labels], dtype=np.int64)
+    Z_mem = model.extractor.extract(mem_X_raw) if mem_X_raw.size else mem_X_raw
+    y_mem = np.array([row_of[int(c)] for c in mem_y], dtype=np.int64)
+
+    def t2f(Z, tau):
+        norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
+        return Z / (norms * tau)
+
+    if method == "t2fnorm":
+        Z_new = t2f(Z_new, cfg.t2f_tau)
+        if Z_mem.size:
+            Z_mem = t2f(Z_mem, cfg.t2f_tau)
+    head = _init_extra_head(model, cfg, rng.child(f"ft-init-t{t}"))
+    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+    if method == "ber":
+        if Z_mem.shape[0] == 0:
+            log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
+        X, y, label = Z_new, y_new, "ber-epoch"
+
+        def objective(bx, by, key):
+            return _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key)
+    else:
+        X = np.concatenate([Z_new, Z_mem]) if Z_mem.size else Z_new
+        y = np.concatenate([y_new, y_mem]) if Z_mem.size else y_new
+        label = "ft-epoch"
+
+        def objective(bx, by, key):
+            if method == "logitnorm":
+                loss, dW, db = logitnorm_ce_loss(head, bx, by, cfg.logitnorm_tau)
+            else:
+                loss, dW, db = ce_loss(head, bx, by)
+            return loss, 0.0, 0.0, dW, db
+
+    n = X.shape[0]
+    iters = math.ceil(n / cfg.batch_size)
+    total = cfg.epochs * iters
+    for epoch in range(cfg.epochs):
+        perm = rng.child(f"{label}-t{t}-{epoch}").gen.permutation(n)
+        sums = {"ce": 0.0, "l_n": 0.0, "l_o": 0.0}
+        for it in range(iters):
+            sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
+            l_ce, l_n, l_o, dW, db = objective(X[sel], y[sel], f"t{t}-{epoch}-{it}")
+            sgd_step(state, head, dW, db, epoch * iters + it, total)
+            sums["ce"] += l_ce
+            sums["l_n"] += l_n
+            sums["l_o"] += l_o
+        log_sink.append({"task": t, "epoch": epoch, **{k: v / iters for k, v in sums.items()}})
+    return head
+
+
+@pytest.mark.parametrize("extractor", ["identity", "random_projection"])
+@pytest.mark.parametrize("method", ["plain", "logitnorm", "t2fnorm", "ber"])
+def test_shared_epoch_loop_matches_separate_loop(method, extractor):
+    model, stream, mems = small_trained_model(seed=7)
+    if extractor == "random_projection":
+        # the frozen head only seeds the extra head; any (C, d_out) head works
+        ext = Extractor("random_projection", d_in=16, d_out=12, seed=3)
+        gen = np.random.default_rng(0)
+        head = LinearHead(gen.normal(size=(model.head.n_classes, 12)), np.zeros(8))
+        model = CilModel(ext, head, list(model.seen_classes))
+    cfg = BerConfig(epochs=3, batch_size=48, hinge_orientation="energy_paper")
+    for t in (1, 2):
+        assert (mems[t - 1].total() == 0) == (t == 1)
+        shared_log, separate_log = [], []
+        shared = finetune_step_loop(
+            model, stream, t, mems[t - 1], method, cfg, RngStream(9, "ft"), shared_log
+        )
+        separate = separate_loop_finetune(
+            model, stream, t, mems[t - 1], method, cfg, RngStream(9, "ft"), separate_log
+        )
+        assert shared.W.tobytes() == separate.W.tobytes()
+        assert shared.b.tobytes() == separate.b.tobytes()
+        assert shared_log == separate_log
+        assert len([e for e in shared_log if "epoch" in e]) == cfg.epochs
 
 
 def test_ber_widens_id_ood_score_gap():

@@ -6,6 +6,7 @@ import pytest
 from cilbench.numerics import (
     RngStream,
     cosine_sim,
+    l2_rows,
     log_softmax_rows,
     logsumexp,
     sample_beta,
@@ -171,3 +172,35 @@ def test_softmax_cross_entropy_is_bit_exact_with_two_pass_oracle(scale):
         assert loss == float(-log_softmax_rows(M)[np.arange(n), y].mean())
         assert G.tobytes() == want_G.tobytes()
         assert M.tobytes() == M_before.tobytes()
+
+
+def test_l2_rows_with_tau_row_norms():
+    gen = np.random.default_rng(12)
+    Z = gen.normal(size=(10, 6))
+    out = l2_rows(Z, 0.1)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 10.0, atol=1e-9)
+
+
+def norm_then_scale(Z, tau):
+    """The feature map of CilModel.penultimate and t2fnorm before l2_rows."""
+    norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
+    return Z / (norms * tau)
+
+
+def bank_l2_rows(X):
+    """The feature-bank normalization of the post-hoc scorers before l2_rows."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return X / np.maximum(norms, 1e-12)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.1, 0.04, 3.0])
+def test_l2_rows_matches_the_copies_it_replaced(tau):
+    gen = np.random.default_rng(7)
+    Z = gen.normal(size=(64, 9)) * gen.lognormal(size=(64, 1)) * 5.0
+    Z[3] = 0.0  # a zero row stays zero
+    Z[5] = 1e-14  # a row with norm below the floor
+    got = l2_rows(Z, tau)
+    assert got.tobytes() == norm_then_scale(Z, tau).tobytes()
+    assert not got[3].any()
+    if tau == 1.0:
+        assert l2_rows(Z).tobytes() == bank_l2_rows(Z).tobytes()

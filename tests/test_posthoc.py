@@ -7,7 +7,7 @@ import pytest
 from cilbench import posthoc
 from cilbench.cil import CilModel
 from cilbench.model import Extractor, LinearHead
-from cilbench.numerics import logsumexp, logsumexp_rows, softmax
+from cilbench.numerics import l2_rows, logsumexp, logsumexp_rows, softmax
 from cilbench.posthoc import (
     SCORER_NAMES,
     PosthocParams,
@@ -309,7 +309,7 @@ def unit_dyadic_rows(gen, n, d, splits):
 
 def full_topk(fit, Z, k):
     """The whole query x bank matrix with partition / argpartition."""
-    sims = posthoc._l2_rows(Z) @ fit.bank_features.T
+    sims = l2_rows(Z) @ fit.bank_features.T
     k = min(k, sims.shape[1])
     part = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k:]
     idx = np.argpartition(sims, sims.shape[1] - k, axis=1)[:, -k:]

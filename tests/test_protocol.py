@@ -247,3 +247,24 @@ def test_phase_timings_sidecar(tmp_path):
             assert r["cil_train"] > 0.0 and r["finetune"] > 0.0
     # timings stay out of the report
     assert "timings" not in json.dumps(report.to_dict())
+
+
+def test_finetune_log_sidecar(tmp_path):
+    cfg = small_config(seeds=[0], ood={"method": "ber", "params": {"epochs": 3}})
+    report = run_benchmark(cfg, artifact_dir=tmp_path / "ber")
+    lines = (tmp_path / "ber" / "logs" / "finetune_seed0.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    epochs = [r for r in rows if "epoch" in r]
+    assert [(r["task"], r["epoch"]) for r in epochs] == [(t, e) for t in (1, 2) for e in range(3)]
+    assert all({"ce", "l_n", "l_o"} <= set(r) for r in epochs)
+    # step 1 has no replay memory: its record says so, and l_o stays 0
+    warnings = [r for r in rows if "warning" in r]
+    assert [r["task"] for r in warnings] == [1]
+    assert rows.index(warnings[0]) < rows.index(epochs[0])
+    assert all(r["l_o"] == 0.0 for r in epochs if r["task"] == 1)
+    assert any(r["l_o"] > 0.0 for r in epochs if r["task"] == 2)
+    assert "l_n" not in json.dumps(report.to_dict())
+    # a post-hoc method fine-tunes nothing and writes no fine-tune log
+    run_benchmark(small_config(seeds=[0]), artifact_dir=tmp_path / "energy")
+    assert not (tmp_path / "energy" / "logs" / "finetune_seed0.jsonl").exists()
+    assert (tmp_path / "energy" / "logs" / "train_seed0.jsonl").exists()
