@@ -74,7 +74,6 @@ class FeatureDataset:
     features: np.ndarray
     labels: np.ndarray
     n_classes: int = 0
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
@@ -86,8 +85,6 @@ class FeatureDataset:
         if not np.all(np.isfinite(feats)):
             raise NonFiniteFeatureError("non-finite feature value")
         n_classes = self.n_classes
-        if self.class_names is not None:
-            n_classes = len(self.class_names)
         if n_classes <= 0:
             n_classes = int(labels.max()) + 1
         if labels.min() < 0 or labels.max() >= n_classes:
@@ -111,9 +108,7 @@ class FeatureDataset:
 
     def subset(self, idx) -> "FeatureDataset":
         idx = np.asarray(idx, dtype=np.int64)
-        return FeatureDataset(
-            self.features[idx], self.labels[idx], self.n_classes, self.class_names
-        )
+        return FeatureDataset(self.features[idx], self.labels[idx], self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,6 @@ class TaskStream:
     """Ordered partition of classes into tasks with disjoint label sets."""
 
     tasks: tuple[Task, ...]
-    step_size: int
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -301,7 +295,7 @@ def split_tasks(
         tasks.append(
             Task(ds_train.subset(tr_idx), ds_test.subset(te_idx), classes)
         )
-    return TaskStream(tuple(tasks), k)
+    return TaskStream(tuple(tasks))
 
 
 def step_rows(

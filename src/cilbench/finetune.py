@@ -25,7 +25,9 @@ chooses how the new-task hinges read:
   pressed above p_out)
 
 The old-task hinge is max(0, E(mbar) - p_in)^2 in both modes.  All
-gradients are analytic and finite-difference checked.
+gradients are analytic and finite-difference checked.  The loss functions
+take plain row arrays; ``_ber_batch`` passes the ``rows`` of the
+synthesized batches.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.s
 from .numerics import (
     RngStream,
     l2_rows,
-    logsumexp,
     logsumexp_rows,
     sample_beta,
     softmax_cross_entropy,
@@ -52,7 +53,6 @@ __all__ = [
     "PseudoOodBatch",
     "MixedOldBatch",
     "FINETUNE_METHODS",
-    "energy",
     "energy_rows",
     "synth_pseudo_ood",
     "synth_old_mix",
@@ -129,15 +129,10 @@ class MixedOldBatch:
     rows: np.ndarray
     new_idx: np.ndarray
     mem_idx: np.ndarray
-    labels: np.ndarray  # labels of the dominant (memory) source
-
-
-def energy(f_logits, tau: float = 1.0) -> float:
-    """-tau * log sum_j exp(f_j / tau); low for confident rows."""
-    return -logsumexp(f_logits, tau)
 
 
 def energy_rows(Z: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """Row-wise -tau * log sum_j exp(Z_ij / tau); low for confident rows."""
     return -logsumexp_rows(Z, tau)
 
 
@@ -183,12 +178,11 @@ def synth_pseudo_ood(
 def synth_old_mix(
     new_rows: np.ndarray,
     mem_rows_: np.ndarray,
-    mem_labels: np.ndarray,
     lambda_old: float,
     rng: RngStream,
 ) -> MixedOldBatch:
     """lambda * x + (1 - lambda) * m with seeded index matching; the
-    shorter batch cycles.  Labels follow the memory source."""
+    shorter batch cycles."""
     new_rows = np.asarray(new_rows, dtype=np.float64)
     mem = np.asarray(mem_rows_, dtype=np.float64)
     a, b = new_rows.shape[0], mem.shape[0]
@@ -200,7 +194,7 @@ def synth_old_mix(
     xi = perm_x[np.arange(length) % a]
     mi = perm_m[np.arange(length) % b]
     rows = lambda_old * new_rows[xi] + (1.0 - lambda_old) * mem[mi]
-    return MixedOldBatch(rows, xi, mi, np.asarray(mem_labels)[mi])
+    return MixedOldBatch(rows, xi, mi)
 
 
 def _hinge_energy_grads(
@@ -232,13 +226,9 @@ def _hinge_energy_grads(
 
 
 def nter_loss(
-    head: LinearHead,
-    id_rows: np.ndarray,
-    pseudo: PseudoOodBatch | np.ndarray,
-    cfg: BerConfig,
+    head: LinearHead, id_rows: np.ndarray, X_ps: np.ndarray, cfg: BerConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """New-task energy hinges over ID rows and synthetic boundary rows."""
-    X_ps = pseudo.rows if isinstance(pseudo, PseudoOodBatch) else np.asarray(pseudo)
     if cfg.hinge_orientation == "literal":
         l1, dW1, db1 = _hinge_energy_grads(head, id_rows, cfg.p_in, "below", cfg.tau)
         l2, dW2, db2 = _hinge_energy_grads(head, X_ps, cfg.p_out, "above", cfg.tau)
@@ -249,12 +239,11 @@ def nter_loss(
 
 
 def oter_loss(
-    head: LinearHead, mixed: MixedOldBatch | np.ndarray, cfg: BerConfig
+    head: LinearHead, X_mixed: np.ndarray, cfg: BerConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Old-task hinge mean(max(0, E(mbar) - p_in)^2): presses blended
     exemplar energies below p_in to restore old-class confidence."""
-    X = mixed.rows if isinstance(mixed, MixedOldBatch) else np.asarray(mixed)
-    return _hinge_energy_grads(head, X, cfg.p_in, "above", cfg.tau)
+    return _hinge_energy_grads(head, X_mixed, cfg.p_in, "above", cfg.tau)
 
 
 def logitnorm_ce_loss(
@@ -275,8 +264,8 @@ def _ber_terms(
     ce_rows: np.ndarray,
     ce_targets: np.ndarray,
     id_rows: np.ndarray,
-    pseudo: PseudoOodBatch | np.ndarray,
-    mixed: MixedOldBatch | np.ndarray | None,
+    X_ps: np.ndarray,
+    X_mixed: np.ndarray | None,
     cfg: BerConfig,
 ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
     """(ce, l_n, l_o, dW, db) with dW, db the gradient of
@@ -285,15 +274,13 @@ def _ber_terms(
     l_ce, dW, db = ce_loss(head, ce_rows, ce_targets)
     l_n = l_o = 0.0
     if cfg.use_nter:
-        l_n, dWn, dbn = nter_loss(head, id_rows, pseudo, cfg)
+        l_n, dWn, dbn = nter_loss(head, id_rows, X_ps, cfg)
         dW += cfg.alpha * dWn
         db += cfg.alpha * dbn
-    if cfg.use_oter and mixed is not None:
-        rows = mixed.rows if isinstance(mixed, MixedOldBatch) else np.asarray(mixed)
-        if rows.shape[0]:
-            l_o, dWo, dbo = oter_loss(head, mixed, cfg)
-            dW += cfg.alpha * dWo
-            db += cfg.alpha * dbo
+    if cfg.use_oter and X_mixed is not None and X_mixed.shape[0]:
+        l_o, dWo, dbo = oter_loss(head, X_mixed, cfg)
+        dW += cfg.alpha * dWo
+        db += cfg.alpha * dbo
     return l_ce, l_n, l_o, dW, db
 
 
@@ -302,14 +289,14 @@ def ber_total_loss(
     ce_rows: np.ndarray,
     ce_targets: np.ndarray,
     id_rows: np.ndarray,
-    pseudo: PseudoOodBatch | np.ndarray,
-    mixed: MixedOldBatch | np.ndarray | None,
+    X_ps: np.ndarray,
+    X_mixed: np.ndarray | None,
     cfg: BerConfig,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """CE + alpha * (new-task hinges + old-task hinge): the objective the
     ``ber`` fine-tuner trains."""
     l_ce, l_n, l_o, dW, db = _ber_terms(
-        head, ce_rows, ce_targets, id_rows, pseudo, mixed, cfg
+        head, ce_rows, ce_targets, id_rows, X_ps, X_mixed, cfg
     )
     return l_ce + cfg.alpha * l_n + cfg.alpha * l_o, dW, db
 
@@ -322,14 +309,14 @@ def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key):
     ax, ay = bx[:half], by[:half]
     pseudo = synth_pseudo_ood(bx[half:], by[half:], cfg.beta_params, rng.child(f"mix-{key}"))
     if Z_mem.shape[0] == 0:
-        return _ber_terms(head, ax, ay, ax, pseudo, None, cfg)
+        return _ber_terms(head, ax, ay, ax, pseudo.rows, None, cfg)
     pick = rng.child(f"membatch-{key}").gen.choice(
         Z_mem.shape[0], size=min(cfg.batch_size, Z_mem.shape[0]), replace=False
     )
     mX, my = Z_mem[pick], y_mem[pick]
-    mixed = synth_old_mix(bx, mX, my, cfg.lambda_old, rng.child(f"oldmix-{key}"))
+    mixed = synth_old_mix(bx, mX, cfg.lambda_old, rng.child(f"oldmix-{key}"))
     ce_X, ce_y = np.concatenate([ax, mX]), np.concatenate([ay, my])
-    return _ber_terms(head, ce_X, ce_y, ax, pseudo, mixed, cfg)
+    return _ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed.rows, cfg)
 
 
 def _init_extra_head(model: CilModel, cfg: BerConfig, rng: RngStream) -> LinearHead:

@@ -5,14 +5,15 @@ this package are hand-derived; :func:`ce_loss` provides the shared
 cross-entropy building block (mean over the batch) used by both the
 incremental trainer and the fine-tuning methods.  :func:`sgd_step` is one
 momentum update; the epoch loop that drives it for both is
-``cil.sgd_epochs``.
+``cil.sgd_epochs``, which builds one :class:`SgdState` per call, so a
+state never sees its head grow.  Two heads are the same when their ``W``
+and ``b`` bytes are.
 
 Head checkpoints use the binary layout:
     magic "OCH1" | u32 C | u32 d | float64 W row-major | float64 b
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ __all__ = [
     "check_finite_epoch",
     "save_head",
     "load_head",
-    "head_fingerprint",
 ]
 
 _HEAD_MAGIC = b"OCH1"
@@ -52,16 +52,12 @@ class Extractor:
         if kind not in ("identity", "random_projection"):
             raise ValueError(f"unknown extractor kind {kind!r}")
         self.kind = kind
-        self.seed = seed
+        self.matrix = None
         if kind == "random_projection":
             if d_in <= 0 or d_out <= 0:
                 raise ValueError("projection needs positive d_in and d_out")
             gen = RngStream(seed, "extractor").gen
             self.matrix = gen.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_out, d_in))
-            self.d_in, self.d_out = d_in, d_out
-        else:
-            self.matrix = None
-            self.d_in = self.d_out = d_in
 
     def extract(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -74,12 +70,6 @@ class Extractor:
         if self.kind == "identity":
             return G
         return G @ self.matrix
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256(self.kind.encode())
-        if self.matrix is not None:
-            h.update(self.matrix.tobytes())
-        return h.hexdigest()
 
 
 class LinearHead:
@@ -159,17 +149,11 @@ class SgdState:
     vb: np.ndarray | None = None
 
     def ensure(self, head: LinearHead) -> None:
-        """Size velocity buffers to the head, zero-filling new class rows."""
+        """Zero velocity buffers shaped like the head, on first use.  A state
+        serves one head of fixed shape (one ``cil.sgd_epochs`` call)."""
         if self.vW is None:
             self.vW = np.zeros_like(head.W)
             self.vb = np.zeros_like(head.b)
-        elif self.vW.shape != head.W.shape:
-            grown = np.zeros_like(head.W)
-            grown[: self.vW.shape[0]] = self.vW
-            self.vW = grown
-            gb = np.zeros_like(head.b)
-            gb[: self.vb.shape[0]] = self.vb
-            self.vb = gb
 
 
 def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -271,10 +255,3 @@ def load_head(path) -> LinearHead:
     b = np.frombuffer(raw, dtype="<f8", count=C, offset=12 + 8 * C * d)
     return LinearHead(W.copy(), b.copy())
 
-
-def head_fingerprint(head: LinearHead) -> str:
-    h = hashlib.sha256()
-    h.update(struct.pack("<II", head.n_classes, head.dim))
-    h.update(head.W.tobytes())
-    h.update(head.b.tobytes())
-    return h.hexdigest()

@@ -1,9 +1,10 @@
 """Deterministic numeric primitives shared by every module.
 
-Stable log-sum-exp and softmax (scalar-temperature variants), cosine
-similarity, Beta sampling, and a seeded RNG with named substreams.  All
-math is 64-bit; all randomness flows through :class:`RngStream` so a run
-is reproducible from a single seed regardless of call order elsewhere.
+Row-wise stable log-sum-exp and softmax with a temperature, fused
+softmax cross-entropy, row L2 normalization, Beta sampling, and a seeded
+RNG with named substreams.  All math is 64-bit; all randomness flows
+through :class:`RngStream` so a run is reproducible from a single seed
+regardless of call order elsewhere.
 """
 from __future__ import annotations
 
@@ -13,15 +14,11 @@ import numpy as np
 
 __all__ = [
     "RngStream",
-    "logsumexp",
     "logsumexp_rows",
-    "softmax",
     "softmax_rows",
-    "log_softmax_rows",
     "softmax_cross_entropy",
     "l2_rows",
     "sample_beta",
-    "cosine_sim",
 ]
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -53,15 +50,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, label={self.label!r})"
 
 
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector contains non-finite entries")
-    return arr
-
-
 def logsumexp_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Row-wise tau * log(sum_j exp(m_ij / tau)) with max subtraction."""
     if tau <= 0:
@@ -70,12 +58,6 @@ def logsumexp_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
     scaled = m / tau
     peak = scaled.max(axis=1, keepdims=True)
     return tau * (peak[:, 0] + np.log(np.exp(scaled - peak).sum(axis=1)))
-
-
-def logsumexp(v, tau: float = 1.0) -> float:
-    """tau * log(sum_j exp(v_j / tau)), overflow-safe."""
-    arr = _as_vector(v)
-    return float(logsumexp_rows(arr[None, :], tau)[0])
 
 
 def softmax_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -89,19 +71,13 @@ def softmax_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max subtraction; finite for any finite m."""
-    m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def softmax_cross_entropy(Z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of logit rows ``Z`` against column indices ``y``,
     and its gradient w.r.t. ``Z``: (softmax(Z) - onehot(y)) / n.
 
-    One max-shifted exp serves both; the values are bit for bit those of
-    :func:`log_softmax_rows` and :func:`softmax_rows`.  ``Z`` is not modified.
+    One max-shifted exp serves both; the values are bit for bit those of a
+    max-shifted log-softmax and of :func:`softmax_rows`.  ``Z`` is not
+    modified.
     """
     n = Z.shape[0]
     rows = np.arange(n)
@@ -123,12 +99,6 @@ def l2_rows(X: np.ndarray, tau: float = 1.0) -> np.ndarray:
     return X / (norms * tau)
 
 
-def softmax(v, tau: float = 1.0) -> np.ndarray:
-    """Softmax of v / tau; entries sum to 1 within 1e-12."""
-    arr = _as_vector(v)
-    return softmax_rows(arr[None, :], tau)[0]
-
-
 def sample_beta(a: float, b: float, rng: RngStream) -> float:
     """One Beta(a, b) variate via the two-Gamma ratio construction."""
     if a <= 0 or b <= 0:
@@ -139,16 +109,3 @@ def sample_beta(a: float, b: float, rng: RngStream) -> float:
         total = g1 + g2
         if total > 0:  # guards underflow for very small shapes
             return float(g1 / total)
-
-
-def cosine_sim(u, v) -> float:
-    """u . v / (||u|| ||v||); raises on zero-norm inputs."""
-    uu = _as_vector(u)
-    vv = _as_vector(v)
-    if uu.shape != vv.shape:
-        raise ValueError("dimension mismatch")
-    nu = np.linalg.norm(uu)
-    nv = np.linalg.norm(vv)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("zero-norm vector")
-    return float(np.dot(uu, vv) / (nu * nv))

@@ -180,10 +180,9 @@ class RunConfig:
             raise ConfigError(f"bad cil config: {exc}") from exc
 
     def ber_config(self) -> BerConfig:
-        params = self.ood.get("params", {})
-        if self.ood.get("method") in FINETUNE_METHODS or "hinge_orientation" in params:
+        if self.ood.get("method") in FINETUNE_METHODS:
             try:
-                return BerConfig.from_dict(params)
+                return BerConfig.from_dict(self.ood.get("params", {}))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad fine-tune params: {exc}") from exc
         return BerConfig()
@@ -228,9 +227,6 @@ class BenchmarkReport:
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkReport":
         return cls(doc["config"], doc["records"], doc["aggregates"], doc["failures"])
-
-    def __eq__(self, other):
-        return isinstance(other, BenchmarkReport) and self.to_dict() == other.to_dict()
 
 
 def _load_run_data(cfg: RunConfig, seed: int):
