@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureDataset, MemoryBuffer, TaskStream, rebalance_memory, step_rows
+from .configcheck import check_field_types
+from .data import MEMORY_STRATEGIES, FeatureDataset, MemoryBuffer, TaskStream
+from .data import rebalance_memory, step_rows
 from .model import (
+    HEAD_INITS,
     Extractor,
     LinearHead,
     SgdState,
@@ -51,6 +54,7 @@ class CilConfig:
     exemplar_strategy: str = "herding"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs_per_task < 1:
             raise ValueError("need at least one epoch per task")
         if self.batch_size < 2:
@@ -59,6 +63,10 @@ class CilConfig:
             raise ValueError("distillation temperature must be positive")
         if self.method not in _METHODS:
             raise ValueError(f"unknown CIL method {self.method!r}")
+        if self.head_init not in HEAD_INITS:
+            raise ValueError(f"unknown head_init {self.head_init!r}")
+        if self.exemplar_strategy not in MEMORY_STRATEGIES:
+            raise ValueError(f"unknown exemplar_strategy {self.exemplar_strategy!r}")
 
 
 @dataclass

@@ -1,0 +1,39 @@
+"""Checks of config documents and dataclasses: unknown keys, and field
+types read from the annotations, so that a JSON value of the wrong type
+fails validation and not a run."""
+from __future__ import annotations
+
+from dataclasses import fields
+
+__all__ = ["is_int", "check_keys", "check_field_types"]
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_keys(doc: dict, known, what: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming the keys of ``doc`` that are not in ``known``."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise error(f"unknown {what}: {sorted(unknown)}")
+
+
+_RULES = {
+    "int": (is_int, "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def check_field_types(obj, error: type[Exception] = TypeError) -> None:
+    """Raise ``error`` for the first field of the dataclass ``obj`` annotated
+    ``int`` (no bool or float), ``float`` (an int or float, no bool),
+    ``bool``, ``str`` or ``dict`` whose value has another type."""
+    for f in fields(obj):
+        rule = _RULES.get(getattr(f.type, "__name__", f.type))
+        value = getattr(obj, f.name)
+        if rule is not None and not rule[0](value):
+            raise error(f"{f.name} must be {rule[1]}, got {value!r}")

@@ -45,6 +45,7 @@ __all__ = [
 
 _MAGIC = b"OCF1"
 _VERSION = 1
+MEMORY_STRATEGIES = ("herding", "random")  # see rebalance_memory
 
 
 class DataError(Exception):
@@ -367,7 +368,7 @@ def rebalance_memory(
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
-    if strategy not in ("herding", "random"):
+    if strategy not in MEMORY_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     seen = stream.classes_through(t)
     entries: dict[int, list[int]] = {}

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cil import CilModel, sgd_epochs
+from .configcheck import check_field_types, check_keys
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss, expand_head
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
@@ -89,6 +90,7 @@ class BerConfig:
     use_oter: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         if not 0.0 <= self.lambda_old <= 1.0:
@@ -101,15 +103,17 @@ class BerConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if min(self.tau, self.logitnorm_tau, self.t2f_tau) <= 0:
             raise ValueError("temperatures must be positive")
+        if len(self.beta_params) != 2 or min(self.beta_params) <= 0:
+            raise ValueError("beta_params must be two positive numbers")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("need epochs >= 0 and batch_size >= 1")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BerConfig":
         doc = dict(doc)
         if "beta_params" in doc:
             doc["beta_params"] = tuple(doc["beta_params"])
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown fine-tune params: {sorted(unknown)}")
+        check_keys(doc, cls.__dataclass_fields__, "fine-tune params")
         return cls(**doc)
 
 

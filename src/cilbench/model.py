@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _HEAD_MAGIC = b"OCH1"
+HEAD_INITS = ("zeros", "seeded_uniform", "copy_scaled")  # see expand_head
 
 
 class Extractor:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configcheck import check_field_types, check_keys
 from .numerics import l2_rows, logsumexp_rows, softmax_rows
 
 __all__ = [
@@ -57,11 +58,16 @@ class PosthocParams:
     gen_top_m: int = 100
     knn_k: int = 10
 
+    def __post_init__(self):
+        check_field_types(self)
+        if min(self.tau, self.odin_temperature) <= 0:
+            raise ValueError("temperatures must be positive")
+        if min(self.gen_top_m, self.knn_k) < 1:
+            raise ValueError("gen_top_m and knn_k must be >= 1")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "PosthocParams":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown scorer params: {sorted(unknown)}")
+        check_keys(doc, cls.__dataclass_fields__, "scorer params")
         return cls(**doc)
 
 

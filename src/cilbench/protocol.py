@@ -27,6 +27,7 @@ from time import perf_counter
 import numpy as np
 
 from .cil import CilConfig, CilModel, evaluate_accuracy, train_task
+from .configcheck import check_field_types, check_keys, is_int
 from .data import (
     DataError,
     MemoryBuffer,
@@ -77,10 +78,6 @@ def _check_ood_sizes(n_classes: int, step_size: int, ood_sizes) -> None:
         )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One benchmark run: data, step size, one CIL method, one OOD method."""
@@ -97,11 +94,9 @@ class RunConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seeds, (list, tuple)) or not all(map(_is_int, self.seeds)):
+        check_field_types(self, ConfigError)
+        if not isinstance(self.seeds, (list, tuple)) or not all(map(is_int, self.seeds)):
             raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
-        for name in ("step_size", "memory_budget", "threads"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
@@ -117,6 +112,9 @@ class RunConfig:
             raise ConfigError(f"unknown class_order {self.class_order!r}")
         if not ({"synth", "manifest"} & set(self.data)):
             raise ConfigError("data needs a 'synth' spec or a 'manifest' path")
+        ood_keys = ("method", "params", "score_with", "scorer_params")
+        check_keys(self.ood, ood_keys, "ood fields", ConfigError)
+        check_keys(self.extractor, ("kind", "d_out", "seed"), "extractor fields", ConfigError)
         method = self.ood.get("method")
         if method not in OOD_METHODS:
             raise ConfigError(f"ood.method must be one of {sorted(OOD_METHODS)}")
@@ -127,6 +125,10 @@ class RunConfig:
         self.cil_config()
         self.ber_config()
         self.posthoc_params()
+        try:
+            self.make_extractor(1)  # the kind, d_out and seed, on a one-column input
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad extractor: {exc}") from exc
         if "synth" in self.data:
             try:
                 spec = SynthSpec.from_dict(self.data["synth"])
@@ -141,9 +143,7 @@ class RunConfig:
         doc = dict(doc)
         if isinstance(doc.get("seeds"), list):
             doc["seeds"] = tuple(doc["seeds"])
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        check_keys(doc, cls.__dataclass_fields__, "config fields", ConfigError)
         try:
             return cls(**doc)
         except TypeError as exc:
@@ -198,14 +198,9 @@ class RunConfig:
             raise ConfigError(f"bad scorer params: {exc}") from exc
 
     def make_extractor(self, input_dim: int) -> Extractor:
-        kind = self.extractor.get("kind", "identity")
-        if kind == "identity":
-            return Extractor()
+        ext = self.extractor
         return Extractor(
-            "random_projection",
-            d_in=input_dim,
-            d_out=int(self.extractor.get("d_out", input_dim)),
-            seed=int(self.extractor.get("seed", 0)),
+            ext.get("kind", "identity"), input_dim, ext.get("d_out", input_dim), ext.get("seed", 0)
         )
 
 

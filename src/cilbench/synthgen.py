@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configcheck import check_field_types, check_keys
 from .data import FeatureDataset, OodEntry, OodSuite, save_dataset
 from .numerics import RngStream
 
@@ -41,6 +42,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_classes < 4:
             raise ValueError("need at least 4 classes")
         if min(self.dim, self.n_train_per_class, self.n_test_per_class,
@@ -51,10 +53,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown synth spec fields: {sorted(unknown)}")
+        check_keys(doc, cls.__dataclass_fields__, "synth spec fields")
         return cls(**doc)
 
     def to_dict(self) -> dict:

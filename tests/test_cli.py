@@ -48,6 +48,30 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         [SMALL_RUN],  # a document that is not an object
         {"memory_budget": 32.5},  # would fail every seed in herding
         {"step_size": 4.0},
+        # integer, number and boolean fields of the sub-configs are typed
+        {"cil": {"epochs_per_task": 2.5}},
+        {"ood": {"method": "ber", "params": {"epochs": 2.5}}},
+        {"ood": {"method": "nnguide", "params": {"knn_k": 2.5}}},
+        {"ood": {"method": "gen", "params": {"gen_top_m": 2.5}}},
+        {"data": {"synth": {**SMALL_RUN["data"]["synth"], "n_classes": 20.0}}},
+        {"cil": {"lr0": "0.1"}},
+        {"ood": {"method": "ber", "params": {"use_nter": 1}}},
+        # the extractor and ood sections
+        {"extractor": {"kind": "bogus"}},  # used to run a random projection
+        {"extractor": "identity"},
+        {"extractor": {"kind": "random_projection", "d_out": 0}},
+        {"extractor": {"kind": "random_projection", "dout": 4}},  # used to be ignored
+        {"ood": "energy"},
+        {"ood": {"method": "energy", "parms": {"tau": 2.0}}},  # used to be ignored
+        # values each dataclass checks
+        {"cil": {"head_init": "bogus"}},
+        {"cil": {"exemplar_strategy": "bogus"}},
+        {"ood": {"method": "energy", "params": {"tau": 0}}},
+        {"ood": {"method": "odin", "params": {"odin_temperature": 0}}},
+        {"ood": {"method": "nnguide", "params": {"knn_k": 0}}},
+        {"ood": {"method": "gen", "params": {"gen_top_m": 0}}},  # used to score all classes
+        {"ood": {"method": "ber", "params": {"beta_params": [-1, 1]}}},
+        {"ood": {"method": "ber", "params": {"batch_size": 0}}},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):

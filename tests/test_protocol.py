@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 import cilbench.protocol as protocol
+from cilbench.cil import CilConfig
+from cilbench.finetune import BerConfig
+from cilbench.posthoc import PosthocParams
 from cilbench.protocol import (
     PHASES,
     BenchmarkReport,
@@ -14,6 +17,7 @@ from cilbench.protocol import (
     run_benchmark,
     verify_consistency,
 )
+from cilbench.synthgen import SynthSpec
 
 SMALL_SYNTH = {
     "n_classes": 8,
@@ -268,3 +272,24 @@ def test_finetune_log_sidecar(tmp_path):
     run_benchmark(small_config(seeds=[0]), artifact_dir=tmp_path / "energy")
     assert not (tmp_path / "energy" / "logs" / "finetune_seed0.jsonl").exists()
     assert (tmp_path / "energy" / "logs" / "train_seed0.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (CilConfig, "batch_size", True),  # a bool is not an integer
+        (CilConfig, "method", 3),
+        (BerConfig, "alpha", False),  # nor a number
+        (BerConfig, "use_oter", 0),
+        (PosthocParams, "knn_k", 3.0),
+        (SynthSpec, "std", "1"),
+    ],
+)
+def test_config_fields_reject_wrong_types(cls, field, value):
+    with pytest.raises(TypeError, match=f"^{field} must be "):
+        cls(**{field: value})
+
+
+def test_number_fields_take_ints():
+    assert CilConfig(lr0=1).lr0 == 1
+    assert PosthocParams(tau=2).tau == 2
