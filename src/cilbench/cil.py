@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configcheck import check_field_types
-from .data import MEMORY_STRATEGIES, FeatureDataset, MemoryBuffer, TaskStream
-from .data import rebalance_memory, step_rows
+from .data import FeatureDataset, MemoryBuffer, TaskStream, rebalance_memory, step_rows
 from .model import (
-    HEAD_INITS,
     Extractor,
     LinearHead,
     SgdState,
@@ -50,8 +48,6 @@ class CilConfig:
     lr0: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.02
-    head_init: str = "seeded_uniform"
-    exemplar_strategy: str = "herding"
 
     def __post_init__(self):
         check_field_types(self)
@@ -63,10 +59,6 @@ class CilConfig:
             raise ValueError("distillation temperature must be positive")
         if self.method not in _METHODS:
             raise ValueError(f"unknown CIL method {self.method!r}")
-        if self.head_init not in HEAD_INITS:
-            raise ValueError(f"unknown head_init {self.head_init!r}")
-        if self.exemplar_strategy not in MEMORY_STRATEGIES:
-            raise ValueError(f"unknown exemplar_strategy {self.exemplar_strategy!r}")
 
 
 @dataclass
@@ -170,9 +162,7 @@ def train_task(
     old_count = model.head.n_classes
     old_head = model.head.clone() if (cfg.method != "replay" and t > 1) else None
 
-    head = expand_head(
-        model.head, len(task.classes), cfg.head_init, rng.child(f"init-t{t}")
-    )
+    head = expand_head(model.head, len(task.classes), rng.child(f"init-t{t}"))
     seen = list(model.seen_classes) + list(task.classes)
     row_of = {c: i for i, c in enumerate(seen)}
 
@@ -214,8 +204,7 @@ def train_task(
         head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
 
     new_model = CilModel(model.extractor, head, seen)
-    new_mem = rebalance_memory(mem, stream, t, cfg.exemplar_strategy, rng.child(f"mem-t{t}"))
-    return new_model, new_mem
+    return new_model, rebalance_memory(mem, stream, t)
 
 
 def evaluate_accuracy(model: CilModel, test: FeatureDataset) -> float:

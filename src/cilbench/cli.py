@@ -2,18 +2,14 @@
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime
 failure.  Errors print one machine-parsable line to stderr with the
-prefix ``CILBENCH-ERROR [kind]:``.  ``--threads`` (fallback: the
-environment variable ``OPENCIL_THREADS``) is validated and kept for
-compatibility; seeds always run one after another, so it changes
-neither how a run executes nor what it writes.  ``report`` re-checks the
-aggregates of the report it reads against its records (exit 2 when they
-disagree).
+prefix ``CILBENCH-ERROR [kind]:``.  Seeds run one after another.
+``report`` re-checks the aggregates of the report it reads against its
+records (exit 2 when they disagree).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="run configuration JSON")
     run.add_argument("--seed-override", type=int, default=None)
     run.add_argument("--out", default=None, help="output directory (defaults to config out_dir)")
-    run.add_argument("--threads", type=int, default=None)
 
     rep = sub.add_parser(
         "report", help="check a report.json against its records and re-emit csv/markdown"
@@ -82,29 +77,11 @@ def _cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def _resolve_threads(flag_value) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("OPENCIL_THREADS")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"OPENCIL_THREADS must be an integer, got {env!r}") from None
-
-
 def _cmd_run(args) -> int:
     try:
         cfg = RunConfig.from_json(args.config)
-        overrides = {}
         if args.seed_override is not None:
-            overrides["seeds"] = (args.seed_override,)
-        threads = _resolve_threads(args.threads)
-        if threads is not None:
-            overrides["threads"] = threads
-        if overrides:
-            cfg = RunConfig.from_dict({**cfg.to_dict(), **overrides})
+            cfg = RunConfig.from_dict({**cfg.to_dict(), "seeds": (args.seed_override,)})
     except ConfigError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     out_dir = args.out or cfg.out_dir

@@ -6,7 +6,6 @@ The binary on-disk format is little-endian:
     magic "OCF1" | u32 version=1 | u32 n | u32 d
     n*d float32 features (row-major) | n int32 labels
 
-CSV rows are ``d feature columns, one integer label column`` with no header.
 A suite manifest is a JSON document naming the ID train/test files and a
 list of OOD datasets, each tagged ``near`` or ``far``.
 """
@@ -45,7 +44,6 @@ __all__ = [
 
 _MAGIC = b"OCF1"
 _VERSION = 1
-MEMORY_STRATEGIES = ("herding", "random")  # see rebalance_memory
 
 
 class DataError(Exception):
@@ -205,7 +203,15 @@ def save_dataset(ds: FeatureDataset, path) -> None:
         fh.write(ds.labels.astype("<i4").tobytes(order="C"))
 
 
-def _load_binary(path: Path, n_classes: int) -> FeatureDataset:
+def load_dataset(path, n_classes: int = 0) -> FeatureDataset:
+    """Load a binary feature file, validating all invariants.
+
+    ``n_classes`` caps the label range when the caller knows the class
+    count (labels >= n_classes raise :class:`LabelOutOfRangeError`).
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FormatError(f"no such file: {path}")
     raw = path.read_bytes()
     if len(raw) < 16:
         raise FormatError("file too short for header")
@@ -222,48 +228,6 @@ def _load_binary(path: Path, n_classes: int) -> FeatureDataset:
     return FeatureDataset(
         feats.astype(np.float64).reshape(n, d), labels.astype(np.int64), n_classes
     )
-
-
-def _load_csv(path: Path, n_classes: int) -> FeatureDataset:
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise FormatError("need at least one feature column")
-            elif len(parts) != width:
-                raise DimensionMismatchError(f"row {lineno} has {len(parts)} columns")
-            try:
-                rows.append([float(p) for p in parts[:-1]])
-                labels.append(int(parts[-1]))
-            except ValueError as exc:
-                raise FormatError(f"row {lineno}: {exc}") from exc
-    if not rows:
-        raise FormatError("empty CSV file")
-    return FeatureDataset(np.array(rows), np.array(labels), n_classes)
-
-
-def load_dataset(path, fmt: str = "binary", n_classes: int = 0) -> FeatureDataset:
-    """Load a dataset, validating all invariants.
-
-    ``n_classes`` caps the label range when the caller knows the class
-    count (labels >= n_classes raise :class:`LabelOutOfRangeError`).
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"no such file: {path}")
-    if fmt == "binary":
-        return _load_binary(path, n_classes)
-    if fmt == "csv":
-        return _load_csv(path, n_classes)
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def split_tasks(
@@ -352,24 +316,16 @@ def herding_select(class_features: np.ndarray, q: int) -> list[int]:
     return chosen
 
 
-def rebalance_memory(
-    mem: MemoryBuffer,
-    stream: TaskStream,
-    t: int,
-    strategy: str = "herding",
-    rng: RngStream | None = None,
-) -> MemoryBuffer:
+def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuffer:
     """Rebuild the exemplar store after step t.
 
-    Every class seen through step t gets quota ``q = budget // |Q_t|``:
-    existing lists are truncated (herding keeps the first q in stored
-    order; random takes a seeded subsample) and new classes are filled by
-    the selection strategy.  Leftover budget slots stay unassigned.
+    Every class seen through step t gets quota ``q = budget // |Q_t|``
+    (capped at its row count): an existing list keeps its first q entries
+    in stored order, and a new class is filled by :func:`herding_select`.
+    Leftover budget slots stay unassigned.
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
-    if strategy not in MEMORY_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     seen = stream.classes_through(t)
     entries: dict[int, list[int]] = {}
     if mem.budget <= 0 or not seen:
@@ -384,23 +340,9 @@ def rebalance_memory(
         quota = min(q, feats.shape[0])
         old = mem.entries.get(c)
         if old is not None:
-            if len(old) <= quota:
-                entries[c] = list(old)
-            elif strategy == "herding":
-                entries[c] = list(old[:quota])
-            else:
-                sub = rng.child(f"trunc{c}").gen.choice(
-                    len(old), size=quota, replace=False
-                )
-                entries[c] = [old[i] for i in sorted(sub.tolist())]
+            entries[c] = list(old[:quota])
         else:
-            if strategy == "herding":
-                entries[c] = herding_select(feats, quota)
-            else:
-                pick = rng.child(f"fill{c}").gen.choice(
-                    feats.shape[0], size=quota, replace=False
-                )
-                entries[c] = sorted(int(i) for i in pick)
+            entries[c] = herding_select(feats, quota)
     return MemoryBuffer(mem.budget, entries)
 
 
@@ -433,10 +375,10 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     base = path.parent
     n_classes = int(doc.get("n_classes", 0))
     try:
-        train = load_dataset(base / doc["id_train"], "binary", n_classes)
-        test = load_dataset(base / doc["id_test"], "binary", n_classes)
+        train = load_dataset(base / doc["id_train"], n_classes)
+        test = load_dataset(base / doc["id_test"], n_classes)
         entries = tuple(
-            OodEntry(e["name"], load_dataset(base / e["path"], "binary"), e["tag"])
+            OodEntry(e["name"], load_dataset(base / e["path"]), e["tag"])
             for e in doc["ood"]
         )
     except KeyError as exc:

@@ -1,8 +1,9 @@
 """Fine-tuning OOD methods over a frozen incremental model.
 
-At each step an extra classifier is trained on top of the frozen
-extractor while the incremental head stays untouched; detection scores
-come from the extra head, ID classification stays on the original one.
+At each step an extra classifier, a copy of the incremental head, is
+trained on top of the frozen extractor while the incremental head stays
+untouched; detection scores come from the extra head, ID classification
+stays on the original one.
 
 Four trainers, each a batch objective for the SGD epoch loop CIL training
 also uses (``cil.sgd_epochs``): plain cross-entropy, logit normalization
@@ -39,7 +40,7 @@ import numpy as np
 from .cil import CilModel, sgd_epochs
 from .configcheck import check_field_types, check_keys
 from .data import MemoryBuffer, TaskStream, step_rows
-from .model import LinearHead, ce_loss, expand_head
+from .model import LinearHead, ce_loss
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
 from .numerics import (
     RngStream,
@@ -83,7 +84,6 @@ class BerConfig:
     lr0: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0005
-    init: str = "copy"  # copy the frozen head, or "fresh" seeded rows
     logitnorm_tau: float = 0.04
     t2f_tau: float = 0.1
     use_nter: bool = True  # ablation switches for the two energy terms
@@ -99,8 +99,6 @@ class BerConfig:
             raise ValueError("p_out must be below p_in")
         if self.hinge_orientation not in ("literal", "energy_paper"):
             raise ValueError(f"unknown hinge orientation {self.hinge_orientation!r}")
-        if self.init not in ("copy", "fresh"):
-            raise ValueError(f"unknown init {self.init!r}")
         if min(self.tau, self.logitnorm_tau, self.t2f_tau) <= 0:
             raise ValueError("temperatures must be positive")
         if len(self.beta_params) != 2 or min(self.beta_params) <= 0:
@@ -323,15 +321,6 @@ def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key):
     return _ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed.rows, cfg)
 
 
-def _init_extra_head(model: CilModel, cfg: BerConfig, rng: RngStream) -> LinearHead:
-    if cfg.init == "copy":
-        return model.head.clone()
-    fresh = expand_head(
-        LinearHead.empty(model.head.dim), model.head.n_classes, "seeded_uniform", rng
-    )
-    return fresh
-
-
 def finetune_step_loop(
     model: CilModel,
     stream: TaskStream,
@@ -368,7 +357,7 @@ def finetune_step_loop(
         Z_new = l2_rows(Z_new, cfg.t2f_tau)
         Z_mem = l2_rows(Z_mem, cfg.t2f_tau)
 
-    head = _init_extra_head(model, cfg, rng.child(f"ft-init-t{t}"))
+    head = model.head.clone()
 
     if method == "ber":
         if Z_mem.shape[0] == 0:

@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 _HEAD_MAGIC = b"OCH1"
-HEAD_INITS = ("zeros", "seeded_uniform", "copy_scaled")  # see expand_head
 
 
 class Extractor:
@@ -106,34 +105,16 @@ class LinearHead:
         return LinearHead(self.W.copy(), self.b.copy())
 
 
-def expand_head(
-    head: LinearHead,
-    new_classes: int,
-    init: str = "seeded_uniform",
-    rng: RngStream | None = None,
-) -> LinearHead:
+def expand_head(head: LinearHead, new_classes: int, rng: RngStream) -> LinearHead:
     """Grow the head by ``new_classes`` rows; old rows are preserved bit-exactly.
 
-    init rules: ``zeros`` | ``seeded_uniform`` (U[-1/sqrt(d), 1/sqrt(d)]) |
-    ``copy_scaled`` (mean of existing rows; zeros when the head is empty).
+    New weight rows are drawn from U[-1/sqrt(d), 1/sqrt(d)] with the
+    generator of ``rng.child("head-init")``; new biases are zero.
     """
     if new_classes < 1:
         raise ValueError("new_classes must be >= 1")
-    d = head.dim
-    if init == "zeros":
-        rows = np.zeros((new_classes, d))
-    elif init == "seeded_uniform":
-        if rng is None:
-            raise ValueError("seeded_uniform init needs an RngStream")
-        bound = 1.0 / math.sqrt(d)
-        rows = rng.child("head-init").gen.uniform(-bound, bound, size=(new_classes, d))
-    elif init == "copy_scaled":
-        if head.n_classes == 0:
-            rows = np.zeros((new_classes, d))
-        else:
-            rows = np.tile(head.W.mean(axis=0), (new_classes, 1))
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    bound = 1.0 / math.sqrt(head.dim)
+    rows = rng.child("head-init").gen.uniform(-bound, bound, size=(new_classes, head.dim))
     W = np.concatenate([head.W, rows])
     b = np.concatenate([head.b, np.zeros(new_classes)])
     return LinearHead(W, b)

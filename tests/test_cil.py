@@ -211,7 +211,7 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     task = stream.tasks[t - 1]
     old_count = model.head.n_classes
     old_head = model.head.clone() if (cfg.method != "replay" and t > 1) else None
-    head = expand_head(model.head, len(task.classes), cfg.head_init, rng.child(f"init-t{t}"))
+    head = expand_head(model.head, len(task.classes), rng.child(f"init-t{t}"))
     seen = list(model.seen_classes) + list(task.classes)
     row_of = {c: i for i, c in enumerate(seen)}
     X_raw, y = step_rows(stream, t, mem)
@@ -264,7 +264,7 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
         })
     if cfg.method == "replay_distill_wa" and t > 1:
         head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
-    new_mem = rebalance_memory(mem, stream, t, cfg.exemplar_strategy, rng.child(f"mem-t{t}"))
+    new_mem = rebalance_memory(mem, stream, t)
     return CilModel(model.extractor, head, seen), new_mem
 
 

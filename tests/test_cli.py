@@ -163,23 +163,13 @@ def test_run_idempotent_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_seed_override_and_env_threads(tmp_path, monkeypatch):
+def test_seed_override_and_env_threads(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_RUN, "seeds": [0, 1]}))
     out = tmp_path / "out"
-    monkeypatch.setenv("OPENCIL_THREADS", "2")
     assert main(["run", "--config", str(cfg), "--out", str(out), "--seed-override", "5"]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["config"]["seeds"] == [5]
-
-
-def test_run_rejects_non_integer_env_threads(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(SMALL_RUN))
-    monkeypatch.setenv("OPENCIL_THREADS", "abc")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert "CILBENCH-ERROR [config]: OPENCIL_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_report_rejects_aggregates_that_disagree_with_records(tmp_path, capsys):

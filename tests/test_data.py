@@ -38,20 +38,12 @@ def test_binary_round_trip_bit_identical(tmp_path):
     )
     p = tmp_path / "ds.bin"
     save_dataset(ds, p)
-    back = load_dataset(p, "binary", 2)
+    back = load_dataset(p, 2)
     assert back.n == 3 and back.dim == 4
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
     save_dataset(back, tmp_path / "ds2.bin")
     assert (tmp_path / "ds.bin").read_bytes() == (tmp_path / "ds2.bin").read_bytes()
-
-
-def test_csv_load(tmp_path):
-    p = tmp_path / "ds.csv"
-    p.write_text("1.0,2.0,0\n3.0,4.0,1\n")
-    ds = load_dataset(p, "csv")
-    assert ds.n == 2 and ds.dim == 2
-    np.testing.assert_array_equal(ds.labels, [0, 1])
 
 
 def test_load_errors_are_distinct(tmp_path):
@@ -62,23 +54,21 @@ def test_load_errors_are_distinct(tmp_path):
     bad_magic = tmp_path / "magic.bin"
     bad_magic.write_bytes(b"XXXX" + p.read_bytes()[4:])
     with pytest.raises(FormatError):
-        load_dataset(bad_magic, "binary")
+        load_dataset(bad_magic)
 
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(p.read_bytes()[:-3])
     with pytest.raises(FormatError):
-        load_dataset(truncated, "binary")
+        load_dataset(truncated)
 
     with pytest.raises(LabelOutOfRangeError):
-        load_dataset(p, "binary", n_classes=1)  # file holds label 1
+        load_dataset(p, n_classes=1)  # file holds label 1
 
     with pytest.raises(FormatError):
-        load_dataset(tmp_path / "missing.bin", "binary")
+        load_dataset(tmp_path / "missing.bin")
 
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1.0,2.0,0\n3.0,1\n")
     with pytest.raises(DimensionMismatchError):
-        load_dataset(ragged, "csv")
+        FeatureDataset(np.ones((2, 2)), [0, 1, 0], 2)  # one label too many
 
 
 def test_nonfinite_feature_rejected():
@@ -210,10 +200,9 @@ def test_rebalance_quota_and_budget():
     tr = make_ds(50, 6, 4)
     te = make_ds(5, 6, 4, seed=1)
     stream = split_tasks(tr, te, 2)
-    rng = RngStream(0, "mem")
     mem = MemoryBuffer(10)
     for t in range(1, 4):
-        mem = rebalance_memory(mem, stream, t, "herding", rng)
+        mem = rebalance_memory(mem, stream, t)
         seen = stream.classes_through(t)
         q = 10 // len(seen)
         assert mem.total() <= 10
@@ -227,7 +216,7 @@ def test_rebalance_benchmark_scale_quota():
     tr = make_ds(120, 20, 4)
     te = make_ds(2, 20, 4, seed=1)
     stream = split_tasks(tr, te, 10)
-    mem = rebalance_memory(MemoryBuffer(2000), stream, 2, "random", RngStream(0, "q"))
+    mem = rebalance_memory(MemoryBuffer(2000), stream, 2)
     assert all(len(v) == 100 for v in mem.entries.values())
     assert mem.total() == 2000
 
@@ -236,28 +225,18 @@ def test_rebalance_truncation_keeps_herding_prefix():
     tr = make_ds(40, 4, 3)
     te = make_ds(4, 4, 3, seed=1)
     stream = split_tasks(tr, te, 2)
-    rng = RngStream(1, "mem")
-    mem = rebalance_memory(MemoryBuffer(8), stream, 1, "herding", rng)
+    mem = rebalance_memory(MemoryBuffer(8), stream, 1)
     first = {c: list(v) for c, v in mem.entries.items()}
-    mem2 = rebalance_memory(mem, stream, 2, "herding", rng)
+    mem2 = rebalance_memory(mem, stream, 2)
     for c in first:
         assert mem2.entries[c] == first[c][: len(mem2.entries[c])]
-
-
-def test_rebalance_random_strategy_deterministic():
-    tr = make_ds(30, 4, 3)
-    te = make_ds(3, 4, 3, seed=1)
-    stream = split_tasks(tr, te, 2)
-    a = rebalance_memory(MemoryBuffer(6), stream, 2, "random", RngStream(7, "m"))
-    b = rebalance_memory(MemoryBuffer(6), stream, 2, "random", RngStream(7, "m"))
-    assert a.entries == b.entries
 
 
 def test_step_rows_materialization():
     tr = make_ds(10, 6, 3)
     te = make_ds(2, 6, 3, seed=1)
     stream = split_tasks(tr, te, 2)
-    mem = rebalance_memory(MemoryBuffer(8), stream, 2, "herding", RngStream(0))
+    mem = rebalance_memory(MemoryBuffer(8), stream, 2)
     task = stream.tasks[2].train
     X_all, y_all = step_rows(stream, 3, mem)
     # task 3's rows first, then the memory, class-ordered

@@ -10,7 +10,6 @@ from cilbench.finetune import (
     BerConfig,
     _ber_batch,
     _hinge_energy_grads,
-    _init_extra_head,
     ber_total_loss,
     energy_rows,
     finetune_step_loop,
@@ -282,16 +281,6 @@ def test_finetune_freezes_base_model(method):
     assert f_head.n_classes == model.head.n_classes
 
 
-def test_fresh_init_trains_from_scratch():
-    model, stream, mems = small_trained_model(seed=6)
-    cfg = BerConfig(epochs=8, batch_size=64, init="fresh")
-    f_head = finetune_step_loop(model, stream, 2, mems[1], "plain", cfg, RngStream(5, "ft"))
-    assert f_head.n_classes == model.head.n_classes
-    assert not np.array_equal(f_head.W, model.head.W)
-    f_model = CilModel(model.extractor, f_head, model.seen_classes)
-    assert evaluate_accuracy(f_model, stream.test_through(2)) > 0.9
-
-
 def test_plain_finetune_matches_base_accuracy():
     model, stream, mems = small_trained_model(seed=3)
     cfg = BerConfig(epochs=10, batch_size=64)
@@ -348,7 +337,7 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         Z_new = t2f(Z_new, cfg.t2f_tau)
         if Z_mem.size:
             Z_mem = t2f(Z_mem, cfg.t2f_tau)
-    head = _init_extra_head(model, cfg, rng.child(f"ft-init-t{t}"))
+    head = model.head.clone()
     state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
     if method == "ber":
         if Z_mem.shape[0] == 0:

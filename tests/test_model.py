@@ -52,13 +52,16 @@ def test_forward_dim_mismatch():
 
 def test_expand_from_empty_and_bit_preservation():
     rng = RngStream(1, "exp")
-    head = expand_head(LinearHead.empty(4), 3, "seeded_uniform", rng)
+    head = expand_head(LinearHead.empty(4), 3, rng)
     assert head.n_classes == 3
     old_bytes = head.W.tobytes()
-    bigger = expand_head(head, 2, "zeros")
+    bigger = expand_head(head, 2, rng.child("more"))
     assert bigger.n_classes == 5
     assert bigger.W[:3].tobytes() == old_bytes
-    np.testing.assert_array_equal(bigger.W[3:], 0.0)
+    # new rows are the seeded draw and new biases are zero
+    drawn = rng.child("more").child("head-init").gen.uniform(-0.5, 0.5, size=(2, 4))
+    np.testing.assert_array_equal(bigger.W[3:], drawn)
+    np.testing.assert_array_equal(bigger.b[3:], 0.0)
     x = np.ones(4)
     np.testing.assert_array_equal(
         row_logits(bigger, x)[:3], row_logits(head, x)
@@ -67,7 +70,7 @@ def test_expand_from_empty_and_bit_preservation():
 
 def test_expand_uniform_bound():
     rng = RngStream(2, "exp")
-    head = expand_head(LinearHead.empty(16), 8, "seeded_uniform", rng)
+    head = expand_head(LinearHead.empty(16), 8, rng)
     assert np.all(np.abs(head.W) <= 0.25)
 
 
