@@ -1,8 +1,10 @@
 """Checks of config documents and dataclasses: unknown keys, and field
 types read from the annotations, so that a JSON value of the wrong type
-fails validation and not a run."""
+(or a NaN or infinite number, which Python's ``json`` reads) fails
+validation and not a run."""
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 __all__ = ["is_int", "check_keys", "check_field_types"]
@@ -21,17 +23,23 @@ def check_keys(doc: dict, known, what: str, error: type[Exception] = ValueError)
 
 _RULES = {
     "int": (is_int, "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    # math.isfinite on floats only: a huge int would overflow it
+    "float": (
+        lambda v: is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+        "a finite number",
+    ),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
 }
 
 
 def check_field_types(obj, error: type[Exception] = TypeError) -> None:
     """Raise ``error`` for the first field of the dataclass ``obj`` annotated
-    ``int`` (no bool or float), ``float`` (an int or float, no bool),
-    ``bool``, ``str`` or ``dict`` whose value has another type."""
+    ``int`` (no bool or float), ``float`` (an int or finite float, no bool),
+    ``bool``, ``str``, ``str | None`` or ``dict`` whose value has another
+    type."""
     for f in fields(obj):
         rule = _RULES.get(getattr(f.type, "__name__", f.type))
         value = getattr(obj, f.name)

@@ -33,6 +33,7 @@ synthesized batches.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,8 +102,8 @@ class BerConfig:
             raise ValueError(f"unknown hinge orientation {self.hinge_orientation!r}")
         if min(self.tau, self.logitnorm_tau, self.t2f_tau) <= 0:
             raise ValueError("temperatures must be positive")
-        if len(self.beta_params) != 2 or min(self.beta_params) <= 0:
-            raise ValueError("beta_params must be two positive numbers")
+        if len(self.beta_params) != 2 or not all(0 < v < math.inf for v in self.beta_params):
+            raise ValueError("beta_params must be two positive finite numbers")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("need epochs >= 0 and batch_size >= 1")
 

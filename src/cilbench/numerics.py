@@ -101,7 +101,7 @@ def l2_rows(X: np.ndarray, tau: float = 1.0) -> np.ndarray:
 
 def sample_beta(a: float, b: float, rng: RngStream) -> float:
     """One Beta(a, b) variate via the two-Gamma ratio construction."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):  # NaN included: gamma(NaN) would loop forever
         raise ValueError("Beta shape parameters must be positive")
     while True:
         g1 = rng.gen.gamma(a)

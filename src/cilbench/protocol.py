@@ -110,8 +110,11 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if self.class_order not in ("identity", "seeded"):
             raise ConfigError(f"unknown class_order {self.class_order!r}")
-        if not ({"synth", "manifest"} & set(self.data)):
-            raise ConfigError("data needs a 'synth' spec or a 'manifest' path")
+        check_keys(self.data, ("synth", "manifest"), "data fields", ConfigError)
+        if len(self.data) != 1:
+            raise ConfigError("data needs exactly one of a 'synth' spec or a 'manifest' path")
+        if not isinstance(self.data.get("manifest", ""), str):
+            raise ConfigError(f"data.manifest must be a string, got {self.data['manifest']!r}")
         ood_keys = ("method", "params", "score_with", "scorer_params")
         check_keys(self.ood, ood_keys, "ood fields", ConfigError)
         check_keys(self.extractor, ("kind", "d_out", "seed"), "extractor fields", ConfigError)

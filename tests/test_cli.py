@@ -72,6 +72,19 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         {"ood": {"method": "gen", "params": {"gen_top_m": 0}}},  # used to score all classes
         {"ood": {"method": "ber", "params": {"beta_params": [-1, 1]}}},
         {"ood": {"method": "ber", "params": {"batch_size": 0}}},
+        # path fields and the data section; each used to fail every seed or
+        # to be ignored
+        {"data": {"manifest": 5}},
+        {"out_dir": 5},
+        {"data": {**SMALL_RUN["data"], "manifest": "suite/manifest.json"}},
+        {"data": {**SMALL_RUN["data"], "synthh": {}}},
+        # non-finite numbers, which Python's json reads from NaN and Infinity
+        {"cil": {"lr0": float("nan")}},
+        {"ood": {"method": "odin", "params": {"odin_epsilon": float("nan")}}},
+        {"ood": {"method": "ber", "params": {"tau": float("inf")}}},
+        {"data": {"synth": {**SMALL_RUN["data"]["synth"], "std": float("inf")}}},
+        {"ood": {"method": "ber", "params": {"beta_params": [float("nan"), 1]}}},  # used to hang
+        {"ood": {"method": "ber", "params": {"init": "copy"}}},  # no longer a field
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):

@@ -114,6 +114,8 @@ def test_sample_beta_rejects_nonpositive():
         sample_beta(0.0, 1.0, rng)
     with pytest.raises(ValueError):
         sample_beta(1.0, -2.0, rng)
+    with pytest.raises(ValueError):
+        sample_beta(float("nan"), 1.0, rng)  # would draw NaN forever
 
 
 def test_rng_substreams_differ_and_repeat():
