@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .configcheck import is_int
 from .numerics import RngStream
 
 __all__ = [
@@ -372,8 +373,14 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read manifest {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"manifest {path} is not a JSON object")
     base = path.parent
-    n_classes = int(doc.get("n_classes", 0))
+    n_classes = doc.get("n_classes", 0)
+    if not is_int(n_classes):
+        raise FormatError(f"manifest n_classes must be an integer, not {n_classes!r}")
+    if not isinstance(doc.get("ood"), list) or not doc["ood"]:
+        raise FormatError("manifest 'ood' must be a nonempty list of OOD sets")
     try:
         train = load_dataset(base / doc["id_train"], n_classes)
         test = load_dataset(base / doc["id_test"], n_classes)

@@ -11,13 +11,21 @@ min(100, C) probabilities, k=10 neighbours for the feature-bank scorers.
 ``relation_simplified`` is a deliberately reduced form of the relation
 scorer (positive-cosine neighbours weighted by their MSP).
 
-The feature-bank scorers compare queries with the bank in blocks of query
-rows, so their memory is bounded by one block of about 2^21 similarities
-(16 MB, or 48 query rows for a larger bank) and not by queries x bank.
+The feature-bank scorers compare queries with the bank in 48-row slices
+scored on a thread pool, one worker per usable core (numpy's matmul and
+argpartition release the GIL).  Each worker reuses one slice of
+similarities, and the workers share a budget of 2^21 similarities
+(16 MB, or one slice for a bank of more than 43690 rows), so memory is
+bounded by the budget and not by queries x bank.  Every row's scores come
+from the same 48-row BLAS call whatever the worker count, so the scores
+do not depend on it.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,16 +129,27 @@ def fit_scorer(
     return ScorerFit(name, bank_features=l2_rows(Z), bank_msp=P.max(axis=1))
 
 
-# Block size is a budget in cells, not rows: a block holds rows x bank
-# similarities, so a fixed row count would let memory grow with the bank.
+# The similarity budget in cells, shared by the worker threads: each holds
+# one slice of rows x bank similarities, and no more workers run than the
+# budget holds slices, so memory does not grow with the number of queries.
 _BLOCK_CELLS = 1 << 21  # 16 MB of float64
-# Blocks hold a whole multiple of this many rows.  OpenBLAS multiplies in
-# row tiles and finishes leftover rows with other kernels, so a block edge
-# that cuts a tile can change the last bits of those rows.  48 covers the
-# x86 dgemm row tiles: with single-threaded BLAS, blocks of 24 or 48 rows
-# matched the full product bit for bit on an AVX-512 Xeon, blocks of 16, 32
-# or 64 rows did not, and one-row blocks (computed by gemv) never did.
-_BLOCK_ALIGN = 48
+# Queries are compared with the bank in slices of this many rows, one BLAS
+# call each.  OpenBLAS multiplies in row tiles and finishes leftover rows
+# with other kernels, so a block edge that cuts a tile can change the last
+# bits of those rows.  48 covers the x86 dgemm row tiles: with
+# single-threaded BLAS, blocks of 24 or 48 rows matched the full product bit
+# for bit on an AVX-512 Xeon, blocks of 16, 32 or 64 rows did not, and
+# one-row blocks (computed by gemv) never did.  With two BLAS threads none
+# of the block sizes tried matched the full product or each other, so the
+# slice is fixed and the scores never depend on how many workers there are.
+_SLICE_ROWS = 48
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _topk_sims(
@@ -140,17 +159,27 @@ def _topk_sims(
     bank indices of those rows, both (n, min(k, bank)) in selection order."""
     Q = l2_rows(Z)
     bank_t = fit.bank_features.T
-    nb = bank_t.shape[1]
+    n, nb = Q.shape[0], bank_t.shape[1]
     k = min(k, nb)
-    rows = max(_BLOCK_ALIGN, _BLOCK_CELLS // nb // _BLOCK_ALIGN * _BLOCK_ALIGN)
-    sims = np.empty((Q.shape[0], k))
-    idx = np.empty((Q.shape[0], k), dtype=np.intp)
-    for start in range(0, Q.shape[0], rows):
-        block = Q[start : start + rows] @ bank_t
-        top = np.argpartition(block, nb - k, axis=1)[:, -k:]
-        sims[start : start + rows] = np.take_along_axis(block, top, axis=1)
-        idx[start : start + rows] = top
-        del block, top  # free this block before the next one is built
+    starts = range(0, n, _SLICE_ROWS)
+    fit_in_budget = _BLOCK_CELLS // (_SLICE_ROWS * nb)
+    workers = max(1, min(_usable_cores(), len(starts), fit_in_budget))
+    sims = np.empty((n, k))
+    idx = np.empty((n, k), dtype=np.intp)
+    local = threading.local()  # one reused product buffer per worker
+
+    def score_slice(start: int) -> None:
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((_SLICE_ROWS, nb))
+        q = Q[start : start + _SLICE_ROWS]
+        part = np.matmul(q, bank_t, out=local.buf[: q.shape[0]])
+        top = np.argpartition(part, nb - k, axis=1)[:, -k:]
+        rows = slice(start, start + q.shape[0])
+        sims[rows] = np.take_along_axis(part, top, axis=1)
+        idx[rows] = top
+
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(score_slice, starts))  # re-raises a worker's error
     return sims, idx
 
 

@@ -227,10 +227,7 @@ class BenchmarkReport:
         return cls(doc["config"], doc["records"], doc["aggregates"], doc["failures"])
 
 
-def _load_run_data(cfg: RunConfig, seed: int):
-    if "synth" in cfg.data:
-        spec = SynthSpec.from_dict({**cfg.data["synth"], "seed": seed})
-        return generate(spec)
+def _load_manifest(cfg: RunConfig):
     train, test, suite = load_suite_manifest(cfg.data["manifest"])
     _check_ood_sizes(train.n_classes, cfg.step_size, [e.dataset.n for e in suite.entries])
     return train, test, suite
@@ -260,8 +257,8 @@ def _timed(phases: dict, name: str):
         phases[name] += perf_counter() - t0
 
 
-def _run_seed(cfg: RunConfig, seed: int, artifact_dir: Path | None) -> list[dict]:
-    train, test, suite = _load_run_data(cfg, seed)
+def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> list[dict]:
+    train, test, suite = data
     order = RngStream(seed, "class-order") if cfg.class_order == "seeded" else None
     stream = split_tasks(train, test, cfg.step_size, order)
     T = stream.num_steps
@@ -392,14 +389,26 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
 
     A failing seed is recorded under ``failures`` and does not abort the
     others; a :class:`ConfigError` found once the data is loaded aborts the
-    run.
+    run.  A manifest suite is read once for all seeds, and a failure to read
+    it fails every seed; synthetic data is generated per seed.
     """
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     results: dict[int, list[dict]] = {}
     failures: list[dict] = []
+    manifest = manifest_error = None
+    if "manifest" in cfg.data:
+        try:
+            manifest = _load_manifest(cfg)
+        except ConfigError:
+            raise
+        except Exception as exc:  # fails every seed in the loop below
+            manifest_error = exc
     for seed in cfg.seeds:
         try:
-            results[seed] = _run_seed(cfg, seed, artifact_dir)
+            if manifest_error is not None:
+                raise manifest_error
+            data = manifest or generate(SynthSpec.from_dict({**cfg.data["synth"], "seed": seed}))
+            results[seed] = _run_seed(cfg, seed, data, artifact_dir)
         except DataError as exc:
             failures.append({"seed": seed, "error": f"data: {exc}"})
         except ConfigError:

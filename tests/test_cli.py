@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import cilbench.protocol as protocol
 from cilbench.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -117,6 +118,57 @@ def test_run_missing_data_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_RUN, "data": {"manifest": "no/such/manifest.json"}}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "CILBENCH-ERROR [data]" in capsys.readouterr().err
+
+
+def gen_suite(tmp_path) -> Path:
+    """A gen-synth suite of SMALL_RUN's shape; returns its manifest."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_RUN["data"]["synth"], "seed": 7}))
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "suite")]) == 0
+    return tmp_path / "suite" / "manifest.json"
+
+
+def run_manifest(tmp_path, manifest, name, **over) -> int:
+    """Exit code of ``cilbench run`` of SMALL_RUN on ``manifest`` into tmp_path/name."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, "data": {"manifest": str(manifest)}, **over}))
+    return main(["run", "--config", str(cfg), "--out", str(tmp_path / name)])
+
+
+def test_manifest_suite_is_read_once_per_run(tmp_path, monkeypatch):
+    manifest = gen_suite(tmp_path)
+    calls = []
+    original = protocol.load_suite_manifest
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(protocol, "load_suite_manifest", counting)
+    assert run_manifest(tmp_path, manifest, "all", seeds=[0, 1, 2]) == 0
+    assert len(calls) == 1
+    # the seeds share the loaded data, yet each seed's records are those of
+    # a run of that seed alone
+    records = json.loads((tmp_path / "all" / "report.json").read_text())["records"]
+    for seed in (0, 1, 2):
+        assert run_manifest(tmp_path, manifest, f"s{seed}", seeds=[seed]) == 0
+        alone = json.loads((tmp_path / f"s{seed}" / "report.json").read_text())["records"]
+        assert [r for r in records if r["seed"] == seed] == alone
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_classes", "abc"), ("ood", []), ("ood", None)],  # None: the key is removed
+)
+def test_run_malformed_manifest_is_a_data_error(tmp_path, capsys, key, value):
+    manifest = gen_suite(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc[key] = value
+    if value is None:
+        del doc[key]
+    manifest.write_text(json.dumps(doc))
+    assert run_manifest(tmp_path, manifest, "out", seeds=[0, 1]) == 2
     assert "CILBENCH-ERROR [data]" in capsys.readouterr().err
 
 

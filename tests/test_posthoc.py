@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -350,17 +351,59 @@ def test_blocked_topk_matches_full_matrix(monkeypatch, n_query, n_bank, block_ce
         assert got.tobytes() == expect.tobytes()
 
 
-def test_bank_scoring_memory_is_bounded_by_the_block():
+def test_worker_count_does_not_change_bank_scores(monkeypatch):
+    # Gaussian rows, unlike the dyadic rows above, round differently when
+    # the BLAS call that computes a row changes.  500 queries make eleven
+    # 48-row slices, the last one ragged; the budget holds three slices of
+    # the 300-row bank, so a fourth core adds no worker.
+    monkeypatch.setattr(posthoc, "_BLOCK_CELLS", 3 * 48 * 300)
+    pools = []
+
+    class SpyPool(posthoc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(posthoc, "ThreadPoolExecutor", SpyPool)
+    gen = np.random.default_rng(29)
+    d, C, k = 24, 6, 10
+    model = logit_model(gen.normal(size=(C, d)), gen.normal(size=C))
+    bank = gen.normal(size=(300, d))
+    Z = gen.normal(size=(500, d))
+    params = PosthocParams(knn_k=k)
+    got = {}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        for cores in (1, 2, 3, 4):
+            monkeypatch.setattr(posthoc, "_usable_cores", lambda: cores)
+            for name in ("nnguide", "relation_simplified"):
+                fit = fit_scorer(name, model, bank, params)
+                sims, idx = posthoc._topk_sims(fit, Z, k)
+                scores = score_batch(name, model, fit, Z, params)
+                got[cores, name] = (sims.tobytes(), idx.tobytes(), scores.tobytes())
+    finally:
+        sys.setswitchinterval(switch)
+    # one pool per _topk_sims call and per score_batch call
+    assert pools == [1] * 4 + [2] * 4 + [3] * 4 + [3] * 4
+    for cores in (2, 3, 4):
+        for name in ("nnguide", "relation_simplified"):
+            assert got[cores, name] == got[1, name]
+
+
+def test_bank_scoring_memory_is_bounded_by_the_block(monkeypatch):
     gen = np.random.default_rng(13)
     n, d = 4000, 32
     model = logit_model(gen.normal(size=(10, d)), gen.normal(size=10))
     fit = fit_scorer("nnguide", model, gen.normal(size=(n, d)))
     X = gen.normal(size=(n, d))
     full_matrix = n * n * 8  # 128 MB
-    tracemalloc.start()
-    try:
-        score_batch("nnguide", model, fit, X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < full_matrix / 3
+    for workers in (1, 2):
+        monkeypatch.setattr(posthoc, "_usable_cores", lambda: workers)
+        tracemalloc.start()
+        try:
+            score_batch("nnguide", model, fit, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_matrix / 3

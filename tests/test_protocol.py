@@ -6,6 +6,7 @@ import pytest
 
 import cilbench.protocol as protocol
 from cilbench.cil import CilConfig
+from cilbench.data import FormatError
 from cilbench.finetune import BerConfig
 from cilbench.posthoc import PosthocParams
 from cilbench.protocol import (
@@ -154,15 +155,28 @@ def test_accuracy_decays_while_auc_decline_levels_off():
 def test_failed_seed_recorded_not_fatal(monkeypatch):
     original = protocol._run_seed
 
-    def flaky(cfg, seed, artifact_dir):
+    def flaky(cfg, seed, data, artifact_dir):
         if seed == 1:
             raise RuntimeError("boom")
-        return original(cfg, seed, artifact_dir)
+        return original(cfg, seed, data, artifact_dir)
 
     monkeypatch.setattr(protocol, "_run_seed", flaky)
     report = run_benchmark(small_config())
     assert report.aggregates["effective_seeds"] == 1
     assert report.failures == [{"seed": 1, "error": "RuntimeError: boom"}]
+
+
+@pytest.mark.parametrize(
+    "exc, error",
+    [(FormatError("bad manifest"), "data: bad manifest"), (RuntimeError("boom"), "RuntimeError: boom")],
+)
+def test_manifest_load_failure_fails_every_seed(monkeypatch, exc, error):
+    def failing(path):
+        raise exc
+
+    monkeypatch.setattr(protocol, "load_suite_manifest", failing)
+    report = run_benchmark(small_config(data={"manifest": "suite.json"}))
+    assert report.failures == [{"seed": 0, "error": error}, {"seed": 1, "error": error}]
 
 
 def test_scorer_fit_uses_step_rows_only(monkeypatch):
