@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import DataError
@@ -65,9 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_synth(args) -> int:
     try:
-        doc = json.loads(Path(args.spec).read_text())
-        spec = SynthSpec.from_dict(doc)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+        spec = SynthSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    except ConfigError as exc:
+        return _fail("config", str(exc), EXIT_CONFIG)
+    except (OSError, json.JSONDecodeError) as exc:
         return _fail("config", f"bad synth spec: {exc}", EXIT_CONFIG)
     try:
         manifest = write_synth_suite(spec, args.out)
@@ -81,7 +83,7 @@ def _cmd_run(args) -> int:
     try:
         cfg = RunConfig.from_json(args.config)
         if args.seed_override is not None:
-            cfg = RunConfig.from_dict({**cfg.to_dict(), "seeds": (args.seed_override,)})
+            cfg = replace(cfg, seeds=(args.seed_override,))
     except ConfigError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     out_dir = args.out or cfg.out_dir

@@ -1,24 +1,29 @@
 """Checks of config documents and dataclasses: unknown keys, and field
 types read from the annotations, so that a JSON value of the wrong type
 (or a NaN or infinite number, which Python's ``json`` reads) fails
-validation and not a run."""
+validation and not a run.  ``parse_section`` is the one way a config
+section (a JSON object) becomes its dataclass."""
 from __future__ import annotations
 
 import math
 from dataclasses import fields
 
-__all__ = ["is_int", "check_keys", "check_field_types"]
+__all__ = ["ConfigError", "is_int", "check_keys", "check_field_types", "parse_section"]
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration."""
 
 
 def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_keys(doc: dict, known, what: str, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` naming the keys of ``doc`` that are not in ``known``."""
+def check_keys(doc: dict, known, what: str) -> None:
+    """Raise :class:`ConfigError` naming the keys of ``doc`` not in ``known``."""
     unknown = set(doc) - set(known)
     if unknown:
-        raise error(f"unknown {what}: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
 
 
 _RULES = {
@@ -45,3 +50,21 @@ def check_field_types(obj, error: type[Exception] = TypeError) -> None:
         value = getattr(obj, f.name)
         if rule is not None and not rule[0](value):
             raise error(f"{f.name} must be {rule[1]}, got {value!r}")
+
+
+def parse_section(cls, doc, what: str):
+    """Build the dataclass ``cls`` from the config section ``doc``, an object
+    whose keys are fields of ``cls``; a list for a ``tuple`` field becomes a
+    tuple.  Every failure is a :class:`ConfigError` (``unknown {what}
+    fields`` or ``bad {what}``); one that ``cls`` raises passes as is."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"bad {what}: not an object but {type(doc).__name__}")
+    check_keys(doc, cls.__dataclass_fields__, f"{what} fields")
+    tuples = {f.name for f in fields(cls) if str(f.type).startswith("tuple")}
+    doc = {k: tuple(v) if k in tuples and isinstance(v, list) else v for k, v in doc.items()}
+    try:
+        return cls(**doc)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc

@@ -381,6 +381,13 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
         raise FormatError(f"manifest n_classes must be an integer, not {n_classes!r}")
     if not isinstance(doc.get("ood"), list) or not doc["ood"]:
         raise FormatError("manifest 'ood' must be a nonempty list of OOD sets")
+    if not all(isinstance(e, dict) for e in doc["ood"]):
+        raise FormatError("manifest 'ood' entries must be objects")
+    named = [(doc, "id_train"), (doc, "id_test")]
+    named += [(e, key) for e in doc["ood"] for key in ("name", "path")]
+    bad = [f"{key}={d[key]!r}" for d, key in named if not isinstance(d.get(key, ""), str)]
+    if bad:
+        raise FormatError(f"manifest names and paths must be strings: {', '.join(bad)}")
     try:
         train = load_dataset(base / doc["id_train"], n_classes)
         test = load_dataset(base / doc["id_test"], n_classes)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cil import CilModel, sgd_epochs
-from .configcheck import check_field_types, check_keys
+from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
@@ -106,14 +106,6 @@ class BerConfig:
             raise ValueError("beta_params must be two positive finite numbers")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("need epochs >= 0 and batch_size >= 1")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BerConfig":
-        doc = dict(doc)
-        if "beta_params" in doc:
-            doc["beta_params"] = tuple(doc["beta_params"])
-        check_keys(doc, cls.__dataclass_fields__, "fine-tune params")
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

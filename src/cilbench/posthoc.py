@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configcheck import check_field_types, check_keys
+from .configcheck import check_field_types
 from .numerics import l2_rows, logsumexp_rows, softmax_rows
 
 __all__ = [
@@ -72,11 +72,6 @@ class PosthocParams:
             raise ValueError("temperatures must be positive")
         if min(self.gen_top_m, self.knn_k) < 1:
             raise ValueError("gen_top_m and knn_k must be >= 1")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "PosthocParams":
-        check_keys(doc, cls.__dataclass_fields__, "scorer params")
-        return cls(**doc)
 
 
 @dataclass

@@ -5,9 +5,11 @@ step on the union of seen test sets plus nested, proportionally growing
 OOD subsets, then aggregated over steps, near/far tags, and seeds.
 
 Post-hoc methods score through the incremental head; fine-tuning
-methods train an extra head per step and score through it, so the CIL
-accuracy trajectory is untouched by construction.  Reports are
-byte-stable: records are sorted and aggregation is an ordered
+methods train an extra head per step and score through it with the
+``ood.score_with`` scorer, so the CIL accuracy trajectory is untouched by
+construction.  :class:`RunConfig` parses every section once, when it is
+built, and is the one place that routes a method to either framework.
+Reports are byte-stable: records are sorted and aggregation is an ordered
 reduction.  Seeds run one after another; the ``threads`` setting is
 accepted and validated for compatibility but does not change how a run
 executes or what it writes.  With an artifact directory, each seed also
@@ -20,14 +22,14 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from .cil import CilConfig, CilModel, evaluate_accuracy, train_task
-from .configcheck import check_field_types, check_keys, is_int
+from .configcheck import ConfigError, check_field_types, check_keys, is_int, parse_section
 from .data import (
     DataError,
     MemoryBuffer,
@@ -45,7 +47,7 @@ from .synthgen import SynthSpec, generate
 
 __all__ = ["RunConfig", "BenchmarkReport", "run_benchmark", "emit_report"]
 
-OOD_METHODS = tuple(SCORER_NAMES) + FINETUNE_METHODS[1:] + ("plain",)
+OOD_METHODS = SCORER_NAMES + FINETUNE_METHODS
 
 # wall seconds per (seed, step) written to logs/timings_seed{s}.jsonl;
 # score_id includes the step's accuracy evaluation on the same ID rows
@@ -58,10 +60,6 @@ PHASES = (
     "metrics",
     "checkpoint_io",
 )
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration."""
 
 
 def _check_ood_sizes(n_classes: int, step_size: int, ood_sizes) -> None:
@@ -80,7 +78,14 @@ def _check_ood_sizes(n_classes: int, step_size: int, ood_sizes) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One benchmark run: data, step size, one CIL method, one OOD method."""
+    """One benchmark run: data, step size, one CIL method, one OOD method.
+
+    Construction validates every field and parses each section once into the
+    read-only attributes a run reads: ``cil_config``, ``finetune_params``
+    (``None`` for a post-hoc method), ``scorer`` and ``scorer_params`` (a
+    post-hoc method's own name and ``params``, which take no ``score_with``
+    or ``scorer_params``; else those two, ``energy`` by default) and
+    ``synth_spec`` (``None`` for a manifest)."""
 
     data: dict
     step_size: int = 4
@@ -110,47 +115,47 @@ class RunConfig:
             raise ConfigError("threads must be >= 1")
         if self.class_order not in ("identity", "seeded"):
             raise ConfigError(f"unknown class_order {self.class_order!r}")
-        check_keys(self.data, ("synth", "manifest"), "data fields", ConfigError)
+        check_keys(self.data, ("synth", "manifest"), "data fields")
         if len(self.data) != 1:
             raise ConfigError("data needs exactly one of a 'synth' spec or a 'manifest' path")
         if not isinstance(self.data.get("manifest", ""), str):
             raise ConfigError(f"data.manifest must be a string, got {self.data['manifest']!r}")
-        ood_keys = ("method", "params", "score_with", "scorer_params")
-        check_keys(self.ood, ood_keys, "ood fields", ConfigError)
-        check_keys(self.extractor, ("kind", "d_out", "seed"), "extractor fields", ConfigError)
+        check_keys(self.ood, ("method", "params", "score_with", "scorer_params"), "ood fields")
+        check_keys(self.extractor, ("kind", "d_out", "seed"), "extractor fields")
         method = self.ood.get("method")
         if method not in OOD_METHODS:
             raise ConfigError(f"ood.method must be one of {sorted(OOD_METHODS)}")
-        score_with = self.ood.get("score_with", "energy")
-        if score_with not in SCORER_NAMES:
-            raise ConfigError(f"ood.score_with must be one of {sorted(SCORER_NAMES)}")
-        # fail fast on malformed sub-configs
-        self.cil_config()
-        self.ber_config()
-        self.posthoc_params()
+        # the one place that routes a method to post-hoc scoring or fine-tuning
+        if method in SCORER_NAMES:
+            check_keys(self.ood, ("method", "params"), f"ood fields for post-hoc {method!r}")
+            finetune, scorer, scorer_doc = None, method, self.ood.get("params", {})
+        else:
+            finetune = parse_section(BerConfig, self.ood.get("params", {}), "fine-tune params")
+            scorer = self.ood.get("score_with", "energy")
+            scorer_doc = self.ood.get("scorer_params", {})
+            if scorer not in SCORER_NAMES:
+                raise ConfigError(f"ood.score_with must be one of {sorted(SCORER_NAMES)}")
+        synth = self.data.get("synth")
+        parsed = {
+            "cil_config": parse_section(CilConfig, self.cil, "cil config"),
+            "finetune_params": finetune,
+            "scorer": scorer,
+            "scorer_params": parse_section(PosthocParams, scorer_doc, "scorer params"),
+            "synth_spec": None if synth is None else parse_section(SynthSpec, synth, "synth spec"),
+        }
+        for name, value in parsed.items():
+            object.__setattr__(self, name, value)  # frozen: read-only once set
         try:
             self.make_extractor(1)  # the kind, d_out and seed, on a one-column input
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad extractor: {exc}") from exc
-        if "synth" in self.data:
-            try:
-                spec = SynthSpec.from_dict(self.data["synth"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad synth spec: {exc}") from exc
+        spec = self.synth_spec
+        if spec is not None:
             _check_ood_sizes(spec.n_classes, self.step_size, [spec.n_ood_per_set])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"a config must be a JSON object, not {type(doc).__name__}")
-        doc = dict(doc)
-        if isinstance(doc.get("seeds"), list):
-            doc["seeds"] = tuple(doc["seeds"])
-        check_keys(doc, cls.__dataclass_fields__, "config fields", ConfigError)
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return parse_section(cls, doc, "config")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -163,42 +168,7 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "step_size": self.step_size,
-            "memory_budget": self.memory_budget,
-            "class_order": self.class_order,
-            "extractor": self.extractor,
-            "cil": self.cil,
-            "ood": self.ood,
-            "seeds": list(self.seeds),
-            "threads": self.threads,
-            "out_dir": self.out_dir,
-        }
-
-    def cil_config(self) -> CilConfig:
-        try:
-            return CilConfig(**self.cil)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad cil config: {exc}") from exc
-
-    def ber_config(self) -> BerConfig:
-        if self.ood.get("method") in FINETUNE_METHODS:
-            try:
-                return BerConfig.from_dict(self.ood.get("params", {}))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad fine-tune params: {exc}") from exc
-        return BerConfig()
-
-    def posthoc_params(self) -> PosthocParams:
-        if self.ood.get("method") in SCORER_NAMES:
-            params = self.ood.get("params", {})
-        else:
-            params = self.ood.get("scorer_params", {})
-        try:
-            return PosthocParams.from_dict(params)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scorer params: {exc}") from exc
+        return {**asdict(self), "seeds": list(self.seeds)}
 
     def make_extractor(self, input_dim: int) -> Extractor:
         ext = self.extractor
@@ -234,18 +204,16 @@ def _load_manifest(cfg: RunConfig):
 
 
 def _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log):
-    """The (model, scorer_name) pair used for OOD scoring at step t; a
-    fine-tuner appends its per-epoch records to ``ft_log``."""
+    """The model that scores OOD at step t: ``model`` itself for a post-hoc
+    method, else the extra head a fine-tuner trains from it, which appends
+    its per-epoch records to ``ft_log``."""
+    ft = cfg.finetune_params
+    if ft is None:
+        return model
     method = cfg.ood["method"]
-    if method in SCORER_NAMES:
-        return model, method
-    ber_cfg = cfg.ber_config()
-    f_head = finetune_step_loop(
-        model, stream, t, mem_t, method, ber_cfg, rng.child(f"ft-t{t}"), ft_log
-    )
-    feature_tau = ber_cfg.t2f_tau if method == "t2fnorm" else None
-    f_model = CilModel(model.extractor, f_head, list(model.seen_classes), feature_tau)
-    return f_model, cfg.ood.get("score_with", "energy")
+    f_head = finetune_step_loop(model, stream, t, mem_t, method, ft, rng.child(f"ft-t{t}"), ft_log)
+    feature_tau = ft.t2f_tau if method == "t2fnorm" else None
+    return CilModel(model.extractor, f_head, list(model.seen_classes), feature_tau)
 
 
 @contextmanager
@@ -262,14 +230,13 @@ def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> lis
     order = RngStream(seed, "class-order") if cfg.class_order == "seeded" else None
     stream = split_tasks(train, test, cfg.step_size, order)
     T = stream.num_steps
-    cil_cfg = cfg.cil_config()
-    params = cfg.posthoc_params()
+    cil_cfg, scorer, params = cfg.cil_config, cfg.scorer, cfg.scorer_params
     extractor = cfg.make_extractor(train.dim)
     model = CilModel.fresh(extractor, extractor.extract(train.features[:1]).shape[1])
     mem = MemoryBuffer(cfg.memory_budget)
     rng = RngStream(seed, "run")
     train_log: list = []
-    ft_log: list | None = [] if cfg.ood["method"] in FINETUNE_METHODS else None
+    ft_log: list | None = None if cfg.finetune_params is None else []
     timings: list = []
 
     records = []
@@ -284,7 +251,7 @@ def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> lis
             acc = evaluate_accuracy(model, id_test)
 
         with _timed(took, "finetune"):
-            score_model, scorer = _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log)
+            score_model = _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log)
         with _timed(took, "scorer_fit"):
             fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
         with _timed(took, "score_id"):
@@ -407,7 +374,7 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
         try:
             if manifest_error is not None:
                 raise manifest_error
-            data = manifest or generate(SynthSpec.from_dict({**cfg.data["synth"], "seed": seed}))
+            data = manifest or generate(replace(cfg.synth_spec, seed=seed))
             results[seed] = _run_seed(cfg, seed, data, artifact_dir)
         except DataError as exc:
             failures.append({"seed": seed, "error": f"data: {exc}"})

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .configcheck import check_field_types, check_keys
+from .configcheck import check_field_types, parse_section
 from .data import FeatureDataset, OodEntry, OodSuite, save_dataset
 from .numerics import RngStream
 
@@ -53,8 +53,7 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthSpec":
-        check_keys(doc, cls.__dataclass_fields__, "synth spec fields")
-        return cls(**doc)
+        return parse_section(cls, doc, "synth spec")
 
     def to_dict(self) -> dict:
         return asdict(self)

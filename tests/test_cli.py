@@ -86,6 +86,9 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         {"data": {"synth": {**SMALL_RUN["data"]["synth"], "std": float("inf")}}},
         {"ood": {"method": "ber", "params": {"beta_params": [float("nan"), 1]}}},  # used to hang
         {"ood": {"method": "ber", "params": {"init": "copy"}}},  # no longer a field
+        # fine-tuner fields on a post-hoc method; both used to be ignored
+        {"ood": {"method": "msp", "score_with": "nnguide"}},
+        {"ood": {"method": "msp", "scorer_params": {"knn_k": 3, "tau": 7.0}}},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
@@ -159,7 +162,15 @@ def test_manifest_suite_is_read_once_per_run(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("n_classes", "abc"), ("ood", []), ("ood", None)],  # None: the key is removed
+    [
+        ("n_classes", "abc"),
+        ("ood", []),
+        ("ood", None),  # None: the key is removed
+        ("ood", ["far1"]),
+        ("ood", [{"name": "far1", "path": 5, "tag": "far"}]),
+        ("ood", [{"name": 5, "path": "ood_far1.bin", "tag": "far"}]),
+        ("id_train", 5),
+    ],
 )
 def test_run_malformed_manifest_is_a_data_error(tmp_path, capsys, key, value):
     manifest = gen_suite(tmp_path)

@@ -60,6 +60,51 @@ def test_config_validation_errors():
         small_config(ood={"method": "ber", "params": {"alpha": -1}})
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"cil": {"head_init": "zeros"}}, r"^unknown cil config fields: \['head_init'\]$"),
+        ({"data": {"synth": {"n_classes": 2}}}, r"^bad synth spec: need at least 4 classes$"),
+        ({"ood": {"method": "ber", "params": []}}, r"^bad fine-tune params: not an object"),
+        ({"ood": {"method": "nnguide", "params": {"knn_k": 0}}}, r"^bad scorer params: gen_top_m and knn_k"),
+        ({"ood": {"method": "msp", "score_with": "energy"}},
+         r"^unknown ood fields for post-hoc 'msp': \['score_with'\]$"),
+    ],
+)
+def test_config_error_names_the_section(over, message):
+    with pytest.raises(ConfigError, match=message):
+        small_config(**over)
+
+
+def test_sections_are_parsed_once_at_construction(monkeypatch):
+    cfg = small_config(ood={"method": "ber", "params": {"epochs": 2, "beta_params": [2.0, 3.0]}})
+    assert cfg.finetune_params == BerConfig(epochs=2, beta_params=(2.0, 3.0))
+    assert (cfg.scorer, cfg.scorer_params) == ("energy", PosthocParams())
+    assert cfg.cil_config == CilConfig(method="replay", epochs_per_task=4, batch_size=64)
+    assert cfg.synth_spec == SynthSpec(**SMALL_SYNTH)
+    posthoc = small_config(ood={"method": "nnguide", "params": {"knn_k": 3}})
+    assert posthoc.finetune_params is None
+    assert (posthoc.scorer, posthoc.scorer_params) == ("nnguide", PosthocParams(knn_k=3))
+
+    built = []
+
+    def counting(cls):
+        post_init = cls.__post_init__
+
+        def spy(self):
+            built.append(cls.__name__)
+            post_init(self)
+
+        return spy
+
+    for cls in (CilConfig, BerConfig, PosthocParams):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls))
+    monkeypatch.setattr(protocol, "parse_section", lambda cls, *a: built.append(cls.__name__))
+    report = run_benchmark(cfg)
+    assert report.aggregates["effective_seeds"] == 2
+    assert built == []
+
+
 def test_report_shape_contract():
     cfg = small_config()
     report = run_benchmark(cfg)
