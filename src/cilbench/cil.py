@@ -69,6 +69,8 @@ class CilModel:
     ``feature_tau`` optionally L2-normalizes penultimate features and
     divides them by the given temperature before the head, the transform
     used by the normalized-feature fine-tuner (train and test alike).
+    This class is the one definition of the frozen forward pass
+    (extractor, feature map, head) and of its input gradient.
     """
 
     extractor: Extractor
@@ -89,6 +91,18 @@ class CilModel:
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self.head.logits(self.penultimate(X))
+
+    def backprop_input(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Map gradients w.r.t. the logits of rows ``X`` back to ``X``:
+        through the head, the optional L2/temperature map, the extractor."""
+        G = G @ self.head.W
+        if self.feature_tau:
+            raw = self.extractor.extract(X)
+            norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
+            unit = raw / norms
+            inner = (G * unit).sum(axis=1, keepdims=True)
+            G = (G - unit * inner) / (norms * self.feature_tau)
+        return self.extractor.backprop_input(G)
 
 
 def _distill_grads(

@@ -235,11 +235,11 @@ def split_tasks(
     ds_train: FeatureDataset,
     ds_test: FeatureDataset,
     k: int,
-    class_order=None,
+    class_order: RngStream | None = None,
 ) -> TaskStream:
     """Partition classes into ceil(K/k) tasks of k classes (last task takes
-    the remainder).  ``class_order`` is an explicit permutation of class ids
-    or an :class:`RngStream` used to shuffle them; identity when omitted."""
+    the remainder).  Classes are taken in id order, or in the permutation
+    drawn from ``class_order.child("class-order")`` when one is given."""
     K = ds_train.n_classes
     if k < 2:
         raise ValueError("step size k must be >= 2")
@@ -247,12 +247,8 @@ def split_tasks(
         raise ValueError(f"step size {k} exceeds class count {K}")
     if class_order is None:
         order = np.arange(K)
-    elif isinstance(class_order, RngStream):
-        order = class_order.child("class-order").gen.permutation(K)
     else:
-        order = np.asarray(class_order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(K)):
-            raise ValueError("class_order must be a permutation of all classes")
+        order = class_order.child("class-order").gen.permutation(K)
     tasks = []
     for start in range(0, K, k):
         classes = tuple(int(c) for c in order[start : start + k])
@@ -320,10 +316,11 @@ def herding_select(class_features: np.ndarray, q: int) -> list[int]:
 def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuffer:
     """Rebuild the exemplar store after step t.
 
-    Every class seen through step t gets quota ``q = budget // |Q_t|``
-    (capped at its row count): an existing list keeps its first q entries
-    in stored order, and a new class is filled by :func:`herding_select`.
-    Leftover budget slots stay unassigned.
+    Every class seen through step t gets quota ``q = budget // |Q_t|``:
+    an existing list keeps its first q entries in stored order (it never
+    holds more than the class's rows), and a new class is filled by
+    :func:`herding_select` with q capped at its row count.  Leftover
+    budget slots stay unassigned.
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
@@ -335,15 +332,14 @@ def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuf
     if q == 0:
         return MemoryBuffer(mem.budget, entries)
     for c in seen:
+        old = mem.entries.get(c)
+        if old is not None:
+            entries[c] = list(old[:q])
+            continue
         feats = stream.class_features(c)
         if feats.shape[0] == 0:
             raise DataError(f"class {c} has no training rows")
-        quota = min(q, feats.shape[0])
-        old = mem.entries.get(c)
-        if old is not None:
-            entries[c] = list(old[:quota])
-        else:
-            entries[c] = herding_select(feats, quota)
+        entries[c] = herding_select(feats, min(q, feats.shape[0]))
     return MemoryBuffer(mem.budget, entries)
 
 

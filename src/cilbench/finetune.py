@@ -43,13 +43,7 @@ from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
-from .numerics import (
-    RngStream,
-    l2_rows,
-    logsumexp_rows,
-    sample_beta,
-    softmax_cross_entropy,
-)
+from .numerics import RngStream, logsumexp_rows, sample_beta, softmax_cross_entropy
 
 __all__ = [
     "BerConfig",
@@ -64,6 +58,7 @@ __all__ = [
     "logitnorm_ce_loss",
     "ber_total_loss",
     "finetune_step_loop",
+    "scoring_model",
 ]
 
 log = logging.getLogger(__name__)
@@ -314,6 +309,14 @@ def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key):
     return _ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed.rows, cfg)
 
 
+def scoring_model(model: CilModel, head: LinearHead, method: str, cfg: BerConfig) -> CilModel:
+    """``model``'s frozen extractor under ``head``, with the feature map the
+    fine-tuner ``method`` trains and scores through: ``t2fnorm`` features
+    are L2-normalized and divided by ``cfg.t2f_tau``, the others are not."""
+    feature_tau = cfg.t2f_tau if method == "t2fnorm" else None
+    return CilModel(model.extractor, head, list(model.seen_classes), feature_tau)
+
+
 def finetune_step_loop(
     model: CilModel,
     stream: TaskStream,
@@ -332,8 +335,8 @@ def finetune_step_loop(
     run over new-task rows and draw a replay batch per step.  Each epoch
     appends its mean ``ce``/``l_n``/``l_o`` to ``log_sink``; an epoch
     with a non-finite loss or head raises ``DivergenceError``.  Returns the
-    fine-tuned head; for the normalized-feature method the caller must
-    score through ``l2_rows(., t2f_tau)`` (see ``CilModel.feature_tau``).
+    fine-tuned head, trained on the features of :func:`scoring_model`, the
+    model it is scored through.
     """
     if method not in FINETUNE_METHODS:
         raise ValueError(f"unknown fine-tune method {method!r}")
@@ -343,12 +346,9 @@ def finetune_step_loop(
     # new-task rows and memory rows go through the extractor separately:
     # one projection product over both is not guaranteed to round the same
     n_new = stream.tasks[t - 1].train.n
-    Z_new = model.extractor.extract(X_raw[:n_new])
-    Z_mem = model.extractor.extract(X_raw[n_new:])
+    features = scoring_model(model, model.head, method, cfg).penultimate
+    Z_new, Z_mem = features(X_raw[:n_new]), features(X_raw[n_new:])
     y_new, y_mem = y_all[:n_new], y_all[n_new:]
-    if method == "t2fnorm":
-        Z_new = l2_rows(Z_new, cfg.t2f_tau)
-        Z_mem = l2_rows(Z_mem, cfg.t2f_tau)
 
     head = model.head.clone()
 

@@ -3,7 +3,11 @@
 Every scorer returns a scalar where HIGHER means more in-distribution;
 the metrics module never needs per-scorer sign handling.  Scorers that
 use training statistics are refit at every incremental step on the rows
-available at that step (new-task train plus replay memory).
+available at that step (new-task train plus replay memory).  A batch
+takes one frozen forward pass through the model (``CilModel``): the
+penultimate features, the logits and the softmax are each computed at
+most once, and only when the scorer reads them.  ODIN alone runs two
+passes, and its input gradient comes from ``CilModel.backprop_input``.
 
 Hyperparameter defaults follow the methods' original papers: ODIN
 T=1000 / eps=0.0014, ReAct 90th percentile, GEN gamma=0.1 with the top
@@ -188,53 +192,48 @@ def score_batch(
     """Scores for a batch of raw feature rows (higher = more ID)."""
     params = params or PosthocParams()
     X = np.asarray(X, dtype=np.float64)
+    if name not in SCORER_NAMES:
+        raise ValueError(f"unknown scorer {name!r}")
+    if name == "odin":
+        return _score_odin_batch(model, X, params)
     Z = model.penultimate(X)
-    if name == "msp":
-        return softmax_rows(model.head.logits(Z)).max(axis=1)
+    if name == "relation_simplified":
+        sims, idx = _topk_sims(fit, Z, params.knn_k)
+        return (np.maximum(sims, 0.0) * fit.bank_msp[idx]).sum(axis=1)
+    if name == "react":
+        Z = np.minimum(Z, fit.react_threshold)
+    logits = model.head.logits(Z)
+    if name in ("energy", "react"):
+        return logsumexp_rows(logits, params.tau)
     if name == "maxlogit":
-        return model.head.logits(Z).max(axis=1)
-    if name == "energy":
-        return logsumexp_rows(model.head.logits(Z), params.tau)
+        return logits.max(axis=1)
+    if name == "nnguide":
+        sims, _ = _topk_sims(fit, Z, params.knn_k)
+        return logsumexp_rows(logits, params.tau) * sims.mean(axis=1)
+    P = softmax_rows(logits)
+    if name == "msp":
+        return P.max(axis=1)
     if name == "gen":
-        P = softmax_rows(model.head.logits(Z))
         g = params.gen_gamma
         m = min(params.gen_top_m, P.shape[1])
         top = np.sort(P, axis=1)[:, -m:]
         return -((top**g) * ((1.0 - top) ** g)).sum(axis=1)
-    if name == "odin":
-        return _score_odin_batch(model, X, params)
-    if name == "react":
-        clipped = np.minimum(Z, fit.react_threshold)
-        return logsumexp_rows(model.head.logits(clipped), params.tau)
-    if name == "klm":
-        P = softmax_rows(model.head.logits(Z))
-        # KL(p || d_k) for every template, 0 log 0 treated as 0
-        plogp = np.where(P > 0, P * np.log(np.maximum(P, 1e-300)), 0.0)
-        cross = P @ np.log(fit.klm_templates).T
-        kl = plogp.sum(axis=1, keepdims=True) - cross
-        return -kl.min(axis=1)
-    if name == "nnguide":
-        energy = logsumexp_rows(model.head.logits(Z), params.tau)
-        sims, _ = _topk_sims(fit, Z, params.knn_k)
-        return energy * sims.mean(axis=1)
-    if name == "relation_simplified":
-        sims, idx = _topk_sims(fit, Z, params.knn_k)
-        return (np.maximum(sims, 0.0) * fit.bank_msp[idx]).sum(axis=1)
-    raise ValueError(f"unknown scorer {name!r}")
+    # klm: KL(p || d_k) for every template, 0 log 0 treated as 0
+    plogp = np.where(P > 0, P * np.log(np.maximum(P, 1e-300)), 0.0)
+    cross = P @ np.log(fit.klm_templates).T
+    kl = plogp.sum(axis=1, keepdims=True) - cross
+    return -kl.min(axis=1)
 
 
 def odin_input_gradient(model, X: np.ndarray, T: float) -> np.ndarray:
     """d log max-softmax(f(x)/T) / dx through the frozen pipeline
     (optional linear projection, optional feature map, linear head)."""
-    Z = model.penultimate(X)
-    P = softmax_rows(model.head.logits(Z), T)
+    P = softmax_rows(model.logits(X), T)
     target = np.argmax(P, axis=1)
     # d log p_target / d logits = (onehot - p) / T
     G = -P / T
     G[np.arange(X.shape[0]), target] += 1.0 / T
-    Gz = G @ model.head.W
-    Gz = _backprop_feature_map(model, X, Gz)
-    return model.extractor.backprop_input(Gz)
+    return model.backprop_input(X, G)
 
 
 def _score_odin_batch(model, X: np.ndarray, params: PosthocParams) -> np.ndarray:
@@ -243,18 +242,4 @@ def _score_odin_batch(model, X: np.ndarray, params: PosthocParams) -> np.ndarray
     T = params.odin_temperature
     Gx = odin_input_gradient(model, X, T)
     X_pert = X + params.odin_epsilon * np.sign(Gx)
-    Zp = model.penultimate(X_pert)
-    return softmax_rows(model.head.logits(Zp), T).max(axis=1)
-
-
-def _backprop_feature_map(model, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Chain rule through the optional L2/temperature feature map."""
-    tau = getattr(model, "feature_tau", None)
-    if not tau:
-        return G
-    raw = model.extractor.extract(X)
-    norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-    unit = raw / norms
-    inner = (G * unit).sum(axis=1, keepdims=True)
-    return (G - unit * inner) / (norms * tau)
-
+    return softmax_rows(model.logits(X_pert), T).max(axis=1)

@@ -38,7 +38,7 @@ from .data import (
     split_tasks,
     step_rows,
 )
-from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
+from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop, scoring_model
 from .metrics import auroc, average_precision, fpr_at_tpr95
 from .model import Extractor, save_head
 from .numerics import RngStream
@@ -212,8 +212,7 @@ def _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log):
         return model
     method = cfg.ood["method"]
     f_head = finetune_step_loop(model, stream, t, mem_t, method, ft, rng.child(f"ft-t{t}"), ft_log)
-    feature_tau = ft.t2f_tau if method == "t2fnorm" else None
-    return CilModel(model.extractor, f_head, list(model.seen_classes), feature_tau)
+    return scoring_model(model, f_head, method, ft)
 
 
 @contextmanager
@@ -356,25 +355,20 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
 
     A failing seed is recorded under ``failures`` and does not abort the
     others; a :class:`ConfigError` found once the data is loaded aborts the
-    run.  A manifest suite is read once for all seeds, and a failure to read
-    it fails every seed; synthetic data is generated per seed.
+    run.  Synthetic data is generated per seed.  A manifest suite is read
+    by the first seed and reused once it loads; a failed read fails that
+    seed and is retried by the next, so a bad manifest fails every seed.
     """
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     results: dict[int, list[dict]] = {}
     failures: list[dict] = []
-    manifest = manifest_error = None
-    if "manifest" in cfg.data:
-        try:
-            manifest = _load_manifest(cfg)
-        except ConfigError:
-            raise
-        except Exception as exc:  # fails every seed in the loop below
-            manifest_error = exc
+    manifest = None
     for seed in cfg.seeds:
         try:
-            if manifest_error is not None:
-                raise manifest_error
-            data = manifest or generate(replace(cfg.synth_spec, seed=seed))
+            if cfg.synth_spec is not None:
+                data = generate(replace(cfg.synth_spec, seed=seed))
+            else:
+                data = manifest = manifest or _load_manifest(cfg)
             results[seed] = _run_seed(cfg, seed, data, artifact_dir)
         except DataError as exc:
             failures.append({"seed": seed, "error": f"data: {exc}"})

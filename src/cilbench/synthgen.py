@@ -64,11 +64,17 @@ def _unit_rows(gen, n, d):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+def _reserved_axes(spec: SynthSpec) -> int:
+    """How many trailing coordinates are reserved for the far-OOD axes:
+    ``n_far_sets`` when the other coordinates outnumber the classes, else 0."""
+    return spec.n_far_sets if spec.dim - spec.n_far_sets > spec.n_classes else 0
+
+
 def _class_means(spec: SynthSpec, rng: RngStream) -> np.ndarray:
-    """Class means at the given radius; when dimensions allow, the last
-    ``n_far_sets`` coordinates are reserved (zero) for the far-OOD axes."""
+    """Class means at the given radius, zero on the reserved far-OOD axes
+    (see :func:`_reserved_axes`)."""
     d = spec.dim
-    reserved = spec.n_far_sets if spec.dim - spec.n_far_sets > spec.n_classes else 0
+    reserved = _reserved_axes(spec)
     dirs = np.zeros((spec.n_classes, d))
     dirs[:, : d - reserved] = _unit_rows(
         rng.child("class-means").gen, spec.n_classes, d - reserved
@@ -116,7 +122,7 @@ def generate(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
             OodEntry(f"near{s + 1}", FeatureDataset(rows, np.zeros(len(rows), np.int64), 1), "near")
         )
 
-    reserved = spec.n_far_sets if d - spec.n_far_sets > K else 0
+    reserved = _reserved_axes(spec)
     for s in range(spec.n_far_sets):
         gen = rng.child(f"far{s}").gen
         noise = spec.std * gen.normal(size=(spec.n_ood_per_set, d))

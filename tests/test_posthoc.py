@@ -135,11 +135,12 @@ def test_odin_gradient_matches_finite_differences():
             assert abs(g[j] - num) / max(abs(num), 1e-9) < 1e-6
 
 
-def test_odin_gradient_through_projection():
+@pytest.mark.parametrize("feature_tau", [None, 0.1])
+def test_odin_gradient_through_projection(feature_tau):
     gen = np.random.default_rng(4)
     ext = Extractor("random_projection", d_in=6, d_out=4, seed=1)
     head = LinearHead(gen.normal(size=(3, 4)), gen.normal(size=3))
-    model = CilModel(ext, head, [0, 1, 2])
+    model = CilModel(ext, head, [0, 1, 2], feature_tau)
     X = gen.normal(size=(1, 6))
     T = 5.0
     g = odin_input_gradient(model, X, T)[0]
@@ -147,6 +148,8 @@ def test_odin_gradient_through_projection():
 
     def obj(x):
         z = ext.extract(x[None, :])
+        if feature_tau:
+            z = z / (np.linalg.norm(z) * feature_tau)
         return math.log(softmax(head.logits(z)[0], T).max())
 
     for j in range(6):
