@@ -23,6 +23,7 @@ from cilbench import (
     split_tasks,
     train_task,
 )
+from cilbench.finetune import scoring_model
 
 spec = SynthSpec(seed=2)
 train, test, suite = generate(spec)
@@ -45,7 +46,7 @@ for method, cfg in (
 ):
     log = []
     extra = finetune_step_loop(model, stream, T, mems[-1], method, cfg, rng.child(method), log)
-    scored = CilModel(model.extractor, extra, list(model.seen_classes))
+    scored = scoring_model(model, extra, method, cfg)
     id_s = score_batch("energy", scored, None, id_X)
     ood_s = score_batch("energy", scored, None, ood_X)
     gap = id_s.mean() - ood_s.mean()

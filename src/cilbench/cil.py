@@ -164,18 +164,16 @@ def train_task(
 
     ``mem`` must reflect steps < t; the returned buffer covers classes
     through t.  The head is expanded before training and, for the WA
-    method with t > 1, aligned afterwards.  Each batch's logits are
-    computed once, before its update, and serve the loss, the
-    distillation term and the logged ``train_acc``.  Raises
+    method with t > 1, aligned afterwards.  ``expand_head`` builds the
+    trained head from new arrays, so ``model.head`` stays the pre-step
+    head that the distillation targets read; they are computed only when
+    distillation runs (a distill method, t > 1 and a nonzero weight).
+    Each batch's logits are computed once, before its update, and serve
+    the loss, the distillation term and the logged ``train_acc``.  Raises
     ``DivergenceError`` after an epoch with a non-finite loss or head.
     """
     task = stream.tasks[t - 1]
-    if task.train.n == 0:
-        raise ValueError(f"task {t} has an empty train set")
-
     old_count = model.head.n_classes
-    old_head = model.head.clone() if (cfg.method != "replay" and t > 1) else None
-
     head = expand_head(model.head, len(task.classes), rng.child(f"init-t{t}"))
     seen = list(model.seen_classes) + list(task.classes)
     row_of = {c: i for i, c in enumerate(seen)}
@@ -183,9 +181,9 @@ def train_task(
     X_raw, y = step_rows(stream, t, mem)
     X = model.extractor.extract(X_raw)
     y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
-    distill = old_head is not None and cfg.distill_weight != 0.0
-    if old_head is not None:
-        P_old = softmax_rows(old_head.logits(X), cfg.distill_temperature)
+    distill = cfg.method != "replay" and t > 1 and cfg.distill_weight != 0.0
+    if distill:
+        P_old = softmax_rows(model.head.logits(X), cfg.distill_temperature)
         logp_old = np.log(np.maximum(P_old, 1e-300))
 
     def objective(sel, epoch, it):

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime
 failure.  Errors print one machine-parsable line to stderr with the
 prefix ``CILBENCH-ERROR [kind]:``.  Seeds run one after another.
 ``report`` re-checks the aggregates of the report it reads against its
-records (exit 2 when they disagree).
+records (exit 2 when they disagree or the document is not a report).
 """
 from __future__ import annotations
 
@@ -114,21 +114,19 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     try:
         doc = json.loads(Path(args.input).read_text())
-        report = BenchmarkReport.from_dict(doc)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         return _fail("data", f"cannot read report: {exc}", EXIT_DATA)
-    try:
-        consistent = verify_consistency(report)
-    except (KeyError, TypeError) as exc:
-        return _fail("data", f"malformed report records: {exc}", EXIT_DATA)
-    if not consistent:
-        return _fail("data", f"aggregates disagree with the records in {args.input}", EXIT_DATA)
     out_dir = args.out or Path(args.input).parent
     fmt = {"md": "markdown", "csv": "csv"}[args.format]
     try:
+        report = BenchmarkReport.from_dict(doc)
+        if not verify_consistency(report):
+            return _fail("data", f"aggregates disagree with the records in {args.input}", EXIT_DATA)
         paths = emit_report(report, out_dir, formats=(fmt,))
     except OSError as exc:
         return _fail("runtime", f"cannot write report: {exc}", EXIT_RUNTIME)
+    except (AttributeError, KeyError, TypeError) as exc:  # not the shape of a report
+        return _fail("data", f"malformed report: {type(exc).__name__}: {exc}", EXIT_DATA)
     for path in paths:
         print(path)
     return EXIT_OK

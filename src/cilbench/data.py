@@ -363,6 +363,7 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
 
     Schema: {"n_classes": int?, "id_train": str, "id_test": str,
              "ood": [{"name": str, "path": str, "tag": "near"|"far"}]}
+    ``id_test`` and every OOD set must be as wide as ``id_train``.
     """
     path = Path(path)
     try:
@@ -393,4 +394,9 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
         )
     except KeyError as exc:
         raise FormatError(f"manifest missing field {exc}") from exc
+    for name, ds in [("id_test", test)] + [(e.name, e.dataset) for e in entries]:
+        if ds.dim != train.dim:
+            raise DimensionMismatchError(
+                f"manifest set {name!r} has {ds.dim} features per row, id_train has {train.dim}"
+            )
     return train, test, OodSuite(entries)

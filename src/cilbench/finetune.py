@@ -43,7 +43,8 @@ from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
-from .numerics import RngStream, logsumexp_rows, sample_beta, softmax_cross_entropy
+from .numerics import RngStream, logsumexp_rows, logsumexp_softmax_rows, sample_beta
+from .numerics import softmax_cross_entropy
 
 __all__ = [
     "BerConfig",
@@ -135,8 +136,9 @@ def synth_pseudo_ood(
     """Mix same-batch rows of different classes: beta*x_i + (1-beta)*x_j.
 
     Pairs come from a seeded permutation; equal-label pairs are redrawn
-    up to 16 times, then dropped.  A single-label batch yields an empty,
-    degenerate batch.
+    up to 16 times, then dropped.  Once all pairs are chosen, each pair
+    draws its beta from ``rng`` in pair order.  A single-label batch yields
+    an empty, degenerate batch.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -158,11 +160,10 @@ def synth_pseudo_ood(
             tries += 1
         if labels[i] != labels[j]:
             pairs.append((i, j))
-    rows = np.empty((len(pairs), features.shape[1]))
-    for r, (i, j) in enumerate(pairs):
-        beta = sample_beta(beta_params[0], beta_params[1], rng)
-        rows[r] = beta * features[i] + (1.0 - beta) * features[j]
-    return PseudoOodBatch(rows, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    beta = np.array([sample_beta(*beta_params, rng) for _ in range(len(pairs))])[:, None]
+    rows = beta * features[pairs[:, 0]] + (1.0 - beta) * features[pairs[:, 1]]
+    return PseudoOodBatch(rows, pairs)
 
 
 def synth_old_mix(
@@ -196,14 +197,8 @@ def _hinge_energy_grads(
     if X.shape[0] == 0:
         d = head.dim
         return 0.0, np.zeros((head.n_classes, d)), np.zeros(head.n_classes)
-    # one exp for E = -logsumexp_rows(Z, tau) and P = softmax_rows(Z, tau),
-    # bit for bit the values of those two functions
-    scaled = head.logits(X) / tau
-    peak = scaled.max(axis=1, keepdims=True)
-    P = np.exp(scaled - peak)
-    total = P.sum(axis=1, keepdims=True)
-    E = -(tau * (peak[:, 0] + np.log(total[:, 0])))
-    P /= total
+    lse, P = logsumexp_softmax_rows(head.logits(X), tau)
+    E = -lse
     a = (margin - E) if side == "below" else (E - margin)
     active = np.maximum(a, 0.0)
     loss = float((active**2).mean())
@@ -368,8 +363,7 @@ def finetune_step_loop(
             key = f"t{t}-{epoch}-{it}"
             return _ber_batch(head, X[sel], y[sel], Z_mem, y_mem, cfg, rng, key)
     else:
-        X = np.concatenate([Z_new, Z_mem]) if Z_mem.size else Z_new
-        y = np.concatenate([y_new, y_mem]) if Z_mem.size else y_new
+        X, y = np.concatenate([Z_new, Z_mem]), np.concatenate([y_new, y_mem])
         label = f"ft-epoch-t{t}"
 
         def objective(sel, epoch, it):

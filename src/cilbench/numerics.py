@@ -1,10 +1,10 @@
 """Deterministic numeric primitives shared by every module.
 
-Row-wise stable log-sum-exp and softmax with a temperature, fused
-softmax cross-entropy, row L2 normalization, Beta sampling, and a seeded
-RNG with named substreams.  All math is 64-bit; all randomness flows
-through :class:`RngStream` so a run is reproducible from a single seed
-regardless of call order elsewhere.
+Row-wise stable log-sum-exp and softmax with a temperature (one exp
+serves both), fused softmax cross-entropy, row L2 normalization, Beta
+sampling, and a seeded RNG with named substreams.  All math is 64-bit;
+all randomness flows through :class:`RngStream` so a run is reproducible
+from a single seed regardless of call order elsewhere.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "RngStream",
     "logsumexp_rows",
+    "logsumexp_softmax_rows",
     "softmax_rows",
     "softmax_cross_entropy",
     "l2_rows",
@@ -50,25 +51,27 @@ class RngStream:
         return f"RngStream(seed={self.seed}, label={self.label!r})"
 
 
-def logsumexp_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Row-wise tau * log(sum_j exp(m_ij / tau)) with max subtraction."""
+def logsumexp_softmax_rows(m: np.ndarray, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise tau * log(sum_j exp(m_ij / tau)) and softmax of m / tau,
+    both from one max-shifted exp."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    m = np.asarray(m, dtype=np.float64)
-    scaled = m / tau
+    scaled = np.asarray(m, dtype=np.float64) / tau
     peak = scaled.max(axis=1, keepdims=True)
-    return tau * (peak[:, 0] + np.log(np.exp(scaled - peak).sum(axis=1)))
+    P = np.exp(scaled - peak)
+    total = P.sum(axis=1, keepdims=True)
+    P /= total
+    return tau * (peak[:, 0] + np.log(total[:, 0])), P
+
+
+def logsumexp_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """Row-wise tau * log(sum_j exp(m_ij / tau)) with max subtraction."""
+    return logsumexp_softmax_rows(m, tau)[0]
 
 
 def softmax_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
     """Row-wise softmax of m / tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    m = np.asarray(m, dtype=np.float64)
-    scaled = m / tau
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    return e / e.sum(axis=1, keepdims=True)
+    return logsumexp_softmax_rows(m, tau)[1]
 
 
 def softmax_cross_entropy(Z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

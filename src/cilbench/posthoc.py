@@ -17,18 +17,17 @@ scorer (positive-cosine neighbours weighted by their MSP).
 
 The feature-bank scorers compare queries with the bank in 48-row slices
 scored on a thread pool, one worker per usable core (numpy's matmul and
-argpartition release the GIL).  Each worker reuses one slice of
-similarities, and the workers share a budget of 2^21 similarities
-(16 MB, or one slice for a bank of more than 43690 rows), so memory is
-bounded by the budget and not by queries x bank.  Every row's scores come
-from the same 48-row BLAS call whatever the worker count, so the scores
-do not depend on it.
+argpartition release the GIL).  Each worker holds one slice of
+similarities at a time, and no more workers run than a budget of 2^21
+similarities holds slices (16 MB, or one worker for a bank of more than
+43690 rows), so memory is bounded by the budget and not by queries x
+bank.  Every row's scores come from the same 48-row BLAS call whatever
+the worker count, so the scores do not depend on it.
 """
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -128,9 +127,10 @@ def fit_scorer(
     return ScorerFit(name, bank_features=l2_rows(Z), bank_msp=P.max(axis=1))
 
 
-# The similarity budget in cells, shared by the worker threads: each holds
-# one slice of rows x bank similarities, and no more workers run than the
-# budget holds slices, so memory does not grow with the number of queries.
+# The similarity budget in cells, shared by the worker threads: each
+# computes one slice of rows x bank similarities at a time, and no more
+# workers run than the budget holds slices, so memory does not grow with
+# the number of queries.
 _BLOCK_CELLS = 1 << 21  # 16 MB of float64
 # Queries are compared with the bank in slices of this many rows, one BLAS
 # call each.  OpenBLAS multiplies in row tiles and finishes leftover rows
@@ -165,15 +165,11 @@ def _topk_sims(
     workers = max(1, min(_usable_cores(), len(starts), fit_in_budget))
     sims = np.empty((n, k))
     idx = np.empty((n, k), dtype=np.intp)
-    local = threading.local()  # one reused product buffer per worker
 
     def score_slice(start: int) -> None:
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((_SLICE_ROWS, nb))
-        q = Q[start : start + _SLICE_ROWS]
-        part = np.matmul(q, bank_t, out=local.buf[: q.shape[0]])
+        rows = slice(start, start + _SLICE_ROWS)
+        part = Q[rows] @ bank_t
         top = np.argpartition(part, nb - k, axis=1)[:, -k:]
-        rows = slice(start, start + q.shape[0])
         sims[rows] = np.take_along_axis(part, top, axis=1)
         idx[rows] = top
 

@@ -151,6 +151,10 @@ class RunConfig:
             raise ConfigError(f"bad extractor: {exc}") from exc
         spec = self.synth_spec
         if spec is not None:
+            if "seed" in synth:
+                raise ConfigError(
+                    "data.synth.seed is not a run setting: each run seed generates its own suite"
+                )
             _check_ood_sizes(spec.n_classes, self.step_size, [spec.n_ood_per_set])
 
     @classmethod
@@ -185,12 +189,7 @@ class BenchmarkReport:
     failures: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "records": self.records,
-            "aggregates": self.aggregates,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchmarkReport":
@@ -355,9 +354,11 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
 
     A failing seed is recorded under ``failures`` and does not abort the
     others; a :class:`ConfigError` found once the data is loaded aborts the
-    run.  Synthetic data is generated per seed.  A manifest suite is read
-    by the first seed and reused once it loads; a failed read fails that
-    seed and is retried by the next, so a bad manifest fails every seed.
+    run.  Synthetic data is generated per seed, from ``synth_spec`` with
+    that seed (a run config takes no ``data.synth.seed``).  A manifest
+    suite is read by the first seed and reused once it loads; a failed read
+    fails that seed and is retried by the next, so a bad manifest fails
+    every seed.
     """
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     results: dict[int, list[dict]] = {}
@@ -420,29 +421,23 @@ def _to_markdown(report: BenchmarkReport) -> str:
         "|---|---|---|---|---|",
     ]
     o = agg["over_steps"]
+    columns = ("acc", "auroc", "fpr95", "ap", "auroc_near", "auroc_far")
 
-    def fmt(x):
-        return "-" if x is None else f"{100 * x:.2f}"
+    def row(label, entry, width=len(columns)):
+        """One table row: ``label``, then the first ``width`` columns in percent."""
+        cells = ["-" if entry[k] is None else f"{100 * entry[k]:.2f}" for k in columns[:width]]
+        return "| " + " | ".join([str(label), *cells]) + " |"
 
-    lines.append(
-        f"| {ood} | {fmt(o['acc'])} | {fmt(o['auroc'])} | {fmt(o['fpr95'])} | {fmt(o['ap'])} |"
-    )
     lines += [
+        row(ood, o, 4),
         "",
         "## Per-step means",
         "",
         "| Step | ACC | AUC | FPR95 | AP | AUC near | AUC far |",
         "|---|---|---|---|---|---|---|",
     ]
-    for e in agg["per_step"]:
-        lines.append(
-            f"| {e['step']} | {fmt(e['acc'])} | {fmt(e['auroc'])} | {fmt(e['fpr95'])} "
-            f"| {fmt(e['ap'])} | {fmt(e['auroc_near'])} | {fmt(e['auroc_far'])} |"
-        )
-    lines.append(
-        f"| mean | {fmt(o['acc'])} | {fmt(o['auroc'])} | {fmt(o['fpr95'])} "
-        f"| {fmt(o['ap'])} | {fmt(o['auroc_near'])} | {fmt(o['auroc_far'])} |"
-    )
+    lines += [row(e["step"], e) for e in agg["per_step"]]
+    lines.append(row("mean", o))
     return "\n".join(lines) + "\n"
 
 

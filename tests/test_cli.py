@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cilbench.protocol as protocol
 from cilbench.cli import main
+from cilbench.data import FeatureDataset, save_dataset
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -89,6 +91,8 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         # fine-tuner fields on a post-hoc method; both used to be ignored
         {"ood": {"method": "msp", "score_with": "nnguide"}},
         {"ood": {"method": "msp", "scorer_params": {"knn_k": 3, "tau": 7.0}}},
+        # each run seed generates its own suite; this key used to change no data
+        {"data": {"synth": {**SMALL_RUN["data"]["synth"], "seed": 3}}},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
@@ -183,6 +187,22 @@ def test_run_malformed_manifest_is_a_data_error(tmp_path, capsys, key, value):
     assert "CILBENCH-ERROR [data]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["id_test", "ood"])
+def test_run_manifest_with_mismatched_widths_is_a_data_error(tmp_path, capsys, target):
+    manifest = gen_suite(tmp_path)  # 16 features per row
+    narrow = FeatureDataset(np.zeros((40, 6)), np.arange(40) % 8, 8)
+    save_dataset(narrow, manifest.parent / "narrow.bin")
+    doc = json.loads(manifest.read_text())
+    if target == "id_test":
+        doc["id_test"] = "narrow.bin"
+    else:
+        doc["ood"][-1]["path"] = "narrow.bin"
+    manifest.write_text(json.dumps(doc))
+    assert run_manifest(tmp_path, manifest, "out", seeds=[0, 1]) == 2
+    err = capsys.readouterr().err
+    assert "CILBENCH-ERROR [data]" in err and "6 features per row, id_train has 16" in err
+
+
 def test_run_without_out_dir_exits_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_RUN))
@@ -263,3 +283,32 @@ def test_report_rejects_aggregates_that_disagree_with_records(tmp_path, capsys):
     assert main(["report", "--in", str(edited), "--format", "md"]) == 2
     assert "aggregates disagree with the records" in capsys.readouterr().err
     assert not (edited.parent / "report.md").exists()
+
+
+@pytest.fixture(scope="module")
+def small_report(tmp_path_factory):
+    """The report.json document of a SMALL_RUN run."""
+    tmp = tmp_path_factory.mktemp("small_report")
+    (tmp / "cfg.json").write_text(json.dumps(SMALL_RUN))
+    assert main(["run", "--config", str(tmp / "cfg.json"), "--out", str(tmp / "out")]) == 0
+    return json.loads((tmp / "out" / "report.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [],
+        lambda doc: "x",
+        lambda doc: {**doc, "config": []},
+        # the records check out, but the tables have no ood section to name
+        lambda doc: {**doc, "config": {"seeds": doc["config"]["seeds"]}},
+    ],
+    ids=["list", "string", "config-list", "config-without-ood"],
+)
+def test_report_malformed_document_is_a_data_error(tmp_path, capsys, small_report, edit):
+    bad = tmp_path / "report.json"
+    bad.write_text(json.dumps(edit(small_report)))
+    assert main(["report", "--in", str(bad), "--format", "md"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("CILBENCH-ERROR [data]: malformed report")
+    assert not (tmp_path / "report.md").exists()

@@ -27,7 +27,7 @@ from cilbench.model import (
     ce_loss,
     sgd_step,
 )
-from cilbench.numerics import RngStream, softmax_rows
+from cilbench.numerics import RngStream, sample_beta, softmax_rows
 from cilbench.synthgen import SynthSpec, generate
 from oracles import head_bytes
 
@@ -83,6 +83,37 @@ def test_pseudo_ood_deterministic():
     b = synth_pseudo_ood(feats, labels, (1.5, 0.5), RngStream(4, "m"))
     np.testing.assert_array_equal(a.rows, b.rows)
     np.testing.assert_array_equal(a.pairs, b.pairs)
+
+
+def test_pseudo_ood_rows_are_the_pair_mixes_bit_for_bit():
+    # the pairs of the documented contract (seeded partners; an equal-label
+    # partner is redrawn up to 16 times, then the row is dropped), then one
+    # beta per kept pair from the same stream, in pair order
+    gen = np.random.default_rng(7)
+    dropped = 0
+    cases = ((64, 0.3, (1.0, 1.0)), (40, 0.95, (2.0, 0.5)), (3, 0.5, (0.7, 1.3)))
+    for m, p_major, beta_params in cases:
+        feats = gen.normal(size=(m, 5)) * 10
+        labels = np.where(gen.random(m) < p_major, 0, gen.integers(1, 4, m))
+        labels[:2] = [0, 1]
+        batch = synth_pseudo_ood(feats, labels, beta_params, RngStream(m, "mix"))
+        rng = RngStream(m, "mix")
+        partner = rng.gen.permutation(m)
+        pairs = []
+        for i in range(m):
+            j, tries = int(partner[i]), 0
+            while labels[i] == labels[j] and tries < 16:
+                j, tries = int(rng.gen.integers(m)), tries + 1
+            if labels[i] != labels[j]:
+                pairs.append((i, j))
+        dropped += m - len(pairs)
+        assert not batch.degenerate
+        assert batch.pairs.tolist() == [list(p) for p in pairs]
+        assert batch.rows.shape == (len(pairs), 5)
+        for row, (i, j) in zip(batch.rows, pairs):
+            beta = sample_beta(*beta_params, rng)
+            assert row.tobytes() == (beta * feats[i] + (1.0 - beta) * feats[j]).tobytes()
+    assert dropped > 0  # the drop path ran
 
 
 def test_old_mix_endpoints_and_arithmetic():

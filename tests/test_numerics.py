@@ -7,6 +7,7 @@ from cilbench.numerics import (
     RngStream,
     l2_rows,
     logsumexp_rows,
+    logsumexp_softmax_rows,
     sample_beta,
     softmax_cross_entropy,
     softmax_rows,
@@ -188,3 +189,29 @@ def test_l2_rows_matches_the_copies_it_replaced(tau):
     assert not got[3].any()
     if tau == 1.0:
         assert l2_rows(Z).tobytes() == bank_l2_rows(Z).tobytes()
+
+
+def separate_logsumexp_rows(m, tau):
+    """logsumexp_rows before it shared its exp with softmax_rows."""
+    scaled = m / tau
+    peak = scaled.max(axis=1, keepdims=True)
+    return tau * (peak[:, 0] + np.log(np.exp(scaled - peak).sum(axis=1)))
+
+
+def separate_softmax_rows(m, tau):
+    """softmax_rows before it shared its exp with logsumexp_rows."""
+    scaled = m / tau
+    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.3, 2.5, 1000.0])
+def test_logsumexp_softmax_rows_matches_the_copies_it_replaced(tau):
+    gen = np.random.default_rng(int(tau * 10))
+    for n, c, scale in ((1, 1, 1.0), (9, 4, 30.0), (128, 11, 1e3)):
+        M = gen.normal(size=(n, c)) * scale
+        lse, P = logsumexp_softmax_rows(M, tau)
+        assert lse.tobytes() == separate_logsumexp_rows(M, tau).tobytes()
+        assert P.tobytes() == separate_softmax_rows(M, tau).tobytes()
+        assert logsumexp_rows(M, tau).tobytes() == lse.tobytes()
+        assert softmax_rows(M, tau).tobytes() == P.tobytes()

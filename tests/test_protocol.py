@@ -69,6 +69,8 @@ def test_config_validation_errors():
         ({"ood": {"method": "nnguide", "params": {"knn_k": 0}}}, r"^bad scorer params: gen_top_m and knn_k"),
         ({"ood": {"method": "msp", "score_with": "energy"}},
          r"^unknown ood fields for post-hoc 'msp': \['score_with'\]$"),
+        ({"data": {"synth": {**SMALL_SYNTH, "seed": 3}}},
+         r"^data.synth.seed is not a run setting: each run seed generates its own suite$"),
     ],
 )
 def test_config_error_names_the_section(over, message):
