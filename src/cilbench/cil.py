@@ -63,8 +63,8 @@ class CilConfig:
 
 @dataclass
 class CilModel:
-    """Frozen extractor plus the growing head; ``seen_classes`` maps head
-    rows to global class ids (row i predicts seen_classes[i]).
+    """Frozen (identity) extractor plus the growing head; ``seen_classes``
+    maps head rows to global class ids (row i predicts seen_classes[i]).
 
     ``feature_tau`` optionally L2-normalizes penultimate features and
     divides them by the given temperature before the head, the transform
@@ -94,15 +94,14 @@ class CilModel:
 
     def backprop_input(self, X: np.ndarray, G: np.ndarray) -> np.ndarray:
         """Map gradients w.r.t. the logits of rows ``X`` back to ``X``:
-        through the head, the optional L2/temperature map, the extractor."""
+        through the head and the optional L2/temperature map."""
         G = G @ self.head.W
         if self.feature_tau:
-            raw = self.extractor.extract(X)
-            norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1e-12)
-            unit = raw / norms
+            norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+            unit = X / norms
             inner = (G * unit).sum(axis=1, keepdims=True)
             G = (G - unit * inner) / (norms * self.feature_tau)
-        return self.extractor.backprop_input(G)
+        return G
 
 
 def _distill_grads(
@@ -178,8 +177,7 @@ def train_task(
     seen = list(model.seen_classes) + list(task.classes)
     row_of = {c: i for i, c in enumerate(seen)}
 
-    X_raw, y = step_rows(stream, t, mem)
-    X = model.extractor.extract(X_raw)
+    X, y = step_rows(stream, t, mem)
     y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
     distill = cfg.method != "replay" and t > 1 and cfg.distill_weight != 0.0
     if distill:

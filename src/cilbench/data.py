@@ -363,7 +363,8 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
 
     Schema: {"n_classes": int?, "id_train": str, "id_test": str,
              "ood": [{"name": str, "path": str, "tag": "near"|"far"}]}
-    ``id_test`` and every OOD set must be as wide as ``id_train``.
+    ``id_test`` and every OOD set must be as wide as ``id_train``, and
+    ``id_test`` labels must lie below ``id_train``'s class count.
     """
     path = Path(path)
     try:
@@ -387,7 +388,10 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
         raise FormatError(f"manifest names and paths must be strings: {', '.join(bad)}")
     try:
         train = load_dataset(base / doc["id_train"], n_classes)
-        test = load_dataset(base / doc["id_test"], n_classes)
+        try:
+            test = load_dataset(base / doc["id_test"], train.n_classes)
+        except LabelOutOfRangeError as exc:
+            raise LabelOutOfRangeError(f"manifest set 'id_test': {exc}") from exc
         entries = tuple(
             OodEntry(e["name"], load_dataset(base / e["path"]), e["tag"])
             for e in doc["ood"]

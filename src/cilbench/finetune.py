@@ -1,7 +1,7 @@
 """Fine-tuning OOD methods over a frozen incremental model.
 
 At each step an extra classifier, a copy of the incremental head, is
-trained on top of the frozen extractor while the incremental head stays
+trained on the step's given features while the incremental head stays
 untouched; detection scores come from the extra head, ID classification
 stays on the original one.
 
@@ -305,7 +305,7 @@ def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key):
 
 
 def scoring_model(model: CilModel, head: LinearHead, method: str, cfg: BerConfig) -> CilModel:
-    """``model``'s frozen extractor under ``head``, with the feature map the
+    """``model`` with ``head`` in place of its own, and the feature map the
     fine-tuner ``method`` trains and scores through: ``t2fnorm`` features
     are L2-normalized and divided by ``cfg.t2f_tau``, the others are not."""
     feature_tau = cfg.t2f_tau if method == "t2fnorm" else None
@@ -337,12 +337,10 @@ def finetune_step_loop(
         raise ValueError(f"unknown fine-tune method {method!r}")
     row_of = model.class_to_row()
     X_raw, labels = step_rows(stream, t, mem)
+    Z_all = scoring_model(model, model.head, method, cfg).penultimate(X_raw)
     y_all = np.array([row_of[int(c)] for c in labels], dtype=np.int64)
-    # new-task rows and memory rows go through the extractor separately:
-    # one projection product over both is not guaranteed to round the same
     n_new = stream.tasks[t - 1].train.n
-    features = scoring_model(model, model.head, method, cfg).penultimate
-    Z_new, Z_mem = features(X_raw[:n_new]), features(X_raw[n_new:])
+    Z_new, Z_mem = Z_all[:n_new], Z_all[n_new:]
     y_new, y_mem = y_all[:n_new], y_all[n_new:]
 
     head = model.head.clone()
@@ -363,8 +361,7 @@ def finetune_step_loop(
             key = f"t{t}-{epoch}-{it}"
             return _ber_batch(head, X[sel], y[sel], Z_mem, y_mem, cfg, rng, key)
     else:
-        X, y = np.concatenate([Z_new, Z_mem]), np.concatenate([y_new, y_mem])
-        label = f"ft-epoch-t{t}"
+        X, y, label = Z_all, y_all, f"ft-epoch-t{t}"
 
         def objective(sel, epoch, it):
             if method == "logitnorm":

@@ -1,5 +1,6 @@
-"""Frozen feature extractor, expandable linear head, and one SGD update.
+"""Frozen extractor, expandable linear head, and one SGD update.
 
+The extractor is the identity: a run scores the features it is given.
 The head is the only trainable object in the benchmark.  All gradients in
 this package are hand-derived; :func:`ce_loss` provides the shared
 cross-entropy building block (mean over the batch) used by both the
@@ -42,34 +43,12 @@ _HEAD_MAGIC = b"OCH1"
 
 
 class Extractor:
-    """Frozen feature extractor: identity or a fixed seeded random projection.
-
-    The projection matrix is generated once from (d_in, d_out, seed) and
-    never updated; gradients w.r.t. inputs pass through ``backprop_input``.
-    """
-
-    def __init__(self, kind: str = "identity", d_in: int = 0, d_out: int = 0, seed: int = 0):
-        if kind not in ("identity", "random_projection"):
-            raise ValueError(f"unknown extractor kind {kind!r}")
-        self.kind = kind
-        self.matrix = None
-        if kind == "random_projection":
-            if d_in <= 0 or d_out <= 0:
-                raise ValueError("projection needs positive d_in and d_out")
-            gen = RngStream(seed, "extractor").gen
-            self.matrix = gen.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_out, d_in))
+    """The frozen backbone.  A run is given its features already extracted
+    (from a manifest or the generator), so this is the identity on float64
+    rows."""
 
     def extract(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self.kind == "identity":
-            return X
-        return X @ self.matrix.T
-
-    def backprop_input(self, G: np.ndarray) -> np.ndarray:
-        """Map gradients w.r.t. extractor outputs back to inputs."""
-        if self.kind == "identity":
-            return G
-        return G @ self.matrix
+        return np.asarray(X, dtype=np.float64)
 
 
 class LinearHead:

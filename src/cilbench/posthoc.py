@@ -223,7 +223,7 @@ def score_batch(
 
 def odin_input_gradient(model, X: np.ndarray, T: float) -> np.ndarray:
     """d log max-softmax(f(x)/T) / dx through the frozen pipeline
-    (optional linear projection, optional feature map, linear head)."""
+    (optional feature map, linear head)."""
     P = softmax_rows(model.logits(X), T)
     target = np.argmax(P, axis=1)
     # d log p_target / d logits = (onehot - p) / T
@@ -234,7 +234,7 @@ def odin_input_gradient(model, X: np.ndarray, T: float) -> np.ndarray:
 
 def _score_odin_batch(model, X: np.ndarray, params: PosthocParams) -> np.ndarray:
     """MSP at temperature T after a signed perturbation that ascends the
-    max-softmax log-probability at the extractor input."""
+    max-softmax log-probability at the given feature rows."""
     T = params.odin_temperature
     Gx = odin_input_gradient(model, X, T)
     X_pert = X + params.odin_epsilon * np.sign(Gx)

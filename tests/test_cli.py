@@ -6,7 +6,7 @@ import pytest
 
 import cilbench.protocol as protocol
 from cilbench.cli import main
-from cilbench.data import FeatureDataset, save_dataset
+from cilbench.data import FeatureDataset, load_dataset, save_dataset
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -93,6 +93,9 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         {"ood": {"method": "msp", "scorer_params": {"knn_k": 3, "tau": 7.0}}},
         # each run seed generates its own suite; this key used to change no data
         {"data": {"synth": {**SMALL_RUN["data"]["synth"], "seed": 3}}},
+        # features arrive extracted; this used to put a fixed projection
+        # before the head
+        {"extractor": {"kind": "random_projection", "d_out": 8, "seed": 3}},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
@@ -102,6 +105,14 @@ def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
     assert "CILBENCH-ERROR [config]" in capsys.readouterr().err
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("extractor", [{}, {"kind": "identity"}])
+def test_identity_extractor_validates_and_runs(tmp_path, extractor):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, "extractor": extractor}))
+    assert main(["validate-config", "--config", str(cfg)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_rejects_manifest_with_too_few_ood_rows(tmp_path, capsys):
@@ -185,6 +196,27 @@ def test_run_malformed_manifest_is_a_data_error(tmp_path, capsys, key, value):
     manifest.write_text(json.dumps(doc))
     assert run_manifest(tmp_path, manifest, "out", seeds=[0, 1]) == 2
     assert "CILBENCH-ERROR [data]" in capsys.readouterr().err
+
+
+def test_run_manifest_id_test_with_classes_id_train_lacks_is_a_data_error(tmp_path, capsys):
+    # without n_classes each file used to infer its own class count, and
+    # split_tasks left the id_test rows of class 9 out of every step
+    manifest = gen_suite(tmp_path)  # 8 classes
+    doc = json.loads(manifest.read_text())
+    del doc["n_classes"]
+    test = load_dataset(manifest.parent / doc["id_test"])
+    extra = FeatureDataset(test.features[:25], np.full(25, 9))
+    save_dataset(
+        FeatureDataset(np.concatenate([test.features, extra.features]),
+                       np.concatenate([test.labels, extra.labels])),
+        manifest.parent / "id_test_wide.bin",
+    )
+    doc["id_test"] = "id_test_wide.bin"
+    manifest.write_text(json.dumps(doc))
+    assert run_manifest(tmp_path, manifest, "out", seeds=[0]) == 2
+    err = capsys.readouterr().err
+    assert "CILBENCH-ERROR [data]" in err and "'id_test'" in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("target", ["id_test", "ood"])

@@ -303,12 +303,11 @@ def small_trained_model(seed=0, tasks_done=2):
 def test_finetune_freezes_base_model(method):
     model, stream, mems = small_trained_model()
     before_head = head_bytes(model.head)
-    before_ext = model.extractor.kind
+    before_ext = model.extractor
     cfg = BerConfig(epochs=3, batch_size=64)
     f_head = finetune_step_loop(model, stream, 2, mems[1], method, cfg, RngStream(1, "ft"))
     assert head_bytes(model.head) == before_head
-    # the identity extractor: nothing but its kind to change
-    assert model.extractor.kind == before_ext and model.extractor.matrix is None
+    assert model.extractor is before_ext
     assert f_head.n_classes == model.head.n_classes
 
 
@@ -355,9 +354,9 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
           if mem.entries[c]]
     mem_X_raw = np.concatenate(xs) if xs else np.zeros((0, task.train.dim))
     mem_y = np.concatenate(ys) if ys else np.zeros(0, dtype=np.int64)
-    Z_new = model.extractor.extract(task.train.features)
+    Z_new = task.train.features
     y_new = np.array([row_of[int(c)] for c in task.train.labels], dtype=np.int64)
-    Z_mem = model.extractor.extract(mem_X_raw) if mem_X_raw.size else mem_X_raw
+    Z_mem = mem_X_raw
     y_mem = np.array([row_of[int(c)] for c in mem_y], dtype=np.int64)
 
     def t2f(Z, tau):
@@ -406,16 +405,9 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
     return head
 
 
-@pytest.mark.parametrize("extractor", ["identity", "random_projection"])
 @pytest.mark.parametrize("method", ["plain", "logitnorm", "t2fnorm", "ber"])
-def test_shared_epoch_loop_matches_separate_loop(method, extractor):
+def test_shared_epoch_loop_matches_separate_loop(method):
     model, stream, mems = small_trained_model(seed=7)
-    if extractor == "random_projection":
-        # the frozen head only seeds the extra head; any (C, d_out) head works
-        ext = Extractor("random_projection", d_in=16, d_out=12, seed=3)
-        gen = np.random.default_rng(0)
-        head = LinearHead(gen.normal(size=(model.head.n_classes, 12)), np.zeros(8))
-        model = CilModel(ext, head, list(model.seen_classes))
     cfg = BerConfig(epochs=3, batch_size=48, hinge_orientation="energy_paper")
     for t in (1, 2):
         assert (mems[t - 1].total() == 0) == (t == 1)

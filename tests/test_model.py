@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cilbench.model import (
-    Extractor,
     LinearHead,
     SgdState,
     DivergenceError,
@@ -173,18 +172,6 @@ def test_head_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(back.b, head.b)
     assert head_bytes(back) == head_bytes(head)
     assert p.read_bytes()[:4] == b"OCH1"
-
-
-def test_extractor_projection_fixed_and_backprop():
-    ext = Extractor("random_projection", d_in=5, d_out=3, seed=4)
-    ext2 = Extractor("random_projection", d_in=5, d_out=3, seed=4)
-    np.testing.assert_array_equal(ext.matrix, ext2.matrix)
-    X = np.random.default_rng(0).normal(size=(4, 5))
-    np.testing.assert_allclose(ext.extract(X), X @ ext.matrix.T, atol=1e-15)
-    G = np.ones((4, 3))
-    np.testing.assert_allclose(ext.backprop_input(G), G @ ext.matrix, atol=1e-15)
-    ident = Extractor()
-    np.testing.assert_array_equal(ident.extract(X), X)
 
 
 def two_pass_ce_loss(head, X, y_rows):

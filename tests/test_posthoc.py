@@ -137,17 +137,18 @@ def test_odin_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize("feature_tau", [None, 0.1])
 def test_odin_gradient_through_projection(feature_tau):
+    """The input gradient through the optional feature map, which projects
+    rows onto the sphere of radius 1 / feature_tau, then the head."""
     gen = np.random.default_rng(4)
-    ext = Extractor("random_projection", d_in=6, d_out=4, seed=1)
-    head = LinearHead(gen.normal(size=(3, 4)), gen.normal(size=3))
-    model = CilModel(ext, head, [0, 1, 2], feature_tau)
+    head = LinearHead(gen.normal(size=(3, 6)), gen.normal(size=3))
+    model = CilModel(Extractor(), head, [0, 1, 2], feature_tau)
     X = gen.normal(size=(1, 6))
     T = 5.0
     g = odin_input_gradient(model, X, T)[0]
     eps = 1e-6
 
     def obj(x):
-        z = ext.extract(x[None, :])
+        z = x[None, :]
         if feature_tau:
             z = z / (np.linalg.norm(z) * feature_tau)
         return math.log(softmax(head.logits(z)[0], T).max())

@@ -250,16 +250,17 @@ def test_finetuned_methods_score_through_extra_head():
     assert all(np.isfinite(r["auroc"]) for r in report.records)
 
 
-def test_random_projection_extractor_run():
-    cfg = small_config(
-        seeds=[0],
-        extractor={"kind": "random_projection", "d_out": 8, "seed": 3},
-        ood={"method": "odin"},
-    )
-    report = run_benchmark(cfg)
-    assert report.failures == []
-    assert all(np.isfinite(r["auroc"]) for r in report.records)
-    assert all(r["acc"] > 0.5 for r in report.records)
+def test_seeded_class_order_run(tmp_path):
+    cfg = small_config(class_order="seeded")
+    emit_report(run_benchmark(cfg), tmp_path / "a", formats=("json",))
+    emit_report(run_benchmark(cfg), tmp_path / "b", formats=("json",))
+    raw = (tmp_path / "a" / "report.json").read_bytes()
+    assert raw == (tmp_path / "b" / "report.json").read_bytes()
+    records = json.loads(raw)["records"]
+    # each seed shuffles which classes make up each task
+    assert records != run_benchmark(small_config()).records
+    assert len(records) == 2 * 2 * 4  # seeds x steps x OOD sets
+    assert all(np.isfinite(r["acc"]) and np.isfinite(r["auroc"]) for r in records)
 
 
 def test_artifacts_written(tmp_path):
