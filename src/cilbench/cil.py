@@ -137,7 +137,9 @@ def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
     batch_size = cfg.batch_size
     iters = math.ceil(n / batch_size)
     total = epochs * iters
-    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+    state = SgdState(
+        cfg.lr0, cfg.momentum, cfg.weight_decay, np.zeros_like(head.W), np.zeros_like(head.b)
+    )
     for epoch in range(epochs):
         perm = rng.child(f"{label}-{epoch}").gen.permutation(n)
         sums = None

@@ -14,7 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import DataError
 from .protocol import (
     BenchmarkReport,
     ConfigError,
@@ -93,8 +92,6 @@ def _cmd_run(args) -> int:
         report = run_benchmark(cfg, artifact_dir=out_dir)
     except ConfigError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
-    except DataError as exc:
-        return _fail("data", str(exc), EXIT_DATA)
     except Exception as exc:
         return _fail("runtime", f"{type(exc).__name__}: {exc}", EXIT_RUNTIME)
     if report.aggregates["effective_seeds"] == 0:

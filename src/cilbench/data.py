@@ -364,7 +364,10 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     Schema: {"n_classes": int?, "id_train": str, "id_test": str,
              "ood": [{"name": str, "path": str, "tag": "near"|"far"}]}
     ``id_test`` and every OOD set must be as wide as ``id_train``, and
-    ``id_test`` labels must lie below ``id_train``'s class count.
+    ``id_test`` labels must lie below ``id_train``'s class count.  Both ID
+    sets must hold rows of every class below that count: a class without
+    training rows would be a head row nothing trains, one without test
+    rows a class nothing tests.
     """
     path = Path(path)
     try:
@@ -402,5 +405,12 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
         if ds.dim != train.dim:
             raise DimensionMismatchError(
                 f"manifest set {name!r} has {ds.dim} features per row, id_train has {train.dim}"
+            )
+    for name, ds in (("id_train", train), ("id_test", test)):
+        missing = np.flatnonzero(np.bincount(ds.labels, minlength=train.n_classes) == 0)
+        if missing.size:
+            raise DataError(
+                f"manifest set {name!r} has no rows of classes {missing.tolist()}"
+                f" (the class count is {train.n_classes})"
             )
     return train, test, OodSuite(entries)

@@ -27,8 +27,8 @@ chooses how the new-task hinges read:
 
 The old-task hinge is max(0, E(mbar) - p_in)^2 in both modes.  All
 gradients are analytic and finite-difference checked.  The loss functions
-take plain row arrays; ``_ber_batch`` passes the ``rows`` of the
-synthesized batches.
+take plain row arrays: ``_ber_batch`` passes the ``rows`` of the
+pseudo-OOD batch and the blended array :func:`synth_old_mix` returns.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from .numerics import softmax_cross_entropy
 __all__ = [
     "BerConfig",
     "PseudoOodBatch",
-    "MixedOldBatch",
     "FINETUNE_METHODS",
     "energy_rows",
     "synth_pseudo_ood",
@@ -106,20 +105,11 @@ class BerConfig:
 
 @dataclass(frozen=True)
 class PseudoOodBatch:
-    """Boundary samples mixed from different-class rows of one batch."""
+    """Boundary samples mixed from different-class rows of one batch.  The
+    array is wrapped only because the layer tracer's
+    ``bench/layertrace.py::_count_pseudo`` reads ``result.rows``."""
 
     rows: np.ndarray  # (m, d)
-    pairs: np.ndarray  # (m, 2) source indices (i, j)
-    degenerate: bool = False  # single-label batch, nothing synthesized
-
-
-@dataclass(frozen=True)
-class MixedOldBatch:
-    """Replay exemplars blended with a trickle of current-task rows."""
-
-    rows: np.ndarray
-    new_idx: np.ndarray
-    mem_idx: np.ndarray
 
 
 def energy_rows(Z: np.ndarray, tau: float = 1.0) -> np.ndarray:
@@ -138,17 +128,13 @@ def synth_pseudo_ood(
     Pairs come from a seeded permutation; equal-label pairs are redrawn
     up to 16 times, then dropped.  Once all pairs are chosen, each pair
     draws its beta from ``rng`` in pair order.  A single-label batch yields
-    an empty, degenerate batch.
+    no rows.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     m = features.shape[0]
     if m == 0 or np.unique(labels).size < 2:
-        return PseudoOodBatch(
-            np.zeros((0, features.shape[1] if features.ndim == 2 else 0)),
-            np.zeros((0, 2), dtype=np.int64),
-            degenerate=True,
-        )
+        return PseudoOodBatch(np.zeros((0, features.shape[1] if features.ndim == 2 else 0)))
     gen = rng.gen
     partner = gen.permutation(m)
     pairs = []
@@ -162,8 +148,7 @@ def synth_pseudo_ood(
             pairs.append((i, j))
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     beta = np.array([sample_beta(*beta_params, rng) for _ in range(len(pairs))])[:, None]
-    rows = beta * features[pairs[:, 0]] + (1.0 - beta) * features[pairs[:, 1]]
-    return PseudoOodBatch(rows, pairs)
+    return PseudoOodBatch(beta * features[pairs[:, 0]] + (1.0 - beta) * features[pairs[:, 1]])
 
 
 def synth_old_mix(
@@ -171,9 +156,9 @@ def synth_old_mix(
     mem_rows_: np.ndarray,
     lambda_old: float,
     rng: RngStream,
-) -> MixedOldBatch:
-    """lambda * x + (1 - lambda) * m with seeded index matching; the
-    shorter batch cycles."""
+) -> np.ndarray:
+    """The (max(a, b), d) rows lambda * x + (1 - lambda) * m, with seeded
+    index matching; the shorter batch cycles."""
     new_rows = np.asarray(new_rows, dtype=np.float64)
     mem = np.asarray(mem_rows_, dtype=np.float64)
     a, b = new_rows.shape[0], mem.shape[0]
@@ -184,8 +169,7 @@ def synth_old_mix(
     perm_m = rng.child("m").gen.permutation(b)
     xi = perm_x[np.arange(length) % a]
     mi = perm_m[np.arange(length) % b]
-    rows = lambda_old * new_rows[xi] + (1.0 - lambda_old) * mem[mi]
-    return MixedOldBatch(rows, xi, mi)
+    return lambda_old * new_rows[xi] + (1.0 - lambda_old) * mem[mi]
 
 
 def _hinge_energy_grads(
@@ -301,7 +285,7 @@ def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key):
     mX, my = Z_mem[pick], y_mem[pick]
     mixed = synth_old_mix(bx, mX, cfg.lambda_old, rng.child(f"oldmix-{key}"))
     ce_X, ce_y = np.concatenate([ax, mX]), np.concatenate([ay, my])
-    return _ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed.rows, cfg)
+    return _ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed, cfg)
 
 
 def scoring_model(model: CilModel, head: LinearHead, method: str, cfg: BerConfig) -> CilModel:

@@ -6,9 +6,9 @@ this package are hand-derived; :func:`ce_loss` provides the shared
 cross-entropy building block (mean over the batch) used by both the
 incremental trainer and the fine-tuning methods.  :func:`sgd_step` is one
 momentum update; the epoch loop that drives it for both is
-``cil.sgd_epochs``, which builds one :class:`SgdState` per call, so a
-state never sees its head grow.  Two heads are the same when their ``W``
-and ``b`` bytes are.
+``cil.sgd_epochs``, which builds one :class:`SgdState` per call with zero
+velocities shaped like the head, so a state never sees its head grow.  Two
+heads are the same when their ``W`` and ``b`` bytes are.
 
 Head checkpoints use the binary layout:
     magic "OCH1" | u32 C | u32 d | float64 W row-major | float64 b
@@ -101,20 +101,16 @@ def expand_head(head: LinearHead, new_classes: int, rng: RngStream) -> LinearHea
 
 @dataclass
 class SgdState:
-    """SGD momentum state with a cosine learning-rate schedule."""
+    """SGD momentum state with a cosine learning-rate schedule.  ``vW`` and
+    ``vb`` are the velocities, shaped like the head's ``W`` and ``b`` and
+    updated in place; a state serves one head of fixed shape (one
+    ``cil.sgd_epochs`` call), which builds them as zeros."""
 
-    lr0: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    vW: np.ndarray | None = None
-    vb: np.ndarray | None = None
-
-    def ensure(self, head: LinearHead) -> None:
-        """Zero velocity buffers shaped like the head, on first use.  A state
-        serves one head of fixed shape (one ``cil.sgd_epochs`` call)."""
-        if self.vW is None:
-            self.vW = np.zeros_like(head.W)
-            self.vb = np.zeros_like(head.b)
+    lr0: float
+    momentum: float
+    weight_decay: float
+    vW: np.ndarray
+    vb: np.ndarray
 
 
 def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -134,7 +130,6 @@ def sgd_step(
     total_steps: int,
 ) -> None:
     """v <- momentum v + (grad + wd * param); param <- param - lr(step) v."""
-    state.ensure(head)
     if dW.shape != head.W.shape or db.shape != head.b.shape:
         raise ValueError("gradient shapes must match parameters")
     lr = cosine_lr(state.lr0, step_index, total_steps)

@@ -73,6 +73,10 @@ class PosthocParams:
         check_field_types(self)
         if min(self.tau, self.odin_temperature) <= 0:
             raise ValueError("temperatures must be positive")
+        if self.gen_gamma <= 0:
+            # a negative power of a zero probability is inf, and at 0 every
+            # row scores -m
+            raise ValueError("gen_gamma must be positive")
         if min(self.gen_top_m, self.knn_k) < 1:
             raise ValueError("gen_top_m and knn_k must be >= 1")
 
@@ -81,7 +85,6 @@ class PosthocParams:
 class ScorerFit:
     """ID statistics for the scorers that need them; immutable after fit."""
 
-    name: str
     react_threshold: float | None = None
     klm_templates: np.ndarray | None = None  # (n_templates, C), floored
     bank_features: np.ndarray | None = None  # L2-normalized penultimates
@@ -113,7 +116,7 @@ def fit_scorer(
             thresh = np.inf  # clipping disabled
         else:
             thresh = percentile_nearest_rank(Z, params.react_percentile)
-        return ScorerFit(name, react_threshold=thresh)
+        return ScorerFit(react_threshold=thresh)
     P = softmax_rows(model.head.logits(Z))
     if name == "klm":
         preds = np.argmax(P, axis=1)
@@ -122,9 +125,9 @@ def fit_scorer(
             sel = preds == k
             if np.any(sel):
                 templates.append(np.maximum(P[sel].mean(axis=0), 1e-12))
-        return ScorerFit(name, klm_templates=np.array(templates))
+        return ScorerFit(klm_templates=np.array(templates))
     # feature banks for nnguide / relation_simplified
-    return ScorerFit(name, bank_features=l2_rows(Z), bank_msp=P.max(axis=1))
+    return ScorerFit(bank_features=l2_rows(Z), bank_msp=P.max(axis=1))
 
 
 # The similarity budget in cells, shared by the worker threads: each

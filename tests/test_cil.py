@@ -221,8 +221,9 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     n = X.shape[0]
     iters = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs_per_task * iters
-    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
-    state.ensure(head)
+    state = SgdState(
+        cfg.lr0, cfg.momentum, cfg.weight_decay, np.zeros_like(head.W), np.zeros_like(head.b)
+    )
     step = 0
     for epoch in range(cfg.epochs_per_task):
         perm = rng.child(f"epoch-t{t}-{epoch}").gen.permutation(n)

@@ -96,6 +96,10 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         # features arrive extracted; this used to put a fixed projection
         # before the head
         {"extractor": {"kind": "random_projection", "d_out": 8, "seed": 3}},
+        # a zero probability to a negative power is inf, and used to fail
+        # every seed at scoring; at 0 every row scores the same
+        {"ood": {"method": "gen", "params": {"gen_gamma": -1}}},
+        {"ood": {"method": "gen", "params": {"gen_gamma": 0}}},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
@@ -216,6 +220,38 @@ def test_run_manifest_id_test_with_classes_id_train_lacks_is_a_data_error(tmp_pa
     assert run_manifest(tmp_path, manifest, "out", seeds=[0]) == 2
     err = capsys.readouterr().err
     assert "CILBENCH-ERROR [data]" in err and "'id_test'" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "n_classes, drop_test_class, over, missing",
+    [
+        # class 8 was a head row that nothing trained or tested
+        (9, None, {}, "'id_train' has no rows of classes [8]"),
+        # then herding, or a step of only class 8, failed every seed mid-run
+        (9, None, {"memory_budget": 90}, "'id_train' has no rows of classes [8]"),
+        (9, None, {"step_size": 2}, "'id_train' has no rows of classes [8]"),
+        # class 5 was never tested
+        (8, 5, {}, "'id_test' has no rows of classes [5]"),
+    ],
+    ids=["n_classes_9", "n_classes_9_budget_90", "n_classes_9_step_2", "id_test_without_5"],
+)
+def test_run_manifest_with_a_class_missing_is_a_data_error(
+    tmp_path, capsys, n_classes, drop_test_class, over, missing
+):
+    manifest = gen_suite(tmp_path)  # 8 classes
+    doc = json.loads(manifest.read_text())
+    doc["n_classes"] = n_classes
+    if drop_test_class is not None:
+        test = load_dataset(manifest.parent / doc["id_test"])
+        keep = np.flatnonzero(test.labels != drop_test_class)
+        save_dataset(test.subset(keep), manifest.parent / "id_test_less.bin")
+        doc["id_test"] = "id_test_less.bin"
+    manifest.write_text(json.dumps(doc))
+    over = {"step_size": 3, "memory_budget": 8, **over}
+    assert run_manifest(tmp_path, manifest, "out", **over) == 2
+    err = capsys.readouterr().err
+    assert "CILBENCH-ERROR [data]" in err and missing in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 

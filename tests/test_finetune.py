@@ -45,14 +45,31 @@ def test_energy_examples():
         assert energy_rows(v[None, :], tau)[0] == pytest.approx(direct, abs=1e-12)
 
 
+def pseudo_ood_pairs(labels, rng):
+    """The (i, j) pairs of the documented contract, drawn from ``rng``:
+    seeded partners, an equal-label partner redrawn up to 16 times, then
+    the row dropped.  ``rng`` is then where the per-pair betas start."""
+    m = len(labels)
+    partner = rng.gen.permutation(m)
+    pairs = []
+    for i in range(m):
+        j, tries = int(partner[i]), 0
+        while labels[i] == labels[j] and tries < 16:
+            j, tries = int(rng.gen.integers(m)), tries + 1
+        if labels[i] != labels[j]:
+            pairs.append((i, j))
+    return pairs
+
+
 def test_pseudo_ood_pairs_have_distinct_labels():
     gen = np.random.default_rng(1)
     feats = gen.normal(size=(32, 6))
     labels = gen.integers(0, 4, 32)
     batch = synth_pseudo_ood(feats, labels, (1.0, 1.0), RngStream(0, "mix"))
-    assert not batch.degenerate
-    assert batch.pairs.shape[0] > 0
-    for i, j in batch.pairs:
+    pairs = pseudo_ood_pairs(labels, RngStream(0, "mix"))
+    assert len(pairs) > 0
+    assert batch.rows.shape == (len(pairs), 6)
+    for i, j in pairs:
         assert labels[i] != labels[j]
 
 
@@ -61,7 +78,9 @@ def test_pseudo_ood_rows_lie_on_segment():
     feats = gen.normal(size=(20, 4))
     labels = gen.integers(0, 3, 20)
     batch = synth_pseudo_ood(feats, labels, (2.0, 2.0), RngStream(1, "mix"))
-    for row, (i, j) in zip(batch.rows, batch.pairs):
+    pairs = pseudo_ood_pairs(labels, RngStream(1, "mix"))
+    assert batch.rows.shape[0] == len(pairs)
+    for row, (i, j) in zip(batch.rows, pairs):
         lo = np.minimum(feats[i], feats[j])
         hi = np.maximum(feats[i], feats[j])
         assert np.all(row >= lo - 1e-12) and np.all(row <= hi + 1e-12)
@@ -71,8 +90,7 @@ def test_pseudo_ood_single_label_is_degenerate():
     feats = np.ones((8, 3))
     labels = np.zeros(8, dtype=int)
     batch = synth_pseudo_ood(feats, labels, (1.0, 1.0), RngStream(2, "mix"))
-    assert batch.degenerate
-    assert batch.rows.shape[0] == 0
+    assert batch.rows.shape == (0, 3)
 
 
 def test_pseudo_ood_deterministic():
@@ -82,13 +100,14 @@ def test_pseudo_ood_deterministic():
     a = synth_pseudo_ood(feats, labels, (1.5, 0.5), RngStream(4, "m"))
     b = synth_pseudo_ood(feats, labels, (1.5, 0.5), RngStream(4, "m"))
     np.testing.assert_array_equal(a.rows, b.rows)
-    np.testing.assert_array_equal(a.pairs, b.pairs)
+    pairs_a = pseudo_ood_pairs(labels, RngStream(4, "m"))
+    assert pairs_a == pseudo_ood_pairs(labels, RngStream(4, "m"))
+    assert a.rows.shape[0] == len(pairs_a)
 
 
 def test_pseudo_ood_rows_are_the_pair_mixes_bit_for_bit():
-    # the pairs of the documented contract (seeded partners; an equal-label
-    # partner is redrawn up to 16 times, then the row is dropped), then one
-    # beta per kept pair from the same stream, in pair order
+    # the pairs of the documented contract, then one beta per kept pair from
+    # the same stream, in pair order
     gen = np.random.default_rng(7)
     dropped = 0
     cases = ((64, 0.3, (1.0, 1.0)), (40, 0.95, (2.0, 0.5)), (3, 0.5, (0.7, 1.3)))
@@ -98,17 +117,8 @@ def test_pseudo_ood_rows_are_the_pair_mixes_bit_for_bit():
         labels[:2] = [0, 1]
         batch = synth_pseudo_ood(feats, labels, beta_params, RngStream(m, "mix"))
         rng = RngStream(m, "mix")
-        partner = rng.gen.permutation(m)
-        pairs = []
-        for i in range(m):
-            j, tries = int(partner[i]), 0
-            while labels[i] == labels[j] and tries < 16:
-                j, tries = int(rng.gen.integers(m)), tries + 1
-            if labels[i] != labels[j]:
-                pairs.append((i, j))
+        pairs = pseudo_ood_pairs(labels, rng)
         dropped += m - len(pairs)
-        assert not batch.degenerate
-        assert batch.pairs.tolist() == [list(p) for p in pairs]
         assert batch.rows.shape == (len(pairs), 5)
         for row, (i, j) in zip(batch.rows, pairs):
             beta = sample_beta(*beta_params, rng)
@@ -120,21 +130,23 @@ def test_old_mix_endpoints_and_arithmetic():
     x = np.array([[1.0, 1.0]])
     m = np.array([[0.0, 0.0]])
     rng = RngStream(5, "om")
-    np.testing.assert_allclose(synth_old_mix(x, m, 0.0, rng).rows, m, atol=0)
-    np.testing.assert_allclose(synth_old_mix(x, m, 1.0, rng).rows, x, atol=0)
+    np.testing.assert_allclose(synth_old_mix(x, m, 0.0, rng), m, atol=0)
+    np.testing.assert_allclose(synth_old_mix(x, m, 1.0, rng), x, atol=0)
     out = synth_old_mix(x, m, 0.002, rng)
-    np.testing.assert_allclose(out.rows, [[0.002, 0.002]], atol=1e-15)
+    np.testing.assert_allclose(out, [[0.002, 0.002]], atol=1e-15)
 
 
 def test_old_mix_cycles_shorter_batch():
     gen = np.random.default_rng(6)
     x = gen.normal(size=(5, 3))
     m = gen.normal(size=(2, 3))
-    out = synth_old_mix(x, m, 0.5, RngStream(6, "om"))
-    assert out.rows.shape[0] == 5
-    np.testing.assert_allclose(
-        out.rows, 0.5 * x[out.new_idx] + 0.5 * m[out.mem_idx], atol=1e-15
-    )
+    rng = RngStream(6, "om")
+    out = synth_old_mix(x, m, 0.5, rng)
+    assert out.shape[0] == 5
+    # the documented index matching: each side's seeded permutation, cycled
+    new_idx = rng.child("x").gen.permutation(5)[np.arange(5) % 5]
+    mem_idx = rng.child("m").gen.permutation(2)[np.arange(5) % 2]
+    np.testing.assert_allclose(out, 0.5 * x[new_idx] + 0.5 * m[mem_idx], atol=1e-15)
 
 
 def _inactive_id_rows(hinge):
@@ -368,7 +380,9 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         if Z_mem.size:
             Z_mem = t2f(Z_mem, cfg.t2f_tau)
     head = model.head.clone()
-    state = SgdState(cfg.lr0, cfg.momentum, cfg.weight_decay)
+    state = SgdState(
+        cfg.lr0, cfg.momentum, cfg.weight_decay, np.zeros_like(head.W), np.zeros_like(head.b)
+    )
     if method == "ber":
         if Z_mem.shape[0] == 0:
             log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})

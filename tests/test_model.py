@@ -82,7 +82,7 @@ def test_cosine_schedule_endpoints_and_monotone():
 
 def test_sgd_vanilla_step():
     head = LinearHead(np.array([[1.0]]), np.array([0.0]))
-    state = SgdState(lr0=0.5, momentum=0.0, weight_decay=0.0)
+    state = SgdState(0.5, 0.0, 0.0, np.zeros((1, 1)), np.zeros(1))
     # constant lr at step 0 of a long schedule
     sgd_step(state, head, np.array([[2.0]]), np.array([0.0]), 0, 10**9)
     assert head.W[0, 0] == pytest.approx(1.0 - 0.5 * 2.0)
@@ -90,7 +90,7 @@ def test_sgd_vanilla_step():
 
 def test_sgd_momentum_matches_hand_unroll():
     head = LinearHead(np.array([[1.0]]), np.array([0.5]))
-    state = SgdState(lr0=0.1, momentum=0.9, weight_decay=0.01)
+    state = SgdState(0.1, 0.9, 0.01, np.zeros((1, 1)), np.zeros(1))
     gW = np.array([[0.3]])
     gb = np.array([0.2])
     # hand recurrence on the scalar weight
@@ -206,7 +206,6 @@ def test_fused_ce_loss_is_bit_exact(scale, pass_logits):
 
 def formula_sgd_step(state, head, dW, db, step_index, total_steps):
     """sgd_step before the in-place update: new arrays for every term."""
-    state.ensure(head)
     lr = cosine_lr(state.lr0, step_index, total_steps)
     state.vW = state.momentum * state.vW + (dW + state.weight_decay * head.W)
     state.vb = state.momentum * state.vb + (db + state.weight_decay * head.b)
@@ -217,7 +216,7 @@ def formula_sgd_step(state, head, dW, db, step_index, total_steps):
 def test_in_place_sgd_matches_formula():
     gen = np.random.default_rng(21)
     heads = [random_head(3, 5, seed=4), random_head(3, 5, seed=4)]
-    states = [SgdState(0.1, 0.9, 0.02), SgdState(0.1, 0.9, 0.02)]
+    states = [SgdState(0.1, 0.9, 0.02, np.zeros((3, 5)), np.zeros(3)) for _ in heads]
     total = 12
     for step in range(total):
         dW = gen.normal(size=heads[0].W.shape)

@@ -174,7 +174,7 @@ def test_react_p100_equals_energy_exactly():
 def test_react_saturation_is_constant():
     gen = np.random.default_rng(6)
     model = logit_model(gen.normal(size=(3, 4)), gen.normal(size=3))
-    fit = ScorerFit("react", react_threshold=-5.0)
+    fit = ScorerFit(react_threshold=-5.0)
     xs = gen.normal(size=(5, 4)) + 10.0  # all activations above the threshold
     vals = [score_one("react", model, fit, x) for x in xs]
     expect = logsumexp(model.head.logits(np.full((1, 4), -5.0))[0], 1.0)
@@ -200,7 +200,7 @@ def test_klm_template_match_scores_zero():
 
 def test_klm_uniform_template_one_hot_input():
     model, x = passthrough([1000.0, 0.0])
-    fit = ScorerFit("klm", klm_templates=np.array([[0.5, 0.5]]))
+    fit = ScorerFit(klm_templates=np.array([[0.5, 0.5]]))
     assert score_one("klm", model, fit, x) == pytest.approx(-math.log(2), abs=1e-12)
 
 

@@ -154,6 +154,29 @@ def test_rerun_is_byte_identical(tmp_path):
     ).read_bytes()
 
 
+def test_rerun_writes_byte_identical_artifacts(tmp_path):
+    # every file but the wall-second timings: reports, train and fine-tune
+    # logs, and checkpoints of the CIL and the extra head
+    cfg = small_config(
+        cil={"method": "replay_distill_wa", "epochs_per_task": 4, "batch_size": 64},
+        ood={"method": "ber", "params": {"epochs": 2}},
+    )
+    trees = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        emit_report(run_benchmark(cfg, artifact_dir=out), out)
+        files = sorted(
+            f.relative_to(out).as_posix() for f in out.rglob("*")
+            if f.is_file() and not f.name.startswith("timings_")
+        )
+        trees.append({f: (out / f).read_bytes() for f in files})
+    assert {"report.json", "logs/train_seed1.jsonl", "logs/finetune_seed1.jsonl",
+            "checkpoints/extra_head_seed1_step2.och"} <= set(trees[0])
+    assert list(trees[0]) == list(trees[1])
+    for f in trees[0]:
+        assert trees[0][f] == trees[1][f], f
+
+
 def test_json_round_trip_and_consistency(tmp_path):
     report = run_benchmark(small_config(seeds=[0]))
     paths = emit_report(report, tmp_path)
