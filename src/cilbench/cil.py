@@ -59,6 +59,7 @@ class CilConfig:
             raise ValueError("distillation temperature must be positive")
         if self.method not in _METHODS:
             raise ValueError(f"unknown CIL method {self.method!r}")
+        _check_sgd(self)
 
 
 @dataclass
@@ -116,6 +117,17 @@ def _distill_grads(
     G = np.zeros_like(Z_new)
     G[:, :c_old] = T * (Q - P_old) / n
     return loss, G
+
+
+def _check_sgd(cfg) -> None:
+    """Reject the fields of ``cfg`` that ``sgd_epochs`` reads if they would
+    train away from the objective or let the momentum grow without bound."""
+    if cfg.lr0 <= 0:
+        raise ValueError("lr0 must be positive")
+    if not 0 <= cfg.momentum < 1:
+        raise ValueError("momentum must lie in [0, 1)")
+    if cfg.weight_decay < 0:
+        raise ValueError("weight_decay must be nonnegative")
 
 
 def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):

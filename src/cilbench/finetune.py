@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cil import CilModel, sgd_epochs
+from .cil import CilModel, _check_sgd, sgd_epochs
 from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss
@@ -101,6 +101,7 @@ class BerConfig:
             raise ValueError("beta_params must be two positive finite numbers")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("need epochs >= 0 and batch_size >= 1")
+        _check_sgd(self)
 
 
 @dataclass(frozen=True)

@@ -158,7 +158,10 @@ def _topk_sims(
     fit: ScorerFit, Z: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cosine similarities of each row to its k nearest bank rows and the
-    bank indices of those rows, both (n, min(k, bank)) in selection order."""
+    bank indices of those rows, both (n, min(k, bank)), each row in
+    ascending similarity with ties in bank order.  numpy does not specify
+    the order in which ``argpartition`` returns the k, and it changes with
+    the CPU features numpy dispatches on."""
     Q = l2_rows(Z)
     bank_t = fit.bank_features.T
     n, nb = Q.shape[0], bank_t.shape[1]
@@ -172,9 +175,11 @@ def _topk_sims(
     def score_slice(start: int) -> None:
         rows = slice(start, start + _SLICE_ROWS)
         part = Q[rows] @ bank_t
-        top = np.argpartition(part, nb - k, axis=1)[:, -k:]
-        sims[rows] = np.take_along_axis(part, top, axis=1)
-        idx[rows] = top
+        top = np.sort(np.argpartition(part, nb - k, axis=1)[:, -k:], axis=1)
+        top_sims = np.take_along_axis(part, top, axis=1)
+        order = np.argsort(top_sims, axis=1, kind="stable")
+        sims[rows] = np.take_along_axis(top_sims, order, axis=1)
+        idx[rows] = np.take_along_axis(top, order, axis=1)
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(score_slice, starts))  # re-raises a worker's error

@@ -4,11 +4,12 @@ One run = one CIL trainer + one OOD method, evaluated per incremental
 step on the union of seen test sets plus nested, proportionally growing
 OOD subsets, then aggregated over steps, near/far tags, and seeds.
 
-Post-hoc methods score through the incremental head; fine-tuning
-methods train an extra head per step and score through it with the
-``ood.score_with`` scorer, so the CIL accuracy trajectory is untouched by
-construction.  :class:`RunConfig` parses every section once, when it is
-built, and is the one place that routes a method to either framework.
+A seed runs in two phases.  ``_trajectory`` knows only CIL: it trains
+each step and measures ACC.  ``_score_step`` knows only the OOD method: a
+post-hoc method scores through the step's head, a fine-tuning method
+trains an extra head from it and scores with ``ood.score_with``, so no OOD
+method can change the CIL trajectory.  :class:`RunConfig` parses every
+section once, when built, and routes a method to either framework.
 Reports are byte-stable: records are sorted and aggregation is an ordered
 reduction.  Seeds run one after another; the ``threads`` setting is
 accepted and validated for compatibility but does not change how a run
@@ -101,10 +102,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_field_types(self, ConfigError)
-        if not isinstance(self.seeds, (list, tuple)) or not all(map(is_int, self.seeds)):
-            raise ConfigError(f"seeds must be a list of integers, got {self.seeds!r}")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
+        # RngStream reads seeds modulo 2^64: one outside [0, 2^64) aliases another
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds or not all(
+            is_int(s) and 0 <= s < 2**64 for s in self.seeds
+        ):
+            raise ConfigError(f"seeds must be nonempty integers in [0, 2^64), got {self.seeds!r}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             raise ConfigError(f"seeds must be distinct; repeated: {repeated}")
@@ -195,68 +197,54 @@ def _load_manifest(cfg: RunConfig):
     return train, test, suite
 
 
-def _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log):
-    """The model that scores OOD at step t: ``model`` itself for a post-hoc
-    method, else the extra head a fine-tuner trains from it, which appends
-    its per-epoch records to ``ft_log``."""
-    ft = cfg.finetune_params
-    if ft is None:
-        return model
-    method = cfg.ood["method"]
-    f_head = finetune_step_loop(model, stream, t, mem_t, method, ft, rng.child(f"ft-t{t}"), ft_log)
-    return scoring_model(model, f_head, method, ft)
-
-
 @contextmanager
 def _timed(phases: dict, name: str):
     t0 = perf_counter()
-    try:
-        yield
-    finally:
-        phases[name] += perf_counter() - t0
+    yield  # a phase that raises fails its seed, and no timings are written
+    phases[name] += perf_counter() - t0
 
 
-def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> list[dict]:
-    train, test, suite = data
-    order = RngStream(seed, "class-order") if cfg.class_order == "seeded" else None
-    stream = split_tasks(train, test, cfg.step_size, order)
-    T = stream.num_steps
-    cil_cfg, scorer, params = cfg.cil_config, cfg.scorer, cfg.scorer_params
-    model = CilModel.fresh(Extractor(), train.dim)
+def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
+    """The CIL phase: yields ``(t, model, mem_t, id_test, acc, took)`` per
+    step: the model after step t, the memory before it, the test rows of
+    tasks 1..t, and the timing record with ``cil_train`` and ACC in ``score_id``."""
+    model = CilModel.fresh(Extractor(), stream.tasks[0].train.dim)
     mem = MemoryBuffer(cfg.memory_budget)
-    rng = RngStream(seed, "run")
-    train_log: list = []
-    ft_log: list | None = None if cfg.finetune_params is None else []
-    timings: list = []
-
-    records = []
-    for t in range(1, T + 1):
+    rng = RngStream(seed, "run").child("cil")
+    for t in range(1, stream.num_steps + 1):
         took = {"seed": seed, "step": t, **dict.fromkeys(PHASES, 0.0)}
-        timings.append(took)
         mem_t = mem
         with _timed(took, "cil_train"):
-            model, mem = train_task(model, stream, t, mem_t, cil_cfg, rng.child("cil"), train_log)
+            model, mem = train_task(model, stream, t, mem_t, cfg.cil_config, rng, train_log)
         id_test = stream.test_through(t)
         with _timed(took, "score_id"):
             acc = evaluate_accuracy(model, id_test)
+        yield t, model, mem_t, id_test, acc, took
 
+
+def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple[list, CilModel]:
+    """The OOD phase of one ``_trajectory`` step: its records and scoring
+    model.  Adds the step's remaining phase times to ``took``."""
+    t, model, mem_t, id_test, acc, took = step
+    T = stream.num_steps
+    scorer, params, ft = cfg.scorer, cfg.scorer_params, cfg.finetune_params
+    score_model = model
+    if ft is not None:
+        method = cfg.ood["method"]
+        rng = RngStream(seed, "run").child(f"ft-t{t}")
         with _timed(took, "finetune"):
-            score_model = _score_model_for_step(cfg, model, stream, t, mem_t, rng, ft_log)
-        with _timed(took, "scorer_fit"):
-            fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
-        with _timed(took, "score_id"):
-            id_scores = score_batch(scorer, score_model, fit, id_test.features, params)
-
-        for entry in suite.entries:
-            with _timed(took, "score_ood"):
-                sub = ood_subset(entry.dataset, t, T, RngStream(seed, f"oodsubset/{entry.name}"))
-                ood_scores = score_batch(scorer, score_model, fit, sub.features, params)
-            with _timed(took, "metrics"):
-                detection = {
-                    "auroc": auroc(id_scores, ood_scores),
-                    "fpr95": fpr_at_tpr95(id_scores, ood_scores),
-                    "ap": average_precision(id_scores, ood_scores),
-                }
+            f_head = finetune_step_loop(model, stream, t, mem_t, method, ft, rng, ft_log)
+            score_model = scoring_model(model, f_head, method, ft)
+    with _timed(took, "scorer_fit"):
+        fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
+    with _timed(took, "score_id"):
+        id_scores = score_batch(scorer, score_model, fit, id_test.features, params)
+    records = []
+    for entry in suite.entries:
+        with _timed(took, "score_ood"):
+            sub = ood_subset(entry.dataset, t, T, RngStream(seed, f"oodsubset/{entry.name}"))
+            ood_scores = score_batch(scorer, score_model, fit, sub.features, params)
+        with _timed(took, "metrics"):
             records.append(
                 {
                     "seed": seed,
@@ -266,9 +254,25 @@ def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> lis
                     "n_id_test": int(id_test.n),
                     "n_ood_test": int(sub.n),
                     "acc": acc,
-                    **detection,
+                    "auroc": auroc(id_scores, ood_scores),
+                    "fpr95": fpr_at_tpr95(id_scores, ood_scores),
+                    "ap": average_precision(id_scores, ood_scores),
                 }
             )
+    return records, score_model
+
+
+def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> list[dict]:
+    train, test, suite = data
+    order = RngStream(seed, "class-order") if cfg.class_order == "seeded" else None
+    stream = split_tasks(train, test, cfg.step_size, order)
+    train_log, timings, records = [], [], []
+    ft_log: list | None = None if cfg.finetune_params is None else []
+    for step in _trajectory(cfg, seed, stream, train_log):
+        t, model, took = step[0], step[1], step[-1]
+        timings.append(took)
+        step_records, score_model = _score_step(cfg, seed, stream, step, suite, ft_log)
+        records += step_records
         if artifact_dir is not None:
             with _timed(took, "checkpoint_io"):
                 ckpt = artifact_dir / "checkpoints"
@@ -281,11 +285,9 @@ def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> lis
         logs = artifact_dir / "logs"
         logs.mkdir(parents=True, exist_ok=True)
         for name, entries in (("train", train_log), ("finetune", ft_log), ("timings", timings)):
-            if entries is None:
-                continue
-            with open(logs / f"{name}_seed{seed}.jsonl", "w") as fh:
-                for entry in entries:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            if entries is not None:
+                lines = "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
+                (logs / f"{name}_seed{seed}.jsonl").write_text(lines)
     return records
 
 

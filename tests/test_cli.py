@@ -100,6 +100,14 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         # every seed at scoring; at 0 every row scores the same
         {"ood": {"method": "gen", "params": {"gen_gamma": -1}}},
         {"ood": {"method": "gen", "params": {"gen_gamma": 0}}},
+        # SGD settings that train backwards or let the momentum grow; each
+        # used to exit 0 with nonsense results
+        {"cil": {"lr0": -0.1}},
+        {"cil": {"momentum": 2.0}},
+        {"cil": {"weight_decay": -5}},
+        {"ood": {"method": "ber", "params": {"lr0": -1}}},
+        # RngStream reads seeds modulo 2^64, so these two were one stream
+        {"seeds": [-1, 18446744073709551615]},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):

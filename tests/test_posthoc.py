@@ -314,12 +314,14 @@ def unit_dyadic_rows(gen, n, d, splits):
 
 
 def full_topk(fit, Z, k):
-    """The whole query x bank matrix with partition / argpartition."""
+    """The whole query x bank matrix with argpartition; each row's k in
+    ascending similarity, ties in bank order."""
     sims = l2_rows(Z) @ fit.bank_features.T
     k = min(k, sims.shape[1])
-    part = np.partition(sims, sims.shape[1] - k, axis=1)[:, -k:]
     idx = np.argpartition(sims, sims.shape[1] - k, axis=1)[:, -k:]
-    return part, idx
+    part = np.take_along_axis(sims, idx, axis=1)
+    order = np.lexsort((idx, part), axis=1)  # by similarity, then bank index
+    return np.take_along_axis(part, order, axis=1), np.take_along_axis(idx, order, axis=1)
 
 
 @pytest.mark.parametrize(

@@ -128,11 +128,28 @@ def test_ood_ratio_fixed_across_steps():
     assert ratios[-1] - ratios[0] <= 1.0 / per_task_test
 
 
-def test_acc_trajectory_unaffected_by_finetuner():
-    base = run_benchmark(small_config())
-    tuned = run_benchmark(small_config(ood={"method": "ber"}))
+def trajectory_files(out):
+    """The CIL head checkpoints and train logs of a run, by relative path."""
+    files = [*out.glob("checkpoints/head_seed*_step*.och"), *out.glob("logs/train_seed*.jsonl")]
+    return {f.relative_to(out).as_posix(): f.read_bytes() for f in files}
+
+
+@pytest.fixture(scope="module")
+def energy_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("energy")
+    return run_benchmark(small_config(), artifact_dir=out), trajectory_files(out)
+
+
+@pytest.mark.parametrize("method", ["nnguide", "odin", "ber", "t2fnorm"])
+def test_acc_trajectory_unaffected_by_finetuner(tmp_path, energy_run, method):
+    # neither a post-hoc scorer nor a fine-tuner may change the CIL steps
+    base, base_files = energy_run
+    tuned = run_benchmark(small_config(ood={"method": method}), artifact_dir=tmp_path)
     acc_of = lambda rep: [(r["seed"], r["step"], r["acc"]) for r in rep.records]
     assert acc_of(base) == acc_of(tuned)
+    # 2 seeds x 2 steps of checkpoints and 2 train logs
+    assert len(base_files) == 6
+    assert trajectory_files(tmp_path) == base_files
 
 
 def test_threads_do_not_change_report(tmp_path):
