@@ -19,7 +19,7 @@ from .data import (
 from .finetune import BerConfig, finetune_step_loop
 from .metrics import auroc, average_over_steps, average_precision, fpr_at_tpr95
 from .model import Extractor, LinearHead, load_head, save_head
-from .numerics import RngStream, sample_beta
+from .numerics import RngStream
 from .posthoc import PosthocParams, fit_scorer, score_batch
 from .protocol import BenchmarkReport, RunConfig, emit_report, run_benchmark
 from .synthgen import SynthSpec, generate, write_synth_suite
@@ -56,7 +56,6 @@ __all__ = [
     "load_suite_manifest",
     "ood_subset",
     "run_benchmark",
-    "sample_beta",
     "save_dataset",
     "save_head",
     "score_batch",

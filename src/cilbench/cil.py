@@ -55,6 +55,8 @@ class CilConfig:
             raise ValueError("need at least one epoch per task")
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
+        if self.distill_weight < 0:
+            raise ValueError("distill_weight must be nonnegative")
         if self.distill_temperature <= 0:
             raise ValueError("distillation temperature must be positive")
         if self.method not in _METHODS:
@@ -137,13 +139,14 @@ def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
     ``weight_decay``.
 
     Epoch e walks the permutation drawn from ``rng.child(f"{label}-{e}")``
-    in batches of ``batch_size``.  ``objective(sel, e, it)`` returns
-    ``(*terms, dW, db)`` for the rows ``sel`` of batch ``it`` at the
-    head's current weights, and ``sgd_step`` applies (dW, db) as step
-    ``e * iters + it`` of ``epochs * iters``.  After each epoch the sum of
-    all terms and the head must be finite (``DivergenceError`` names
-    ``what``, the seed, step t and the epoch); then ``(e, sums, iters)``
-    is yielded, ``sums`` being each term summed over the epoch's batches.
+    in batches of ``batch_size``, calling ``objective(sel)`` once per
+    batch, in order.  It returns ``(*terms, dW, db)`` for the rows ``sel``
+    at the head's current weights, and ``sgd_step`` applies (dW, db) to
+    batch ``it`` as step ``e * iters + it`` of ``epochs * iters``.  After
+    each epoch the sum of all terms and the head must be finite
+    (``DivergenceError`` names ``what``, the seed, step t and the epoch);
+    then ``(e, sums, iters)`` is yielded, ``sums`` being each term summed
+    over the epoch's batches.
     Training happens as the caller iterates, so it must iterate to the end.
     """
     batch_size = cfg.batch_size
@@ -157,7 +160,7 @@ def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
         sums = None
         for it in range(iters):
             sel = perm[it * batch_size : (it + 1) * batch_size]
-            *terms, dW, db = objective(sel, epoch, it)
+            *terms, dW, db = objective(sel)
             sgd_step(state, head, dW, db, epoch * iters + it, total)
             sums = [s + v for s, v in zip(sums or [0.0] * len(terms), terms)]
         check_finite_epoch(what, sum(sums), head, rng.seed, t, epoch)
@@ -198,7 +201,7 @@ def train_task(
         P_old = softmax_rows(model.head.logits(X), cfg.distill_temperature)
         logp_old = np.log(np.maximum(P_old, 1e-300))
 
-    def objective(sel, epoch, it):
+    def objective(sel):
         """(loss, correct predictions, dW, db) of one batch from one forward."""
         bx, by = X[sel], y_rows[sel]
         Z = head.logits(bx)

@@ -169,9 +169,6 @@ class MemoryBuffer:
     budget: int
     entries: dict[int, list[int]] = field(default_factory=dict)
 
-    def total(self) -> int:
-        return sum(len(v) for v in self.entries.values())
-
 
 @dataclass(frozen=True)
 class OodEntry:

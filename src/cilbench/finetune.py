@@ -29,6 +29,14 @@ The old-task hinge is max(0, E(mbar) - p_in)^2 in both modes.  All
 gradients are analytic and finite-difference checked.  The loss functions
 take plain row arrays: ``_ber_batch`` passes the ``rows`` of the
 pseudo-OOD batch and the blended array :func:`synth_old_mix` returns.
+
+A ``ber`` step draws every batch's randomness from one generator,
+``rng.child(f"ber-batches-t{t}").gen``, in batch order.  Within a batch:
+the pseudo-OOD partner permutation, the redraws of equal-label partners
+(all at once, up to 16 rounds), the Beta weights of the kept rows in row
+order, then, with a replay memory, the replay batch and the two
+permutations of the old-task blend.  The epoch permutations keep their
+own ``ber-epoch-t{t}-{e}`` streams.
 """
 from __future__ import annotations
 
@@ -43,7 +51,7 @@ from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
-from .numerics import RngStream, logsumexp_rows, logsumexp_softmax_rows, sample_beta
+from .numerics import RngStream, logsumexp_rows, logsumexp_softmax_rows
 from .numerics import softmax_cross_entropy
 
 __all__ = [
@@ -122,52 +130,49 @@ def synth_pseudo_ood(
     features: np.ndarray,
     labels: np.ndarray,
     beta_params: tuple[float, float],
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> PseudoOodBatch:
     """Mix same-batch rows of different classes: beta*x_i + (1-beta)*x_j.
 
-    Pairs come from a seeded permutation; equal-label pairs are redrawn
-    up to 16 times, then dropped.  Once all pairs are chosen, each pair
-    draws its beta from ``rng`` in pair order.  A single-label batch yields
-    no rows.
+    Row i's partner j comes from ``gen.permutation(m)``.  For up to 16
+    rounds, every row whose partner shares its label draws a new partner,
+    all such rows at once; rows still paired with their own label are
+    dropped.  Then the kept rows draw their betas from ``gen`` in row
+    order.  A single-label batch draws nothing and yields no rows.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     m = features.shape[0]
     if m == 0 or np.unique(labels).size < 2:
         return PseudoOodBatch(np.zeros((0, features.shape[1] if features.ndim == 2 else 0)))
-    gen = rng.gen
     partner = gen.permutation(m)
-    pairs = []
-    for i in range(m):
-        j = int(partner[i])
-        tries = 0
-        while labels[i] == labels[j] and tries < 16:
-            j = int(gen.integers(m))
-            tries += 1
-        if labels[i] != labels[j]:
-            pairs.append((i, j))
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    beta = np.array([sample_beta(*beta_params, rng) for _ in range(len(pairs))])[:, None]
-    return PseudoOodBatch(beta * features[pairs[:, 0]] + (1.0 - beta) * features[pairs[:, 1]])
+    for _ in range(16):
+        same = np.flatnonzero(labels[partner] == labels)
+        if same.size == 0:
+            break
+        partner[same] = gen.integers(m, size=same.size)
+    kept = np.flatnonzero(labels[partner] != labels)
+    beta = gen.beta(*beta_params, size=kept.size)[:, None]
+    return PseudoOodBatch(beta * features[kept] + (1.0 - beta) * features[partner[kept]])
 
 
 def synth_old_mix(
     new_rows: np.ndarray,
     mem_rows_: np.ndarray,
     lambda_old: float,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> np.ndarray:
-    """The (max(a, b), d) rows lambda * x + (1 - lambda) * m, with seeded
-    index matching; the shorter batch cycles."""
+    """The (max(a, b), d) rows lambda * x + (1 - lambda) * m, matched by
+    ``gen.permutation(a)`` then ``gen.permutation(b)``; the shorter batch
+    cycles."""
     new_rows = np.asarray(new_rows, dtype=np.float64)
     mem = np.asarray(mem_rows_, dtype=np.float64)
     a, b = new_rows.shape[0], mem.shape[0]
     if a == 0 or b == 0:
         raise ValueError("both batches must be nonempty")
     length = max(a, b)
-    perm_x = rng.child("x").gen.permutation(a)
-    perm_m = rng.child("m").gen.permutation(b)
+    perm_x = gen.permutation(a)
+    perm_m = gen.permutation(b)
     xi = perm_x[np.arange(length) % a]
     mi = perm_m[np.arange(length) % b]
     return lambda_old * new_rows[xi] + (1.0 - lambda_old) * mem[mi]
@@ -271,20 +276,19 @@ def ber_total_loss(
     return l_ce + cfg.alpha * l_n + cfg.alpha * l_o, dW, db
 
 
-def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key):
+def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, gen):
     """BER terms for one batch of new-task rows: the first half feeds CE
     and the ID hinge, the second half is mixed into boundary samples, and
-    a replay batch joins CE and is blended into the old-task hinge."""
+    a replay batch joins CE and is blended into the old-task hinge.  Every
+    random draw comes from ``gen``."""
     half = (len(by) + 1) // 2
     ax, ay = bx[:half], by[:half]
-    pseudo = synth_pseudo_ood(bx[half:], by[half:], cfg.beta_params, rng.child(f"mix-{key}"))
+    pseudo = synth_pseudo_ood(bx[half:], by[half:], cfg.beta_params, gen)
     if Z_mem.shape[0] == 0:
         return _ber_terms(head, ax, ay, ax, pseudo.rows, None, cfg)
-    pick = rng.child(f"membatch-{key}").gen.choice(
-        Z_mem.shape[0], size=min(cfg.batch_size, Z_mem.shape[0]), replace=False
-    )
+    pick = gen.choice(Z_mem.shape[0], size=min(cfg.batch_size, Z_mem.shape[0]), replace=False)
     mX, my = Z_mem[pick], y_mem[pick]
-    mixed = synth_old_mix(bx, mX, cfg.lambda_old, rng.child(f"oldmix-{key}"))
+    mixed = synth_old_mix(bx, mX, cfg.lambda_old, gen)
     ce_X, ce_y = np.concatenate([ax, mX]), np.concatenate([ay, my])
     return _ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed, cfg)
 
@@ -312,11 +316,12 @@ def finetune_step_loop(
     ``mem`` must be the replay memory from steps < t (it is empty at
     t = 1, in which case the old-task term is skipped).  Plain, logitnorm
     and t2fnorm train on new-task rows and memory pooled; ``ber`` epochs
-    run over new-task rows and draw a replay batch per step.  Each epoch
-    appends its mean ``ce``/``l_n``/``l_o`` to ``log_sink``; an epoch
-    with a non-finite loss or head raises ``DivergenceError``.  Returns the
-    fine-tuned head, trained on the features of :func:`scoring_model`, the
-    model it is scored through.
+    run over new-task rows and draw a replay batch per SGD step, all from
+    the step's one batch generator.  Each epoch appends its mean
+    ``ce``/``l_n``/``l_o`` to ``log_sink``; an epoch with a non-finite
+    loss or head raises ``DivergenceError``.  Returns the fine-tuned
+    head, trained on the features of :func:`scoring_model`, the model it
+    is scored through.
     """
     if method not in FINETUNE_METHODS:
         raise ValueError(f"unknown fine-tune method {method!r}")
@@ -341,14 +346,14 @@ def finetune_step_loop(
             if log_sink is not None:
                 log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
         X, y, label = Z_new, y_new, f"ber-epoch-t{t}"
+        gen = rng.child(f"ber-batches-t{t}").gen
 
-        def objective(sel, epoch, it):
-            key = f"t{t}-{epoch}-{it}"
-            return _ber_batch(head, X[sel], y[sel], Z_mem, y_mem, cfg, rng, key)
+        def objective(sel):
+            return _ber_batch(head, X[sel], y[sel], Z_mem, y_mem, cfg, gen)
     else:
         X, y, label = Z_all, y_all, f"ft-epoch-t{t}"
 
-        def objective(sel, epoch, it):
+        def objective(sel):
             if method == "logitnorm":
                 loss, dW, db = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
             else:

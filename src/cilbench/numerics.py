@@ -1,10 +1,10 @@
 """Deterministic numeric primitives shared by every module.
 
 Row-wise stable log-sum-exp and softmax with a temperature (one exp
-serves both), fused softmax cross-entropy, row L2 normalization, Beta
-sampling, and a seeded RNG with named substreams.  All math is 64-bit;
-all randomness flows through :class:`RngStream` so a run is reproducible
-from a single seed regardless of call order elsewhere.
+serves both), fused softmax cross-entropy, row L2 normalization, and a
+seeded RNG with named substreams.  All math is 64-bit; all randomness
+flows through :class:`RngStream` so a run is reproducible from a single
+seed regardless of call order elsewhere.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ __all__ = [
     "softmax_rows",
     "softmax_cross_entropy",
     "l2_rows",
-    "sample_beta",
 ]
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -100,15 +99,3 @@ def l2_rows(X: np.ndarray, tau: float = 1.0) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
     return X / (norms * tau)
-
-
-def sample_beta(a: float, b: float, rng: RngStream) -> float:
-    """One Beta(a, b) variate via the two-Gamma ratio construction."""
-    if not (a > 0 and b > 0):  # NaN included: gamma(NaN) would loop forever
-        raise ValueError("Beta shape parameters must be positive")
-    while True:
-        g1 = rng.gen.gamma(a)
-        g2 = rng.gen.gamma(b)
-        total = g1 + g2
-        if total > 0:  # guards underflow for very small shapes
-            return float(g1 / total)

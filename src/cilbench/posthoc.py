@@ -79,6 +79,13 @@ class PosthocParams:
             raise ValueError("gen_gamma must be positive")
         if min(self.gen_top_m, self.knn_k) < 1:
             raise ValueError("gen_top_m and knn_k must be >= 1")
+        if not 0 < self.react_percentile <= 100:
+            # at 0 or below the threshold is the smallest feature, so
+            # every row clips to it and every score ties
+            raise ValueError("react_percentile must lie in (0, 100]")
+        if self.odin_epsilon < 0:
+            # a negative step pushes inputs toward lower confidence
+            raise ValueError("odin_epsilon must be nonnegative")
 
 
 @dataclass

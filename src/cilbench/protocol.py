@@ -331,16 +331,12 @@ def _aggregate(records: list[dict], seeds) -> dict:
         "seed_std_auroc": float(np.std(seed_aucs)) if seed_aucs else None,
         "effective_seeds": len(ok_seeds),
         "requested_seeds": len(seeds),
-        "consistency_ok": True,  # re-derived in verify_consistency
     }
 
 
 def verify_consistency(report: BenchmarkReport) -> bool:
     """Recompute aggregates from the raw records and compare."""
-    fresh = _aggregate(report.records, report.config.get("seeds", []))
-    stored = dict(report.aggregates)
-    fresh["consistency_ok"] = stored.get("consistency_ok", True)
-    return fresh == stored
+    return _aggregate(report.records, report.config.get("seeds", [])) == report.aggregates
 
 
 def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:

@@ -108,6 +108,12 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         {"ood": {"method": "ber", "params": {"lr0": -1}}},
         # RngStream reads seeds modulo 2^64, so these two were one stream
         {"seeds": [-1, 18446744073709551615]},
+        # each used to exit 0 with an AUROC below chance or at a tie
+        {"cil": {"method": "replay_distill", "distill_weight": -1}},
+        {"ood": {"method": "react", "params": {"react_percentile": 0}}},
+        {"ood": {"method": "react", "params": {"react_percentile": -5}}},
+        {"ood": {"method": "react", "params": {"react_percentile": 100.5}}},
+        {"ood": {"method": "odin", "params": {"odin_epsilon": -0.5}}},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
@@ -359,6 +365,16 @@ def test_report_rejects_aggregates_that_disagree_with_records(tmp_path, capsys):
     assert main(["report", "--in", str(edited), "--format", "md"]) == 2
     assert "aggregates disagree with the records" in capsys.readouterr().err
     assert not (edited.parent / "report.md").exists()
+
+
+def test_report_with_the_retired_consistency_key_is_rejected(tmp_path, capsys, small_report):
+    # reports written before aggregates.consistency_ok was deleted must be re-run
+    old = tmp_path / "report.json"
+    doc = {**small_report, "aggregates": {**small_report["aggregates"], "consistency_ok": True}}
+    old.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    assert main(["report", "--in", str(old), "--format", "md"]) == 2
+    assert "aggregates disagree with the records" in capsys.readouterr().err
+    assert not (tmp_path / "report.md").exists()
 
 
 @pytest.fixture(scope="module")

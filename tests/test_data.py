@@ -205,10 +205,10 @@ def test_rebalance_quota_and_budget():
         mem = rebalance_memory(mem, stream, t)
         seen = stream.classes_through(t)
         q = 10 // len(seen)
-        assert mem.total() <= 10
+        assert sum(len(v) for v in mem.entries.values()) <= 10
         assert all(len(mem.entries[c]) == q for c in seen)
     # after 3 tasks: 6 classes, quota 1
-    assert mem.total() == 6
+    assert sum(len(v) for v in mem.entries.values()) == 6
 
 
 def test_rebalance_benchmark_scale_quota():
@@ -218,7 +218,7 @@ def test_rebalance_benchmark_scale_quota():
     stream = split_tasks(tr, te, 10)
     mem = rebalance_memory(MemoryBuffer(2000), stream, 2)
     assert all(len(v) == 100 for v in mem.entries.values())
-    assert mem.total() == 2000
+    assert sum(len(v) for v in mem.entries.values()) == 2000
 
 
 def test_rebalance_truncation_keeps_herding_prefix():
@@ -243,7 +243,7 @@ def test_step_rows_materialization():
     np.testing.assert_array_equal(X_all[: task.n], task.features)
     np.testing.assert_array_equal(y_all[: task.n], task.labels)
     X, y = X_all[task.n :], y_all[task.n :]
-    assert X.shape[0] == mem.total() == len(y)
+    assert X.shape[0] == sum(len(v) for v in mem.entries.values()) == len(y)
     assert list(y) == sorted(y)
     for c in mem.entries:
         class_rows = tr.features[tr.labels == c]

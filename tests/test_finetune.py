@@ -27,7 +27,7 @@ from cilbench.model import (
     ce_loss,
     sgd_step,
 )
-from cilbench.numerics import RngStream, sample_beta, softmax_rows
+from cilbench.numerics import RngStream, softmax_rows
 from cilbench.synthgen import SynthSpec, generate
 from oracles import head_bytes
 
@@ -45,28 +45,29 @@ def test_energy_examples():
         assert energy_rows(v[None, :], tau)[0] == pytest.approx(direct, abs=1e-12)
 
 
-def pseudo_ood_pairs(labels, rng):
-    """The (i, j) pairs of the documented contract, drawn from ``rng``:
-    seeded partners, an equal-label partner redrawn up to 16 times, then
-    the row dropped.  ``rng`` is then where the per-pair betas start."""
+def pseudo_ood_pairs(labels, gen):
+    """The (i, j) pairs of the documented contract, drawn from ``gen``:
+    seeded partners; up to 16 rounds in which every row whose partner
+    shares its label draws a new one, in row order; then the rows still
+    paired with their own label dropped.  ``gen`` is then where the betas
+    start."""
     m = len(labels)
-    partner = rng.gen.permutation(m)
-    pairs = []
-    for i in range(m):
-        j, tries = int(partner[i]), 0
-        while labels[i] == labels[j] and tries < 16:
-            j, tries = int(rng.gen.integers(m)), tries + 1
-        if labels[i] != labels[j]:
-            pairs.append((i, j))
-    return pairs
+    partner = [int(j) for j in gen.permutation(m)]
+    for _ in range(16):
+        same = [i for i in range(m) if labels[i] == labels[partner[i]]]
+        if not same:
+            break
+        for i, j in zip(same, gen.integers(m, size=len(same))):
+            partner[i] = int(j)
+    return [(i, partner[i]) for i in range(m) if labels[i] != labels[partner[i]]]
 
 
 def test_pseudo_ood_pairs_have_distinct_labels():
     gen = np.random.default_rng(1)
     feats = gen.normal(size=(32, 6))
     labels = gen.integers(0, 4, 32)
-    batch = synth_pseudo_ood(feats, labels, (1.0, 1.0), RngStream(0, "mix"))
-    pairs = pseudo_ood_pairs(labels, RngStream(0, "mix"))
+    batch = synth_pseudo_ood(feats, labels, (1.0, 1.0), RngStream(0, "mix").gen)
+    pairs = pseudo_ood_pairs(labels, RngStream(0, "mix").gen)
     assert len(pairs) > 0
     assert batch.rows.shape == (len(pairs), 6)
     for i, j in pairs:
@@ -77,8 +78,8 @@ def test_pseudo_ood_rows_lie_on_segment():
     gen = np.random.default_rng(2)
     feats = gen.normal(size=(20, 4))
     labels = gen.integers(0, 3, 20)
-    batch = synth_pseudo_ood(feats, labels, (2.0, 2.0), RngStream(1, "mix"))
-    pairs = pseudo_ood_pairs(labels, RngStream(1, "mix"))
+    batch = synth_pseudo_ood(feats, labels, (2.0, 2.0), RngStream(1, "mix").gen)
+    pairs = pseudo_ood_pairs(labels, RngStream(1, "mix").gen)
     assert batch.rows.shape[0] == len(pairs)
     for row, (i, j) in zip(batch.rows, pairs):
         lo = np.minimum(feats[i], feats[j])
@@ -89,25 +90,28 @@ def test_pseudo_ood_rows_lie_on_segment():
 def test_pseudo_ood_single_label_is_degenerate():
     feats = np.ones((8, 3))
     labels = np.zeros(8, dtype=int)
-    batch = synth_pseudo_ood(feats, labels, (1.0, 1.0), RngStream(2, "mix"))
+    gen = RngStream(2, "mix").gen
+    batch = synth_pseudo_ood(feats, labels, (1.0, 1.0), gen)
     assert batch.rows.shape == (0, 3)
+    # nothing was drawn
+    assert gen.random() == RngStream(2, "mix").gen.random()
 
 
 def test_pseudo_ood_deterministic():
     gen = np.random.default_rng(3)
     feats = gen.normal(size=(16, 3))
     labels = gen.integers(0, 3, 16)
-    a = synth_pseudo_ood(feats, labels, (1.5, 0.5), RngStream(4, "m"))
-    b = synth_pseudo_ood(feats, labels, (1.5, 0.5), RngStream(4, "m"))
+    a = synth_pseudo_ood(feats, labels, (1.5, 0.5), RngStream(4, "m").gen)
+    b = synth_pseudo_ood(feats, labels, (1.5, 0.5), RngStream(4, "m").gen)
     np.testing.assert_array_equal(a.rows, b.rows)
-    pairs_a = pseudo_ood_pairs(labels, RngStream(4, "m"))
-    assert pairs_a == pseudo_ood_pairs(labels, RngStream(4, "m"))
+    pairs_a = pseudo_ood_pairs(labels, RngStream(4, "m").gen)
+    assert pairs_a == pseudo_ood_pairs(labels, RngStream(4, "m").gen)
     assert a.rows.shape[0] == len(pairs_a)
 
 
 def test_pseudo_ood_rows_are_the_pair_mixes_bit_for_bit():
     # the pairs of the documented contract, then one beta per kept pair from
-    # the same stream, in pair order
+    # the same generator, in row order
     gen = np.random.default_rng(7)
     dropped = 0
     cases = ((64, 0.3, (1.0, 1.0)), (40, 0.95, (2.0, 0.5)), (3, 0.5, (0.7, 1.3)))
@@ -115,24 +119,69 @@ def test_pseudo_ood_rows_are_the_pair_mixes_bit_for_bit():
         feats = gen.normal(size=(m, 5)) * 10
         labels = np.where(gen.random(m) < p_major, 0, gen.integers(1, 4, m))
         labels[:2] = [0, 1]
-        batch = synth_pseudo_ood(feats, labels, beta_params, RngStream(m, "mix"))
-        rng = RngStream(m, "mix")
-        pairs = pseudo_ood_pairs(labels, rng)
+        batch = synth_pseudo_ood(feats, labels, beta_params, RngStream(m, "mix").gen)
+        oracle = RngStream(m, "mix").gen
+        pairs = pseudo_ood_pairs(labels, oracle)
+        betas = oracle.beta(*beta_params, size=len(pairs))
         dropped += m - len(pairs)
         assert batch.rows.shape == (len(pairs), 5)
-        for row, (i, j) in zip(batch.rows, pairs):
-            beta = sample_beta(*beta_params, rng)
+        for row, (i, j), beta in zip(batch.rows, pairs, betas):
             assert row.tobytes() == (beta * feats[i] + (1.0 - beta) * feats[j]).tobytes()
     assert dropped > 0  # the drop path ran
+
+
+def drawn_betas(beta_params, seed, m=50_000):
+    """The betas synth_pseudo_ood draws on a 1-d two-class batch, each
+    recovered from its row as (row - x_j) / (x_i - x_j)."""
+    labels = np.arange(m) % 2
+    feats = labels[:, None].astype(np.float64)
+    rows = synth_pseudo_ood(feats, labels, beta_params, np.random.default_rng(seed)).rows
+    pairs = np.array(pseudo_ood_pairs(labels, np.random.default_rng(seed)))
+    assert rows.shape == (len(pairs), 1) and len(pairs) > 0.99 * m
+    x_i, x_j = feats[pairs[:, 0], 0], feats[pairs[:, 1], 0]
+    return (rows[:, 0] - x_j) / (x_i - x_j)
+
+
+def test_pseudo_ood_betas_uniform_mean():
+    betas = drawn_betas((1.0, 1.0), 123)
+    assert abs(betas.mean() - 0.5) < 0.01
+    assert betas.min() >= 0.0 and betas.max() <= 1.0
+
+
+def test_pseudo_ood_betas_moments_2_2():
+    # Beta(2,2): mean 1/2, var 1/20
+    betas = drawn_betas((2.0, 2.0), 5)
+    assert abs(betas.mean() - 0.5) < 0.01
+    assert abs(betas.var() - 0.05) < 0.005
+
+
+def test_pseudo_ood_betas_swap_symmetry():
+    x = drawn_betas((2.0, 5.0), 9)
+    y = 1.0 - drawn_betas((5.0, 2.0), 9)
+    assert abs(x.mean() - y.mean()) < 0.01
+
+
+def test_pseudo_ood_tiny_beta_shapes_give_finite_rows_on_segments():
+    gen = np.random.default_rng(13)
+    feats = gen.normal(size=(256, 4)) * 10
+    labels = gen.integers(0, 4, 256)
+    batch = synth_pseudo_ood(feats, labels, (1e-3, 1e-3), RngStream(3, "tiny").gen)
+    pairs = pseudo_ood_pairs(labels, RngStream(3, "tiny").gen)
+    assert batch.rows.shape == (len(pairs), 4)
+    assert np.all(np.isfinite(batch.rows))
+    for row, (i, j) in zip(batch.rows, pairs):
+        lo = np.minimum(feats[i], feats[j])
+        hi = np.maximum(feats[i], feats[j])
+        assert np.all(row >= lo - 1e-12) and np.all(row <= hi + 1e-12)
 
 
 def test_old_mix_endpoints_and_arithmetic():
     x = np.array([[1.0, 1.0]])
     m = np.array([[0.0, 0.0]])
-    rng = RngStream(5, "om")
-    np.testing.assert_allclose(synth_old_mix(x, m, 0.0, rng), m, atol=0)
-    np.testing.assert_allclose(synth_old_mix(x, m, 1.0, rng), x, atol=0)
-    out = synth_old_mix(x, m, 0.002, rng)
+    gen = RngStream(5, "om").gen
+    np.testing.assert_allclose(synth_old_mix(x, m, 0.0, gen), m, atol=0)
+    np.testing.assert_allclose(synth_old_mix(x, m, 1.0, gen), x, atol=0)
+    out = synth_old_mix(x, m, 0.002, gen)
     np.testing.assert_allclose(out, [[0.002, 0.002]], atol=1e-15)
 
 
@@ -140,12 +189,13 @@ def test_old_mix_cycles_shorter_batch():
     gen = np.random.default_rng(6)
     x = gen.normal(size=(5, 3))
     m = gen.normal(size=(2, 3))
-    rng = RngStream(6, "om")
-    out = synth_old_mix(x, m, 0.5, rng)
+    out = synth_old_mix(x, m, 0.5, RngStream(6, "om").gen)
     assert out.shape[0] == 5
-    # the documented index matching: each side's seeded permutation, cycled
-    new_idx = rng.child("x").gen.permutation(5)[np.arange(5) % 5]
-    mem_idx = rng.child("m").gen.permutation(2)[np.arange(5) % 2]
+    # the documented index matching: the new rows' permutation, then the
+    # memory rows', from one generator, each cycled
+    oracle = RngStream(6, "om").gen
+    new_idx = oracle.permutation(5)[np.arange(5) % 5]
+    mem_idx = oracle.permutation(2)[np.arange(5) % 2]
     np.testing.assert_allclose(out, 0.5 * x[new_idx] + 0.5 * m[mem_idx], atol=1e-15)
 
 
@@ -387,15 +437,16 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         if Z_mem.shape[0] == 0:
             log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
         X, y, label = Z_new, y_new, "ber-epoch"
+        gen = rng.child(f"ber-batches-t{t}").gen
 
-        def objective(bx, by, key):
-            return _ber_batch(head, bx, by, Z_mem, y_mem, cfg, rng, key)
+        def objective(bx, by):
+            return _ber_batch(head, bx, by, Z_mem, y_mem, cfg, gen)
     else:
         X = np.concatenate([Z_new, Z_mem]) if Z_mem.size else Z_new
         y = np.concatenate([y_new, y_mem]) if Z_mem.size else y_new
         label = "ft-epoch"
 
-        def objective(bx, by, key):
+        def objective(bx, by):
             if method == "logitnorm":
                 loss, dW, db = logitnorm_ce_loss(head, bx, by, cfg.logitnorm_tau)
             else:
@@ -410,7 +461,7 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         sums = {"ce": 0.0, "l_n": 0.0, "l_o": 0.0}
         for it in range(iters):
             sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-            l_ce, l_n, l_o, dW, db = objective(X[sel], y[sel], f"t{t}-{epoch}-{it}")
+            l_ce, l_n, l_o, dW, db = objective(X[sel], y[sel])
             sgd_step(state, head, dW, db, epoch * iters + it, total)
             sums["ce"] += l_ce
             sums["l_n"] += l_n
@@ -424,7 +475,7 @@ def test_shared_epoch_loop_matches_separate_loop(method):
     model, stream, mems = small_trained_model(seed=7)
     cfg = BerConfig(epochs=3, batch_size=48, hinge_orientation="energy_paper")
     for t in (1, 2):
-        assert (mems[t - 1].total() == 0) == (t == 1)
+        assert (sum(len(v) for v in mems[t - 1].entries.values()) == 0) == (t == 1)
         shared_log, separate_log = [], []
         shared = finetune_step_loop(
             model, stream, t, mems[t - 1], method, cfg, RngStream(9, "ft"), shared_log

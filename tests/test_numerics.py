@@ -8,7 +8,6 @@ from cilbench.numerics import (
     l2_rows,
     logsumexp_rows,
     logsumexp_softmax_rows,
-    sample_beta,
     softmax_cross_entropy,
     softmax_rows,
 )
@@ -75,48 +74,6 @@ def test_softmax_sums_to_one_and_shift_invariant():
         assert abs(p.sum() - 1.0) < 1e-12
         shifted = softmax(v + 3.7, tau)
         np.testing.assert_allclose(p, shifted, atol=1e-10)
-
-
-def test_sample_beta_uniform_mean():
-    rng = RngStream(123, "beta-test")
-    draws = np.array([sample_beta(1.0, 1.0, rng) for _ in range(100_000)])
-    assert abs(draws.mean() - 0.5) < 0.01
-    assert draws.min() >= 0.0 and draws.max() <= 1.0
-
-
-def test_sample_beta_moments_2_2():
-    # Beta(2,2): mean 1/2, var 1/20
-    rng = RngStream(5, "beta-moments")
-    draws = np.array([sample_beta(2.0, 2.0, rng) for _ in range(100_000)])
-    assert abs(draws.mean() - 0.5) < 0.01
-    assert abs(draws.var() - 0.05) < 0.005
-
-
-def test_sample_beta_swap_symmetry():
-    n = 100_000
-    r1 = RngStream(9, "swap")
-    r2 = RngStream(9, "swap")
-    x = np.array([sample_beta(2.0, 5.0, r1) for _ in range(n)])
-    y = np.array([1.0 - sample_beta(5.0, 2.0, r2) for _ in range(n)])
-    assert abs(x.mean() - y.mean()) < 0.01
-
-
-def test_sample_beta_determinism():
-    a = RngStream(42, "det")
-    b = RngStream(42, "det")
-    d1 = [sample_beta(0.7, 1.3, a) for _ in range(10)]
-    d2 = [sample_beta(0.7, 1.3, b) for _ in range(10)]
-    assert d1 == d2
-
-
-def test_sample_beta_rejects_nonpositive():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        sample_beta(0.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        sample_beta(1.0, -2.0, rng)
-    with pytest.raises(ValueError):
-        sample_beta(float("nan"), 1.0, rng)  # would draw NaN forever
 
 
 def test_rng_substreams_differ_and_repeat():
