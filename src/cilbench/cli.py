@@ -118,7 +118,13 @@ def _cmd_report(args) -> int:
     try:
         report = BenchmarkReport.from_dict(doc)
         if not verify_consistency(report):
-            return _fail("data", f"aggregates disagree with the records in {args.input}", EXIT_DATA)
+            msg = f"aggregates disagree with the records in {args.input}"
+            if "consistency_ok" in report.aggregates:
+                msg += (
+                    "; it holds aggregates.consistency_ok, so the report predates"
+                    " the current format and must be re-run with `cilbench run`"
+                )
+            return _fail("data", msg, EXIT_DATA)
         paths = emit_report(report, out_dir, formats=(fmt,))
     except OSError as exc:
         return _fail("runtime", f"cannot write report: {exc}", EXIT_RUNTIME)

@@ -45,6 +45,7 @@ __all__ = [
 
 _MAGIC = b"OCF1"
 _VERSION = 1
+_SAVE_ROWS = 4096
 
 
 class DataError(Exception):
@@ -120,9 +121,16 @@ class Task:
 
 @dataclass(frozen=True)
 class TaskStream:
-    """Ordered partition of classes into tasks with disjoint label sets."""
+    """Ordered partition of classes into tasks with disjoint label sets.
+
+    ``test`` holds every task's test rows, task by task; task t's rows end
+    at ``test_ends[t - 1]``.  Built by :func:`split_tasks`, whose task sets
+    are read-only views of ``test`` and of the train rows.
+    """
 
     tasks: tuple[Task, ...]
+    test: FeatureDataset
+    test_ends: tuple[int, ...]
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -154,11 +162,11 @@ class TaskStream:
         raise DataError(f"class {c} is in no task")
 
     def test_through(self, t: int) -> FeatureDataset:
-        """Union of the test sets of tasks 1..t."""
-        feats = np.concatenate([task.test.features for task in self.tasks[:t]])
-        labels = np.concatenate([task.test.labels for task in self.tasks[:t]])
-        n_classes = self.tasks[0].train.n_classes
-        return FeatureDataset(feats, labels, n_classes)
+        """Union of the test sets of tasks 1..t: a prefix view of ``test``."""
+        if not 1 <= t <= self.num_steps:
+            raise ValueError("step index out of range")
+        end = self.test_ends[t - 1]
+        return FeatureDataset(self.test.features[:end], self.test.labels[:end], self.test.n_classes)
 
 
 @dataclass
@@ -197,8 +205,11 @@ def save_dataset(ds: FeatureDataset, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, ds.n, ds.dim))
-        fh.write(ds.features.astype("<f4").tobytes(order="C"))
-        fh.write(ds.labels.astype("<i4").tobytes(order="C"))
+        # float32 blocks of _SAVE_ROWS rows, each written from its own buffer:
+        # the payload is never held as a whole second copy, nor as bytes
+        for start in range(0, ds.n, _SAVE_ROWS):
+            fh.write(memoryview(ds.features[start : start + _SAVE_ROWS].astype("<f4")))
+        fh.write(memoryview(ds.labels.astype("<i4")))
 
 
 def load_dataset(path, n_classes: int = 0) -> FeatureDataset:
@@ -228,6 +239,28 @@ def load_dataset(path, n_classes: int = 0) -> FeatureDataset:
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that no step can write through."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _task_major(ds: FeatureDataset, groups) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``ds``'s features and labels regrouped task by task, in their original
+    order within each task, read-only, and the row bounds of the tasks:
+    the t-th group (0-based) spans rows ``bounds[t]:bounds[t + 1]``."""
+    idx = [np.flatnonzero(np.isin(ds.labels, classes)) for classes in groups]
+    bounds = [0, *np.cumsum([len(i) for i in idx]).tolist()]
+    rows = np.concatenate(idx)
+    feats, labels = ds.features, ds.labels
+    if not np.array_equal(rows, np.arange(ds.n)):
+        # a seeded class order or rows not sorted by class: one gather puts
+        # each task's rows in one run, so every task is a view of it
+        feats, labels = feats[rows], labels[rows]
+    return _read_only(feats), _read_only(labels), bounds
+
+
 def split_tasks(
     ds_train: FeatureDataset,
     ds_test: FeatureDataset,
@@ -236,7 +269,12 @@ def split_tasks(
 ) -> TaskStream:
     """Partition classes into ceil(K/k) tasks of k classes (last task takes
     the remainder).  Classes are taken in id order, or in the permutation
-    drawn from ``class_order.child("class-order")`` when one is given."""
+    drawn from ``class_order.child("class-order")`` when one is given.
+
+    Task sets are read-only row slices of one task-major copy of each input;
+    rows already laid out task by task (identity order on class-sorted
+    rows) are not copied at all, so the tasks share the inputs' memory.
+    """
     K = ds_train.n_classes
     if k < 2:
         raise ValueError("step size k must be >= 2")
@@ -246,15 +284,18 @@ def split_tasks(
         order = np.arange(K)
     else:
         order = class_order.child("class-order").gen.permutation(K)
-    tasks = []
-    for start in range(0, K, k):
-        classes = tuple(int(c) for c in order[start : start + k])
-        tr_idx = np.flatnonzero(np.isin(ds_train.labels, classes))
-        te_idx = np.flatnonzero(np.isin(ds_test.labels, classes))
-        tasks.append(
-            Task(ds_train.subset(tr_idx), ds_test.subset(te_idx), classes)
-        )
-    return TaskStream(tuple(tasks))
+    groups = [tuple(int(c) for c in order[start : start + k]) for start in range(0, K, k)]
+    train_x, train_y, train_bounds = _task_major(ds_train, groups)
+    test_x, test_y, test_bounds = _task_major(ds_test, groups)
+
+    def rows(x, y, bounds, t):
+        return FeatureDataset(x[bounds[t] : bounds[t + 1]], y[bounds[t] : bounds[t + 1]], K)
+
+    tasks = tuple(
+        Task(rows(train_x, train_y, train_bounds, t), rows(test_x, test_y, test_bounds, t), classes)
+        for t, classes in enumerate(groups)
+    )
+    return TaskStream(tasks, FeatureDataset(test_x, test_y, K), tuple(test_bounds[1:]))
 
 
 def step_rows(
@@ -272,6 +313,8 @@ def step_rows(
             ys.append(np.full(len(idx), c, dtype=np.int64))
     if len(xs) == 1:
         return train.features, train.labels
+    # exemplars come from other tasks' rows, so the rows a step trains on
+    # are not one run of the suite: this copy is the step's
     return np.concatenate(xs), np.concatenate(ys)
 
 
@@ -352,6 +395,7 @@ def ood_subset(
         raise ValueError("step index out of range")
     perm = rng.child("perm").gen.permutation(ood.n)
     take = (ood.n * t) // total_steps
+    # a permuted prefix is no run of rows, so the subset is a copy
     return ood.subset(perm[:take])
 
 

@@ -94,17 +94,19 @@ def generate(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     means = _class_means(spec, rng)
     K, d = spec.n_classes, spec.dim
 
-    train_x, train_y, test_x, test_y = [], [], [], []
+    # each class writes its block straight into the returned arrays, so the
+    # suite is never held twice
+    n_tr, n_te = spec.n_train_per_class, spec.n_test_per_class
+    train_x = np.empty((K * n_tr, d))
+    test_x = np.empty((K * n_te, d))
     for c in range(K):
         gen = rng.child(f"class{c}").gen
-        n = spec.n_train_per_class + spec.n_test_per_class
-        rows = means[c] + spec.std * gen.normal(size=(n, d))
-        train_x.append(rows[: spec.n_train_per_class])
-        test_x.append(rows[spec.n_train_per_class :])
-        train_y.append(np.full(spec.n_train_per_class, c, dtype=np.int64))
-        test_y.append(np.full(spec.n_test_per_class, c, dtype=np.int64))
-    train = FeatureDataset(np.concatenate(train_x), np.concatenate(train_y), K)
-    test = FeatureDataset(np.concatenate(test_x), np.concatenate(test_y), K)
+        rows = means[c] + spec.std * gen.normal(size=(n_tr + n_te, d))
+        train_x[c * n_tr : (c + 1) * n_tr] = rows[:n_tr]
+        test_x[c * n_te : (c + 1) * n_te] = rows[n_tr:]
+    classes = np.arange(K, dtype=np.int64)
+    train = FeatureDataset(train_x, np.repeat(classes, n_tr), K)
+    test = FeatureDataset(test_x, np.repeat(classes, n_te), K)
 
     entries = []
     for s in range(spec.n_near_sets):

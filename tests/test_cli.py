@@ -373,8 +373,10 @@ def test_report_with_the_retired_consistency_key_is_rejected(tmp_path, capsys, s
     doc = {**small_report, "aggregates": {**small_report["aggregates"], "consistency_ok": True}}
     old.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     assert main(["report", "--in", str(old), "--format", "md"]) == 2
-    assert "aggregates disagree with the records" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "aggregates disagree with the records" in err
     assert not (tmp_path / "report.md").exists()
+    assert "predates the current format and must be re-run" in err
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cilbench.data import (
+    _SAVE_ROWS,
     DimensionMismatchError,
     FeatureDataset,
     FormatError,
@@ -112,6 +113,77 @@ def test_split_tasks_seeded_order_is_deterministic():
     s1 = split_tasks(tr, te, 5, RngStream(4, "order"))
     s2 = split_tasks(tr, te, 5, RngStream(4, "order"))
     assert [t.classes for t in s1.tasks] == [t.classes for t in s2.tasks]
+
+
+def _per_task_oracle(tr, te, stream):
+    """Each task's (train, test) as per-task subsets of the inputs."""
+    for task in stream.tasks:
+        yield [ds.subset(np.flatnonzero(np.isin(ds.labels, task.classes))) for ds in (tr, te)]
+
+
+def test_split_tasks_class_sorted_input_is_not_copied():
+    tr = make_ds(5, 7, 3)
+    te = make_ds(2, 7, 3, seed=1)
+    stream = split_tasks(tr, te, 3)
+    for task in stream.tasks:
+        for part, ds in ((task.train, tr), (task.test, te)):
+            assert np.shares_memory(part.features, ds.features)
+            assert np.shares_memory(part.labels, ds.labels)
+    for t in range(1, stream.num_steps + 1):
+        assert np.shares_memory(stream.test_through(t).features, stream.tasks[0].test.features)
+
+
+@pytest.mark.parametrize("layout", ["seeded", "shuffled"])
+def test_split_tasks_regroups_rows_like_per_task_subsets(layout):
+    tr = make_ds(5, 7, 3)
+    te = make_ds(2, 7, 3, seed=1)
+    order = None
+    if layout == "seeded":
+        order = RngStream(4, "order")
+    else:
+        rng = np.random.default_rng(2)
+        tr, te = (ds.subset(rng.permutation(ds.n)) for ds in (tr, te))
+    stream = split_tasks(tr, te, 3, order)
+    seen = []
+    for t, (task, oracle) in enumerate(zip(stream.tasks, _per_task_oracle(tr, te, stream)), 1):
+        for part, want in zip((task.train, task.test), oracle):
+            np.testing.assert_array_equal(part.features, want.features)
+            np.testing.assert_array_equal(part.labels, want.labels)
+        seen.append(oracle[1])
+        through = stream.test_through(t)
+        np.testing.assert_array_equal(through.features, np.concatenate([s.features for s in seen]))
+        np.testing.assert_array_equal(through.labels, np.concatenate([s.labels for s in seen]))
+        # one gather per input: the tasks are views of it, not of the input
+        assert np.shares_memory(task.test.features, stream.test.features)
+        assert not np.shares_memory(task.train.features, tr.features)
+
+
+def test_test_through_rejects_steps_outside_the_stream():
+    stream = split_tasks(make_ds(3, 4, 2), make_ds(1, 4, 2, seed=1), 2)
+    for t in (0, 3):
+        with pytest.raises(ValueError, match="step index"):
+            stream.test_through(t)
+
+
+def test_task_views_are_read_only():
+    tr = make_ds(5, 4, 3)
+    te = make_ds(2, 4, 3, seed=1)
+    stream = split_tasks(tr, te, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        stream.tasks[0].train.features[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        stream.tasks[1].test.labels[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        stream.test_through(2).features[0] += 1.0
+    # the caller's arrays stay writable
+    assert tr.features.flags.writeable and te.labels.flags.writeable
+
+
+def test_save_dataset_writes_the_float32_and_int32_payload(tmp_path):
+    ds = make_ds(_SAVE_ROWS + 3, 2, 3)  # spans three write blocks
+    save_dataset(ds, tmp_path / "ds.bin")
+    raw = (tmp_path / "ds.bin").read_bytes()
+    assert raw[16:] == ds.features.astype("<f4").tobytes() + ds.labels.astype("<i4").tobytes()
 
 
 def test_herding_picks_point_nearest_mean():

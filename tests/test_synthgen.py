@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,24 @@ def test_shapes_and_tags():
     assert train.dim == 12
     tags = [e.tag for e in suite.entries]
     assert tags.count("near") == 2 and tags.count("far") == 2
+
+
+def test_generate_holds_the_suite_about_once():
+    # the scaled suite's proportions (100 classes, dim 256, 300/50 rows per
+    # class, 5000 per OOD set) at a tenth of the rows
+    spec = SynthSpec(n_classes=100, dim=256, n_train_per_class=30, n_test_per_class=5,
+                     n_ood_per_set=500, seed=0)
+    tracemalloc.start()
+    try:
+        train, test, suite = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sets = [train, test] + [e.dataset for e in suite.entries]
+    returned = sum(ds.features.nbytes + ds.labels.nbytes for ds in sets)
+    assert peak < 1.5 * returned
+    np.testing.assert_array_equal(train.labels, np.repeat(np.arange(100), 30))
+    np.testing.assert_array_equal(test.labels, np.repeat(np.arange(100), 5))
 
 
 def test_empirical_class_means_close():
