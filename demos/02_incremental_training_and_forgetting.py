@@ -7,8 +7,7 @@ lower confidence than new-class rows.
 import numpy as np
 
 from cilbench import CilConfig, CilModel, Extractor, MemoryBuffer, SynthSpec
-from cilbench import RngStream, evaluate_accuracy, generate, split_tasks, train_task
-from cilbench.cil import msp_confidences
+from cilbench import RngStream, evaluate_accuracy, generate, score_batch, split_tasks, train_task
 
 spec = SynthSpec(seed=0)
 train, test, _ = generate(spec)
@@ -30,7 +29,7 @@ for budget in (0, 200):
 # confidence bias at the final step of the replay run
 final_classes = stream.tasks[-1].classes
 full_test = stream.test_through(stream.num_steps)
-conf = msp_confidences(model, full_test.features)
+conf = score_batch("msp", model, None, full_test.features)
 is_new = np.isin(full_test.labels, final_classes)
 print(f"mean confidence: old classes {conf[~is_new].mean():.3f} "
       f"< new classes {conf[is_new].mean():.3f}")

@@ -17,7 +17,7 @@ from .data import (
     split_tasks,
 )
 from .finetune import BerConfig, finetune_step_loop
-from .metrics import auroc, average_over_steps, average_precision, fpr_at_tpr95
+from .metrics import auroc, average_precision, fpr_at_tpr95
 from .model import Extractor, LinearHead, load_head, save_head
 from .numerics import RngStream
 from .posthoc import PosthocParams, fit_scorer, score_batch
@@ -43,7 +43,6 @@ __all__ = [
     "SynthSpec",
     "TaskStream",
     "auroc",
-    "average_over_steps",
     "average_precision",
     "evaluate_accuracy",
     "emit_report",

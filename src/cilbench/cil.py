@@ -29,9 +29,7 @@ from .model import (
 )
 from .numerics import RngStream, l2_rows, softmax_rows
 
-__all__ = [
-    "CilConfig", "CilModel", "sgd_epochs", "train_task", "evaluate_accuracy", "msp_confidences"
-]
+__all__ = ["CilConfig", "CilModel", "sgd_epochs", "train_task", "evaluate_accuracy"]
 
 _METHODS = ("replay", "replay_distill", "replay_distill_wa")
 
@@ -244,8 +242,3 @@ def evaluate_accuracy(model: CilModel, test: FeatureDataset) -> float:
     preds = np.argmax(model.logits(test.features), axis=1)
     pred_classes = np.array(model.seen_classes)[preds]
     return float((pred_classes == test.labels).mean())
-
-
-def msp_confidences(model: CilModel, X: np.ndarray) -> np.ndarray:
-    """Per-row max softmax probability under the model head."""
-    return softmax_rows(model.logits(X)).max(axis=1)

@@ -104,9 +104,6 @@ class FeatureDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def rows_for_class(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == c)
-
     def subset(self, idx) -> "FeatureDataset":
         idx = np.asarray(idx, dtype=np.int64)
         return FeatureDataset(self.features[idx], self.labels[idx], self.n_classes)
@@ -123,12 +120,13 @@ class Task:
 class TaskStream:
     """Ordered partition of classes into tasks with disjoint label sets.
 
-    ``test`` holds every task's test rows, task by task; task t's rows end
-    at ``test_ends[t - 1]``.  Built by :func:`split_tasks`, whose task sets
-    are read-only views of ``test`` and of the train rows.
+    ``train`` and ``test`` hold every task's rows, task by task; task t's
+    test rows end at ``test_ends[t - 1]``.  Built by :func:`split_tasks`,
+    whose task sets are read-only views of ``train`` and ``test``.
     """
 
     tasks: tuple[Task, ...]
+    train: FeatureDataset
     test: FeatureDataset
     test_ends: tuple[int, ...]
 
@@ -154,13 +152,6 @@ class TaskStream:
             out.extend(task.classes)
         return tuple(out)
 
-    def class_features(self, c: int) -> np.ndarray:
-        """Training rows of class c, in their original order."""
-        for task in self.tasks:
-            if c in task.classes:
-                return task.train.features[task.train.rows_for_class(c)]
-        raise DataError(f"class {c} is in no task")
-
     def test_through(self, t: int) -> FeatureDataset:
         """Union of the test sets of tasks 1..t: a prefix view of ``test``."""
         if not 1 <= t <= self.num_steps:
@@ -171,8 +162,8 @@ class TaskStream:
 
 @dataclass
 class MemoryBuffer:
-    """Fixed-budget exemplar store; ``entries[c]`` indexes rows of class c
-    within that class's training rows (see :meth:`TaskStream.class_features`)."""
+    """Fixed-budget exemplar store; ``entries[c]`` lists the rows of
+    ``TaskStream.train`` that class c keeps, in pick order."""
 
     budget: int
     entries: dict[int, list[int]] = field(default_factory=dict)
@@ -271,9 +262,10 @@ def split_tasks(
     the remainder).  Classes are taken in id order, or in the permutation
     drawn from ``class_order.child("class-order")`` when one is given.
 
-    Task sets are read-only row slices of one task-major copy of each input;
-    rows already laid out task by task (identity order on class-sorted
-    rows) are not copied at all, so the tasks share the inputs' memory.
+    ``train``, ``test`` and the task sets are read-only row slices of one
+    task-major copy of each input; rows already laid out task by task
+    (identity order on class-sorted rows) are not copied at all, so the
+    stream shares the inputs' memory.
     """
     K = ds_train.n_classes
     if k < 2:
@@ -295,7 +287,10 @@ def split_tasks(
         Task(rows(train_x, train_y, train_bounds, t), rows(test_x, test_y, test_bounds, t), classes)
         for t, classes in enumerate(groups)
     )
-    return TaskStream(tasks, FeatureDataset(test_x, test_y, K), tuple(test_bounds[1:]))
+    return TaskStream(
+        tasks, FeatureDataset(train_x, train_y, K), FeatureDataset(test_x, test_y, K),
+        tuple(test_bounds[1:]),
+    )
 
 
 def step_rows(
@@ -305,17 +300,15 @@ def step_rows(
     rows, then the exemplars of ``mem`` in ascending class order, as
     (features, labels).  With no exemplars, task t's own arrays."""
     train = stream.tasks[t - 1].train
-    xs, ys = [train.features], [train.labels]
-    for c in sorted(mem.entries):
-        idx = mem.entries[c]
-        if idx:
-            xs.append(stream.class_features(c)[np.asarray(idx, dtype=np.int64)])
-            ys.append(np.full(len(idx), c, dtype=np.int64))
-    if len(xs) == 1:
+    rows = [r for c in sorted(mem.entries) for r in mem.entries[c]]
+    if not rows:
         return train.features, train.labels
     # exemplars come from other tasks' rows, so the rows a step trains on
     # are not one run of the suite: this copy is the step's
-    return np.concatenate(xs), np.concatenate(ys)
+    return (
+        np.concatenate([train.features, stream.train.features[rows]]),
+        np.concatenate([train.labels, stream.train.labels[rows]]),
+    )
 
 
 def herding_select(class_features: np.ndarray, q: int) -> list[int]:
@@ -359,8 +352,8 @@ def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuf
     Every class seen through step t gets quota ``q = budget // |Q_t|``:
     an existing list keeps its first q entries in stored order (it never
     holds more than the class's rows), and a new class is filled by
-    :func:`herding_select` with q capped at its row count.  Leftover
-    budget slots stay unassigned.
+    :func:`herding_select` over its rows of ``stream.train``, with q capped
+    at its row count.  Leftover budget slots stay unassigned.
     """
     if t < 1:
         raise ValueError("step index must be >= 1")
@@ -376,10 +369,11 @@ def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuf
         if old is not None:
             entries[c] = list(old[:q])
             continue
-        feats = stream.class_features(c)
-        if feats.shape[0] == 0:
+        rows = np.flatnonzero(stream.train.labels == c)
+        if rows.size == 0:
             raise DataError(f"class {c} has no training rows")
-        entries[c] = herding_select(feats, min(q, feats.shape[0]))
+        picks = herding_select(stream.train.features[rows], min(q, rows.size))
+        entries[c] = rows[picks].tolist()
     return MemoryBuffer(mem.budget, entries)
 
 

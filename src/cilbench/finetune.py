@@ -51,14 +51,13 @@ from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
-from .numerics import RngStream, logsumexp_rows, logsumexp_softmax_rows
+from .numerics import RngStream, logsumexp_softmax_rows
 from .numerics import softmax_cross_entropy
 
 __all__ = [
     "BerConfig",
     "PseudoOodBatch",
     "FINETUNE_METHODS",
-    "energy_rows",
     "synth_pseudo_ood",
     "synth_old_mix",
     "nter_loss",
@@ -119,11 +118,6 @@ class PseudoOodBatch:
     ``bench/layertrace.py::_count_pseudo`` reads ``result.rows``."""
 
     rows: np.ndarray  # (m, d)
-
-
-def energy_rows(Z: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Row-wise -tau * log sum_j exp(Z_ij / tau); low for confident rows."""
-    return -logsumexp_rows(Z, tau)
 
 
 def synth_pseudo_ood(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["auroc", "fpr_at_tpr95", "average_precision", "average_over_steps"]
+__all__ = ["auroc", "fpr_at_tpr95", "average_precision"]
 
 
 def _check(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
@@ -59,11 +59,3 @@ def average_precision(id_scores, ood_scores) -> float:
     positions = np.flatnonzero(flags) + 1
     tp = np.arange(1, b.size + 1)
     return float((tp / positions).sum() / b.size)
-
-
-def average_over_steps(values) -> float:
-    """Arithmetic mean of per-step metric values."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one step")
-    return float(arr.mean())

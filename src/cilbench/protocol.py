@@ -197,6 +197,15 @@ def _load_manifest(cfg: RunConfig):
     return train, test, suite
 
 
+def _seed_data(cfg: RunConfig, seed: int, manifest):
+    """A seed's task stream and OOD suite, from the run's ``manifest`` suite
+    or, for a synthetic config, from a suite generated with that seed.  The
+    stream is the one holder of the seed's ID rows."""
+    train, test, suite = manifest or generate(replace(cfg.synth_spec, seed=seed))
+    order = RngStream(seed, "class-order") if cfg.class_order == "seeded" else None
+    return split_tasks(train, test, cfg.step_size, order), suite
+
+
 @contextmanager
 def _timed(phases: dict, name: str):
     t0 = perf_counter()
@@ -262,10 +271,7 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple
     return records, score_model
 
 
-def _run_seed(cfg: RunConfig, seed: int, data, artifact_dir: Path | None) -> list[dict]:
-    train, test, suite = data
-    order = RngStream(seed, "class-order") if cfg.class_order == "seeded" else None
-    stream = split_tasks(train, test, cfg.step_size, order)
+def _run_seed(cfg: RunConfig, seed: int, stream, suite, artifact_dir: Path | None) -> list[dict]:
     train_log, timings, records = [], [], []
     ft_log: list | None = None if cfg.finetune_params is None else []
     for step in _trajectory(cfg, seed, stream, train_log):
@@ -348,7 +354,8 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     that seed (a run config takes no ``data.synth.seed``).  A manifest
     suite is read by the first seed and reused once it loads; a failed read
     fails that seed and is retried by the next, so a bad manifest fails
-    every seed.
+    every seed.  A seed's stream goes straight into ``_run_seed``, so its
+    rows are freed when the seed ends, before the next seed's are made.
     """
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     results: dict[int, list[dict]] = {}
@@ -356,11 +363,9 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     manifest = None
     for seed in cfg.seeds:
         try:
-            if cfg.synth_spec is not None:
-                data = generate(replace(cfg.synth_spec, seed=seed))
-            else:
-                data = manifest = manifest or _load_manifest(cfg)
-            results[seed] = _run_seed(cfg, seed, data, artifact_dir)
+            if cfg.synth_spec is None:
+                manifest = manifest or _load_manifest(cfg)
+            results[seed] = _run_seed(cfg, seed, *_seed_data(cfg, seed, manifest), artifact_dir)
         except DataError as exc:
             failures.append({"seed": seed, "error": f"data: {exc}"})
         except ConfigError:

@@ -48,6 +48,8 @@ class SynthSpec:
         if min(self.dim, self.n_train_per_class, self.n_test_per_class,
                self.n_ood_per_set, self.n_near_sets + self.n_far_sets) <= 0:
             raise ValueError("counts must be positive")
+        if min(self.n_near_sets, self.n_far_sets) < 0:
+            raise ValueError("OOD set counts must be nonnegative")
         if min(self.mean_radius, self.std, self.far_radius, self.near_jitter) <= 0:
             raise ValueError("geometry parameters must be positive")
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, msp_confidences, train_task
+from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, train_task
 from cilbench.data import MemoryBuffer, ood_subset, split_tasks
 from cilbench.finetune import (
     BerConfig,
@@ -18,9 +18,9 @@ from cilbench.finetune import (
     nter_loss,
     oter_loss,
 )
-from cilbench.metrics import auroc, average_over_steps, average_precision, fpr_at_tpr95
+from cilbench.metrics import auroc, average_precision, fpr_at_tpr95
 from cilbench.model import Extractor, LinearHead, ce_loss
-from cilbench.numerics import RngStream, l2_rows, softmax_rows
+from cilbench.numerics import RngStream, l2_rows, logsumexp_rows, softmax_rows
 from cilbench.posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from cilbench.protocol import RunConfig, emit_report, run_benchmark
 from cilbench.synthgen import SynthSpec, generate
@@ -151,12 +151,10 @@ def test_criterion_2_gradient_suite():
             BerConfig(p_in=1.0, p_out=-1.0, hinge_orientation="energy_paper"),
         ]
         # keep hinge activations away from the kink so the FD oracle is clean
-        from cilbench.finetune import energy_rows
-
         acts = []
         for rows in (X_id, X_ps, X_mx):
-            acts.extend(np.abs(energy_rows(head.logits(rows), 1.0) - 1.0))
-            acts.extend(np.abs(energy_rows(head.logits(rows), 1.0) + 1.0))
+            acts.extend(np.abs(-logsumexp_rows(head.logits(rows), 1.0) - 1.0))
+            acts.extend(np.abs(-logsumexp_rows(head.logits(rows), 1.0) + 1.0))
         if min(acts) < 1e-3:
             continue
         checked += 1
@@ -240,7 +238,7 @@ def test_criterion_6_bias_reproduction(forgetting_runs):
         model, stream, suite = r["replay_model"], r["stream"], r["suite"]
         final = stream.tasks[-1].classes
         te = stream.test_through(stream.num_steps)
-        conf = msp_confidences(model, te.features)
+        conf = score_batch("msp", model, None, te.features)
         is_new = np.isin(te.labels, final)
         old_conf.append(conf[~is_new].mean())
         new_conf.append(conf[is_new].mean())
@@ -305,7 +303,7 @@ def test_criterion_7_ber_ablation_ordering():
                 ]
                 per_step[key].append(float(np.mean(aucs)))
         for k in variants:
-            agg[k].append(average_over_steps(per_step[k]))
+            agg[k].append(float(np.mean(per_step[k])))
     mean = {k: 100 * float(np.mean(v)) for k, v in agg.items()}
     assert mean["nter"] >= mean["neither"] - 0.5
     assert mean["oter"] >= mean["neither"] - 0.5

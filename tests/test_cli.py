@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -114,6 +115,11 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
         {"ood": {"method": "react", "params": {"react_percentile": -5}}},
         {"ood": {"method": "react", "params": {"react_percentile": 100.5}}},
         {"ood": {"method": "odin", "params": {"odin_epsilon": -0.5}}},
+        # a negative OOD set count: -1 near sets used to run with no near-OOD
+        # set, -1 far sets to fail every seed at generation
+        {"data": {"synth": {**SMALL_RUN["data"]["synth"], "n_near_sets": -1}}},
+        {"data": {"synth": {**SMALL_RUN["data"]["synth"], "n_far_sets": -1}}},
+        {"data": {"synth": {**SMALL_RUN["data"]["synth"], "n_near_sets": 0, "n_far_sets": 0}}},
     ],
 )
 def test_validate_rejects_unrunnable_config(tmp_path, capsys, change):
@@ -295,6 +301,32 @@ def test_gen_synth_bad_spec_exits_1(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text('{"n_classes": 2}')
     assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+
+
+@pytest.mark.parametrize("counts", [{"n_near_sets": -1}, {"n_far_sets": -1}])
+def test_gen_synth_rejects_negative_ood_set_counts(tmp_path, capsys, counts):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_RUN["data"]["synth"], **counts}))
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+    assert "OOD set counts must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+# the byte contract: each shipped config, as shipped (seeds 0-2), writes
+# this report.json on every platform; a declared re-baseline changes these
+# constants and lists the old and new values in CHANGES.md
+SHIPPED_REPORT_SHA256 = {
+    "example_run": "8344787c6415d7b656e0f0130b85c26a357dd09e6395e37c79b5e58a8cccb5bf",
+    "example_ber_run": "109aab39f13929ca14aea8c89316e6e4ffcaf6661a4a6ebfd4c3cef8a413f532",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))
+def test_shipped_config_writes_the_recorded_report_bytes(tmp_path, name):
+    config = REPO / "configs" / f"{name}.json"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == SHIPPED_REPORT_SHA256[name]
 
 
 def test_end_to_end_gen_run_report(tmp_path):

@@ -318,10 +318,10 @@ def test_step_rows_materialization():
     assert X.shape[0] == sum(len(v) for v in mem.entries.values()) == len(y)
     assert list(y) == sorted(y)
     for c in mem.entries:
-        class_rows = tr.features[tr.labels == c]
         np.testing.assert_array_equal(
-            X[y == c], class_rows[np.asarray(mem.entries[c])]
+            X[y == c], stream.train.features[np.asarray(mem.entries[c])]
         )
+        assert np.all(stream.train.labels[mem.entries[c]] == c)
 
 
 def test_step_rows_without_memory_is_the_task_itself():

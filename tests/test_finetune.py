@@ -11,7 +11,6 @@ from cilbench.finetune import (
     _ber_batch,
     _hinge_energy_grads,
     ber_total_loss,
-    energy_rows,
     finetune_step_loop,
     logitnorm_ce_loss,
     nter_loss,
@@ -27,7 +26,7 @@ from cilbench.model import (
     ce_loss,
     sgd_step,
 )
-from cilbench.numerics import RngStream, softmax_rows
+from cilbench.numerics import RngStream, logsumexp_rows, softmax_rows
 from cilbench.synthgen import SynthSpec, generate
 from oracles import head_bytes
 
@@ -35,14 +34,14 @@ CFG = BerConfig()
 
 
 def test_energy_examples():
-    assert energy_rows(np.array([[0.0, 0.0]]), 1.0)[0] == pytest.approx(-math.log(2), abs=1e-12)
-    assert energy_rows(np.array([[-5.0]]), 1.0)[0] == pytest.approx(5.0, abs=1e-12)
+    assert -logsumexp_rows(np.array([[0.0, 0.0]]), 1.0)[0] == pytest.approx(-math.log(2), abs=1e-12)
+    assert -logsumexp_rows(np.array([[-5.0]]), 1.0)[0] == pytest.approx(5.0, abs=1e-12)
     gen = np.random.default_rng(0)
     for _ in range(20):
         v = gen.normal(size=5) * 3
         tau = float(gen.uniform(0.3, 4.0))
         direct = -tau * math.log(sum(math.exp(x / tau) for x in v))
-        assert energy_rows(v[None, :], tau)[0] == pytest.approx(direct, abs=1e-12)
+        assert -logsumexp_rows(v[None, :], tau)[0] == pytest.approx(direct, abs=1e-12)
 
 
 def pseudo_ood_pairs(labels, gen):
@@ -402,16 +401,12 @@ def test_ber_t1_empty_memory_warns_and_runs(caplog):
 
 def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
     """finetune_step_loop with its own epoch loop and its own row assembly
-    (per-class rows of every seen class, then the memory), as it was before
-    it shared the CIL epoch loop."""
+    (the memory's rows of the stream's training set gathered class by
+    class), as it was before it shared the CIL epoch loop."""
     task = stream.tasks[t - 1]
     row_of = model.class_to_row()
-    fbc = {}
-    for tk in stream.tasks[:t]:
-        for c in tk.classes:
-            fbc[c] = tk.train.features[tk.train.rows_for_class(c)]
-    xs = [fbc[c][np.asarray(mem.entries[c], dtype=np.int64)] for c in sorted(mem.entries)
-          if mem.entries[c]]
+    xs = [stream.train.features[np.asarray(mem.entries[c], dtype=np.int64)]
+          for c in sorted(mem.entries) if mem.entries[c]]
     ys = [np.full(len(mem.entries[c]), c, dtype=np.int64) for c in sorted(mem.entries)
           if mem.entries[c]]
     mem_X_raw = np.concatenate(xs) if xs else np.zeros((0, task.train.dim))
@@ -552,9 +547,9 @@ def test_ber_log_has_one_record_per_epoch_with_switched_terms():
 
 
 def two_pass_hinge_grads(head, X, margin, side, tau):
-    """_hinge_energy_grads before the fused kernel: energy_rows, then softmax_rows."""
+    """_hinge_energy_grads before the fused kernel: the energy, then softmax_rows."""
     Z = head.logits(X)
-    E = energy_rows(Z, tau)
+    E = -logsumexp_rows(Z, tau)
     a = (margin - E) if side == "below" else (E - margin)
     active = np.maximum(a, 0.0)
     loss = float((active**2).mean())
@@ -573,7 +568,7 @@ def test_fused_hinge_grads_are_bit_exact(side, tau):
         head = LinearHead(gen.normal(size=(C, d)) * scale, gen.normal(size=C))
         X = gen.normal(size=(n, d))
         # a margin at the median energy leaves about half the rows active
-        margin = float(np.median(energy_rows(head.logits(X), tau)))
+        margin = float(np.median(-logsumexp_rows(head.logits(X), tau)))
         got = _hinge_energy_grads(head, X, margin, side, tau)
         want = two_pass_hinge_grads(head, X, margin, side, tau)
         assert got[0] == want[0]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cilbench.metrics import (
     _midranks,
     auroc,
-    average_over_steps,
     average_precision,
     fpr_at_tpr95,
 )
@@ -125,15 +124,6 @@ def test_ap_matches_bruteforce():
         a = rng.integers(0, 25, n1).astype(float)
         b = rng.integers(0, 25, n2).astype(float)
         assert average_precision(a, b) == pytest.approx(brute_ap(a, b), abs=1e-12)
-
-
-def test_average_over_steps():
-    assert average_over_steps([70.0, 80.0]) == 75.0
-    assert average_over_steps([42.0]) == 42.0
-    vals = np.random.default_rng(6).normal(size=10)
-    assert average_over_steps(vals) == pytest.approx(vals.mean(), abs=1e-15)
-    with pytest.raises(ValueError):
-        average_over_steps([])
 
 
 def test_metric_input_validation():

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,15 +242,42 @@ def test_accuracy_decays_while_auc_decline_levels_off():
 def test_failed_seed_recorded_not_fatal(monkeypatch):
     original = protocol._run_seed
 
-    def flaky(cfg, seed, data, artifact_dir):
+    def flaky(cfg, seed, stream, suite, artifact_dir):
         if seed == 1:
             raise RuntimeError("boom")
-        return original(cfg, seed, data, artifact_dir)
+        return original(cfg, seed, stream, suite, artifact_dir)
 
     monkeypatch.setattr(protocol, "_run_seed", flaky)
     report = run_benchmark(small_config())
     assert report.aggregates["effective_seeds"] == 1
     assert report.failures == [{"seed": 1, "error": "RuntimeError: boom"}]
+
+
+@pytest.mark.parametrize("class_order", ["identity", "seeded"])
+def test_a_seed_frees_its_rows_before_the_next_seed(class_order):
+    # the scaled suite's proportions (100 classes, dim 256, 300/50 rows per
+    # class, 5000 per OOD set, steps of 10, budget 2000) at a tenth of the rows
+    def config(seeds):
+        return small_config(
+            data={"synth": {"n_classes": 100, "dim": 256, "n_train_per_class": 30,
+                            "n_test_per_class": 5, "n_ood_per_set": 500}},
+            step_size=10, memory_budget=200, class_order=class_order,
+            cil={"method": "replay", "epochs_per_task": 1}, seeds=seeds,
+        )
+
+    def peak(cfg):
+        tracemalloc.start()
+        try:
+            run_benchmark(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_benchmark(config([0]))  # first-call allocations stay out of both peaks
+    one, two = peak(config([0])), peak(config([0, 1]))
+    # the suite is most of a seed's peak: holding seed 0's rows while
+    # seed 1's are made would put the ratio near 1.6 (1.2 for seeded)
+    assert two <= 1.1 * one
 
 
 @pytest.mark.parametrize(
