@@ -5,7 +5,11 @@ union of new-task rows and replay memory with cross-entropy.  The
 ``replay_distill`` method adds a softened-softmax distillation term
 against the frozen pre-step head (a stand-in for iCaRL's regularizer);
 ``replay_distill_wa`` additionally rescales new-class weight rows after
-training (a stand-in for weight alignment).
+training (a stand-in for weight alignment).  A distilling batch adds the
+distillation's gradient w.r.t. the old-class logits to the cross-entropy's
+logit gradient and multiplies the sum out once (``model.ce_loss``), so it
+costs one weight-gradient product, as a replay batch does.  Replay memory
+is refilled by herding (``data.herding_select``).
 """
 from __future__ import annotations
 
@@ -108,15 +112,15 @@ class CilModel:
 def _distill_grads(
     Z_new: np.ndarray, P_old: np.ndarray, logp: np.ndarray, T: float
 ) -> tuple[float, np.ndarray]:
-    """KL(P_old || softmax(Z_new/T)) * T^2, mean over rows, with dL/dZ_new;
-    ``logp`` is log(max(P_old, 1e-300)), fixed for the task."""
+    """KL(P_old || softmax(Z_new[:, :c_old]/T)) * T^2, mean over rows, and
+    its gradient w.r.t. those first c_old logits (the new classes' logits
+    do not enter it); ``logp`` is log(max(P_old, 1e-300)), fixed for the
+    task."""
     n, c_old = P_old.shape
     Q = softmax_rows(Z_new[:, :c_old], T)
     logq = np.log(np.maximum(Q, 1e-300))
     loss = float((P_old * (logp - logq)).sum(axis=1).mean() * T * T)
-    G = np.zeros_like(Z_new)
-    G[:, :c_old] = T * (Q - P_old) / n
-    return loss, G
+    return loss, T * (Q - P_old) / n
 
 
 def _check_sgd(cfg) -> None:
@@ -204,13 +208,13 @@ def train_task(
         bx, by = X[sel], y_rows[sel]
         Z = head.logits(bx)
         correct = int(np.count_nonzero(np.argmax(Z, axis=1) == by))
-        loss, dW, db = ce_loss(head, bx, by, Z)
-        if distill:
-            dl, G = _distill_grads(Z, P_old[sel], logp_old[sel], cfg.distill_temperature)
-            loss += cfg.distill_weight * dl
-            dW += cfg.distill_weight * (G.T @ bx)
-            db += cfg.distill_weight * G.sum(axis=0)
-        return loss, correct, dW, db
+        if not distill:
+            loss, dW, db = ce_loss(head, bx, by, Z)
+            return loss, correct, dW, db
+        # the distillation's logit gradient joins CE's before the one product
+        dl, G = _distill_grads(Z, P_old[sel], logp_old[sel], cfg.distill_temperature)
+        loss, dW, db = ce_loss(head, bx, by, Z, cfg.distill_weight * G)
+        return loss + cfg.distill_weight * dl, correct, dW, db
 
     n = X.shape[0]
     epochs = sgd_epochs(

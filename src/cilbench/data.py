@@ -96,6 +96,18 @@ class FeatureDataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n_classes", n_classes)
 
+    @classmethod
+    def _of_checked(cls, features, labels, n_classes: int) -> "FeatureDataset":
+        """A dataset of rows taken from one already checked (a view or a
+        gather of its float64 features and int64 labels): those rows are
+        finite and their labels in range, so only emptiness is checked."""
+        if features.shape[0] == 0:
+            raise FormatError("features must be a nonempty (n, d) matrix")
+        ds = object.__new__(cls)
+        for name, value in (("features", features), ("labels", labels), ("n_classes", n_classes)):
+            object.__setattr__(ds, name, value)
+        return ds
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -106,7 +118,7 @@ class FeatureDataset:
 
     def subset(self, idx) -> "FeatureDataset":
         idx = np.asarray(idx, dtype=np.int64)
-        return FeatureDataset(self.features[idx], self.labels[idx], self.n_classes)
+        return FeatureDataset._of_checked(self.features[idx], self.labels[idx], self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -157,7 +169,8 @@ class TaskStream:
         if not 1 <= t <= self.num_steps:
             raise ValueError("step index out of range")
         end = self.test_ends[t - 1]
-        return FeatureDataset(self.test.features[:end], self.test.labels[:end], self.test.n_classes)
+        test = self.test
+        return FeatureDataset._of_checked(test.features[:end], test.labels[:end], test.n_classes)
 
 
 @dataclass
@@ -280,16 +293,19 @@ def split_tasks(
     train_x, train_y, train_bounds = _task_major(ds_train, groups)
     test_x, test_y, test_bounds = _task_major(ds_test, groups)
 
+    # the inputs were checked when they were built; their views and
+    # gathers are not checked again
     def rows(x, y, bounds, t):
-        return FeatureDataset(x[bounds[t] : bounds[t + 1]], y[bounds[t] : bounds[t + 1]], K)
+        part = slice(bounds[t], bounds[t + 1])
+        return FeatureDataset._of_checked(x[part], y[part], K)
 
     tasks = tuple(
         Task(rows(train_x, train_y, train_bounds, t), rows(test_x, test_y, test_bounds, t), classes)
         for t, classes in enumerate(groups)
     )
     return TaskStream(
-        tasks, FeatureDataset(train_x, train_y, K), FeatureDataset(test_x, test_y, K),
-        tuple(test_bounds[1:]),
+        tasks, FeatureDataset._of_checked(train_x, train_y, K),
+        FeatureDataset._of_checked(test_x, test_y, K), tuple(test_bounds[1:]),
     )
 
 
@@ -315,31 +331,72 @@ def herding_select(class_features: np.ndarray, q: int) -> list[int]:
     """Greedy mean-matching selection.
 
     At step s the index minimizing ``||mu - mean(selected + {x})||_2`` is
-    taken, with ties broken by lowest index; ``mu`` is the class mean.
+    taken, with ties broken by lowest index; ``mu`` is the class mean.  The
+    distance is the floating-point value of
+    ``sqrt(add.reduce((mu - (running + x) / s) ** 2))``, ``running`` being
+    the sum of the rows taken so far, and the pick is its argmin over the
+    untaken rows.
+
+    Each pick screens every row with one matrix-vector product, then
+    computes that distance only for the rows the screen cannot rule out
+    (usually one, which needs no distance at all).  The screen is
+    ``v_x = ||x||^2 + 2 x.(running - s mu)``, which is ``s^2 dist(x)^2``
+    less a constant shared by all rows.  Memory stays O(n): no n x n or
+    per-pick n x d array is built.
     """
     feats = np.asarray(class_features, dtype=np.float64)
-    n = feats.shape[0]
+    n, d = feats.shape
     if q <= 0:
         raise ValueError("q must be positive")
     if q > n:
         raise ValueError("q exceeds available rows")
     mu = feats.mean(axis=0)
+    sq_norms = np.einsum("ij,ij->i", feats, feats)
+    # A bounds every row's norm, ||mu||, ||running|| / s and every
+    # distance: dist(x) <= ||mu|| + ||(running + x) / s|| <= A up to rounding
+    a_sq = (np.sqrt(mu @ mu) + np.sqrt(sq_norms.max())) ** 2
+    eps = np.finfo(np.float64).eps
     chosen: list[int] = []
-    running = np.zeros(feats.shape[1])
+    running = np.zeros(d)
     taken = np.zeros(n, dtype=bool)
-    buf = np.empty_like(feats)
     for s in range(1, q + 1):
-        # ||mu - (running + x) / s|| for every row, in one reused buffer and
-        # with np.linalg.norm's own operations; the sqrt stays, since two
-        # different squared distances can round to one norm, and that tie
-        # goes to the lower index
-        np.add(running, feats, out=buf)
-        buf /= s
-        np.subtract(mu, buf, out=buf)
-        buf *= buf
-        dists = np.sqrt(np.add.reduce(buf, axis=1))
-        dists[taken] = np.inf
-        i = int(np.argmin(dists))  # argmin returns the lowest tied index
+        # The screen v = ||x||^2 + 2 x.(running - s mu) is s^2 dist(x)^2 less
+        # a constant.  Its error bound, with u = eps / 2, A as above and ~
+        # marking computed values:
+        # - |v~ - v| <= (3d + 7) u s A^2.  ||x||^2 is within d u A^2;
+        #   running - s mu is within 2 u s A in norm, and its dot product
+        #   with x within d u ||x|| ||running - s mu|| <= d u s A^2; the last
+        #   sum adds u (1 + 2s) A^2.
+        # - |D~ - dist| <= (d + 5) u A for the distance D~ that decides a
+        #   pick: mu - (running + x) / s is within 3 u A of its real value
+        #   in norm, and the squares, their sum and the sqrt add (d + 3) u / 2
+        #   relative.
+        # The row w that wins on D~ has D~_w <= D~_m for the row m of least
+        # v~, so dist_w <= dist_m + 2 (d + 5) u A, v_w <= v_m + 4 s^2 (d + 5)
+        # u A^2 (1 + o(1)) and v~_w <= v~_m + (10 d + 34) u s^2 A^2.  Every
+        # row within 2E of the least v~ is a candidate, and E = 4 (d + s + 4)
+        # eps s^2 A^2 is more than half that bound; its s term covers the
+        # rounding of running itself.  Too wide a band only costs time;
+        # NaN or inf in v keeps every row.
+        v = feats @ (running - s * mu)
+        v *= 2.0
+        v += sq_norms
+        v[taken] = np.inf
+        band = 8.0 * (d + s + 4) * eps * s * s * a_sq
+        cand = np.flatnonzero(~(v > v.min() + band))
+        if cand.size == 1:
+            i = int(cand[0])
+        else:
+            # each candidate's distance as defined above; the sqrt stays,
+            # since two different squared distances can round to one norm,
+            # and that tie goes to the lower index
+            part = np.add(running, feats[cand])
+            part /= s
+            np.subtract(mu, part, out=part)
+            part *= part
+            dists = np.sqrt(np.add.reduce(part, axis=1))
+            dists[taken[cand]] = np.inf
+            i = int(cand[np.argmin(dists)])  # argmin returns the lowest tied index
         chosen.append(i)
         taken[i] = True
         running += feats[i]

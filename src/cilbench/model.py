@@ -4,11 +4,13 @@ The extractor is the identity: a run scores the features it is given.
 The head is the only trainable object in the benchmark.  All gradients in
 this package are hand-derived; :func:`ce_loss` provides the shared
 cross-entropy building block (mean over the batch) used by both the
-incremental trainer and the fine-tuning methods.  :func:`sgd_step` is one
-momentum update; the epoch loop that drives it for both is
-``cil.sgd_epochs``, which builds one :class:`SgdState` per call with zero
-velocities shaped like the head, so a state never sees its head grow.  Two
-heads are the same when their ``W`` and ``b`` bytes are.
+incremental trainer and the fine-tuning methods; it takes the logit
+gradient of any further term (distillation) and multiplies the sum out
+once.  :func:`sgd_step` is one momentum update; the epoch loop that
+drives it for both is ``cil.sgd_epochs``, which builds one
+:class:`SgdState` per call with zero velocities shaped like the head, so
+a state never sees its head grow.  Two heads are the same when their
+``W`` and ``b`` bytes are.
 
 Head checkpoints use the binary layout:
     magic "OCH1" | u32 C | u32 d | float64 W row-major | float64 b
@@ -176,17 +178,28 @@ def weight_align(head: LinearHead, old_rows, new_rows) -> LinearHead:
 
 
 def ce_loss(
-    head: LinearHead, X: np.ndarray, y_rows: np.ndarray, Z: np.ndarray | None = None
+    head: LinearHead,
+    X: np.ndarray,
+    y_rows: np.ndarray,
+    Z: np.ndarray | None = None,
+    G_extra: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch with analytic gradients.
 
     ``y_rows`` holds head-row indices (not global class ids).  ``Z`` is
     ``head.logits(X)`` when the caller already has it; it is not modified.
-    Returns (loss, dW, db).
+    ``G_extra`` is the gradient of another term of the caller's objective
+    w.r.t. the first ``G_extra.shape[1]`` logits (the distillation term of
+    ``cil.train_task``): it is added to the cross-entropy's logit gradient
+    before that gradient is multiplied out, so a batch takes one product
+    for dW and one sum for db whatever its terms.  The returned loss is
+    the cross-entropy alone.  Returns (loss, dW, db).
     """
     if Z is None:
         Z = head.logits(X)
     loss, G = softmax_cross_entropy(Z, y_rows)
+    if G_extra is not None:
+        G[:, : G_extra.shape[1]] += G_extra
     return loss, G.T @ X, G.sum(axis=0)
 
 

@@ -161,14 +161,44 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _top_k(part: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k largest values and their column indices, both (m, k),
+    in ascending value with ties in column order.  Columns tied with the
+    k-th largest value enter the k lowest first.
+
+    ``argpartition`` leaves open which of several tied columns enter the
+    k, and its choice changes with the CPU features numpy dispatches on.
+    Partitioning one place lower also gives the largest value left out:
+    only a row where that value equals the smallest of its k can have
+    such a choice, and only those rows are sorted in full, stably.
+    """
+    m, nb = part.shape
+    rows = np.arange(m)[:, None]
+    if k == nb:
+        cols = np.broadcast_to(np.arange(nb), part.shape)
+    else:
+        parted = np.argpartition(part, nb - k - 1, axis=1)
+        cols = parted[:, -k:]
+        left_out = part[rows[:, 0], parted[:, -k - 1]]
+    vals = part[rows, cols]
+    order = np.lexsort((cols, vals), axis=1)
+    vals, cols = vals[rows, order], cols[rows, order]
+    if k < nb:
+        for r in np.flatnonzero(left_out == vals[:, 0]):
+            keep = np.argsort(-part[r], kind="stable")[:k]
+            keep = keep[np.lexsort((keep, part[r, keep]))]
+            vals[r], cols[r] = part[r, keep], keep
+    return vals, cols
+
+
 def _topk_sims(
     fit: ScorerFit, Z: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cosine similarities of each row to its k nearest bank rows and the
     bank indices of those rows, both (n, min(k, bank)), each row in
-    ascending similarity with ties in bank order.  numpy does not specify
-    the order in which ``argpartition`` returns the k, and it changes with
-    the CPU features numpy dispatches on."""
+    ascending similarity with ties in bank order.  Bank rows tied at the
+    k-th similarity enter in bank order (:func:`_top_k`), so neither
+    the k nor their order depends on how numpy's ``argpartition`` runs."""
     Q = l2_rows(Z)
     bank_t = fit.bank_features.T
     n, nb = Q.shape[0], bank_t.shape[1]
@@ -181,12 +211,7 @@ def _topk_sims(
 
     def score_slice(start: int) -> None:
         rows = slice(start, start + _SLICE_ROWS)
-        part = Q[rows] @ bank_t
-        top = np.sort(np.argpartition(part, nb - k, axis=1)[:, -k:], axis=1)
-        top_sims = np.take_along_axis(part, top, axis=1)
-        order = np.argsort(top_sims, axis=1, kind="stable")
-        sims[rows] = np.take_along_axis(top_sims, order, axis=1)
-        idx[rows] = np.take_along_axis(top, order, axis=1)
+        sims[rows], idx[rows] = _top_k(Q[rows] @ bank_t, k)
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(score_slice, starts))  # re-raises a worker's error

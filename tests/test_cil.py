@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cilbench import cil
 from cilbench.cil import (
     CilConfig,
     CilModel,
@@ -203,7 +204,9 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     """train_task before the one-forward batch: ce_loss with two exps, a
     second forward for distillation and log(P_old) per batch, the
     out-of-place momentum update, and a full-data forward per epoch for
-    accuracy.  The log holds that
+    accuracy.  Like train_task, it adds the weighted distillation gradient
+    (zero-padded to every logit) to the CE logit gradient and multiplies
+    the sum out once.  The log holds that
     full-data accuracy as ``full_acc`` and the running accuracy of the
     batches, each before its update, as ``batch_acc``."""
     task = stream.tasks[t - 1]
@@ -237,14 +240,13 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
             G = softmax_rows(Z)
             G[np.arange(m), by] -= 1.0
             G /= m
-            dW, db = G.T @ bx, G.sum(axis=0)
             if old_head is not None and cfg.distill_weight != 0.0:
                 dl, Gd = per_batch_log_distill_grads(
                     head.logits(bx), P_old[sel], cfg.distill_temperature
                 )
                 loss += cfg.distill_weight * dl
-                dW += cfg.distill_weight * (Gd.T @ bx)
-                db += cfg.distill_weight * Gd.sum(axis=0)
+                G += cfg.distill_weight * Gd  # zero-padded: one product for both terms
+            dW, db = G.T @ bx, G.sum(axis=0)
             lr = cosine_lr(state.lr0, step, total_steps)
             state.vW = state.momentum * state.vW + (dW + state.weight_decay * head.W)
             state.vb = state.momentum * state.vb + (db + state.weight_decay * head.b)
@@ -290,6 +292,49 @@ def test_one_forward_training_matches_two_forward_loop():
             assert got["train_acc"] == want["batch_acc"]
     # the running batch accuracy is not the end-of-epoch full-data pass
     assert any(g["train_acc"] != w["full_acc"] for g, w in zip(fast_log, slow_log))
+
+
+def test_distilling_batch_gradient_matches_finite_differences(monkeypatch):
+    # the objective train_task hands to sgd_epochs, at step 2 of a distill
+    # run: its (dW, db) must be the gradient of its loss, CE + w * KD, so
+    # the one product of the merged logit gradients misses neither term
+    stream = small_stream(seed=3)
+    cfg = CilConfig(
+        epochs_per_task=2, batch_size=64, method="replay_distill",
+        distill_weight=0.7, distill_temperature=2.0,
+    )
+    rng = RngStream(5, "cil")
+    model, mem = train_task(CilModel.fresh(Extractor(), 16), stream, 1, MemoryBuffer(40), cfg, rng)
+    seen = {}
+    real = cil.sgd_epochs
+
+    def spy(head, n, objective, *args):
+        seen.update(head=head, objective=objective)
+        return real(head, n, objective, *args)
+
+    monkeypatch.setattr(cil, "sgd_epochs", spy)
+    train_task(model, stream, 2, mem, cfg, rng)
+    head, objective = seen["head"], seen["objective"]
+    sel = np.arange(0, 64)
+    loss, _, dW, db = objective(sel)
+    h = 1e-6
+
+    def central(param, pos):
+        keep = param[pos]
+        param[pos] = keep + h
+        up = objective(sel)[0]
+        param[pos] = keep - h
+        down = objective(sel)[0]
+        param[pos] = keep
+        return (up - down) / (2 * h)
+
+    fd_W = np.array(
+        [[central(head.W, (i, j)) for j in range(head.dim)] for i in range(head.n_classes)]
+    )
+    fd_b = np.array([central(head.b, (i,)) for i in range(head.n_classes)])
+    np.testing.assert_allclose(dW, fd_W, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(db, fd_b, rtol=1e-5, atol=1e-8)
+    assert objective(sel)[0] == loss  # the probes left the head as it was
 
 
 def test_training_divergence_names_seed_step_and_epoch():

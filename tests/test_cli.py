@@ -329,6 +329,22 @@ def test_shipped_config_writes_the_recorded_report_bytes(tmp_path, name):
     assert digest == SHIPPED_REPORT_SHA256[name]
 
 
+# example_run.json at seed 0 with distillation and weight align: neither
+# shipped config distills, so this pins the bytes of that path
+DISTILL_WA_REPORT_SHA256 = "43db712d1d09ef5a52998ba1ddba8363bd1c2ffa3d6027604bdfc2dcc25c4a33"
+
+
+def test_distill_wa_config_writes_the_recorded_report_bytes(tmp_path):
+    doc = json.loads((REPO / "configs" / "example_run.json").read_text())
+    doc["cil"]["method"] = "replay_distill_wa"
+    doc["seeds"] = [0]
+    config = tmp_path / "distill_wa.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
+    assert digest == DISTILL_WA_REPORT_SHA256
+
+
 def test_end_to_end_gen_run_report(tmp_path):
     # generate a 10-class suite, run BER over 5 tasks, inspect report.md
     spec = tmp_path / "spec.json"

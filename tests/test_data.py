@@ -23,6 +23,7 @@ from cilbench.data import (
     step_rows,
 )
 from cilbench.numerics import RngStream
+from cilbench.synthgen import SynthSpec, generate
 
 
 def make_ds(n_per_class, K, d, seed=0):
@@ -179,6 +180,34 @@ def test_task_views_are_read_only():
     assert tr.features.flags.writeable and te.labels.flags.writeable
 
 
+@pytest.mark.parametrize("order", [None, RngStream(4, "order")])
+def test_rows_are_checked_once_where_they_enter(monkeypatch, order):
+    tr = make_ds(5, 4, 3)
+    te = make_ds(2, 4, 3, seed=1)
+    checked = []
+    check = FeatureDataset.__post_init__
+    monkeypatch.setattr(
+        FeatureDataset, "__post_init__", lambda ds: (checked.append(ds.n), check(ds))[1]
+    )
+    # views and gathers of checked rows are not checked again
+    stream = split_tasks(tr, te, 2, order)
+    stream.test_through(2)
+    stream.train.subset([3, 1])
+    ood_subset(tr, 1, 2, RngStream(0, "sub"))
+    assert checked == []
+    # rows from outside still are, before split_tasks sees them
+    feats, labels = tr.features.copy(), tr.labels.copy()
+    feats[7, 1] = np.inf
+    with pytest.raises(NonFiniteFeatureError):
+        split_tasks(FeatureDataset(feats, labels, 4), te, 2, order)
+    labels[3] = 4
+    with pytest.raises(LabelOutOfRangeError):
+        split_tasks(FeatureDataset(tr.features, labels, 4), te, 2, order)
+    assert checked == [tr.n, tr.n]
+    with pytest.raises(FormatError):
+        stream.train.subset([])  # an empty selection is still no dataset
+
+
 def test_save_dataset_writes_the_float32_and_int32_payload(tmp_path):
     ds = make_ds(_SAVE_ROWS + 3, 2, 3)  # spans three write blocks
     save_dataset(ds, tmp_path / "ds.bin")
@@ -266,6 +295,47 @@ def test_herding_matches_norm_loop_at_random_tie_densities(n, d, distinct, grid,
     feats = pool[gen.integers(0, pool.shape[0], n)]
     q = max(1, round(q_frac * n))
     assert herding_select(feats, q) == norm_loop_herding(feats, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.integers(1, 300),
+    distinct=st.integers(1, 60),
+    grid=st.sampled_from([0.0, 1.0, 0.25]),
+    offset=st.sampled_from([0.0, 1e3, 1e6]),
+    seed=st.integers(0, 2**32 - 1),
+    q_frac=st.floats(0.0, 1.0),
+)
+# q = n: the last pick has one row left
+@example(n=30, d=300, distinct=30, grid=0.0, offset=1e6, seed=1, q_frac=1.0)
+def test_herding_matches_norm_loop_on_wide_and_offset_rows(
+    n, d, distinct, grid, offset, seed, q_frac
+):
+    # herding screens rows by ||x||^2 + 2 x.(running - s mu) before it
+    # measures any distance.  Rows far from the origin make that sum cancel
+    # (each term ~ s offset^2 for a distance ~ 1), and grid-rounded or
+    # duplicated rows tie, so several rows pass the screen and are measured
+    gen = np.random.default_rng(seed)
+    pool = gen.normal(size=(min(distinct, n), d)) * 3.0
+    if grid:
+        pool = np.round(pool / grid) * grid
+    feats = pool[gen.integers(0, pool.shape[0], n)] + offset
+    q = max(1, round(q_frac * n))
+    assert herding_select(feats, q) == norm_loop_herding(feats, q)
+
+
+def test_herding_matches_norm_loop_on_a_scaled_class():
+    # one class of the scaled benchmark shape (300 rows of dim 256) at the
+    # first step's quota of 200 picks
+    spec = SynthSpec(
+        n_classes=4, dim=256, n_train_per_class=300, n_test_per_class=2,
+        n_ood_per_set=2, seed=5,
+    )
+    train, _, _ = generate(spec)
+    for c in (0, 1):
+        feats = train.features[train.labels == c]
+        assert herding_select(feats, 200) == norm_loop_herding(feats, 200)
 
 
 def test_rebalance_quota_and_budget():

@@ -314,11 +314,12 @@ def unit_dyadic_rows(gen, n, d, splits):
 
 
 def full_topk(fit, Z, k):
-    """The whole query x bank matrix with argpartition; each row's k in
+    """The whole query x bank matrix with a stable descending sort, so bank
+    rows tied at the k-th similarity enter in bank order; each row's k in
     ascending similarity, ties in bank order."""
     sims = l2_rows(Z) @ fit.bank_features.T
     k = min(k, sims.shape[1])
-    idx = np.argpartition(sims, sims.shape[1] - k, axis=1)[:, -k:]
+    idx = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     part = np.take_along_axis(sims, idx, axis=1)
     order = np.lexsort((idx, part), axis=1)  # by similarity, then bank index
     return np.take_along_axis(part, order, axis=1), np.take_along_axis(idx, order, axis=1)
@@ -355,6 +356,44 @@ def test_blocked_topk_matches_full_matrix(monkeypatch, n_query, n_bank, block_ce
             expect = (np.maximum(part, 0.0) * fit.bank_msp[idx]).sum(axis=1)
         got = score_batch(name, model, fit, Z, params)
         assert got.tobytes() == expect.tobytes()
+
+
+def test_bank_rows_tied_at_the_kth_similarity_enter_in_bank_order(monkeypatch):
+    # every bank row three times over (copies at j, j + 40 and j + 80):
+    # most queries' k-th similarity is shared by copies of which only some
+    # fit, and the lowest-indexed copies must be the ones taken.  Dyadic
+    # rows make the copies' similarities equal bit for bit.
+    gen = np.random.default_rng(41)
+    d, C, k = 24, 5, 10
+    model = logit_model(gen.normal(size=(C, d)), gen.normal(size=C))
+    bank = np.tile(unit_dyadic_rows(gen, 40, d, 6), (3, 1))
+    Z = unit_dyadic_rows(gen, 200, d, 6)
+    params = PosthocParams(knn_k=k)
+    fit = fit_scorer("relation_simplified", model, bank, params)
+    full = l2_rows(Z) @ fit.bank_features.T
+    got = {}
+    for cores in (1, 2, 3, 4):
+        monkeypatch.setattr(posthoc, "_usable_cores", lambda: cores)
+        sims, idx = posthoc._topk_sims(fit, Z, k)
+        scores = {
+            name: score_batch(name, model, fit_scorer(name, model, bank, params), Z, params)
+            for name in ("nnguide", "relation_simplified")
+        }
+        got[cores] = (sims.tobytes(), idx.tobytes(), {n: v.tobytes() for n, v in scores.items()})
+    assert all(got[cores] == got[1] for cores in (2, 3, 4))
+    part, want = full_topk(fit, Z, k)
+    assert sims.tobytes() == part.tobytes()
+    np.testing.assert_array_equal(idx, want)
+    boundary_ties = 0
+    for row, kept in zip(full, idx):
+        left_out = np.setdiff1d(np.arange(bank.shape[0]), kept)
+        kth = row[kept].min()
+        assert (row[left_out] <= kth).all()
+        tied_out = left_out[row[left_out] == kth]
+        if tied_out.size:
+            boundary_ties += 1
+            assert tied_out.min() > kept[row[kept] == kth].max()
+    assert boundary_ties > 100
 
 
 def test_worker_count_does_not_change_bank_scores(monkeypatch):
