@@ -6,7 +6,7 @@ lower confidence than new-class rows.
 """
 import numpy as np
 
-from cilbench import CilConfig, CilModel, Extractor, MemoryBuffer, SynthSpec
+from cilbench import CilConfig, CilModel, MemoryBuffer, SynthSpec
 from cilbench import RngStream, evaluate_accuracy, generate, score_batch, split_tasks, train_task
 
 spec = SynthSpec(seed=0)
@@ -15,7 +15,7 @@ stream = split_tasks(train, test, k=4)  # 5 tasks of 4 classes
 cfg = CilConfig()
 
 for budget in (0, 200):
-    model = CilModel.fresh(Extractor(), spec.dim)
+    model = CilModel.fresh(spec.dim)
     mem = MemoryBuffer(budget)
     rng = RngStream(0, "demo")
     task1_curve = []

@@ -9,7 +9,6 @@ import numpy as np
 from cilbench import (
     CilConfig,
     CilModel,
-    Extractor,
     MemoryBuffer,
     RngStream,
     SynthSpec,
@@ -26,7 +25,7 @@ from cilbench.posthoc import SCORER_NAMES
 spec = SynthSpec(seed=1)
 train, test, suite = generate(spec)
 stream = split_tasks(train, test, k=4)
-model = CilModel.fresh(Extractor(), spec.dim)
+model = CilModel.fresh(spec.dim)
 model, _ = train_task(model, stream, 1, MemoryBuffer(200), CilConfig(), RngStream(1, "demo"))
 
 id_test = stream.test_through(1)

@@ -13,7 +13,6 @@ from cilbench import (
     BerConfig,
     CilConfig,
     CilModel,
-    Extractor,
     MemoryBuffer,
     RngStream,
     SynthSpec,
@@ -23,12 +22,11 @@ from cilbench import (
     split_tasks,
     train_task,
 )
-from cilbench.finetune import scoring_model
 
 spec = SynthSpec(seed=2)
 train, test, suite = generate(spec)
 stream = split_tasks(train, test, k=4)
-model = CilModel.fresh(Extractor(), spec.dim)
+model = CilModel.fresh(spec.dim)
 mem = MemoryBuffer(200)
 rng = RngStream(2, "demo")
 mems = []
@@ -45,8 +43,7 @@ for method, cfg in (
     ("ber", BerConfig(hinge_orientation="energy_paper")),
 ):
     log = []
-    extra = finetune_step_loop(model, stream, T, mems[-1], method, cfg, rng.child(method), log)
-    scored = scoring_model(model, extra, method, cfg)
+    scored = finetune_step_loop(model, stream, T, mems[-1], method, cfg, rng.child(method), log)
     id_s = score_batch("energy", scored, None, id_X)
     ood_s = score_batch("energy", scored, None, ood_X)
     gap = id_s.mean() - ood_s.mean()

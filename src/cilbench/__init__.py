@@ -18,7 +18,7 @@ from .data import (
 )
 from .finetune import BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
-from .model import Extractor, LinearHead, load_head, save_head
+from .model import LinearHead, load_head, save_head
 from .numerics import RngStream
 from .posthoc import PosthocParams, fit_scorer, score_batch
 from .protocol import BenchmarkReport, RunConfig, emit_report, run_benchmark
@@ -31,7 +31,6 @@ __all__ = [
     "BerConfig",
     "CilConfig",
     "CilModel",
-    "Extractor",
     "FeatureDataset",
     "LinearHead",
     "MemoryBuffer",

@@ -21,7 +21,6 @@ import numpy as np
 from .configcheck import check_field_types
 from .data import FeatureDataset, MemoryBuffer, TaskStream, rebalance_memory, step_rows
 from .model import (
-    Extractor,
     LinearHead,
     SgdState,
     ce_loss,
@@ -68,30 +67,31 @@ class CilConfig:
 
 @dataclass
 class CilModel:
-    """Frozen (identity) extractor plus the growing head; ``seen_classes``
-    maps head rows to global class ids (row i predicts seen_classes[i]).
+    """The one model object, trained by CIL and scored by every OOD method:
+    the growing head, and ``seen_classes`` mapping head rows to global
+    class ids (row i predicts seen_classes[i]).  Features arrive already
+    extracted, so the model reads its input as float64 rows.
 
     ``feature_tau`` optionally L2-normalizes penultimate features and
     divides them by the given temperature before the head, the transform
     used by the normalized-feature fine-tuner (train and test alike).
     This class is the one definition of the frozen forward pass
-    (extractor, feature map, head) and of its input gradient.
+    (feature map, head) and of its input gradient.
     """
 
-    extractor: Extractor
     head: LinearHead
     seen_classes: list[int] = field(default_factory=list)
     feature_tau: float | None = None
 
     @classmethod
-    def fresh(cls, extractor: Extractor, dim: int) -> "CilModel":
-        return cls(extractor, LinearHead.empty(dim), [])
+    def fresh(cls, dim: int) -> "CilModel":
+        return cls(LinearHead.empty(dim), [])
 
     def class_to_row(self) -> dict[int, int]:
         return {c: i for i, c in enumerate(self.seen_classes)}
 
     def penultimate(self, X: np.ndarray) -> np.ndarray:
-        Z = self.extractor.extract(X)
+        Z = np.asarray(X, dtype=np.float64)
         return l2_rows(Z, self.feature_tau) if self.feature_tau else Z
 
     def logits(self, X: np.ndarray) -> np.ndarray:
@@ -232,8 +232,7 @@ def train_task(
     if cfg.method == "replay_distill_wa" and t > 1:
         head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
 
-    new_model = CilModel(model.extractor, head, seen)
-    return new_model, rebalance_memory(mem, stream, t)
+    return CilModel(head, seen), rebalance_memory(mem, stream, t)
 
 
 def evaluate_accuracy(model: CilModel, test: FeatureDataset) -> float:

@@ -453,7 +453,7 @@ def ood_subset(
 def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]:
     """Read a suite manifest JSON; paths are resolved against its directory.
 
-    Schema: {"n_classes": int?, "id_train": str, "id_test": str,
+    Schema: {"n_classes": int > 0?, "id_train": str, "id_test": str,
              "ood": [{"name": str, "path": str, "tag": "near"|"far"}]}
     ``id_test`` and every OOD set must be as wide as ``id_train``, and
     ``id_test`` labels must lie below ``id_train``'s class count.  Both ID
@@ -469,9 +469,10 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     if not isinstance(doc, dict):
         raise FormatError(f"manifest {path} is not a JSON object")
     base = path.parent
+    # absent, the count is inferred from id_train; present, it is the count
     n_classes = doc.get("n_classes", 0)
-    if not is_int(n_classes):
-        raise FormatError(f"manifest n_classes must be an integer, not {n_classes!r}")
+    if "n_classes" in doc and not (is_int(n_classes) and n_classes > 0):
+        raise FormatError(f"manifest n_classes must be a positive integer, not {n_classes!r}")
     if not isinstance(doc.get("ood"), list) or not doc["ood"]:
         raise FormatError("manifest 'ood' must be a nonempty list of OOD sets")
     if not all(isinstance(e, dict) for e in doc["ood"]):

@@ -3,7 +3,9 @@
 At each step an extra classifier, a copy of the incremental head, is
 trained on the step's given features while the incremental head stays
 untouched; detection scores come from the extra head, ID classification
-stays on the original one.
+stays on the original one.  :func:`finetune_step_loop` returns the extra
+head as the ``CilModel`` the step is scored through, with the feature
+map it was trained on.
 
 Four trainers, each a batch objective for the SGD epoch loop CIL training
 also uses (``cil.sgd_epochs``): plain cross-entropy, logit normalization
@@ -63,9 +65,8 @@ __all__ = [
     "nter_loss",
     "oter_loss",
     "logitnorm_ce_loss",
-    "ber_total_loss",
+    "ber_terms",
     "finetune_step_loop",
-    "scoring_model",
 ]
 
 log = logging.getLogger(__name__)
@@ -228,7 +229,7 @@ def logitnorm_ce_loss(
     return loss, Gz.T @ X, Gz.sum(axis=0)
 
 
-def _ber_terms(
+def ber_terms(
     head: LinearHead,
     ce_rows: np.ndarray,
     ce_targets: np.ndarray,
@@ -237,9 +238,11 @@ def _ber_terms(
     X_mixed: np.ndarray | None,
     cfg: BerConfig,
 ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
-    """(ce, l_n, l_o, dW, db) with dW, db the gradient of
-    CE + alpha * (l_n + l_o).  A term switched off by ``use_nter`` /
-    ``use_oter``, or with no rows to regularize, is 0 and adds nothing."""
+    """The objective the ``ber`` fine-tuner trains, CE + alpha * (new-task
+    hinges + old-task hinge), as (ce, l_n, l_o, dW, db) with dW, db the
+    gradient of CE + alpha * (l_n + l_o).  A term switched off by
+    ``use_nter`` / ``use_oter``, or with no rows to regularize, is 0 and
+    adds nothing."""
     l_ce, dW, db = ce_loss(head, ce_rows, ce_targets)
     l_n = l_o = 0.0
     if cfg.use_nter:
@@ -253,23 +256,6 @@ def _ber_terms(
     return l_ce, l_n, l_o, dW, db
 
 
-def ber_total_loss(
-    head: LinearHead,
-    ce_rows: np.ndarray,
-    ce_targets: np.ndarray,
-    id_rows: np.ndarray,
-    X_ps: np.ndarray,
-    X_mixed: np.ndarray | None,
-    cfg: BerConfig,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """CE + alpha * (new-task hinges + old-task hinge): the objective the
-    ``ber`` fine-tuner trains."""
-    l_ce, l_n, l_o, dW, db = _ber_terms(
-        head, ce_rows, ce_targets, id_rows, X_ps, X_mixed, cfg
-    )
-    return l_ce + cfg.alpha * l_n + cfg.alpha * l_o, dW, db
-
-
 def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, gen):
     """BER terms for one batch of new-task rows: the first half feeds CE
     and the ID hinge, the second half is mixed into boundary samples, and
@@ -279,20 +265,12 @@ def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, gen):
     ax, ay = bx[:half], by[:half]
     pseudo = synth_pseudo_ood(bx[half:], by[half:], cfg.beta_params, gen)
     if Z_mem.shape[0] == 0:
-        return _ber_terms(head, ax, ay, ax, pseudo.rows, None, cfg)
+        return ber_terms(head, ax, ay, ax, pseudo.rows, None, cfg)
     pick = gen.choice(Z_mem.shape[0], size=min(cfg.batch_size, Z_mem.shape[0]), replace=False)
     mX, my = Z_mem[pick], y_mem[pick]
     mixed = synth_old_mix(bx, mX, cfg.lambda_old, gen)
     ce_X, ce_y = np.concatenate([ax, mX]), np.concatenate([ay, my])
-    return _ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed, cfg)
-
-
-def scoring_model(model: CilModel, head: LinearHead, method: str, cfg: BerConfig) -> CilModel:
-    """``model`` with ``head`` in place of its own, and the feature map the
-    fine-tuner ``method`` trains and scores through: ``t2fnorm`` features
-    are L2-normalized and divided by ``cfg.t2f_tau``, the others are not."""
-    feature_tau = cfg.t2f_tau if method == "t2fnorm" else None
-    return CilModel(model.extractor, head, list(model.seen_classes), feature_tau)
+    return ber_terms(head, ce_X, ce_y, ax, pseudo.rows, mixed, cfg)
 
 
 def finetune_step_loop(
@@ -304,7 +282,7 @@ def finetune_step_loop(
     cfg: BerConfig,
     rng: RngStream,
     log_sink: list | None = None,
-) -> LinearHead:
+) -> CilModel:
     """Train the extra classifier for step t; the frozen model is untouched.
 
     ``mem`` must be the replay memory from steps < t (it is empty at
@@ -313,21 +291,25 @@ def finetune_step_loop(
     run over new-task rows and draw a replay batch per SGD step, all from
     the step's one batch generator.  Each epoch appends its mean
     ``ce``/``l_n``/``l_o`` to ``log_sink``; an epoch with a non-finite
-    loss or head raises ``DivergenceError``.  Returns the fine-tuned
-    head, trained on the features of :func:`scoring_model`, the model it
-    is scored through.
+    loss or head raises ``DivergenceError``.
+
+    Returns the model the step is scored through: the fine-tuned head,
+    ``model``'s classes, and the feature map the head was trained on.
+    ``t2fnorm`` features are L2-normalized and divided by ``cfg.t2f_tau``;
+    the other methods train on the features as given.
     """
     if method not in FINETUNE_METHODS:
         raise ValueError(f"unknown fine-tune method {method!r}")
+    feature_tau = cfg.t2f_tau if method == "t2fnorm" else None
+    tuned = CilModel(model.head.clone(), list(model.seen_classes), feature_tau)
+    head = tuned.head
     row_of = model.class_to_row()
     X_raw, labels = step_rows(stream, t, mem)
-    Z_all = scoring_model(model, model.head, method, cfg).penultimate(X_raw)
+    Z_all = tuned.penultimate(X_raw)
     y_all = np.array([row_of[int(c)] for c in labels], dtype=np.int64)
     n_new = stream.tasks[t - 1].train.n
     Z_new, Z_mem = Z_all[:n_new], Z_all[n_new:]
     y_new, y_mem = y_all[:n_new], y_all[n_new:]
-
-    head = model.head.clone()
 
     if method == "ber":
         if Z_mem.shape[0] == 0:
@@ -361,4 +343,4 @@ def finetune_step_loop(
         if log_sink is not None:
             means = {k: v / iters for k, v in zip(("ce", "l_n", "l_o"), sums)}
             log_sink.append({"task": t, "epoch": epoch, **means})
-    return head
+    return tuned

@@ -1,12 +1,12 @@
-"""Frozen extractor, expandable linear head, and one SGD update.
+"""Expandable linear head and one SGD update.
 
-The extractor is the identity: a run scores the features it is given.
-The head is the only trainable object in the benchmark.  All gradients in
-this package are hand-derived; :func:`ce_loss` provides the shared
-cross-entropy building block (mean over the batch) used by both the
-incremental trainer and the fine-tuning methods; it takes the logit
-gradient of any further term (distillation) and multiplies the sum out
-once.  :func:`sgd_step` is one momentum update; the epoch loop that
+A run scores the features it is given, so the head is the only trainable
+object in the benchmark; ``cil.CilModel`` pairs it with its classes and
+an optional feature map.  All gradients in this package are
+hand-derived; :func:`ce_loss` provides the shared cross-entropy building
+block (mean over the batch) used by both the incremental trainer and the
+fine-tuning methods; it takes the logit gradient of any further term
+(distillation) and multiplies the sum out once.  :func:`sgd_step` is one momentum update; the epoch loop that
 drives it for both is ``cil.sgd_epochs``, which builds one
 :class:`SgdState` per call with zero velocities shaped like the head, so
 a state never sees its head grow.  Two heads are the same when their
@@ -27,7 +27,6 @@ import numpy as np
 from .numerics import RngStream, softmax_cross_entropy
 
 __all__ = [
-    "Extractor",
     "LinearHead",
     "SgdState",
     "expand_head",
@@ -42,15 +41,6 @@ __all__ = [
 ]
 
 _HEAD_MAGIC = b"OCH1"
-
-
-class Extractor:
-    """The frozen backbone.  A run is given its features already extracted
-    (from a manifest or the generator), so this is the identity on float64
-    rows."""
-
-    def extract(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64)
 
 
 class LinearHead:

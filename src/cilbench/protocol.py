@@ -39,9 +39,9 @@ from .data import (
     split_tasks,
     step_rows,
 )
-from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop, scoring_model
+from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
-from .model import Extractor, save_head
+from .model import save_head
 from .numerics import RngStream
 from .posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from .synthgen import SynthSpec, generate
@@ -217,7 +217,7 @@ def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
     """The CIL phase: yields ``(t, model, mem_t, id_test, acc, took)`` per
     step: the model after step t, the memory before it, the test rows of
     tasks 1..t, and the timing record with ``cil_train`` and ACC in ``score_id``."""
-    model = CilModel.fresh(Extractor(), stream.tasks[0].train.dim)
+    model = CilModel.fresh(stream.tasks[0].train.dim)
     mem = MemoryBuffer(cfg.memory_budget)
     rng = RngStream(seed, "run").child("cil")
     for t in range(1, stream.num_steps + 1):
@@ -242,8 +242,7 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple
         method = cfg.ood["method"]
         rng = RngStream(seed, "run").child(f"ft-t{t}")
         with _timed(took, "finetune"):
-            f_head = finetune_step_loop(model, stream, t, mem_t, method, ft, rng, ft_log)
-            score_model = scoring_model(model, f_head, method, ft)
+            score_model = finetune_step_loop(model, stream, t, mem_t, method, ft, rng, ft_log)
     with _timed(took, "scorer_fit"):
         fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
     with _timed(took, "score_id"):

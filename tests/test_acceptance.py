@@ -11,19 +11,14 @@ import pytest
 
 from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, train_task
 from cilbench.data import MemoryBuffer, ood_subset, split_tasks
-from cilbench.finetune import (
-    BerConfig,
-    ber_total_loss,
-    finetune_step_loop,
-    nter_loss,
-    oter_loss,
-)
+from cilbench.finetune import BerConfig, finetune_step_loop, nter_loss, oter_loss
 from cilbench.metrics import auroc, average_precision, fpr_at_tpr95
-from cilbench.model import Extractor, LinearHead, ce_loss
+from cilbench.model import LinearHead, ce_loss
 from cilbench.numerics import RngStream, l2_rows, logsumexp_rows, softmax_rows
 from cilbench.posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from cilbench.protocol import RunConfig, emit_report, run_benchmark
 from cilbench.synthgen import SynthSpec, generate
+from oracles import ber_total
 
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2, 3, 4)
@@ -44,7 +39,7 @@ def train_full_stream(seed, budget, cil_cfg=DEFAULT_CIL):
     spec = SynthSpec(seed=seed)
     train, test, suite = generate(spec)
     stream = split_tasks(train, test, STEP_SIZE)
-    model = CilModel.fresh(Extractor(), spec.dim)
+    model = CilModel.fresh(spec.dim)
     mem = MemoryBuffer(budget)
     rng = RngStream(seed, "acc")
     mems = []
@@ -168,7 +163,7 @@ def test_criterion_2_gradient_suite():
             assert _grad_ok(head, lambda: nter_loss(head, X_id, X_ps, cfg))
             assert _grad_ok(head, lambda: oter_loss(head, X_mx, cfg))
             assert _grad_ok(
-                head, lambda: ber_total_loss(head, X, y, X_id, X_ps, X_mx, cfg)
+                head, lambda: ber_total(head, X, y, X_id, X_ps, X_mx, cfg)
             )
     report_line(2, "analytic gradients match finite differences (100 heads)", time.perf_counter() - t0, 30)
 
@@ -276,7 +271,7 @@ def test_criterion_7_ber_ablation_ordering():
         train, test, suite = generate(spec)
         stream = split_tasks(train, test, STEP_SIZE)
         T = stream.num_steps
-        model = CilModel.fresh(Extractor(), spec.dim)
+        model = CilModel.fresh(spec.dim)
         mem = MemoryBuffer(REPLAY_BUDGET)
         rng = RngStream(seed, "ablate")
         per_step = {k: [] for k in variants}
@@ -286,10 +281,9 @@ def test_criterion_7_ber_ablation_ordering():
             id_test = stream.test_through(t)
             for key, over in variants.items():
                 cfg = BerConfig(hinge_orientation=SELECTED_ORIENTATION, **over)
-                fh = finetune_step_loop(
+                fmodel = finetune_step_loop(
                     model, stream, t, mem_t, "ber", cfg, rng.child(f"ft-{key}-{t}")
                 )
-                fmodel = CilModel(model.extractor, fh, list(model.seen_classes))
                 id_s = score_batch("energy", fmodel, None, id_test.features)
                 aucs = [
                     auroc(
@@ -321,7 +315,7 @@ def test_criterion_8_degeneracy_identities():
     t0 = time.perf_counter()
     gen = np.random.default_rng(808)
     head = LinearHead(gen.normal(size=(5, 8)), gen.normal(size=5))
-    model = CilModel(Extractor(), head, list(range(5)))
+    model = CilModel(head, list(range(5)))
     fit = fit_scorer("react", model, gen.normal(size=(200, 8)), PosthocParams(react_percentile=100.0))
     X = gen.normal(size=(1000, 8)) * 5
     react = score_batch("react", model, fit, X)
@@ -358,7 +352,7 @@ def test_criterion_10_near_far_ordering():
         spec = SynthSpec(seed=seed)
         train, test, suite = generate(spec)
         stream = split_tasks(train, test, STEP_SIZE)
-        model = CilModel.fresh(Extractor(), spec.dim)
+        model = CilModel.fresh(spec.dim)
         rng = RngStream(seed, "nf")
         model, _ = train_task(model, stream, 1, MemoryBuffer(REPLAY_BUDGET), DEFAULT_CIL, rng)
         id_test = stream.test_through(1)

@@ -19,7 +19,6 @@ from cilbench.data import (
 )
 from cilbench.model import (
     DivergenceError,
-    Extractor,
     LinearHead,
     SgdState,
     cosine_lr,
@@ -53,7 +52,7 @@ def small_stream(seed=0, k=2):
 
 
 def run_stream(stream, cfg, budget, seed):
-    model = CilModel.fresh(Extractor(), stream.tasks[0].train.dim)
+    model = CilModel.fresh(stream.tasks[0].train.dim)
     mem = MemoryBuffer(budget)
     rng = RngStream(seed, "cil-test")
     per_task_acc = []
@@ -74,8 +73,8 @@ def test_replay_beats_no_replay_on_first_task():
     stream = small_stream(seed=4)
     cfg = FAST
     _, _ = run_stream(stream, cfg, budget=0, seed=1)
-    model_none = CilModel.fresh(Extractor(), 16)
-    model_rep = CilModel.fresh(Extractor(), 16)
+    model_none = CilModel.fresh(16)
+    model_rep = CilModel.fresh(16)
     mem_none, mem_rep = MemoryBuffer(0), MemoryBuffer(10 * 8)
     rng_a, rng_b = RngStream(1, "a"), RngStream(1, "a")
     for t in range(1, stream.num_steps + 1):
@@ -92,7 +91,7 @@ def test_forgetting_is_monotone_without_replay():
     curves = []
     for seed in range(5):
         stream = small_stream(seed=seed)
-        model = CilModel.fresh(Extractor(), 16)
+        model = CilModel.fresh(16)
         mem = MemoryBuffer(0)
         rng = RngStream(seed, "forget")
         accs = []
@@ -126,7 +125,7 @@ def test_distillation_and_wa_paths_run():
 def test_evaluate_accuracy_matches_rowwise_oracle():
     gen = np.random.default_rng(9)
     head = LinearHead(gen.normal(size=(4, 6)), gen.normal(size=4))
-    model = CilModel(Extractor(), head, [0, 1, 2, 3])
+    model = CilModel(head, [0, 1, 2, 3])
     feats = gen.normal(size=(50, 6))
     labels = gen.integers(0, 4, 50)
     ds = FeatureDataset(feats, labels, 4)
@@ -143,7 +142,7 @@ def test_evaluate_accuracy_matches_rowwise_oracle():
 
 def test_evaluate_accuracy_tie_break_and_unseen_label():
     head = LinearHead(np.zeros((2, 3)), np.zeros(2))
-    model = CilModel(Extractor(), head, [0, 1])
+    model = CilModel(head, [0, 1])
     feats = np.ones((4, 3))
     ds = FeatureDataset(feats, [0, 0, 1, 1], 2)
     # all logits tie, every prediction is class 0
@@ -164,7 +163,7 @@ def test_old_class_confidence_drops_below_new():
     old_conf, new_conf = [], []
     for seed in range(5):
         stream = small_stream(seed=10 + seed)
-        model = CilModel.fresh(Extractor(), 16)
+        model = CilModel.fresh(16)
         mem = MemoryBuffer(16)  # tight replay, forgetting expected
         rng = RngStream(seed, "bias")
         for t in range(1, stream.num_steps + 1):
@@ -180,7 +179,7 @@ def test_old_class_confidence_drops_below_new():
 
 def test_training_log_entries():
     stream = small_stream(seed=7)
-    model = CilModel.fresh(Extractor(), 16)
+    model = CilModel.fresh(16)
     log: list = []
     cfg = CilConfig(epochs_per_task=3, batch_size=64)
     model, _ = train_task(model, stream, 1, MemoryBuffer(0), cfg, RngStream(0), log)
@@ -265,13 +264,13 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     if cfg.method == "replay_distill_wa" and t > 1:
         head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
     new_mem = rebalance_memory(mem, stream, t)
-    return CilModel(model.extractor, head, seen), new_mem
+    return CilModel(head, seen), new_mem
 
 
 def test_one_forward_training_matches_two_forward_loop():
     stream = small_stream(seed=9)
     cfg = CilConfig(epochs_per_task=5, batch_size=48, method="replay_distill_wa")
-    fast = slow = CilModel.fresh(Extractor(), 16)
+    fast = slow = CilModel.fresh(16)
     fast_mem = slow_mem = MemoryBuffer(40)
     for t in range(1, stream.num_steps + 1):
         fast_log, slow_log = [], []
@@ -304,7 +303,7 @@ def test_distilling_batch_gradient_matches_finite_differences(monkeypatch):
         distill_weight=0.7, distill_temperature=2.0,
     )
     rng = RngStream(5, "cil")
-    model, mem = train_task(CilModel.fresh(Extractor(), 16), stream, 1, MemoryBuffer(40), cfg, rng)
+    model, mem = train_task(CilModel.fresh(16), stream, 1, MemoryBuffer(40), cfg, rng)
     seen = {}
     real = cil.sgd_epochs
 
@@ -340,7 +339,7 @@ def test_distilling_batch_gradient_matches_finite_differences(monkeypatch):
 def test_training_divergence_names_seed_step_and_epoch():
     stream = small_stream(seed=7, k=4)
     cfg = CilConfig(epochs_per_task=30, batch_size=64, lr0=1e6)
-    model = CilModel.fresh(Extractor(), 16)
+    model = CilModel.fresh(16)
     with np.errstate(all="ignore"), pytest.raises(
         DivergenceError, match=r"^CIL training diverged at seed 3 step 1 epoch \d+: "
     ):

@@ -209,6 +209,8 @@ def test_manifest_suite_is_read_once_per_run(tmp_path, monkeypatch):
         ("ood", [{"name": "far1", "path": 5, "tag": "far"}]),
         ("ood", [{"name": 5, "path": "ood_far1.bin", "tag": "far"}]),
         ("id_train", 5),
+        ("n_classes", 0),  # only an absent n_classes infers the count
+        ("n_classes", -3),
     ],
 )
 def test_run_malformed_manifest_is_a_data_error(tmp_path, capsys, key, value):
@@ -343,6 +345,23 @@ def test_distill_wa_config_writes_the_recorded_report_bytes(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
     assert digest == DISTILL_WA_REPORT_SHA256
+
+
+# example_ber_run.json at seed 0 with t2fnorm scored by odin: the one run
+# whose scoring model has a feature map (L2 norm over a temperature) and
+# whose scorer backpropagates through it, so this pins the bytes of that path
+T2FNORM_ODIN_REPORT_SHA256 = "052baf4789e2d6fcb75d5c9589dbb5a47314d8941afcca76589e73b7bb80a87c"
+
+
+def test_t2fnorm_odin_config_writes_the_recorded_report_bytes(tmp_path):
+    doc = json.loads((REPO / "configs" / "example_ber_run.json").read_text())
+    doc["ood"].update(method="t2fnorm", score_with="odin")
+    doc["seeds"] = [0]
+    config = tmp_path / "t2fnorm_odin.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
+    assert digest == T2FNORM_ODIN_REPORT_SHA256
 
 
 def test_end_to_end_gen_run_report(tmp_path):

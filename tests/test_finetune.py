@@ -10,7 +10,6 @@ from cilbench.finetune import (
     BerConfig,
     _ber_batch,
     _hinge_energy_grads,
-    ber_total_loss,
     finetune_step_loop,
     logitnorm_ce_loss,
     nter_loss,
@@ -20,7 +19,6 @@ from cilbench.finetune import (
 )
 from cilbench.model import (
     DivergenceError,
-    Extractor,
     LinearHead,
     SgdState,
     ce_loss,
@@ -28,7 +26,7 @@ from cilbench.model import (
 )
 from cilbench.numerics import RngStream, logsumexp_rows, softmax_rows
 from cilbench.synthgen import SynthSpec, generate
-from oracles import head_bytes
+from oracles import ber_total, head_bytes
 
 CFG = BerConfig()
 
@@ -309,7 +307,7 @@ def test_composite_gradient_matches_finite_differences():
         X_ps = gen.normal(size=(3, d))
         mixed = gen.normal(size=(4, d))
         check_grads(
-            head, lambda: ber_total_loss(head, ce_X, ce_y, X_id, X_ps, mixed, cfg)
+            head, lambda: ber_total(head, ce_X, ce_y, X_id, X_ps, mixed, cfg)
         )
 
 
@@ -321,22 +319,22 @@ def test_composite_reduces_to_ce():
     base_loss, base_dW, base_db = ce_loss(head, X, y)
     # alpha = 0 kills both regularizers
     cfg0 = BerConfig(alpha=0.0)
-    loss, dW, db = ber_total_loss(head, X, y, X, np.zeros((0, 4)), None, cfg0)
+    loss, dW, db = ber_total(head, X, y, X, np.zeros((0, 4)), None, cfg0)
     assert loss == base_loss
     np.testing.assert_array_equal(dW, base_dW)
     # alpha > 0 but hinges inactive: still CE
     quiet = np.zeros((4, 4))  # E = -log3 between p_out and p_in: both sides off?
     cfg = BerConfig(alpha=0.1, hinge_orientation="energy_paper", p_in=5.0, p_out=-27.0)
-    loss2, dW2, db2 = ber_total_loss(head, X, y, quiet, np.zeros((0, 4)), None, cfg)
+    loss2, dW2, db2 = ber_total(head, X, y, quiet, np.zeros((0, 4)), None, cfg)
     assert loss2 == pytest.approx(base_loss, abs=1e-15)
     np.testing.assert_allclose(dW2, base_dW, atol=1e-15)
     # both terms switched off with active hinges and a replay batch: CE bit for bit
     X_ps = gen.normal(size=(5, 4))
     mixed = gen.normal(size=(4, 4))
-    on = ber_total_loss(head, X, y, X, X_ps, mixed, BerConfig(alpha=0.1))
+    on = ber_total(head, X, y, X, X_ps, mixed, BerConfig(alpha=0.1))
     assert on[0] != base_loss
     off = BerConfig(alpha=0.1, use_nter=False, use_oter=False)
-    loss3, dW3, db3 = ber_total_loss(head, X, y, X, X_ps, mixed, off)
+    loss3, dW3, db3 = ber_total(head, X, y, X, X_ps, mixed, off)
     assert loss3 == base_loss
     np.testing.assert_array_equal(dW3, base_dW)
     np.testing.assert_array_equal(db3, base_db)
@@ -349,7 +347,7 @@ def small_trained_model(seed=0, tasks_done=2):
     )
     train, test, _ = generate(spec)
     stream = split_tasks(train, test, 4)
-    model = CilModel.fresh(Extractor(), 16)
+    model = CilModel.fresh(16)
     mem_hist = []
     mem = MemoryBuffer(80)
     rng = RngStream(seed, "ft-cil")
@@ -364,19 +362,17 @@ def small_trained_model(seed=0, tasks_done=2):
 def test_finetune_freezes_base_model(method):
     model, stream, mems = small_trained_model()
     before_head = head_bytes(model.head)
-    before_ext = model.extractor
     cfg = BerConfig(epochs=3, batch_size=64)
-    f_head = finetune_step_loop(model, stream, 2, mems[1], method, cfg, RngStream(1, "ft"))
+    tuned = finetune_step_loop(model, stream, 2, mems[1], method, cfg, RngStream(1, "ft"))
     assert head_bytes(model.head) == before_head
-    assert model.extractor is before_ext
-    assert f_head.n_classes == model.head.n_classes
+    assert tuned.seen_classes == model.seen_classes
+    assert tuned.head.n_classes == model.head.n_classes
 
 
 def test_plain_finetune_matches_base_accuracy():
     model, stream, mems = small_trained_model(seed=3)
     cfg = BerConfig(epochs=10, batch_size=64)
-    f_head = finetune_step_loop(model, stream, 2, mems[1], "plain", cfg, RngStream(2, "ft"))
-    f_model = CilModel(model.extractor, f_head, model.seen_classes)
+    f_model = finetune_step_loop(model, stream, 2, mems[1], "plain", cfg, RngStream(2, "ft"))
     test = stream.test_through(2)
     acc_h = evaluate_accuracy(model, test)
     acc_f = evaluate_accuracy(f_model, test)
@@ -388,11 +384,11 @@ def test_ber_t1_empty_memory_warns_and_runs(caplog):
     sink: list = []
     cfg = BerConfig(epochs=2, batch_size=64)
     with caplog.at_level(logging.DEBUG, logger="cilbench.finetune"):
-        f_head = finetune_step_loop(
+        tuned = finetune_step_loop(
             model, stream, 1, MemoryBuffer(0), "ber", cfg, RngStream(3, "ft"), sink
         )
     assert any("warning" in e for e in sink)
-    assert f_head.n_classes == 4
+    assert tuned.head.n_classes == 4
     # an empty memory is expected at step 1: logged at debug level, naming the seed
     [rec] = [r for r in caplog.records if "empty replay memory" in r.getMessage()]
     assert rec.levelno == logging.DEBUG
@@ -478,8 +474,8 @@ def test_shared_epoch_loop_matches_separate_loop(method):
         separate = separate_loop_finetune(
             model, stream, t, mems[t - 1], method, cfg, RngStream(9, "ft"), separate_log
         )
-        assert shared.W.tobytes() == separate.W.tobytes()
-        assert shared.b.tobytes() == separate.b.tobytes()
+        assert shared.head.W.tobytes() == separate.W.tobytes()
+        assert shared.head.b.tobytes() == separate.b.tobytes()
         assert shared_log == separate_log
         assert len([e for e in shared_log if "epoch" in e]) == cfg.epochs
 
@@ -497,7 +493,7 @@ def test_ber_widens_id_ood_score_gap():
         )
         train, test, suite = generate(spec)
         stream = split_tasks(train, test, 4)
-        model = CilModel.fresh(Extractor(), spec.dim)
+        model = CilModel.fresh(spec.dim)
         mem = MemoryBuffer(120)
         rng = RngStream(seed, "gap")
         cil = CilConfig(epochs_per_task=12)
@@ -509,10 +505,9 @@ def test_ber_widens_id_ood_score_gap():
         id_X = stream.test_through(T).features
         ood_X = np.concatenate([e.dataset.features for e in suite.entries])
         for method, kw in (("plain", {}), ("ber", {"hinge_orientation": "energy_paper"})):
-            fh = finetune_step_loop(
+            fm = finetune_step_loop(
                 model, stream, T, mems[-1], method, BerConfig(**kw), rng.child(method)
             )
-            fm = CilModel(model.extractor, fh, list(model.seen_classes))
             id_s = score_batch("energy", fm, None, id_X)
             ood_s = score_batch("energy", fm, None, ood_X)
             gaps[method].append(id_s.mean() - ood_s.mean())

@@ -7,7 +7,7 @@ import pytest
 
 from cilbench import posthoc
 from cilbench.cil import CilModel
-from cilbench.model import Extractor, LinearHead
+from cilbench.model import LinearHead
 from cilbench.numerics import l2_rows, logsumexp_rows
 from cilbench.posthoc import (
     SCORER_NAMES,
@@ -31,7 +31,7 @@ def score_one(name, model, fit, x, params=None):
 def logit_model(W, b):
     """Identity-extractor model whose logits equal W x + b."""
     head = LinearHead(np.asarray(W, float), np.asarray(b, float))
-    return CilModel(Extractor(), head, list(range(head.n_classes)))
+    return CilModel(head, list(range(head.n_classes)))
 
 
 def passthrough(logits):
@@ -141,7 +141,7 @@ def test_odin_gradient_through_projection(feature_tau):
     rows onto the sphere of radius 1 / feature_tau, then the head."""
     gen = np.random.default_rng(4)
     head = LinearHead(gen.normal(size=(3, 6)), gen.normal(size=3))
-    model = CilModel(Extractor(), head, [0, 1, 2], feature_tau)
+    model = CilModel(head, [0, 1, 2], feature_tau)
     X = gen.normal(size=(1, 6))
     T = 5.0
     g = odin_input_gradient(model, X, T)[0]

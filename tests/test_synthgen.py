@@ -95,7 +95,6 @@ def test_spec_validation():
 def test_vanishing_noise_makes_one_task_separable():
     from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, train_task
     from cilbench.data import MemoryBuffer, split_tasks
-    from cilbench.model import Extractor
     from cilbench.numerics import RngStream
 
     spec = SynthSpec(
@@ -104,7 +103,7 @@ def test_vanishing_noise_makes_one_task_separable():
     )
     train, test, _ = generate(spec)
     stream = split_tasks(train, test, 6)  # all classes in one task
-    model = CilModel.fresh(Extractor(), spec.dim)
+    model = CilModel.fresh(spec.dim)
     cfg = CilConfig(epochs_per_task=10)
     model, _ = train_task(model, stream, 1, MemoryBuffer(0), cfg, RngStream(0, "s0"))
     assert evaluate_accuracy(model, stream.test_through(1)) == 1.0
@@ -114,7 +113,6 @@ def test_small_noise_far_sets_are_trivially_detectable():
     from cilbench.cil import CilConfig, CilModel, train_task
     from cilbench.data import MemoryBuffer, ood_subset, split_tasks
     from cilbench.metrics import auroc
-    from cilbench.model import Extractor
     from cilbench.numerics import RngStream
     from cilbench.posthoc import score_batch
 
@@ -123,7 +121,7 @@ def test_small_noise_far_sets_are_trivially_detectable():
         spec = SynthSpec(std=0.2, seed=seed)
         train, test, suite = generate(spec)
         stream = split_tasks(train, test, 4)
-        model = CilModel.fresh(Extractor(), spec.dim)
+        model = CilModel.fresh(spec.dim)
         model, _ = train_task(
             model, stream, 1, MemoryBuffer(200), CilConfig(), RngStream(seed, "ss")
         )
