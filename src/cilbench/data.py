@@ -96,18 +96,6 @@ class FeatureDataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n_classes", n_classes)
 
-    @classmethod
-    def _of_checked(cls, features, labels, n_classes: int) -> "FeatureDataset":
-        """A dataset of rows taken from one already checked (a view or a
-        gather of its float64 features and int64 labels): those rows are
-        finite and their labels in range, so only emptiness is checked."""
-        if features.shape[0] == 0:
-            raise FormatError("features must be a nonempty (n, d) matrix")
-        ds = object.__new__(cls)
-        for name, value in (("features", features), ("labels", labels), ("n_classes", n_classes)):
-            object.__setattr__(ds, name, value)
-        return ds
-
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -118,7 +106,7 @@ class FeatureDataset:
 
     def subset(self, idx) -> "FeatureDataset":
         idx = np.asarray(idx, dtype=np.int64)
-        return FeatureDataset._of_checked(self.features[idx], self.labels[idx], self.n_classes)
+        return FeatureDataset(self.features[idx], self.labels[idx], self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -170,7 +158,7 @@ class TaskStream:
             raise ValueError("step index out of range")
         end = self.test_ends[t - 1]
         test = self.test
-        return FeatureDataset._of_checked(test.features[:end], test.labels[:end], test.n_classes)
+        return FeatureDataset(test.features[:end], test.labels[:end], test.n_classes)
 
 
 @dataclass
@@ -293,19 +281,17 @@ def split_tasks(
     train_x, train_y, train_bounds = _task_major(ds_train, groups)
     test_x, test_y, test_bounds = _task_major(ds_test, groups)
 
-    # the inputs were checked when they were built; their views and
-    # gathers are not checked again
     def rows(x, y, bounds, t):
         part = slice(bounds[t], bounds[t + 1])
-        return FeatureDataset._of_checked(x[part], y[part], K)
+        return FeatureDataset(x[part], y[part], K)
 
     tasks = tuple(
         Task(rows(train_x, train_y, train_bounds, t), rows(test_x, test_y, test_bounds, t), classes)
         for t, classes in enumerate(groups)
     )
     return TaskStream(
-        tasks, FeatureDataset._of_checked(train_x, train_y, K),
-        FeatureDataset._of_checked(test_x, test_y, K), tuple(test_bounds[1:]),
+        tasks, FeatureDataset(train_x, train_y, K), FeatureDataset(test_x, test_y, K),
+        tuple(test_bounds[1:]),
     )
 
 
@@ -314,11 +300,9 @@ def step_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows a head trains on at step t (1-based): task t's training
     rows, then the exemplars of ``mem`` in ascending class order, as
-    (features, labels).  With no exemplars, task t's own arrays."""
+    (features, labels)."""
     train = stream.tasks[t - 1].train
     rows = [r for c in sorted(mem.entries) for r in mem.entries[c]]
-    if not rows:
-        return train.features, train.labels
     # exemplars come from other tasks' rows, so the rows a step trains on
     # are not one run of the suite: this copy is the step's
     return (

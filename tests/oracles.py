@@ -5,6 +5,9 @@ functions to one vector; ``log_softmax_rows`` is the two-pass log-softmax
 that the fused cross-entropy kernel must reproduce bit for bit;
 ``head_bytes`` is what two bit-identical heads share; ``ber_total`` sums
 the BER objective's terms into the loss its gradient is taken of.
+``rank_auroc``, ``rank_fpr_at_tpr95`` and ``rank_average_precision`` compute
+the metrics from one pooled ranking of the float64 ID and OOD score arrays;
+the counting metrics must give their bits.
 """
 import numpy as np
 
@@ -40,3 +43,38 @@ def ber_total(head, ce_rows, ce_targets, id_rows, X_ps, X_mixed, cfg):
     loss whose gradient the ``ber`` fine-tuner's dW, db are."""
     l_ce, l_n, l_o, dW, db = ber_terms(head, ce_rows, ce_targets, id_rows, X_ps, X_mixed, cfg)
     return l_ce + cfg.alpha * l_n + cfg.alpha * l_o, dW, db
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties assigned the group mean rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a group of c tied values ending at 1-based rank e has mean rank
+    # e - (c - 1) / 2; every term is an exact half-integer
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+
+
+def rank_auroc(a: np.ndarray, b: np.ndarray) -> float:
+    """P(id > ood) + 0.5 P(id = ood), from the midranks of the pooled scores."""
+    ranks = _midranks(np.concatenate([a, b]))
+    u = ranks[: a.size].sum() - a.size * (a.size + 1) / 2.0
+    return float(u / (a.size * b.size))
+
+
+def rank_fpr_at_tpr95(a: np.ndarray, b: np.ndarray) -> float:
+    """FPR on OOD at the largest threshold keeping TPR(id) >= 0.95."""
+    n = a.size
+    need = -((-19 * n) // 20)  # ceil(0.95 n) in exact integer arithmetic
+    thresh = np.sort(a)[::-1][need - 1]
+    return float(np.count_nonzero(b >= thresh) / b.size)
+
+
+def rank_average_precision(a: np.ndarray, b: np.ndarray) -> float:
+    """AP of the OOD rows' positions in one lexsort of the pooled scores."""
+    scores = np.concatenate([a, b])
+    is_ood = np.concatenate([np.zeros(a.size, bool), np.ones(b.size, bool)])
+    # ascending ID-score = descending OOD-ness; ID first within ties
+    order = np.lexsort((is_ood, scores))
+    flags = is_ood[order]
+    positions = np.flatnonzero(flags) + 1
+    tp = np.arange(1, b.size + 1)
+    return float((tp / positions).sum() / b.size)

@@ -321,6 +321,10 @@ SHIPPED_REPORT_SHA256 = {
     "example_run": "8344787c6415d7b656e0f0130b85c26a357dd09e6395e37c79b5e58a8cccb5bf",
     "example_ber_run": "109aab39f13929ca14aea8c89316e6e4ffcaf6661a4a6ebfd4c3cef8a413f532",
 }
+# the numpy and BLAS every report pin in this file was recorded under: a
+# digest that differs under another numpy may be that numpy's, not the engine's
+PINS_RECORDED_UNDER = "numpy 2.4.6, scipy-openblas 0.3.31"
+PIN_MESSAGE = f"pins recorded under {PINS_RECORDED_UNDER}; this run has numpy {np.__version__}"
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))
@@ -328,7 +332,7 @@ def test_shipped_config_writes_the_recorded_report_bytes(tmp_path, name):
     config = REPO / "configs" / f"{name}.json"
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-    assert digest == SHIPPED_REPORT_SHA256[name]
+    assert digest == SHIPPED_REPORT_SHA256[name], PIN_MESSAGE
 
 
 # example_run.json at seed 0 with distillation and weight align: neither
@@ -344,7 +348,7 @@ def test_distill_wa_config_writes_the_recorded_report_bytes(tmp_path):
     config.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
-    assert digest == DISTILL_WA_REPORT_SHA256
+    assert digest == DISTILL_WA_REPORT_SHA256, PIN_MESSAGE
 
 
 # example_ber_run.json at seed 0 with t2fnorm scored by odin: the one run
@@ -361,7 +365,7 @@ def test_t2fnorm_odin_config_writes_the_recorded_report_bytes(tmp_path):
     config.write_text(json.dumps(doc))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
     digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
-    assert digest == T2FNORM_ODIN_REPORT_SHA256
+    assert digest == T2FNORM_ODIN_REPORT_SHA256, PIN_MESSAGE
 
 
 def test_end_to_end_gen_run_report(tmp_path):

@@ -56,6 +56,11 @@ def test_tracer_counts_every_sgd_step_of_cil_and_finetune():
     assert tracer.metric("cil.ce_loss.calls") > 0
     assert tracer.metric("finetune.ce_loss.calls") > 0
     assert tracer.metric("cil.train_task.calls") == n_classes // step_size
+    # each (step, OOD set) record is scored by the three metrics, one call each
+    for name in ("auroc", "fpr_at_tpr95", "average_precision"):
+        assert tracer.metric(f"metrics.{name}.calls") == len(report.records)
+    scored = sum(r["n_id_test"] + r["n_ood_test"] for r in report.records)
+    assert tracer.metric("metrics.scores_in") == 3 * scored
     # restore() put every wrapped name back
     for fn in (protocol.run_benchmark, protocol.train_task, cil.sgd_step, finetune.sgd_step):
         assert not hasattr(fn, "__wrapped__")

@@ -3,12 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cilbench.metrics import (
-    _midranks,
-    auroc,
-    average_precision,
-    fpr_at_tpr95,
-)
+from cilbench.metrics import auroc, average_precision, fpr_at_tpr95
+from oracles import rank_auroc, rank_average_precision, rank_fpr_at_tpr95
 
 
 def brute_auroc(id_s, ood_s):
@@ -135,40 +131,29 @@ def test_metric_input_validation():
         average_precision([np.nan], [1.0])
 
 
-def loop_midranks(values):
-    """The Python loop that _midranks replaced, kept as its oracle."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-# a pool of 1-40 distinct-or-not values sets the tie density of each draw;
-# signed zeros are in every pool's reach so -0.0 / 0.0 ties occur
+# a pool of 1-12 values sets the tie density of each draw, within and
+# across the two sets; grid values tie often, and signed zeros are in every
+# pool's reach so -0.0 / 0.0 ties occur in either set
 _VALUE = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.integers(-40, 40).map(lambda k: k / 8),
     st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(_VALUE, min_size=1, max_size=40).flatmap(
-        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300)
-    )
+_SETS = st.lists(_VALUE, min_size=1, max_size=12).flatmap(
+    lambda pool: st.tuples(*[st.lists(st.sampled_from(pool), min_size=1, max_size=60)] * 2)
 )
-@example([0.0, -0.0, 0.0, 1.0, -0.0, -1.0])
-@example([-0.0])
-def test_midranks_matches_loop_oracle(values):
-    x = np.array(values, dtype=np.float64)
-    got = _midranks(x)
-    expect = loop_midranks(x)
-    assert got.dtype == expect.dtype
-    assert got.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SETS)
+@example(([0.0, -0.0, 0.0, 1.0, -0.0, -1.0], [-0.0]))
+@example(([-0.0], [0.0, -0.0, 0.0, 1.0, -0.0, -1.0]))
+def test_counting_metrics_give_the_pooled_ranking_bits(sets):
+    id_s, ood_s = (np.array(v, dtype=np.float64) for v in sets)
+    for metric, oracle in (
+        (auroc, rank_auroc),
+        (fpr_at_tpr95, rank_fpr_at_tpr95),
+        (average_precision, rank_average_precision),
+    ):
+        got, expect = metric(id_s, ood_s), oracle(id_s, ood_s)
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes(), metric.__name__
