@@ -29,7 +29,7 @@ model = CilModel.fresh(spec.dim)
 model, _ = train_task(model, stream, 1, MemoryBuffer(200), CilConfig(), RngStream(1, "demo"))
 
 id_test = stream.test_through(1)
-fit_rows = stream.tasks[0].train.features  # step-1 rows only
+fit_rows = stream.task_train(1).features  # step-1 rows only
 
 print(f"{'scorer':<22} {'AUC near':>9} {'AUC far':>9}")
 for name in SCORER_NAMES:

@@ -76,7 +76,8 @@ class CilModel:
     divides them by the given temperature before the head, the transform
     used by the normalized-feature fine-tuner (train and test alike).
     This class is the one definition of the frozen forward pass
-    (feature map, head) and of its input gradient.
+    (feature map, head), of its input gradient and of the map from class
+    ids back to head rows (:meth:`head_rows`).
     """
 
     head: LinearHead
@@ -87,8 +88,16 @@ class CilModel:
     def fresh(cls, dim: int) -> "CilModel":
         return cls(LinearHead.empty(dim), [])
 
-    def class_to_row(self) -> dict[int, int]:
-        return {c: i for i, c in enumerate(self.seen_classes)}
+    def head_rows(self, labels) -> np.ndarray:
+        """The head row of each class id in ``labels``; an id outside
+        ``seen_classes`` raises ValueError."""
+        labels = np.asarray(labels, dtype=np.int64)
+        seen = np.asarray(self.seen_classes, dtype=np.int64)
+        unseen = ~np.isin(labels, seen)
+        if unseen.any():
+            raise ValueError(f"labels not yet seen: {np.unique(labels[unseen]).tolist()}")
+        order = np.argsort(seen)
+        return order[np.searchsorted(seen, labels, sorter=order)]
 
     def penultimate(self, X: np.ndarray) -> np.ndarray:
         Z = np.asarray(X, dtype=np.float64)
@@ -190,14 +199,13 @@ def train_task(
     the loss, the distillation term and the logged ``train_acc``.  Raises
     ``DivergenceError`` after an epoch with a non-finite loss or head.
     """
-    task = stream.tasks[t - 1]
+    classes = stream.classes[t - 1]
     old_count = model.head.n_classes
-    head = expand_head(model.head, len(task.classes), rng.child(f"init-t{t}"))
-    seen = list(model.seen_classes) + list(task.classes)
-    row_of = {c: i for i, c in enumerate(seen)}
+    head = expand_head(model.head, len(classes), rng.child(f"init-t{t}"))
+    seen = list(model.seen_classes) + list(classes)
 
     X, y = step_rows(stream, t, mem)
-    y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
+    y_rows = CilModel(head, seen).head_rows(y)
     distill = cfg.method != "replay" and t > 1 and cfg.distill_weight != 0.0
     if distill:
         P_old = softmax_rows(model.head.logits(X), cfg.distill_temperature)
@@ -238,10 +246,6 @@ def train_task(
 def evaluate_accuracy(model: CilModel, test: FeatureDataset) -> float:
     """Fraction of rows whose argmax logit matches the label (ties go to
     the lowest class index).  Labels outside the seen set are an error."""
-    row_of = model.class_to_row()
-    unseen = set(np.unique(test.labels)) - set(row_of)
-    if unseen:
-        raise ValueError(f"labels not yet seen: {sorted(unseen)}")
+    rows = model.head_rows(test.labels)
     preds = np.argmax(model.logits(test.features), axis=1)
-    pred_classes = np.array(model.seen_classes)[preds]
-    return float((pred_classes == test.labels).mean())
+    return float((preds == rows).mean())

@@ -28,7 +28,6 @@ __all__ = [
     "LabelOutOfRangeError",
     "NonFiniteFeatureError",
     "FeatureDataset",
-    "Task",
     "TaskStream",
     "MemoryBuffer",
     "OodEntry",
@@ -110,55 +109,49 @@ class FeatureDataset:
 
 
 @dataclass(frozen=True)
-class Task:
-    train: FeatureDataset
-    test: FeatureDataset
-    classes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class TaskStream:
     """Ordered partition of classes into tasks with disjoint label sets.
 
-    ``train`` and ``test`` hold every task's rows, task by task; task t's
-    test rows end at ``test_ends[t - 1]``.  Built by :func:`split_tasks`,
-    whose task sets are read-only views of ``train`` and ``test``.
+    Task t (1-based) adds the classes ``classes[t - 1]``.  ``train`` and
+    ``test`` hold every task's rows, task by task: task t's rows are
+    ``train_bounds[t - 1]:train_bounds[t]`` of ``train`` and
+    ``test_bounds[t - 1]:test_bounds[t]`` of ``test``.  Built by
+    :func:`split_tasks`.
     """
 
-    tasks: tuple[Task, ...]
+    classes: tuple[tuple[int, ...], ...]
     train: FeatureDataset
     test: FeatureDataset
-    test_ends: tuple[int, ...]
+    train_bounds: tuple[int, ...]
+    test_bounds: tuple[int, ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for task in self.tasks:
-            cls = set(task.classes)
-            if cls & seen:
-                raise DataError("task class sets must be pairwise disjoint")
-            seen |= cls
-            for part in (task.train, task.test):
-                if not set(np.unique(part.labels)) <= cls:
-                    raise DataError("task datasets may only contain task classes")
+        flat = self.classes_through(self.num_steps)
+        if len(set(flat)) != len(flat):
+            raise DataError("task class sets must be pairwise disjoint")
 
     @property
     def num_steps(self) -> int:
-        return len(self.tasks)
+        return len(self.classes)
 
     def classes_through(self, t: int) -> tuple[int, ...]:
         """Seen-class set after step t (1-based), in task order."""
-        out: list[int] = []
-        for task in self.tasks[:t]:
-            out.extend(task.classes)
-        return tuple(out)
+        return tuple(c for classes in self.classes[:t] for c in classes)
 
-    def test_through(self, t: int) -> FeatureDataset:
-        """Union of the test sets of tasks 1..t: a prefix view of ``test``."""
+    def _rows(self, ds: FeatureDataset, bounds, first: int, t: int) -> FeatureDataset:
+        """The rows of tasks first..t of ``ds``: a read-only slice of it."""
         if not 1 <= t <= self.num_steps:
             raise ValueError("step index out of range")
-        end = self.test_ends[t - 1]
-        test = self.test
-        return FeatureDataset(test.features[:end], test.labels[:end], test.n_classes)
+        part = slice(bounds[first - 1], bounds[t])
+        return FeatureDataset(ds.features[part], ds.labels[part], ds.n_classes)
+
+    def task_train(self, t: int) -> FeatureDataset:
+        """The training rows of task t (1-based): a slice of ``train``."""
+        return self._rows(self.train, self.train_bounds, t, t)
+
+    def test_through(self, t: int) -> FeatureDataset:
+        """Union of the test sets of tasks 1..t: a prefix of ``test``."""
+        return self._rows(self.test, self.test_bounds, 1, t)
 
 
 @dataclass
@@ -238,17 +231,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _task_major(ds: FeatureDataset, groups) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _task_major(ds: FeatureDataset, groups) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """``ds``'s features and labels regrouped task by task, in their original
     order within each task, read-only, and the row bounds of the tasks:
     the t-th group (0-based) spans rows ``bounds[t]:bounds[t + 1]``."""
     idx = [np.flatnonzero(np.isin(ds.labels, classes)) for classes in groups]
-    bounds = [0, *np.cumsum([len(i) for i in idx]).tolist()]
+    bounds = (0, *np.cumsum([len(i) for i in idx]).tolist())
     rows = np.concatenate(idx)
     feats, labels = ds.features, ds.labels
     if not np.array_equal(rows, np.arange(ds.n)):
         # a seeded class order or rows not sorted by class: one gather puts
-        # each task's rows in one run, so every task is a view of it
+        # each task's rows in one run, so every task is one slice of it
         feats, labels = feats[rows], labels[rows]
     return _read_only(feats), _read_only(labels), bounds
 
@@ -263,10 +256,10 @@ def split_tasks(
     the remainder).  Classes are taken in id order, or in the permutation
     drawn from ``class_order.child("class-order")`` when one is given.
 
-    ``train``, ``test`` and the task sets are read-only row slices of one
-    task-major copy of each input; rows already laid out task by task
-    (identity order on class-sorted rows) are not copied at all, so the
-    stream shares the inputs' memory.
+    ``train`` and ``test`` are read-only: each is a task-major copy of its
+    input, or, for rows already laid out task by task (identity order on
+    class-sorted rows), a view of the input itself, so the stream shares
+    the inputs' memory.
     """
     K = ds_train.n_classes
     if k < 2:
@@ -277,21 +270,12 @@ def split_tasks(
         order = np.arange(K)
     else:
         order = class_order.child("class-order").gen.permutation(K)
-    groups = [tuple(int(c) for c in order[start : start + k]) for start in range(0, K, k)]
+    groups = tuple(tuple(int(c) for c in order[start : start + k]) for start in range(0, K, k))
     train_x, train_y, train_bounds = _task_major(ds_train, groups)
     test_x, test_y, test_bounds = _task_major(ds_test, groups)
-
-    def rows(x, y, bounds, t):
-        part = slice(bounds[t], bounds[t + 1])
-        return FeatureDataset(x[part], y[part], K)
-
-    tasks = tuple(
-        Task(rows(train_x, train_y, train_bounds, t), rows(test_x, test_y, test_bounds, t), classes)
-        for t, classes in enumerate(groups)
-    )
     return TaskStream(
-        tasks, FeatureDataset(train_x, train_y, K), FeatureDataset(test_x, test_y, K),
-        tuple(test_bounds[1:]),
+        groups, FeatureDataset(train_x, train_y, K), FeatureDataset(test_x, test_y, K),
+        train_bounds, test_bounds,
     )
 
 
@@ -301,7 +285,7 @@ def step_rows(
     """The rows a head trains on at step t (1-based): task t's training
     rows, then the exemplars of ``mem`` in ascending class order, as
     (features, labels)."""
-    train = stream.tasks[t - 1].train
+    train = stream.task_train(t)
     rows = [r for c in sorted(mem.entries) for r in mem.entries[c]]
     # exemplars come from other tasks' rows, so the rows a step trains on
     # are not one run of the suite: this copy is the step's

@@ -303,11 +303,10 @@ def finetune_step_loop(
     feature_tau = cfg.t2f_tau if method == "t2fnorm" else None
     tuned = CilModel(model.head.clone(), list(model.seen_classes), feature_tau)
     head = tuned.head
-    row_of = model.class_to_row()
     X_raw, labels = step_rows(stream, t, mem)
     Z_all = tuned.penultimate(X_raw)
-    y_all = np.array([row_of[int(c)] for c in labels], dtype=np.int64)
-    n_new = stream.tasks[t - 1].train.n
+    y_all = model.head_rows(labels)
+    n_new = stream.task_train(t).n
     Z_new, Z_mem = Z_all[:n_new], Z_all[n_new:]
     y_new, y_mem = y_all[:n_new], y_all[n_new:]
 

@@ -217,7 +217,7 @@ def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
     """The CIL phase: yields ``(t, model, mem_t, id_test, acc, took)`` per
     step: the model after step t, the memory before it, the test rows of
     tasks 1..t, and the timing record with ``cil_train`` and ACC in ``score_id``."""
-    model = CilModel.fresh(stream.tasks[0].train.dim)
+    model = CilModel.fresh(stream.train.dim)
     mem = MemoryBuffer(cfg.memory_budget)
     rng = RngStream(seed, "run").child("cil")
     for t in range(1, stream.num_steps + 1):

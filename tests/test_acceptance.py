@@ -62,8 +62,8 @@ def forgetting_runs():
                 "stream": stream,
                 "suite": suite,
                 "replay_model": model_rep,
-                "acc1_none": evaluate_accuracy(model_none, stream.tasks[0].test),
-                "acc1_replay": evaluate_accuracy(model_rep, stream.tasks[0].test),
+                "acc1_none": evaluate_accuracy(model_none, stream.test_through(1)),
+                "acc1_replay": evaluate_accuracy(model_rep, stream.test_through(1)),
             }
         )
     return out, time.perf_counter() - t0
@@ -231,7 +231,7 @@ def test_criterion_6_bias_reproduction(forgetting_runs):
     old_conf, new_conf, ood_new, ood_old = [], [], [], []
     for r in runs:
         model, stream, suite = r["replay_model"], r["stream"], r["suite"]
-        final = stream.tasks[-1].classes
+        final = stream.classes[-1]
         te = stream.test_through(stream.num_steps)
         conf = score_batch("msp", model, None, te.features)
         is_new = np.isin(te.labels, final)
@@ -356,7 +356,7 @@ def test_criterion_10_near_far_ordering():
         rng = RngStream(seed, "nf")
         model, _ = train_task(model, stream, 1, MemoryBuffer(REPLAY_BUDGET), DEFAULT_CIL, rng)
         id_test = stream.test_through(1)
-        fit_rows = stream.tasks[0].train.features
+        fit_rows = stream.task_train(1).features
         for name in SCORER_NAMES:
             fit = fit_scorer(name, model, fit_rows)
             id_s = score_batch(name, model, fit, id_test.features)

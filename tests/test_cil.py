@@ -52,7 +52,7 @@ def small_stream(seed=0, k=2):
 
 
 def run_stream(stream, cfg, budget, seed):
-    model = CilModel.fresh(stream.tasks[0].train.dim)
+    model = CilModel.fresh(stream.train.dim)
     mem = MemoryBuffer(budget)
     rng = RngStream(seed, "cil-test")
     per_task_acc = []
@@ -80,7 +80,7 @@ def test_replay_beats_no_replay_on_first_task():
     for t in range(1, stream.num_steps + 1):
         model_none, mem_none = train_task(model_none, stream, t, mem_none, cfg, rng_a)
         model_rep, mem_rep = train_task(model_rep, stream, t, mem_rep, cfg, rng_b)
-    task1 = stream.tasks[0].test
+    task1 = stream.test_through(1)
     acc_none = evaluate_accuracy(model_none, task1)
     acc_rep = evaluate_accuracy(model_rep, task1)
     assert acc_none < acc_rep
@@ -97,7 +97,7 @@ def test_forgetting_is_monotone_without_replay():
         accs = []
         for t in range(1, stream.num_steps + 1):
             model, mem = train_task(model, stream, t, mem, FAST, rng)
-            accs.append(evaluate_accuracy(model, stream.tasks[0].test))
+            accs.append(evaluate_accuracy(model, stream.test_through(1)))
         curves.append(accs)
     mean = np.mean(curves, axis=0)
     assert all(a >= b - 1e-9 for a, b in zip(mean, mean[1:]))
@@ -168,7 +168,7 @@ def test_old_class_confidence_drops_below_new():
         rng = RngStream(seed, "bias")
         for t in range(1, stream.num_steps + 1):
             model, mem = train_task(model, stream, t, mem, FAST, rng)
-        final = stream.tasks[-1].classes
+        final = stream.classes[-1]
         test = stream.test_through(stream.num_steps)
         conf = score_batch("msp", model, None, test.features)
         is_new = np.isin(test.labels, final)
@@ -208,11 +208,11 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     the sum out once.  The log holds that
     full-data accuracy as ``full_acc`` and the running accuracy of the
     batches, each before its update, as ``batch_acc``."""
-    task = stream.tasks[t - 1]
+    classes = stream.classes[t - 1]
     old_count = model.head.n_classes
     old_head = model.head.clone() if (cfg.method != "replay" and t > 1) else None
-    head = expand_head(model.head, len(task.classes), rng.child(f"init-t{t}"))
-    seen = list(model.seen_classes) + list(task.classes)
+    head = expand_head(model.head, len(classes), rng.child(f"init-t{t}"))
+    seen = list(model.seen_classes) + list(classes)
     row_of = {c: i for i, c in enumerate(seen)}
     X, y = step_rows(stream, t, mem)
     y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)

@@ -351,6 +351,22 @@ def test_distill_wa_config_writes_the_recorded_report_bytes(tmp_path):
     assert digest == DISTILL_WA_REPORT_SHA256, PIN_MESSAGE
 
 
+# example_run.json at seed 0 in seeded class order: the shipped configs
+# run in identity order on class-sorted rows, so this pins the bytes of the
+# path that gathers the suite into a task-major copy
+SEEDED_ORDER_REPORT_SHA256 = "a3266fbb98f11d349ed808a1ba99096dd2bd4d41311c80abacf79c6e57d263e3"
+
+
+def test_seeded_order_config_writes_the_recorded_report_bytes(tmp_path):
+    doc = json.loads((REPO / "configs" / "example_run.json").read_text())
+    doc.update(class_order="seeded", seeds=[0])
+    config = tmp_path / "seeded.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
+    assert digest == SEEDED_ORDER_REPORT_SHA256, PIN_MESSAGE
+
+
 # example_ber_run.json at seed 0 with t2fnorm scored by odin: the one run
 # whose scoring model has a feature map (L2 norm over a temperature) and
 # whose scorer backpropagates through it, so this pins the bytes of that path

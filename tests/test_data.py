@@ -83,18 +83,18 @@ def test_split_tasks_even():
     te = make_ds(2, 6, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     assert stream.num_steps == 3
-    assert [t.classes for t in stream.tasks] == [(0, 1), (2, 3), (4, 5)]
-    for task in stream.tasks:
-        assert set(np.unique(task.train.labels)) == set(task.classes)
+    assert list(stream.classes) == [(0, 1), (2, 3), (4, 5)]
+    for t, classes in enumerate(stream.classes, 1):
+        assert set(np.unique(stream.task_train(t).labels)) == set(classes)
 
 
 def test_split_tasks_remainder_and_disjoint():
     tr = make_ds(4, 7, 2)
     te = make_ds(2, 7, 2, seed=1)
     stream = split_tasks(tr, te, 3)
-    sizes = [len(t.classes) for t in stream.tasks]
+    sizes = [len(classes) for classes in stream.classes]
     assert sizes == [3, 3, 1]
-    all_classes = [c for t in stream.tasks for c in t.classes]
+    all_classes = [c for classes in stream.classes for c in classes]
     assert sorted(all_classes) == list(range(7))
     assert len(set(all_classes)) == 7
 
@@ -113,25 +113,32 @@ def test_split_tasks_seeded_order_is_deterministic():
     te = make_ds(1, 10, 2, seed=1)
     s1 = split_tasks(tr, te, 5, RngStream(4, "order"))
     s2 = split_tasks(tr, te, 5, RngStream(4, "order"))
-    assert [t.classes for t in s1.tasks] == [t.classes for t in s2.tasks]
+    assert s1.classes == s2.classes
 
 
 def _per_task_oracle(tr, te, stream):
     """Each task's (train, test) as per-task subsets of the inputs."""
-    for task in stream.tasks:
-        yield [ds.subset(np.flatnonzero(np.isin(ds.labels, task.classes))) for ds in (tr, te)]
+    for classes in stream.classes:
+        yield [ds.subset(np.flatnonzero(np.isin(ds.labels, classes))) for ds in (tr, te)]
+
+
+def _task_test(stream, t):
+    """Task t's test rows: the part of ``test_through(t)`` past task t - 1."""
+    through = stream.test_through(t)
+    start = stream.test_bounds[t - 1]
+    return FeatureDataset(through.features[start:], through.labels[start:], through.n_classes)
 
 
 def test_split_tasks_class_sorted_input_is_not_copied():
     tr = make_ds(5, 7, 3)
     te = make_ds(2, 7, 3, seed=1)
     stream = split_tasks(tr, te, 3)
-    for task in stream.tasks:
-        for part, ds in ((task.train, tr), (task.test, te)):
+    for t in range(1, stream.num_steps + 1):
+        for part, ds in ((stream.task_train(t), tr), (_task_test(stream, t), te)):
             assert np.shares_memory(part.features, ds.features)
             assert np.shares_memory(part.labels, ds.labels)
     for t in range(1, stream.num_steps + 1):
-        assert np.shares_memory(stream.test_through(t).features, stream.tasks[0].test.features)
+        assert np.shares_memory(stream.test_through(t).features, stream.test_through(1).features)
 
 
 @pytest.mark.parametrize("layout", ["seeded", "shuffled"])
@@ -146,17 +153,18 @@ def test_split_tasks_regroups_rows_like_per_task_subsets(layout):
         tr, te = (ds.subset(rng.permutation(ds.n)) for ds in (tr, te))
     stream = split_tasks(tr, te, 3, order)
     seen = []
-    for t, (task, oracle) in enumerate(zip(stream.tasks, _per_task_oracle(tr, te, stream)), 1):
-        for part, want in zip((task.train, task.test), oracle):
+    for t, oracle in enumerate(_per_task_oracle(tr, te, stream), 1):
+        task_train, task_test = stream.task_train(t), _task_test(stream, t)
+        for part, want in zip((task_train, task_test), oracle):
             np.testing.assert_array_equal(part.features, want.features)
             np.testing.assert_array_equal(part.labels, want.labels)
         seen.append(oracle[1])
         through = stream.test_through(t)
         np.testing.assert_array_equal(through.features, np.concatenate([s.features for s in seen]))
         np.testing.assert_array_equal(through.labels, np.concatenate([s.labels for s in seen]))
-        # one gather per input: the tasks are views of it, not of the input
-        assert np.shares_memory(task.test.features, stream.test.features)
-        assert not np.shares_memory(task.train.features, tr.features)
+        # one gather per input: the tasks are slices of it, not of the input
+        assert np.shares_memory(task_test.features, stream.test.features)
+        assert not np.shares_memory(task_train.features, tr.features)
 
 
 def test_test_through_rejects_steps_outside_the_stream():
@@ -166,14 +174,21 @@ def test_test_through_rejects_steps_outside_the_stream():
             stream.test_through(t)
 
 
+def test_task_train_rejects_steps_outside_the_stream():
+    stream = split_tasks(make_ds(3, 4, 2), make_ds(1, 4, 2, seed=1), 2)
+    for t in (0, stream.num_steps + 1):
+        with pytest.raises(ValueError, match="step index"):
+            stream.task_train(t)
+
+
 def test_task_views_are_read_only():
     tr = make_ds(5, 4, 3)
     te = make_ds(2, 4, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     with pytest.raises(ValueError, match="read-only"):
-        stream.tasks[0].train.features[0, 0] = 1.0
+        stream.task_train(1).features[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        stream.tasks[1].test.labels[0] = 0
+        _task_test(stream, 2).labels[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         stream.test_through(2).features[0] += 1.0
     # the caller's arrays stay writable
@@ -367,7 +382,7 @@ def test_step_rows_materialization():
     te = make_ds(2, 6, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     mem = rebalance_memory(MemoryBuffer(8), stream, 2)
-    task = stream.tasks[2].train
+    task = stream.task_train(3)
     X_all, y_all = step_rows(stream, 3, mem)
     # task 3's rows first, then the memory, class-ordered
     np.testing.assert_array_equal(X_all[: task.n], task.features)
@@ -384,7 +399,7 @@ def test_step_rows_materialization():
 
 def test_step_rows_without_memory_is_the_task_itself():
     stream = split_tasks(make_ds(10, 4, 3), make_ds(2, 4, 3, seed=1), 2)
-    task = stream.tasks[1].train
+    task = stream.task_train(2)
     for mem in (MemoryBuffer(0), MemoryBuffer(8, {0: [], 1: []})):
         X, y = step_rows(stream, 2, mem)
         np.testing.assert_array_equal(X, task.features, strict=True)

@@ -399,16 +399,16 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
     """finetune_step_loop with its own epoch loop and its own row assembly
     (the memory's rows of the stream's training set gathered class by
     class), as it was before it shared the CIL epoch loop."""
-    task = stream.tasks[t - 1]
-    row_of = model.class_to_row()
+    task_train = stream.task_train(t)
+    row_of = {c: i for i, c in enumerate(model.seen_classes)}
     xs = [stream.train.features[np.asarray(mem.entries[c], dtype=np.int64)]
           for c in sorted(mem.entries) if mem.entries[c]]
     ys = [np.full(len(mem.entries[c]), c, dtype=np.int64) for c in sorted(mem.entries)
           if mem.entries[c]]
-    mem_X_raw = np.concatenate(xs) if xs else np.zeros((0, task.train.dim))
+    mem_X_raw = np.concatenate(xs) if xs else np.zeros((0, task_train.dim))
     mem_y = np.concatenate(ys) if ys else np.zeros(0, dtype=np.int64)
-    Z_new = task.train.features
-    y_new = np.array([row_of[int(c)] for c in task.train.labels], dtype=np.int64)
+    Z_new = task_train.features
+    y_new = np.array([row_of[int(c)] for c in task_train.labels], dtype=np.int64)
     Z_mem = mem_X_raw
     y_mem = np.array([row_of[int(c)] for c in mem_y], dtype=np.int64)
 
