@@ -22,7 +22,6 @@ from .configcheck import check_field_types
 from .data import FeatureDataset, MemoryBuffer, TaskStream, rebalance_memory, step_rows
 from .model import (
     LinearHead,
-    SgdState,
     ce_loss,
     check_finite_epoch,
     cosine_lr,
@@ -30,7 +29,7 @@ from .model import (
     sgd_step,
     weight_align,
 )
-from .numerics import RngStream, l2_rows, softmax_rows
+from .numerics import RngStream, l2_rows, l2_rows_backward, softmax_rows
 
 __all__ = ["CilConfig", "CilModel", "sgd_epochs", "train_task", "evaluate_accuracy"]
 
@@ -110,12 +109,7 @@ class CilModel:
         """Map gradients w.r.t. the logits of rows ``X`` back to ``X``:
         through the head and the optional L2/temperature map."""
         G = G @ self.head.W
-        if self.feature_tau:
-            norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-            unit = X / norms
-            inner = (G * unit).sum(axis=1, keepdims=True)
-            G = (G - unit * inner) / (norms * self.feature_tau)
-        return G
+        return l2_rows_backward(X, G, self.feature_tau) if self.feature_tau else G
 
 
 def _distill_grads(
@@ -147,7 +141,7 @@ def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
     """Momentum SGD on ``head`` over n rows: the one epoch loop of CIL
     training and of every fine-tuner.  ``cfg`` (a :class:`CilConfig` or a
     ``BerConfig``) gives ``batch_size``, ``lr0``, ``momentum`` and
-    ``weight_decay``.
+    ``weight_decay``; the velocities start at zero, shaped like the head.
 
     Epoch e walks the permutation drawn from ``rng.child(f"{label}-{e}")``
     in batches of ``batch_size``, calling ``objective(sel)`` once per
@@ -155,27 +149,26 @@ def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
     at the head's current weights, and ``sgd_step`` applies (dW, db) to
     batch ``it`` as step ``e * iters + it`` of ``epochs * iters``.  After
     each epoch the sum of all terms and the head must be finite
-    (``DivergenceError`` names ``what``, the seed, step t and the epoch);
-    then ``(e, sums, iters)`` is yielded, ``sums`` being each term summed
-    over the epoch's batches.
-    Training happens as the caller iterates, so it must iterate to the end.
+    (``DivergenceError`` names ``what``, the seed, step t and the epoch).
+    Returns ``(sums, iters)`` once every epoch has run, ``sums[e]`` being
+    each term summed over epoch e's batches.
     """
     batch_size = cfg.batch_size
     iters = math.ceil(n / batch_size)
     total = epochs * iters
-    state = SgdState(
-        cfg.lr0, cfg.momentum, cfg.weight_decay, np.zeros_like(head.W), np.zeros_like(head.b)
-    )
+    velocity = np.zeros_like(head.W), np.zeros_like(head.b)
+    epoch_sums = []
     for epoch in range(epochs):
         perm = rng.child(f"{label}-{epoch}").gen.permutation(n)
         sums = None
         for it in range(iters):
             sel = perm[it * batch_size : (it + 1) * batch_size]
             *terms, dW, db = objective(sel)
-            sgd_step(state, head, dW, db, epoch * iters + it, total)
+            sgd_step(cfg, velocity, head, dW, db, epoch * iters + it, total)
             sums = [s + v for s, v in zip(sums or [0.0] * len(terms), terms)]
         check_finite_epoch(what, sum(sums), head, rng.seed, t, epoch)
-        yield epoch, sums, iters
+        epoch_sums.append(sums)
+    return epoch_sums, iters
 
 
 def train_task(
@@ -225,10 +218,10 @@ def train_task(
         return loss + cfg.distill_weight * dl, correct, dW, db
 
     n = X.shape[0]
-    epochs = sgd_epochs(
+    sums, iters = sgd_epochs(
         head, n, objective, cfg, cfg.epochs_per_task, rng, f"epoch-t{t}", "CIL training", t
     )
-    for epoch, (loss, correct), iters in epochs:
+    for epoch, (loss, correct) in enumerate(sums):
         if log_sink is not None:
             # train_acc: the running accuracy of the epoch's batches, each
             # taken before its update

@@ -44,11 +44,16 @@ def check_field_types(obj, error: type[Exception] = TypeError) -> None:
     """Raise ``error`` for the first field of the dataclass ``obj`` annotated
     ``int`` (no bool or float), ``float`` (an int or finite float, no bool),
     ``bool``, ``str``, ``str | None`` or ``dict`` whose value has another
-    type."""
+    type.  Each element of a tuple (``tuple[float, float]``,
+    ``tuple[int, ...]``) is held to the rule of its element type."""
     for f in fields(obj):
-        rule = _RULES.get(getattr(f.type, "__name__", f.type))
+        kind = getattr(f.type, "__name__", f.type)
         value = getattr(obj, f.name)
-        if rule is not None and not rule[0](value):
+        items = [value]
+        if kind.startswith("tuple[") and isinstance(value, (tuple, list)):
+            kind, items = kind[6:].split(",")[0], value
+        rule = _RULES.get(kind)
+        if rule is not None and not all(rule[0](v) for v in items):
             raise error(f"{f.name} must be {rule[1]}, got {value!r}")
 
 

@@ -53,7 +53,7 @@ from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
-from .numerics import RngStream, logsumexp_softmax_rows
+from .numerics import RngStream, l2_rows, l2_rows_backward, logsumexp_softmax_rows
 from .numerics import softmax_cross_entropy
 
 __all__ = [
@@ -221,11 +221,8 @@ def logitnorm_ce_loss(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy on z / (||z|| * tau_ln) with analytic gradients."""
     Z = head.logits(X)
-    norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
-    U = Z / (norms * tau_ln)
-    loss, Gu = softmax_cross_entropy(U, y_rows)
-    hat = Z / norms
-    Gz = (Gu - hat * (Gu * hat).sum(axis=1, keepdims=True)) / (norms * tau_ln)
+    loss, Gu = softmax_cross_entropy(l2_rows(Z, tau_ln), y_rows)
+    Gz = l2_rows_backward(Z, Gu, tau_ln)
     return loss, Gz.T @ X, Gz.sum(axis=0)
 
 
@@ -335,11 +332,11 @@ def finetune_step_loop(
                 loss, dW, db = ce_loss(head, X[sel], y[sel])
             return loss, 0.0, 0.0, dW, db
 
-    epochs = sgd_epochs(
+    sums, iters = sgd_epochs(
         head, X.shape[0], objective, cfg, cfg.epochs, rng, label, f"{method} fine-tuning", t
     )
-    for epoch, sums, iters in epochs:
+    for epoch, terms in enumerate(sums):
         if log_sink is not None:
-            means = {k: v / iters for k, v in zip(("ce", "l_n", "l_o"), sums)}
+            means = {k: v / iters for k, v in zip(("ce", "l_n", "l_o"), terms)}
             log_sink.append({"task": t, "epoch": epoch, **means})
     return tuned

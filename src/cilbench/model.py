@@ -6,11 +6,11 @@ an optional feature map.  All gradients in this package are
 hand-derived; :func:`ce_loss` provides the shared cross-entropy building
 block (mean over the batch) used by both the incremental trainer and the
 fine-tuning methods; it takes the logit gradient of any further term
-(distillation) and multiplies the sum out once.  :func:`sgd_step` is one momentum update; the epoch loop that
-drives it for both is ``cil.sgd_epochs``, which builds one
-:class:`SgdState` per call with zero velocities shaped like the head, so
-a state never sees its head grow.  Two heads are the same when their
-``W`` and ``b`` bytes are.
+(distillation) and multiplies the sum out once.  :func:`sgd_step` is one
+momentum update; the epoch loop that drives it for both is
+``cil.sgd_epochs``, which holds the velocities of one head, so they
+never see it grow.  Two heads are the same when their ``W`` and ``b``
+bytes are.
 
 Head checkpoints use the binary layout:
     magic "OCH1" | u32 C | u32 d | float64 W row-major | float64 b
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,6 @@ from .numerics import RngStream, softmax_cross_entropy
 
 __all__ = [
     "LinearHead",
-    "SgdState",
     "expand_head",
     "cosine_lr",
     "sgd_step",
@@ -91,20 +89,6 @@ def expand_head(head: LinearHead, new_classes: int, rng: RngStream) -> LinearHea
     return LinearHead(W, b)
 
 
-@dataclass
-class SgdState:
-    """SGD momentum state with a cosine learning-rate schedule.  ``vW`` and
-    ``vb`` are the velocities, shaped like the head's ``W`` and ``b`` and
-    updated in place; a state serves one head of fixed shape (one
-    ``cil.sgd_epochs`` call), which builds them as zeros."""
-
-    lr0: float
-    momentum: float
-    weight_decay: float
-    vW: np.ndarray
-    vb: np.ndarray
-
-
 def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
     """lr0 * 0.5 * (1 + cos(pi * step / total_steps))."""
     if total_steps <= 0:
@@ -114,23 +98,26 @@ def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
 
 
 def sgd_step(
-    state: SgdState,
+    cfg,
+    velocity: tuple[np.ndarray, np.ndarray],
     head: LinearHead,
     dW: np.ndarray,
     db: np.ndarray,
     step_index: int,
     total_steps: int,
 ) -> None:
-    """v <- momentum v + (grad + wd * param); param <- param - lr(step) v."""
+    """v <- momentum v + (grad + wd * param); param <- param - lr(step) v,
+    with ``lr0``, ``momentum`` and ``weight_decay`` read from ``cfg`` and
+    the velocity pair (vW, vb), shaped like the head, updated in place."""
     if dW.shape != head.W.shape or db.shape != head.b.shape:
         raise ValueError("gradient shapes must match parameters")
-    lr = cosine_lr(state.lr0, step_index, total_steps)
+    lr = cosine_lr(cfg.lr0, step_index, total_steps)
     # in place, in the order of the formula (products and sums commute
     # bit for bit); the caller's gradients are only read
-    for p, g, v in ((head.W, dW, state.vW), (head.b, db, state.vb)):
-        step = p * state.weight_decay
+    for p, g, v in zip((head.W, head.b), (dW, db), velocity):
+        step = p * cfg.weight_decay
         step += g
-        v *= state.momentum
+        v *= cfg.momentum
         v += step
         np.multiply(v, lr, out=step)
         p -= step

@@ -1,10 +1,10 @@
 """Deterministic numeric primitives shared by every module.
 
 Row-wise stable log-sum-exp and softmax with a temperature (one exp
-serves both), fused softmax cross-entropy, row L2 normalization, and a
-seeded RNG with named substreams.  All math is 64-bit; all randomness
-flows through :class:`RngStream` so a run is reproducible from a single
-seed regardless of call order elsewhere.
+serves both), fused softmax cross-entropy, row L2 normalization and its
+backward, and a seeded RNG with named substreams.  All math is 64-bit;
+all randomness flows through :class:`RngStream` so a run is reproducible
+from a single seed regardless of call order elsewhere.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ __all__ = [
     "softmax_rows",
     "softmax_cross_entropy",
     "l2_rows",
+    "l2_rows_backward",
 ]
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -99,3 +100,13 @@ def l2_rows(X: np.ndarray, tau: float = 1.0) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
     return X / (norms * tau)
+
+
+def l2_rows_backward(X: np.ndarray, G: np.ndarray, tau: float = 1.0) -> np.ndarray:
+    """The gradient w.r.t. ``X`` given ``G``, the gradient w.r.t.
+    ``l2_rows(X, tau)``: (G - u <G, u>) / (max(||x||, 1e-12) * tau) per
+    row, u being the row scaled to unit norm."""
+    X = np.asarray(X, dtype=np.float64)
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    unit = X / norms
+    return (G - unit * (G * unit).sum(axis=1, keepdims=True)) / (norms * tau)

@@ -20,7 +20,6 @@ from cilbench.data import (
 from cilbench.model import (
     DivergenceError,
     LinearHead,
-    SgdState,
     cosine_lr,
     expand_head,
     weight_align,
@@ -221,9 +220,7 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     n = X.shape[0]
     iters = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs_per_task * iters
-    state = SgdState(
-        cfg.lr0, cfg.momentum, cfg.weight_decay, np.zeros_like(head.W), np.zeros_like(head.b)
-    )
+    vW, vb = np.zeros_like(head.W), np.zeros_like(head.b)
     step = 0
     for epoch in range(cfg.epochs_per_task):
         perm = rng.child(f"epoch-t{t}-{epoch}").gen.permutation(n)
@@ -246,11 +243,11 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
                 loss += cfg.distill_weight * dl
                 G += cfg.distill_weight * Gd  # zero-padded: one product for both terms
             dW, db = G.T @ bx, G.sum(axis=0)
-            lr = cosine_lr(state.lr0, step, total_steps)
-            state.vW = state.momentum * state.vW + (dW + state.weight_decay * head.W)
-            state.vb = state.momentum * state.vb + (db + state.weight_decay * head.b)
-            head.W -= lr * state.vW
-            head.b -= lr * state.vb
+            lr = cosine_lr(cfg.lr0, step, total_steps)
+            vW = cfg.momentum * vW + (dW + cfg.weight_decay * head.W)
+            vb = cfg.momentum * vb + (db + cfg.weight_decay * head.b)
+            head.W -= lr * vW
+            head.b -= lr * vb
             epoch_loss += loss
             step += 1
         log_sink.append({

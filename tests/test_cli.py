@@ -314,74 +314,72 @@ def test_gen_synth_rejects_negative_ood_set_counts(tmp_path, capsys, counts):
     assert not (tmp_path / "d").exists()
 
 
-# the byte contract: each shipped config, as shipped (seeds 0-2), writes
-# this report.json on every platform; a declared re-baseline changes these
-# constants and lists the old and new values in CHANGES.md
-SHIPPED_REPORT_SHA256 = {
-    "example_run": "8344787c6415d7b656e0f0130b85c26a357dd09e6395e37c79b5e58a8cccb5bf",
-    "example_ber_run": "109aab39f13929ca14aea8c89316e6e4ffcaf6661a4a6ebfd4c3cef8a413f532",
-}
+# the byte contract: each row is (name, shipped config, edits, the sha256 of
+# the report.json it writes on every platform).  An edit to a section
+# updates its keys; any other edit replaces the field.  A declared
+# re-baseline changes these constants and lists the old and new values in
+# CHANGES.md.
+REPORT_PINS = [
+    # the two configs as shipped (seeds 0-2)
+    ("example_run", "example_run", {},
+     "8344787c6415d7b656e0f0130b85c26a357dd09e6395e37c79b5e58a8cccb5bf"),
+    ("example_ber_run", "example_ber_run", {},
+     "109aab39f13929ca14aea8c89316e6e4ffcaf6661a4a6ebfd4c3cef8a413f532"),
+    # neither shipped config distills: distillation and weight align
+    ("distill_wa", "example_run", {"cil": {"method": "replay_distill_wa"}, "seeds": [0]},
+     "43db712d1d09ef5a52998ba1ddba8363bd1c2ffa3d6027604bdfc2dcc25c4a33"),
+    # the shipped configs run in identity order on class-sorted rows; this
+    # is the path that gathers the suite into a task-major copy
+    ("seeded_order", "example_run", {"class_order": "seeded", "seeds": [0]},
+     "a3266fbb98f11d349ed808a1ba99096dd2bd4d41311c80abacf79c6e57d263e3"),
+    # the one scoring model with a feature map (L2 norm over a temperature)
+    # that its scorer backpropagates through
+    ("t2fnorm_odin", "example_ber_run",
+     {"ood": {"method": "t2fnorm", "score_with": "odin"}, "seeds": [0]},
+     "052baf4789e2d6fcb75d5c9589dbb5a47314d8941afcca76589e73b7bb80a87c"),
+    # every other OOD method at seed 0: the post-hoc scorers on example_run,
+    # the fine-tuners with the rest of example_ber_run's ood section
+    ("msp", "example_run", {"ood": {"method": "msp"}, "seeds": [0]},
+     "6db75b44ae4fc35ccc041788d2e85f43fbe9e2cb37a4e05bd1b5289614f520bf"),
+    ("maxlogit", "example_run", {"ood": {"method": "maxlogit"}, "seeds": [0]},
+     "a4d611250ffea55e824d7b4f8a38747f1da7804900d860465c67166d1342d9c3"),
+    ("gen", "example_run", {"ood": {"method": "gen"}, "seeds": [0]},
+     "c89c1670ead2cf7b99fab0b316d62c133417e6d15637dbf574b9083b08368042"),
+    ("odin", "example_run", {"ood": {"method": "odin"}, "seeds": [0]},
+     "9c0c3475a462f4c55bffc9a6c95f4956be1d5ef27ddea996a581a0b9320ebab7"),
+    ("react", "example_run", {"ood": {"method": "react"}, "seeds": [0]},
+     "5352c5600afafb41d9fddef49881bee8b6c042fc66869ee9fa9cd75ddca3694e"),
+    ("klm", "example_run", {"ood": {"method": "klm"}, "seeds": [0]},
+     "f816c379ac3e6b93ffdb5e1942e2fb61a93d6159a8e6a39c18ccfd0e7f98a3af"),
+    ("nnguide", "example_run", {"ood": {"method": "nnguide"}, "seeds": [0]},
+     "6fecbcadceb509b9d10ff05f3cc4e3f2367a33dd3daa72b6198a3e94146bb602"),
+    ("relation_simplified", "example_run", {"ood": {"method": "relation_simplified"}, "seeds": [0]},
+     "22a5940dda4c1266f192390eec20c6046ba926933db3330f6b4ae4825e9b0a9b"),
+    ("plain", "example_ber_run", {"ood": {"method": "plain"}, "seeds": [0]},
+     "10ae6de95de18e1b5eda1d644c875a585ecdbda7d24d543a9d3dcb7143a8946a"),
+    ("logitnorm", "example_ber_run", {"ood": {"method": "logitnorm"}, "seeds": [0]},
+     "bbc4c6e0561c4f3a3a7d6662981feb58ac24190c69d87156f8b5d04d47982e41"),
+    ("t2fnorm", "example_ber_run", {"ood": {"method": "t2fnorm"}, "seeds": [0]},
+     "353de817c97dc68d0eae38786819c4f4a0a3cf3f83e0d074fc5930ae71d6bbc8"),
+]
 # the numpy and BLAS every report pin in this file was recorded under: a
 # digest that differs under another numpy may be that numpy's, not the engine's
 PINS_RECORDED_UNDER = "numpy 2.4.6, scipy-openblas 0.3.31"
 PIN_MESSAGE = f"pins recorded under {PINS_RECORDED_UNDER}; this run has numpy {np.__version__}"
 
 
-@pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))
-def test_shipped_config_writes_the_recorded_report_bytes(tmp_path, name):
-    config = REPO / "configs" / f"{name}.json"
-    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-    assert digest == SHIPPED_REPORT_SHA256[name], PIN_MESSAGE
-
-
-# example_run.json at seed 0 with distillation and weight align: neither
-# shipped config distills, so this pins the bytes of that path
-DISTILL_WA_REPORT_SHA256 = "43db712d1d09ef5a52998ba1ddba8363bd1c2ffa3d6027604bdfc2dcc25c4a33"
-
-
-def test_distill_wa_config_writes_the_recorded_report_bytes(tmp_path):
-    doc = json.loads((REPO / "configs" / "example_run.json").read_text())
-    doc["cil"]["method"] = "replay_distill_wa"
-    doc["seeds"] = [0]
-    config = tmp_path / "distill_wa.json"
-    config.write_text(json.dumps(doc))
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+@pytest.mark.parametrize(
+    "config, edits, sha256", [pytest.param(*row[1:], id=row[0]) for row in REPORT_PINS]
+)
+def test_shipped_config_writes_the_recorded_report_bytes(tmp_path, config, edits, sha256):
+    doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
+    for key, value in edits.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
-    assert digest == DISTILL_WA_REPORT_SHA256, PIN_MESSAGE
-
-
-# example_run.json at seed 0 in seeded class order: the shipped configs
-# run in identity order on class-sorted rows, so this pins the bytes of the
-# path that gathers the suite into a task-major copy
-SEEDED_ORDER_REPORT_SHA256 = "a3266fbb98f11d349ed808a1ba99096dd2bd4d41311c80abacf79c6e57d263e3"
-
-
-def test_seeded_order_config_writes_the_recorded_report_bytes(tmp_path):
-    doc = json.loads((REPO / "configs" / "example_run.json").read_text())
-    doc.update(class_order="seeded", seeds=[0])
-    config = tmp_path / "seeded.json"
-    config.write_text(json.dumps(doc))
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
-    digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
-    assert digest == SEEDED_ORDER_REPORT_SHA256, PIN_MESSAGE
-
-
-# example_ber_run.json at seed 0 with t2fnorm scored by odin: the one run
-# whose scoring model has a feature map (L2 norm over a temperature) and
-# whose scorer backpropagates through it, so this pins the bytes of that path
-T2FNORM_ODIN_REPORT_SHA256 = "052baf4789e2d6fcb75d5c9589dbb5a47314d8941afcca76589e73b7bb80a87c"
-
-
-def test_t2fnorm_odin_config_writes_the_recorded_report_bytes(tmp_path):
-    doc = json.loads((REPO / "configs" / "example_ber_run.json").read_text())
-    doc["ood"].update(method="t2fnorm", score_with="odin")
-    doc["seeds"] = [0]
-    config = tmp_path / "t2fnorm_odin.json"
-    config.write_text(json.dumps(doc))
-    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
-    digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
-    assert digest == T2FNORM_ODIN_REPORT_SHA256, PIN_MESSAGE
+    assert digest == sha256, PIN_MESSAGE
 
 
 def test_end_to_end_gen_run_report(tmp_path):

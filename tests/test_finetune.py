@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, train_task
-from cilbench.data import MemoryBuffer, split_tasks
+from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, sgd_epochs, train_task
+from cilbench.data import MemoryBuffer, split_tasks, step_rows
 from cilbench.finetune import (
     BerConfig,
     _ber_batch,
@@ -20,7 +20,6 @@ from cilbench.finetune import (
 from cilbench.model import (
     DivergenceError,
     LinearHead,
-    SgdState,
     ce_loss,
     sgd_step,
 )
@@ -421,9 +420,7 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         if Z_mem.size:
             Z_mem = t2f(Z_mem, cfg.t2f_tau)
     head = model.head.clone()
-    state = SgdState(
-        cfg.lr0, cfg.momentum, cfg.weight_decay, np.zeros_like(head.W), np.zeros_like(head.b)
-    )
+    velocity = np.zeros_like(head.W), np.zeros_like(head.b)
     if method == "ber":
         if Z_mem.shape[0] == 0:
             log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
@@ -453,7 +450,7 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         for it in range(iters):
             sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
             l_ce, l_n, l_o, dW, db = objective(X[sel], y[sel])
-            sgd_step(state, head, dW, db, epoch * iters + it, total)
+            sgd_step(cfg, velocity, head, dW, db, epoch * iters + it, total)
             sums["ce"] += l_ce
             sums["l_n"] += l_n
             sums["l_o"] += l_o
@@ -478,6 +475,40 @@ def test_shared_epoch_loop_matches_separate_loop(method):
         assert shared.head.b.tobytes() == separate.b.tobytes()
         assert shared_log == separate_log
         assert len([e for e in shared_log if "epoch" in e]) == cfg.epochs
+
+
+@pytest.mark.parametrize("method", ["plain", "logitnorm"])
+def test_one_sgd_epochs_call_trains_the_head(method):
+    # sgd_epochs runs every epoch before it returns: nothing of its result
+    # is iterated here, yet the head is the separate loop's
+    model, stream, mems = small_trained_model(seed=7)
+    cfg = BerConfig(epochs=3, batch_size=48)
+    t = 2
+    X, labels = step_rows(stream, t, mems[t - 1])
+    y = model.head_rows(labels)
+    head = model.head.clone()
+
+    def objective(sel):
+        if method == "logitnorm":
+            loss, dW, db = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
+        else:
+            loss, dW, db = ce_loss(head, X[sel], y[sel])
+        return loss, 0.0, 0.0, dW, db
+
+    rng = RngStream(9, "ft")
+    sums, iters = sgd_epochs(
+        head, X.shape[0], objective, cfg, cfg.epochs, rng, f"ft-epoch-t{t}", "fine-tuning", t
+    )
+    separate_log = []
+    separate = separate_loop_finetune(
+        model, stream, t, mems[t - 1], method, cfg, RngStream(9, "ft"), separate_log
+    )
+    assert head_bytes(head) == head_bytes(separate)
+    # one sum per term and epoch, over iters batches
+    assert [
+        {"task": t, "epoch": e, **{k: v / iters for k, v in zip(("ce", "l_n", "l_o"), terms)}}
+        for e, terms in enumerate(sums)
+    ] == separate_log
 
 
 def test_ber_widens_id_ood_score_gap():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from cilbench.cil import CilConfig
 from cilbench.model import (
     LinearHead,
-    SgdState,
     DivergenceError,
     ce_loss,
     check_finite_epoch,
@@ -82,15 +82,17 @@ def test_cosine_schedule_endpoints_and_monotone():
 
 def test_sgd_vanilla_step():
     head = LinearHead(np.array([[1.0]]), np.array([0.0]))
-    state = SgdState(0.5, 0.0, 0.0, np.zeros((1, 1)), np.zeros(1))
+    cfg = CilConfig(lr0=0.5, momentum=0.0, weight_decay=0.0)
+    velocity = np.zeros((1, 1)), np.zeros(1)
     # constant lr at step 0 of a long schedule
-    sgd_step(state, head, np.array([[2.0]]), np.array([0.0]), 0, 10**9)
+    sgd_step(cfg, velocity, head, np.array([[2.0]]), np.array([0.0]), 0, 10**9)
     assert head.W[0, 0] == pytest.approx(1.0 - 0.5 * 2.0)
 
 
 def test_sgd_momentum_matches_hand_unroll():
     head = LinearHead(np.array([[1.0]]), np.array([0.5]))
-    state = SgdState(0.1, 0.9, 0.01, np.zeros((1, 1)), np.zeros(1))
+    cfg = CilConfig(lr0=0.1, momentum=0.9, weight_decay=0.01)
+    velocity = np.zeros((1, 1)), np.zeros(1)
     gW = np.array([[0.3]])
     gb = np.array([0.2])
     # hand recurrence on the scalar weight
@@ -102,7 +104,7 @@ def test_sgd_momentum_matches_hand_unroll():
         vb = 0.9 * vb + (0.2 + 0.01 * b)
         w -= lr * vw
         b -= lr * vb
-        sgd_step(state, head, gW, gb, step, 100)
+        sgd_step(cfg, velocity, head, gW, gb, step, 100)
     assert head.W[0, 0] == pytest.approx(w, abs=1e-15)
     assert head.b[0] == pytest.approx(b, abs=1e-15)
 
@@ -204,31 +206,34 @@ def test_fused_ce_loss_is_bit_exact(scale, pass_logits):
         assert Z.tobytes() == Z_before.tobytes()  # the caller's logits are read only
 
 
-def formula_sgd_step(state, head, dW, db, step_index, total_steps):
-    """sgd_step before the in-place update: new arrays for every term."""
-    lr = cosine_lr(state.lr0, step_index, total_steps)
-    state.vW = state.momentum * state.vW + (dW + state.weight_decay * head.W)
-    state.vb = state.momentum * state.vb + (db + state.weight_decay * head.b)
-    head.W -= lr * state.vW
-    head.b -= lr * state.vb
+def formula_sgd_step(cfg, velocity, head, dW, db, step_index, total_steps):
+    """sgd_step before the in-place update: new arrays for every term;
+    returns the new velocity pair."""
+    lr = cosine_lr(cfg.lr0, step_index, total_steps)
+    vW = cfg.momentum * velocity[0] + (dW + cfg.weight_decay * head.W)
+    vb = cfg.momentum * velocity[1] + (db + cfg.weight_decay * head.b)
+    head.W -= lr * vW
+    head.b -= lr * vb
+    return vW, vb
 
 
 def test_in_place_sgd_matches_formula():
     gen = np.random.default_rng(21)
     heads = [random_head(3, 5, seed=4), random_head(3, 5, seed=4)]
-    states = [SgdState(0.1, 0.9, 0.02, np.zeros((3, 5)), np.zeros(3)) for _ in heads]
+    cfg = CilConfig(lr0=0.1, momentum=0.9, weight_decay=0.02)
+    velocities = [(np.zeros((3, 5)), np.zeros(3)) for _ in heads]
     total = 12
     for step in range(total):
         dW = gen.normal(size=heads[0].W.shape)
         db = gen.normal(size=heads[0].b.shape)
         grads = dW.tobytes(), db.tobytes()
-        sgd_step(states[0], heads[0], dW, db, step, total)
+        sgd_step(cfg, velocities[0], heads[0], dW, db, step, total)
         assert (dW.tobytes(), db.tobytes()) == grads  # gradients are only read
-        formula_sgd_step(states[1], heads[1], dW, db, step, total)
+        velocities[1] = formula_sgd_step(cfg, velocities[1], heads[1], dW, db, step, total)
         assert heads[0].W.tobytes() == heads[1].W.tobytes()
         assert heads[0].b.tobytes() == heads[1].b.tobytes()
-        assert states[0].vW.tobytes() == states[1].vW.tobytes()
-        assert states[0].vb.tobytes() == states[1].vb.tobytes()
+        assert velocities[0][0].tobytes() == velocities[1][0].tobytes()
+        assert velocities[0][1].tobytes() == velocities[1][1].tobytes()
 
 
 def test_check_finite_epoch_names_seed_step_and_epoch():

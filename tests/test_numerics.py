@@ -6,6 +6,7 @@ import pytest
 from cilbench.numerics import (
     RngStream,
     l2_rows,
+    l2_rows_backward,
     logsumexp_rows,
     logsumexp_softmax_rows,
     softmax_cross_entropy,
@@ -146,6 +147,43 @@ def test_l2_rows_matches_the_copies_it_replaced(tau):
     assert not got[3].any()
     if tau == 1.0:
         assert l2_rows(Z).tobytes() == bank_l2_rows(Z).tobytes()
+
+
+def model_l2_backward(X, G, tau):
+    """CilModel.backprop_input's map through the feature map before
+    l2_rows_backward."""
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    unit = X / norms
+    inner = (G * unit).sum(axis=1, keepdims=True)
+    return (G - unit * inner) / (norms * tau)
+
+
+def logitnorm_l2_backward(Z, Gu, tau):
+    """logitnorm_ce_loss's gradient through the normalized logits before
+    l2_rows_backward."""
+    norms = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
+    hat = Z / norms
+    return (Gu - hat * (Gu * hat).sum(axis=1, keepdims=True)) / (norms * tau)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.1, 0.04, 3.0])
+def test_l2_rows_backward_matches_the_copies_it_replaced(tau):
+    gen = np.random.default_rng(int(tau * 100))
+    X = gen.normal(size=(64, 9)) * gen.lognormal(size=(64, 1)) * 5.0
+    X[3] = 0.0
+    X[5] = 1e-14  # a row with norm below the floor
+    G = gen.normal(size=X.shape)
+    got = l2_rows_backward(X, G, tau)
+    assert got.tobytes() == model_l2_backward(X, G, tau).tobytes()
+    assert got.tobytes() == logitnorm_l2_backward(X, G, tau).tobytes()
+    # and it is the gradient of <G, l2_rows(X, tau)> away from the floor
+    h = 1e-6
+    for i, j in ((0, 0), (10, 4), (63, 8)):
+        up, down = X.copy(), X.copy()
+        up[i, j] += h
+        down[i, j] -= h
+        fd = ((G * l2_rows(up, tau)).sum() - (G * l2_rows(down, tau)).sum()) / (2 * h)
+        assert fd == pytest.approx(got[i, j], rel=1e-5, abs=1e-8)
 
 
 def separate_logsumexp_rows(m, tau):

@@ -409,6 +409,8 @@ def test_finetune_log_sidecar(tmp_path):
         (CilConfig, "batch_size", True),  # a bool is not an integer
         (CilConfig, "method", 3),
         (BerConfig, "alpha", False),  # nor a number
+        (BerConfig, "beta_params", (True, True)),  # each element of a tuple too
+        (BerConfig, "beta_params", ("1", 2)),
         (BerConfig, "use_oter", 0),
         (PosthocParams, "knn_k", 3.0),
         (SynthSpec, "std", "1"),
