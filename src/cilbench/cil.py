@@ -141,12 +141,12 @@ def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
     """Momentum SGD on ``head`` over n rows: the one epoch loop of CIL
     training and of every fine-tuner.  ``cfg`` (a :class:`CilConfig` or a
     ``BerConfig``) gives ``batch_size``, ``lr0``, ``momentum`` and
-    ``weight_decay``; the velocities start at zero, shaped like the head.
+    ``weight_decay``; the velocity starts at zero, shaped like the head.
 
     Epoch e walks the permutation drawn from ``rng.child(f"{label}-{e}")``
     in batches of ``batch_size``, calling ``objective(sel)`` once per
-    batch, in order.  It returns ``(*terms, dW, db)`` for the rows ``sel``
-    at the head's current weights, and ``sgd_step`` applies (dW, db) to
+    batch, in order.  It returns ``(*terms, grad)`` for the rows ``sel``
+    at the head's current weights, and ``sgd_step`` applies grad to
     batch ``it`` as step ``e * iters + it`` of ``epochs * iters``.  After
     each epoch the sum of all terms and the head must be finite
     (``DivergenceError`` names ``what``, the seed, step t and the epoch).
@@ -156,15 +156,15 @@ def sgd_epochs(head, n, objective, cfg, epochs, rng, label, what, t):
     batch_size = cfg.batch_size
     iters = math.ceil(n / batch_size)
     total = epochs * iters
-    velocity = np.zeros_like(head.W), np.zeros_like(head.b)
+    velocity = np.zeros_like(head.params)
     epoch_sums = []
     for epoch in range(epochs):
         perm = rng.child(f"{label}-{epoch}").gen.permutation(n)
         sums = None
         for it in range(iters):
             sel = perm[it * batch_size : (it + 1) * batch_size]
-            *terms, dW, db = objective(sel)
-            sgd_step(cfg, velocity, head, dW, db, epoch * iters + it, total)
+            *terms, grad = objective(sel)
+            sgd_step(cfg, velocity, head, grad, epoch * iters + it, total)
             sums = [s + v for s, v in zip(sums or [0.0] * len(terms), terms)]
         check_finite_epoch(what, sum(sums), head, rng.seed, t, epoch)
         epoch_sums.append(sums)
@@ -205,17 +205,17 @@ def train_task(
         logp_old = np.log(np.maximum(P_old, 1e-300))
 
     def objective(sel):
-        """(loss, correct predictions, dW, db) of one batch from one forward."""
+        """(loss, correct predictions, grad) of one batch from one forward."""
         bx, by = X[sel], y_rows[sel]
         Z = head.logits(bx)
         correct = int(np.count_nonzero(np.argmax(Z, axis=1) == by))
         if not distill:
-            loss, dW, db = ce_loss(head, bx, by, Z)
-            return loss, correct, dW, db
+            loss, grad = ce_loss(head, bx, by, Z)
+            return loss, correct, grad
         # the distillation's logit gradient joins CE's before the one product
         dl, G = _distill_grads(Z, P_old[sel], logp_old[sel], cfg.distill_temperature)
-        loss, dW, db = ce_loss(head, bx, by, Z, cfg.distill_weight * G)
-        return loss + cfg.distill_weight * dl, correct, dW, db
+        loss, grad = ce_loss(head, bx, by, Z, cfg.distill_weight * G)
+        return loss + cfg.distill_weight * dl, correct, grad
 
     n = X.shape[0]
     sums, iters = sgd_epochs(

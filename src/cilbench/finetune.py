@@ -51,7 +51,7 @@ import numpy as np
 from .cil import CilModel, _check_sgd, sgd_epochs
 from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
-from .model import LinearHead, ce_loss
+from .model import LinearHead, ce_loss, head_grad
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
 from .numerics import RngStream, l2_rows, l2_rows_backward, logsumexp_softmax_rows
 from .numerics import softmax_cross_entropy
@@ -175,13 +175,12 @@ def synth_old_mix(
 
 def _hinge_energy_grads(
     head: LinearHead, X: np.ndarray, margin: float, side: str, tau: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """mean(max(0, a)^2) with a = margin - E (side="below") or
-    a = E - margin (side="above"); analytic gradients via
+    a = E - margin (side="above"); analytic gradient via
     dE/dlogits = -softmax(logits / tau)."""
     if X.shape[0] == 0:
-        d = head.dim
-        return 0.0, np.zeros((head.n_classes, d)), np.zeros(head.n_classes)
+        return 0.0, np.zeros_like(head.params)
     lse, P = logsumexp_softmax_rows(head.logits(X), tau)
     E = -lse
     a = (margin - E) if side == "below" else (E - margin)
@@ -192,25 +191,25 @@ def _hinge_energy_grads(
     if side == "below":
         dE = -dE
     G = -dE[:, None] * P
-    return loss, G.T @ X, G.sum(axis=0)
+    return loss, head_grad(G, X)
 
 
 def nter_loss(
     head: LinearHead, id_rows: np.ndarray, X_ps: np.ndarray, cfg: BerConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """New-task energy hinges over ID rows and synthetic boundary rows."""
     if cfg.hinge_orientation == "literal":
-        l1, dW1, db1 = _hinge_energy_grads(head, id_rows, cfg.p_in, "below", cfg.tau)
-        l2, dW2, db2 = _hinge_energy_grads(head, X_ps, cfg.p_out, "above", cfg.tau)
+        l1, g1 = _hinge_energy_grads(head, id_rows, cfg.p_in, "below", cfg.tau)
+        l2, g2 = _hinge_energy_grads(head, X_ps, cfg.p_out, "above", cfg.tau)
     else:
-        l1, dW1, db1 = _hinge_energy_grads(head, id_rows, cfg.p_in, "above", cfg.tau)
-        l2, dW2, db2 = _hinge_energy_grads(head, X_ps, cfg.p_out, "below", cfg.tau)
-    return l1 + l2, dW1 + dW2, db1 + db2
+        l1, g1 = _hinge_energy_grads(head, id_rows, cfg.p_in, "above", cfg.tau)
+        l2, g2 = _hinge_energy_grads(head, X_ps, cfg.p_out, "below", cfg.tau)
+    return l1 + l2, g1 + g2
 
 
 def oter_loss(
     head: LinearHead, X_mixed: np.ndarray, cfg: BerConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Old-task hinge mean(max(0, E(mbar) - p_in)^2): presses blended
     exemplar energies below p_in to restore old-class confidence."""
     return _hinge_energy_grads(head, X_mixed, cfg.p_in, "above", cfg.tau)
@@ -218,12 +217,11 @@ def oter_loss(
 
 def logitnorm_ce_loss(
     head: LinearHead, X: np.ndarray, y_rows: np.ndarray, tau_ln: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy on z / (||z|| * tau_ln) with analytic gradients."""
+) -> tuple[float, np.ndarray]:
+    """Cross-entropy on z / (||z|| * tau_ln) with its analytic gradient."""
     Z = head.logits(X)
     loss, Gu = softmax_cross_entropy(l2_rows(Z, tau_ln), y_rows)
-    Gz = l2_rows_backward(Z, Gu, tau_ln)
-    return loss, Gz.T @ X, Gz.sum(axis=0)
+    return loss, head_grad(l2_rows_backward(Z, Gu, tau_ln), X)
 
 
 def ber_terms(
@@ -234,23 +232,21 @@ def ber_terms(
     X_ps: np.ndarray,
     X_mixed: np.ndarray | None,
     cfg: BerConfig,
-) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+) -> tuple[float, float, float, np.ndarray]:
     """The objective the ``ber`` fine-tuner trains, CE + alpha * (new-task
-    hinges + old-task hinge), as (ce, l_n, l_o, dW, db) with dW, db the
+    hinges + old-task hinge), as (ce, l_n, l_o, grad) with grad the
     gradient of CE + alpha * (l_n + l_o).  A term switched off by
     ``use_nter`` / ``use_oter``, or with no rows to regularize, is 0 and
     adds nothing."""
-    l_ce, dW, db = ce_loss(head, ce_rows, ce_targets)
+    l_ce, grad = ce_loss(head, ce_rows, ce_targets)
     l_n = l_o = 0.0
     if cfg.use_nter:
-        l_n, dWn, dbn = nter_loss(head, id_rows, X_ps, cfg)
-        dW += cfg.alpha * dWn
-        db += cfg.alpha * dbn
+        l_n, g = nter_loss(head, id_rows, X_ps, cfg)
+        grad += cfg.alpha * g
     if cfg.use_oter and X_mixed is not None and X_mixed.shape[0]:
-        l_o, dWo, dbo = oter_loss(head, X_mixed, cfg)
-        dW += cfg.alpha * dWo
-        db += cfg.alpha * dbo
-    return l_ce, l_n, l_o, dW, db
+        l_o, g = oter_loss(head, X_mixed, cfg)
+        grad += cfg.alpha * g
+    return l_ce, l_n, l_o, grad
 
 
 def _ber_batch(head, bx, by, Z_mem, y_mem, cfg, gen):
@@ -303,7 +299,7 @@ def finetune_step_loop(
     X_raw, labels = step_rows(stream, t, mem)
     Z_all = tuned.penultimate(X_raw)
     y_all = model.head_rows(labels)
-    n_new = stream.task_train(t).n
+    n_new = stream.train_bounds[t] - stream.train_bounds[t - 1]
     Z_new, Z_mem = Z_all[:n_new], Z_all[n_new:]
     y_new, y_mem = y_all[:n_new], y_all[n_new:]
 
@@ -327,10 +323,10 @@ def finetune_step_loop(
 
         def objective(sel):
             if method == "logitnorm":
-                loss, dW, db = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
+                loss, grad = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
             else:
-                loss, dW, db = ce_loss(head, X[sel], y[sel])
-            return loss, 0.0, 0.0, dW, db
+                loss, grad = ce_loss(head, X[sel], y[sel])
+            return loss, 0.0, 0.0, grad
 
     sums, iters = sgd_epochs(
         head, X.shape[0], objective, cfg, cfg.epochs, rng, label, f"{method} fine-tuning", t

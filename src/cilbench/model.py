@@ -2,17 +2,18 @@
 
 A run scores the features it is given, so the head is the only trainable
 object in the benchmark; ``cil.CilModel`` pairs it with its classes and
-an optional feature map.  All gradients in this package are
-hand-derived; :func:`ce_loss` provides the shared cross-entropy building
-block (mean over the batch) used by both the incremental trainer and the
-fine-tuning methods; it takes the logit gradient of any further term
-(distillation) and multiplies the sum out once.  :func:`sgd_step` is one
-momentum update; the epoch loop that drives it for both is
-``cil.sgd_epochs``, which holds the velocities of one head, so they
-never see it grow.  Two heads are the same when their ``W`` and ``b``
-bytes are.
+an optional feature map.  A head is one (C, d + 1) array ``params``
+(weights ``W`` beside the bias column ``b``), so every gradient is one
+array, :func:`head_grad` is the one head backward, and :func:`ce_loss`
+is the cross-entropy (mean over the batch) of the incremental trainer
+and the fine-tuners alike; it takes the logit gradient of any further
+term (distillation) and multiplies the sum out once.  All gradients are
+hand-derived.  :func:`sgd_step` is one momentum update; the epoch loop
+that drives it for both is ``cil.sgd_epochs``, which holds the one
+velocity array of one head, so it never sees it grow.  Two heads are the
+same when their ``W`` and ``b`` bytes are.
 
-Head checkpoints use the binary layout:
+Head checkpoints keep their layout (W, then b, not ``params``):
     magic "OCH1" | u32 C | u32 d | float64 W row-major | float64 b
 """
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "cosine_lr",
     "sgd_step",
     "weight_align",
+    "head_grad",
     "ce_loss",
     "DivergenceError",
     "check_finite_epoch",
@@ -42,15 +44,18 @@ _HEAD_MAGIC = b"OCH1"
 
 
 class LinearHead:
-    """Expandable weight matrix plus bias producing one logit per seen class."""
+    """Expandable weight matrix plus bias producing one logit per seen class,
+    copied into one new C-contiguous (C, d + 1) array ``params``; ``W`` and
+    ``b`` are views of it, so an in-place update of either is one of it."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        W = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(bias, dtype=np.float64))
+        W = np.asarray(weights, dtype=np.float64)
+        b = np.asarray(bias, dtype=np.float64)
         if W.ndim != 2 or b.shape != (W.shape[0],):
             raise ValueError("weights must be (C, d) with matching bias")
-        self.W = W
-        self.b = b
+        self.params = np.concatenate([W, b[:, None]], axis=1)
+        self.W = self.params[:, :-1]
+        self.b = self.params[:, -1]
 
     @classmethod
     def empty(cls, dim: int) -> "LinearHead":
@@ -71,7 +76,7 @@ class LinearHead:
         return X @ self.W.T + self.b
 
     def clone(self) -> "LinearHead":
-        return LinearHead(self.W.copy(), self.b.copy())
+        return LinearHead(self.W, self.b)
 
 
 def expand_head(head: LinearHead, new_classes: int, rng: RngStream) -> LinearHead:
@@ -85,8 +90,7 @@ def expand_head(head: LinearHead, new_classes: int, rng: RngStream) -> LinearHea
     bound = 1.0 / math.sqrt(head.dim)
     rows = rng.child("head-init").gen.uniform(-bound, bound, size=(new_classes, head.dim))
     W = np.concatenate([head.W, rows])
-    b = np.concatenate([head.b, np.zeros(new_classes)])
-    return LinearHead(W, b)
+    return LinearHead(W, np.concatenate([head.b, np.zeros(new_classes)]))
 
 
 def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
@@ -97,30 +101,21 @@ def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
     return lr0 * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def sgd_step(
-    cfg,
-    velocity: tuple[np.ndarray, np.ndarray],
-    head: LinearHead,
-    dW: np.ndarray,
-    db: np.ndarray,
-    step_index: int,
-    total_steps: int,
-) -> None:
-    """v <- momentum v + (grad + wd * param); param <- param - lr(step) v,
+def sgd_step(cfg, velocity, head: LinearHead, grad, step_index: int, total_steps: int) -> None:
+    """v <- momentum v + (grad + wd * params); params <- params - lr(step) v,
     with ``lr0``, ``momentum`` and ``weight_decay`` read from ``cfg`` and
-    the velocity pair (vW, vb), shaped like the head, updated in place."""
-    if dW.shape != head.W.shape or db.shape != head.b.shape:
-        raise ValueError("gradient shapes must match parameters")
+    the velocity, shaped like ``head.params``, updated in place."""
+    if grad.shape != head.params.shape:
+        raise ValueError("gradient shape must match parameters")
     lr = cosine_lr(cfg.lr0, step_index, total_steps)
     # in place, in the order of the formula (products and sums commute
-    # bit for bit); the caller's gradients are only read
-    for p, g, v in zip((head.W, head.b), (dW, db), velocity):
-        step = p * cfg.weight_decay
-        step += g
-        v *= cfg.momentum
-        v += step
-        np.multiply(v, lr, out=step)
-        p -= step
+    # bit for bit); the caller's gradient is only read
+    step = head.params * cfg.weight_decay
+    step += grad
+    velocity *= cfg.momentum
+    velocity += step
+    np.multiply(velocity, lr, out=step)
+    head.params -= step
 
 
 class DivergenceError(ArithmeticError):
@@ -135,7 +130,7 @@ def check_finite_epoch(
     where = f"{what} diverged at seed {seed} step {step} epoch {epoch}"
     if not math.isfinite(loss):
         raise DivergenceError(f"{where}: loss is {loss}")
-    if not (np.isfinite(head.W).all() and np.isfinite(head.b).all()):
+    if not np.isfinite(head.params).all():
         raise DivergenceError(f"{where}: head weights are not finite")
 
 
@@ -154,30 +149,39 @@ def weight_align(head: LinearHead, old_rows, new_rows) -> LinearHead:
     return out
 
 
+def head_grad(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The head backward: the (C, d + 1) gradient w.r.t. ``params`` from the
+    logit gradient ``G`` of rows ``X``, G.T @ X beside G.sum(axis=0)."""
+    grad = np.empty((G.shape[1], X.shape[1] + 1))
+    np.matmul(G.T, X, out=grad[:, :-1])
+    G.sum(axis=0, out=grad[:, -1])
+    return grad
+
+
 def ce_loss(
     head: LinearHead,
     X: np.ndarray,
     y_rows: np.ndarray,
     Z: np.ndarray | None = None,
     G_extra: np.ndarray | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy over the batch with analytic gradients.
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch with its analytic gradient.
 
     ``y_rows`` holds head-row indices (not global class ids).  ``Z`` is
     ``head.logits(X)`` when the caller already has it; it is not modified.
     ``G_extra`` is the gradient of another term of the caller's objective
     w.r.t. the first ``G_extra.shape[1]`` logits (the distillation term of
     ``cil.train_task``): it is added to the cross-entropy's logit gradient
-    before that gradient is multiplied out, so a batch takes one product
-    for dW and one sum for db whatever its terms.  The returned loss is
-    the cross-entropy alone.  Returns (loss, dW, db).
+    before that gradient is multiplied out, so a batch takes one
+    :func:`head_grad` whatever its terms.  Returns (loss, grad), the loss
+    being the cross-entropy alone.
     """
     if Z is None:
         Z = head.logits(X)
     loss, G = softmax_cross_entropy(Z, y_rows)
     if G_extra is not None:
         G[:, : G_extra.shape[1]] += G_extra
-    return loss, G.T @ X, G.sum(axis=0)
+    return loss, head_grad(G, X)
 
 
 def save_head(head: LinearHead, path) -> None:
@@ -199,5 +203,5 @@ def load_head(path) -> LinearHead:
         raise ValueError("head checkpoint size mismatch")
     W = np.frombuffer(raw, dtype="<f8", count=C * d, offset=12).reshape(C, d)
     b = np.frombuffer(raw, dtype="<f8", count=C, offset=12 + 8 * C * d)
-    return LinearHead(W.copy(), b.copy())
+    return LinearHead(W, b)
 

@@ -39,10 +39,10 @@ def head_bytes(head) -> tuple[bytes, bytes]:
 
 
 def ber_total(head, ce_rows, ce_targets, id_rows, X_ps, X_mixed, cfg):
-    """(CE + alpha * l_n + alpha * l_o, dW, db) from ``ber_terms``: the
-    loss whose gradient the ``ber`` fine-tuner's dW, db are."""
-    l_ce, l_n, l_o, dW, db = ber_terms(head, ce_rows, ce_targets, id_rows, X_ps, X_mixed, cfg)
-    return l_ce + cfg.alpha * l_n + cfg.alpha * l_o, dW, db
+    """(CE + alpha * l_n + alpha * l_o, grad) from ``ber_terms``: the
+    loss whose gradient the ``ber`` fine-tuner's grad is."""
+    l_ce, l_n, l_o, grad = ber_terms(head, ce_rows, ce_targets, id_rows, X_ps, X_mixed, cfg)
+    return l_ce + cfg.alpha * l_n + cfg.alpha * l_o, grad
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -118,7 +118,8 @@ def _central_diff(fn, arr, eps=1e-6):
 
 
 def _grad_ok(head, fn, tol=1e-6):
-    _, dW, db = fn()
+    _, grad = fn()
+    dW, db = grad[:, :-1], grad[:, -1]
     num_W = _central_diff(lambda: fn()[0], head.W)
     num_b = _central_diff(lambda: fn()[0], head.b)
     scale = max(np.max(np.abs(num_W)), np.max(np.abs(num_b)), 1e-9)

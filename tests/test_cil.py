@@ -292,7 +292,7 @@ def test_one_forward_training_matches_two_forward_loop():
 
 def test_distilling_batch_gradient_matches_finite_differences(monkeypatch):
     # the objective train_task hands to sgd_epochs, at step 2 of a distill
-    # run: its (dW, db) must be the gradient of its loss, CE + w * KD, so
+    # run: its grad must be the gradient of its loss, CE + w * KD, so
     # the one product of the merged logit gradients misses neither term
     stream = small_stream(seed=3)
     cfg = CilConfig(
@@ -312,7 +312,7 @@ def test_distilling_batch_gradient_matches_finite_differences(monkeypatch):
     train_task(model, stream, 2, mem, cfg, rng)
     head, objective = seen["head"], seen["objective"]
     sel = np.arange(0, 64)
-    loss, _, dW, db = objective(sel)
+    loss, _, grad = objective(sel)
     h = 1e-6
 
     def central(param, pos):
@@ -328,8 +328,8 @@ def test_distilling_batch_gradient_matches_finite_differences(monkeypatch):
         [[central(head.W, (i, j)) for j in range(head.dim)] for i in range(head.n_classes)]
     )
     fd_b = np.array([central(head.b, (i,)) for i in range(head.n_classes)])
-    np.testing.assert_allclose(dW, fd_W, rtol=1e-5, atol=1e-8)
-    np.testing.assert_allclose(db, fd_b, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(grad[:, :-1], fd_W, rtol=1e-5, atol=1e-8)
+    np.testing.assert_allclose(grad[:, -1], fd_b, rtol=1e-5, atol=1e-8)
     assert objective(sel)[0] == loss  # the probes left the head as it was
 
 

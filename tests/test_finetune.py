@@ -212,21 +212,21 @@ def _inactive_pseudo_rows(hinge):
 def test_nter_inactive_hinges_give_zero(hinge):
     head = LinearHead(np.eye(2), np.zeros(2))
     cfg = BerConfig(hinge_orientation=hinge)
-    loss, dW, db = nter_loss(
+    loss, grad = nter_loss(
         head, _inactive_id_rows(hinge), _inactive_pseudo_rows(hinge), cfg
     )
     assert loss == 0.0
-    np.testing.assert_array_equal(dW, 0.0)
-    np.testing.assert_array_equal(db, 0.0)
+    np.testing.assert_array_equal(grad[:, :-1], 0.0)
+    np.testing.assert_array_equal(grad[:, -1], 0.0)
 
 
 def test_nter_boundary_subgradient_zero():
     # single class, logit 5 -> E = -5 = p_in exactly
     head = LinearHead(np.array([[1.0]]), np.zeros(1))
     x = np.array([[5.0]])
-    loss, dW, db = nter_loss(head, x, np.zeros((0, 1)), CFG)
+    loss, grad = nter_loss(head, x, np.zeros((0, 1)), CFG)
     assert loss == 0.0
-    np.testing.assert_array_equal(dW, 0.0)
+    np.testing.assert_array_equal(grad[:, :-1], 0.0)
 
 
 def test_oter_hinge_values():
@@ -254,7 +254,8 @@ def central_diff(fn, arr, eps=1e-6):
 
 
 def check_grads(head, fn_loss_grads, tol=1e-6):
-    loss, dW, db = fn_loss_grads()
+    loss, grad = fn_loss_grads()
+    dW, db = grad[:, :-1], grad[:, -1]
     num_W = central_diff(lambda: fn_loss_grads()[0], head.W)
     num_b = central_diff(lambda: fn_loss_grads()[0], head.b)
     scale = max(np.max(np.abs(num_W)), np.max(np.abs(num_b)), 1e-9)
@@ -315,28 +316,29 @@ def test_composite_reduces_to_ce():
     head = LinearHead(gen.normal(size=(3, 4)), gen.normal(size=3))
     X = gen.normal(size=(6, 4))
     y = gen.integers(0, 3, 6)
-    base_loss, base_dW, base_db = ce_loss(head, X, y)
+    base_loss, base_grad = ce_loss(head, X, y)
+    base_dW, base_db = base_grad[:, :-1], base_grad[:, -1]
     # alpha = 0 kills both regularizers
     cfg0 = BerConfig(alpha=0.0)
-    loss, dW, db = ber_total(head, X, y, X, np.zeros((0, 4)), None, cfg0)
+    loss, grad = ber_total(head, X, y, X, np.zeros((0, 4)), None, cfg0)
     assert loss == base_loss
-    np.testing.assert_array_equal(dW, base_dW)
+    np.testing.assert_array_equal(grad[:, :-1], base_dW)
     # alpha > 0 but hinges inactive: still CE
     quiet = np.zeros((4, 4))  # E = -log3 between p_out and p_in: both sides off?
     cfg = BerConfig(alpha=0.1, hinge_orientation="energy_paper", p_in=5.0, p_out=-27.0)
-    loss2, dW2, db2 = ber_total(head, X, y, quiet, np.zeros((0, 4)), None, cfg)
+    loss2, grad2 = ber_total(head, X, y, quiet, np.zeros((0, 4)), None, cfg)
     assert loss2 == pytest.approx(base_loss, abs=1e-15)
-    np.testing.assert_allclose(dW2, base_dW, atol=1e-15)
+    np.testing.assert_allclose(grad2[:, :-1], base_dW, atol=1e-15)
     # both terms switched off with active hinges and a replay batch: CE bit for bit
     X_ps = gen.normal(size=(5, 4))
     mixed = gen.normal(size=(4, 4))
     on = ber_total(head, X, y, X, X_ps, mixed, BerConfig(alpha=0.1))
     assert on[0] != base_loss
     off = BerConfig(alpha=0.1, use_nter=False, use_oter=False)
-    loss3, dW3, db3 = ber_total(head, X, y, X, X_ps, mixed, off)
+    loss3, grad3 = ber_total(head, X, y, X, X_ps, mixed, off)
     assert loss3 == base_loss
-    np.testing.assert_array_equal(dW3, base_dW)
-    np.testing.assert_array_equal(db3, base_db)
+    np.testing.assert_array_equal(grad3[:, :-1], base_dW)
+    np.testing.assert_array_equal(grad3[:, -1], base_db)
 
 
 def small_trained_model(seed=0, tasks_done=2):
@@ -420,7 +422,7 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         if Z_mem.size:
             Z_mem = t2f(Z_mem, cfg.t2f_tau)
     head = model.head.clone()
-    velocity = np.zeros_like(head.W), np.zeros_like(head.b)
+    velocity = np.zeros_like(head.params)
     if method == "ber":
         if Z_mem.shape[0] == 0:
             log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
@@ -436,10 +438,10 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
 
         def objective(bx, by):
             if method == "logitnorm":
-                loss, dW, db = logitnorm_ce_loss(head, bx, by, cfg.logitnorm_tau)
+                loss, grad = logitnorm_ce_loss(head, bx, by, cfg.logitnorm_tau)
             else:
-                loss, dW, db = ce_loss(head, bx, by)
-            return loss, 0.0, 0.0, dW, db
+                loss, grad = ce_loss(head, bx, by)
+            return loss, 0.0, 0.0, grad
 
     n = X.shape[0]
     iters = math.ceil(n / cfg.batch_size)
@@ -449,8 +451,8 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
         sums = {"ce": 0.0, "l_n": 0.0, "l_o": 0.0}
         for it in range(iters):
             sel = perm[it * cfg.batch_size : (it + 1) * cfg.batch_size]
-            l_ce, l_n, l_o, dW, db = objective(X[sel], y[sel])
-            sgd_step(cfg, velocity, head, dW, db, epoch * iters + it, total)
+            l_ce, l_n, l_o, grad = objective(X[sel], y[sel])
+            sgd_step(cfg, velocity, head, grad, epoch * iters + it, total)
             sums["ce"] += l_ce
             sums["l_n"] += l_n
             sums["l_o"] += l_o
@@ -490,10 +492,10 @@ def test_one_sgd_epochs_call_trains_the_head(method):
 
     def objective(sel):
         if method == "logitnorm":
-            loss, dW, db = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
+            loss, grad = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
         else:
-            loss, dW, db = ce_loss(head, X[sel], y[sel])
-        return loss, 0.0, 0.0, dW, db
+            loss, grad = ce_loss(head, X[sel], y[sel])
+        return loss, 0.0, 0.0, grad
 
     rng = RngStream(9, "ft")
     sums, iters = sgd_epochs(
@@ -598,8 +600,8 @@ def test_fused_hinge_grads_are_bit_exact(side, tau):
         got = _hinge_energy_grads(head, X, margin, side, tau)
         want = two_pass_hinge_grads(head, X, margin, side, tau)
         assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tobytes() == want[2].tobytes()
+        assert got[1][:, :-1].tobytes() == want[1].tobytes()
+        assert got[1][:, -1].tobytes() == want[2].tobytes()
 
 
 def test_finetune_divergence_names_seed_step_and_epoch():

@@ -9,6 +9,7 @@ from cilbench.model import (
     check_finite_epoch,
     cosine_lr,
     expand_head,
+    head_grad,
     load_head,
     save_head,
     sgd_step,
@@ -83,18 +84,17 @@ def test_cosine_schedule_endpoints_and_monotone():
 def test_sgd_vanilla_step():
     head = LinearHead(np.array([[1.0]]), np.array([0.0]))
     cfg = CilConfig(lr0=0.5, momentum=0.0, weight_decay=0.0)
-    velocity = np.zeros((1, 1)), np.zeros(1)
+    velocity = np.zeros((1, 2))
     # constant lr at step 0 of a long schedule
-    sgd_step(cfg, velocity, head, np.array([[2.0]]), np.array([0.0]), 0, 10**9)
+    sgd_step(cfg, velocity, head, np.array([[2.0, 0.0]]), 0, 10**9)
     assert head.W[0, 0] == pytest.approx(1.0 - 0.5 * 2.0)
 
 
 def test_sgd_momentum_matches_hand_unroll():
     head = LinearHead(np.array([[1.0]]), np.array([0.5]))
     cfg = CilConfig(lr0=0.1, momentum=0.9, weight_decay=0.01)
-    velocity = np.zeros((1, 1)), np.zeros(1)
-    gW = np.array([[0.3]])
-    gb = np.array([0.2])
+    velocity = np.zeros((1, 2))
+    grad = np.array([[0.3, 0.2]])
     # hand recurrence on the scalar weight
     w, b = 1.0, 0.5
     vw = vb = 0.0
@@ -104,7 +104,7 @@ def test_sgd_momentum_matches_hand_unroll():
         vb = 0.9 * vb + (0.2 + 0.01 * b)
         w -= lr * vw
         b -= lr * vb
-        sgd_step(cfg, velocity, head, gW, gb, step, 100)
+        sgd_step(cfg, velocity, head, grad, step, 100)
     assert head.W[0, 0] == pytest.approx(w, abs=1e-15)
     assert head.b[0] == pytest.approx(b, abs=1e-15)
 
@@ -158,7 +158,8 @@ def test_ce_gradient_matches_finite_differences():
         head = LinearHead(gen.normal(size=(C, d)), gen.normal(size=C))
         X = gen.normal(size=(n, d))
         y = gen.integers(0, C, n)
-        _, dW, db = ce_loss(head, X, y)
+        _, grad = ce_loss(head, X, y)
+        dW, db = grad[:, :-1], grad[:, -1]
         num_W = central_diff(lambda: ce_loss(head, X, y)[0], head.W)
         num_b = central_diff(lambda: ce_loss(head, X, y)[0], head.b)
         assert np.max(np.abs(dW - num_W)) / max(np.max(np.abs(num_W)), 1e-9) < 1e-6
@@ -201,39 +202,113 @@ def test_fused_ce_loss_is_bit_exact(scale, pass_logits):
         got = ce_loss(head, X, y, Z) if pass_logits else ce_loss(head, X, y)
         want = two_pass_ce_loss(head, X, y)
         assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tobytes() == want[2].tobytes()
+        assert got[1][:, :-1].tobytes() == want[1].tobytes()
+        assert got[1][:, -1].tobytes() == want[2].tobytes()
         assert Z.tobytes() == Z_before.tobytes()  # the caller's logits are read only
 
 
-def formula_sgd_step(cfg, velocity, head, dW, db, step_index, total_steps):
-    """sgd_step before the in-place update: new arrays for every term;
-    returns the new velocity pair."""
+def formula_sgd_step(cfg, velocity, head, grad, step_index, total_steps):
+    """sgd_step before the in-place update and the one params array: new
+    arrays for every term, W and b apart; returns the new velocity."""
     lr = cosine_lr(cfg.lr0, step_index, total_steps)
-    vW = cfg.momentum * velocity[0] + (dW + cfg.weight_decay * head.W)
-    vb = cfg.momentum * velocity[1] + (db + cfg.weight_decay * head.b)
+    vW = cfg.momentum * velocity[:, :-1] + (grad[:, :-1] + cfg.weight_decay * head.W)
+    vb = cfg.momentum * velocity[:, -1] + (grad[:, -1] + cfg.weight_decay * head.b)
     head.W -= lr * vW
     head.b -= lr * vb
-    return vW, vb
+    return np.column_stack([vW, vb])
 
 
 def test_in_place_sgd_matches_formula():
     gen = np.random.default_rng(21)
     heads = [random_head(3, 5, seed=4), random_head(3, 5, seed=4)]
     cfg = CilConfig(lr0=0.1, momentum=0.9, weight_decay=0.02)
-    velocities = [(np.zeros((3, 5)), np.zeros(3)) for _ in heads]
+    velocities = [np.zeros((3, 6)) for _ in heads]
     total = 12
     for step in range(total):
         dW = gen.normal(size=heads[0].W.shape)
         db = gen.normal(size=heads[0].b.shape)
-        grads = dW.tobytes(), db.tobytes()
-        sgd_step(cfg, velocities[0], heads[0], dW, db, step, total)
-        assert (dW.tobytes(), db.tobytes()) == grads  # gradients are only read
-        velocities[1] = formula_sgd_step(cfg, velocities[1], heads[1], dW, db, step, total)
+        grad = np.column_stack([dW, db])
+        before = grad.tobytes()
+        sgd_step(cfg, velocities[0], heads[0], grad, step, total)
+        assert grad.tobytes() == before  # the gradient is only read
+        velocities[1] = formula_sgd_step(cfg, velocities[1], heads[1], grad, step, total)
         assert heads[0].W.tobytes() == heads[1].W.tobytes()
         assert heads[0].b.tobytes() == heads[1].b.tobytes()
-        assert velocities[0][0].tobytes() == velocities[1][0].tobytes()
-        assert velocities[0][1].tobytes() == velocities[1][1].tobytes()
+        assert velocities[0][:, :-1].tobytes() == velocities[1][:, :-1].tobytes()
+        assert velocities[0][:, -1].tobytes() == velocities[1][:, -1].tobytes()
+
+
+def assert_views_of_params(head):
+    """``W`` and ``b`` are the first d columns and the last column of one
+    C-contiguous (C, d + 1) ``params``, not copies of them."""
+    C, d = head.n_classes, head.dim
+    assert head.params.shape == (C, d + 1) and head.params.flags.c_contiguous
+    assert head.W.base is head.params and head.b.base is head.params
+    assert head.W.tobytes() == head.params[:, :d].tobytes()
+    assert head.b.tobytes() == head.params[:, d].tobytes()
+
+
+def test_head_layout_is_one_params_array(tmp_path):
+    W, b = np.arange(12.0).reshape(3, 4), np.array([1.0, 2.0, 3.0])
+    head = LinearHead(W, b)
+    assert_views_of_params(head)
+    assert not np.shares_memory(head.params, W) and not np.shares_memory(head.params, b)
+    np.testing.assert_array_equal(head.params, np.column_stack([W, b]))
+
+    twin = head.clone()
+    assert_views_of_params(twin)
+    assert not np.shares_memory(twin.params, head.params)
+    twin.W[0, 0] = -1.0
+    twin.b[0] = -1.0
+    assert head.W[0, 0] == 0.0 and head.b[0] == 1.0  # the source is untouched
+
+    grown = expand_head(head, 2, RngStream(3, "layout"))
+    assert_views_of_params(grown)
+    assert not np.shares_memory(grown.params, head.params)
+    save_head(grown, tmp_path / "head.och")
+    loaded = load_head(tmp_path / "head.och")
+    assert_views_of_params(loaded)
+    assert loaded.params.flags.writeable
+    assert loaded.params.tobytes() == grown.params.tobytes()
+    aligned = weight_align(grown, [0, 1, 2], [3, 4])
+    assert_views_of_params(aligned)
+    assert not np.shares_memory(aligned.params, grown.params)
+
+    # one sgd_step moves params, and W and b see it
+    cfg = CilConfig(lr0=0.1, momentum=0.9, weight_decay=0.02)
+    before = head.params.copy()
+    sgd_step(cfg, np.zeros_like(head.params), head, np.ones_like(head.params), 0, 10)
+    assert not np.array_equal(head.params[:, :-1], before[:, :-1])
+    assert not np.array_equal(head.params[:, -1], before[:, -1])
+    assert_views_of_params(head)
+
+    # an in-place update through W or b lands in params
+    moved = head.params.copy()
+    head.W -= 1.0
+    head.b -= 2.0
+    assert_views_of_params(head)
+    np.testing.assert_array_equal(head.params, moved - np.array([1.0] * 4 + [2.0]))
+
+
+@pytest.mark.parametrize("C", [4, 20, 55, 100])
+@pytest.mark.parametrize("d", [32, 256])
+def test_strided_head_arrays_give_the_contiguous_bits(d, C):
+    # the report bytes rest on this: W is a view with row stride d + 1 and
+    # head_grad writes through strided out= arrays, yet every product and
+    # column sum must carry the bits of the same call on contiguous arrays
+    gen = np.random.default_rng(1000 * d + C)
+    head = LinearHead(gen.normal(size=(C, d)), gen.normal(size=C))
+    W, b = np.ascontiguousarray(head.W), head.b.copy()
+    assert not head.W.flags.c_contiguous and W.flags.c_contiguous
+    for rows in (1, 20, 64, 104, 128, 192):
+        X = gen.normal(size=(rows, d))
+        G = gen.normal(size=(rows, C)) / rows
+        grad = head_grad(G, X)
+        assert grad.shape == head.params.shape and grad.flags.c_contiguous
+        assert grad[:, :-1].tobytes() == (G.T @ X).tobytes()
+        assert grad[:, -1].tobytes() == G.sum(axis=0).tobytes()
+        assert head.logits(X).tobytes() == (X @ W.T + b).tobytes()
+        assert (G @ head.W).tobytes() == (G @ W).tobytes()  # the input gradient
 
 
 def test_check_finite_epoch_names_seed_step_and_epoch():
