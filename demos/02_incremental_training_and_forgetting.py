@@ -21,15 +21,15 @@ for budget in (0, 200):
     task1_curve = []
     for t in range(1, stream.num_steps + 1):
         model, mem = train_task(model, stream, t, mem, cfg, rng)
-        task1_curve.append(evaluate_accuracy(model, stream.test_through(1)))
+        task1_curve.append(evaluate_accuracy(model, *stream.test_through(1)))
     label = "no replay " if budget == 0 else f"replay {budget:>3}"
     print(f"{label}: task-1 accuracy per step "
           f"{['%.2f' % a for a in task1_curve]}")
 
 # confidence bias at the final step of the replay run
 final_classes = stream.classes[-1]
-full_test = stream.test_through(stream.num_steps)
-conf = score_batch("msp", model, None, full_test.features)
-is_new = np.isin(full_test.labels, final_classes)
+test_x, test_y = stream.test_through(stream.num_steps)  # read-only arrays
+conf = score_batch("msp", model, None, test_x)
+is_new = np.isin(test_y, final_classes)
 print(f"mean confidence: old classes {conf[~is_new].mean():.3f} "
       f"< new classes {conf[is_new].mean():.3f}")

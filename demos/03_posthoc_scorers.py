@@ -28,16 +28,17 @@ stream = split_tasks(train, test, k=4)
 model = CilModel.fresh(spec.dim)
 model, _ = train_task(model, stream, 1, MemoryBuffer(200), CilConfig(), RngStream(1, "demo"))
 
-id_test = stream.test_through(1)
-fit_rows = stream.task_train(1).features  # step-1 rows only
+id_x, _ = stream.test_through(1)  # (features, labels) of the tasks so far
+fit_rows, _ = stream.task_train(1)  # step-1 rows only
 
 print(f"{'scorer':<22} {'AUC near':>9} {'AUC far':>9}")
 for name in SCORER_NAMES:
     fit = fit_scorer(name, model, fit_rows)
-    id_scores = score_batch(name, model, fit, id_test.features)
+    id_scores = score_batch(name, model, fit, id_x)
     near, far = [], []
     for entry in suite.entries:
+        # the step's OOD rows: a feature array, a prefix of one permutation
         sub = ood_subset(entry.dataset, 1, stream.num_steps, RngStream(1, f"sub/{entry.name}"))
         bucket = near if entry.tag == "near" else far
-        bucket.append(auroc(id_scores, score_batch(name, model, fit, sub.features)))
+        bucket.append(auroc(id_scores, score_batch(name, model, fit, sub)))
     print(f"{name:<22} {np.mean(near):9.4f} {np.mean(far):9.4f}")

@@ -35,7 +35,7 @@ for t in range(1, stream.num_steps + 1):
     model, mem = train_task(model, stream, t, mem, CilConfig(), rng)
 
 T = stream.num_steps
-id_X = stream.test_through(T).features
+id_X, _ = stream.test_through(T)
 ood_X = np.concatenate([e.dataset.features for e in suite.entries])
 
 for method, cfg in (

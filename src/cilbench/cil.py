@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configcheck import check_field_types
-from .data import FeatureDataset, MemoryBuffer, TaskStream, rebalance_memory, step_rows
+from .data import MemoryBuffer, TaskStream, rebalance_memory, step_rows
 from .model import (
     LinearHead,
     ce_loss,
@@ -236,9 +236,9 @@ def train_task(
     return CilModel(head, seen), rebalance_memory(mem, stream, t)
 
 
-def evaluate_accuracy(model: CilModel, test: FeatureDataset) -> float:
-    """Fraction of rows whose argmax logit matches the label (ties go to
-    the lowest class index).  Labels outside the seen set are an error."""
-    rows = model.head_rows(test.labels)
-    preds = np.argmax(model.logits(test.features), axis=1)
+def evaluate_accuracy(model: CilModel, X: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of rows of ``X`` whose argmax logit matches their label in
+    ``y`` (ties go to the lowest class index); an unseen label is an error."""
+    rows = model.head_rows(y)
+    preds = np.argmax(model.logits(X), axis=1)
     return float((preds == rows).mean())

@@ -1,6 +1,10 @@
 """Dataset containers, task streams, replay memory, and OOD test subsets.
 
 Feature datasets are plain (n, d) float64 matrices with integer labels.
+A :class:`FeatureDataset` is rows checked where they enter the engine
+(``load_dataset``, ``synthgen.generate``).  Inside a run, rows are plain
+read-only arrays that nothing checks again: the task stream's arrays,
+its step slices and the OOD subsets.
 The binary on-disk format is little-endian:
 
     magic "OCF1" | u32 version=1 | u32 n | u32 d
@@ -69,7 +73,8 @@ class NonFiniteFeatureError(DataError):
 
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Rows of feature vectors with integer class labels."""
+    """Rows of feature vectors, checked when built: finite features, at
+    least one row, one integer label per row in [0, n_classes)."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -77,20 +82,19 @@ class FeatureDataset:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
             raise FormatError("features must be a nonempty (n, d) matrix")
         if labels.shape != (feats.shape[0],):
             raise DimensionMismatchError("labels must have one entry per row")
+        if labels.dtype.kind not in "iu":
+            raise FormatError(f"labels must be integers, not {labels.dtype}")
+        labels = labels.astype(np.int64, copy=False)
         if not np.all(np.isfinite(feats)):
             raise NonFiniteFeatureError("non-finite feature value")
-        n_classes = self.n_classes
-        if n_classes <= 0:
-            n_classes = int(labels.max()) + 1
+        n_classes = self.n_classes if self.n_classes > 0 else int(labels.max()) + 1
         if labels.min() < 0 or labels.max() >= n_classes:
-            raise LabelOutOfRangeError(
-                f"labels must lie in [0, {n_classes})"
-            )
+            raise LabelOutOfRangeError(f"labels must lie in [0, {n_classes})")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n_classes", n_classes)
@@ -103,25 +107,24 @@ class FeatureDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, idx) -> "FeatureDataset":
-        idx = np.asarray(idx, dtype=np.int64)
-        return FeatureDataset(self.features[idx], self.labels[idx], self.n_classes)
-
 
 @dataclass(frozen=True)
 class TaskStream:
     """Ordered partition of classes into tasks with disjoint label sets.
 
-    Task t (1-based) adds the classes ``classes[t - 1]``.  ``train`` and
-    ``test`` hold every task's rows, task by task: task t's rows are
-    ``train_bounds[t - 1]:train_bounds[t]`` of ``train`` and
-    ``test_bounds[t - 1]:test_bounds[t]`` of ``test``.  Built by
-    :func:`split_tasks`.
+    Task t (1-based) adds the classes ``classes[t - 1]``.  ``train_x`` /
+    ``train_y`` and ``test_x`` / ``test_y`` are the read-only features and
+    labels of every task's rows, task by task: task t's rows are
+    ``train_bounds[t - 1]:train_bounds[t]`` of the train arrays and
+    ``test_bounds[t - 1]:test_bounds[t]`` of the test arrays.  Built by
+    :func:`split_tasks` from checked datasets, so no slice is checked again.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    train: FeatureDataset
-    test: FeatureDataset
+    train_x: np.ndarray
+    train_y: np.ndarray
+    test_x: np.ndarray
+    test_y: np.ndarray
     train_bounds: tuple[int, ...]
     test_bounds: tuple[int, ...]
 
@@ -138,26 +141,26 @@ class TaskStream:
         """Seen-class set after step t (1-based), in task order."""
         return tuple(c for classes in self.classes[:t] for c in classes)
 
-    def _rows(self, ds: FeatureDataset, bounds, first: int, t: int) -> FeatureDataset:
-        """The rows of tasks first..t of ``ds``: a read-only slice of it."""
+    def _rows(self, x, y, bounds, first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(features, labels) of tasks first..t: read-only slices of x, y."""
         if not 1 <= t <= self.num_steps:
             raise ValueError("step index out of range")
         part = slice(bounds[first - 1], bounds[t])
-        return FeatureDataset(ds.features[part], ds.labels[part], ds.n_classes)
+        return x[part], y[part]
 
-    def task_train(self, t: int) -> FeatureDataset:
-        """The training rows of task t (1-based): a slice of ``train``."""
-        return self._rows(self.train, self.train_bounds, t, t)
+    def task_train(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The training rows of task t (1-based): slices of ``train_x``, ``train_y``."""
+        return self._rows(self.train_x, self.train_y, self.train_bounds, t, t)
 
-    def test_through(self, t: int) -> FeatureDataset:
-        """Union of the test sets of tasks 1..t: a prefix of ``test``."""
-        return self._rows(self.test, self.test_bounds, 1, t)
+    def test_through(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The test rows of tasks 1..t: prefixes of ``test_x``, ``test_y``."""
+        return self._rows(self.test_x, self.test_y, self.test_bounds, 1, t)
 
 
 @dataclass
 class MemoryBuffer:
     """Fixed-budget exemplar store; ``entries[c]`` lists the rows of
-    ``TaskStream.train`` that class c keeps, in pick order."""
+    ``TaskStream.train_x`` that class c keeps, in pick order."""
 
     budget: int
     entries: dict[int, list[int]] = field(default_factory=dict)
@@ -219,9 +222,8 @@ def load_dataset(path, n_classes: int = 0) -> FeatureDataset:
         raise FormatError(f"payload size mismatch ({len(raw)} != {expect})")
     feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16)
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=16 + 4 * n * d)
-    return FeatureDataset(
-        feats.astype(np.float64).reshape(n, d), labels.astype(np.int64), n_classes
-    )
+    # the check reads them into new float64 and int64 arrays
+    return FeatureDataset(feats.reshape(n, d), labels, n_classes)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -256,10 +258,9 @@ def split_tasks(
     the remainder).  Classes are taken in id order, or in the permutation
     drawn from ``class_order.child("class-order")`` when one is given.
 
-    ``train`` and ``test`` are read-only: each is a task-major copy of its
-    input, or, for rows already laid out task by task (identity order on
-    class-sorted rows), a view of the input itself, so the stream shares
-    the inputs' memory.
+    The stream's arrays are read-only task-major copies of the inputs', or,
+    for rows already laid out task by task (identity order on class-sorted
+    rows), views that share the inputs' memory.
     """
     K = ds_train.n_classes
     if k < 2:
@@ -273,10 +274,7 @@ def split_tasks(
     groups = tuple(tuple(int(c) for c in order[start : start + k]) for start in range(0, K, k))
     train_x, train_y, train_bounds = _task_major(ds_train, groups)
     test_x, test_y, test_bounds = _task_major(ds_test, groups)
-    return TaskStream(
-        groups, FeatureDataset(train_x, train_y, K), FeatureDataset(test_x, test_y, K),
-        train_bounds, test_bounds,
-    )
+    return TaskStream(groups, train_x, train_y, test_x, test_y, train_bounds, test_bounds)
 
 
 def step_rows(
@@ -285,14 +283,11 @@ def step_rows(
     """The rows a head trains on at step t (1-based): task t's training
     rows, then the exemplars of ``mem`` in ascending class order, as
     (features, labels)."""
-    train = stream.task_train(t)
+    X, y = stream.task_train(t)
     rows = [r for c in sorted(mem.entries) for r in mem.entries[c]]
     # exemplars come from other tasks' rows, so the rows a step trains on
     # are not one run of the suite: this copy is the step's
-    return (
-        np.concatenate([train.features, stream.train.features[rows]]),
-        np.concatenate([train.labels, stream.train.labels[rows]]),
-    )
+    return np.concatenate([X, stream.train_x[rows]]), np.concatenate([y, stream.train_y[rows]])
 
 
 def herding_select(class_features: np.ndarray, q: int) -> list[int]:
@@ -377,7 +372,7 @@ def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuf
     Every class seen through step t gets quota ``q = budget // |Q_t|``:
     an existing list keeps its first q entries in stored order (it never
     holds more than the class's rows), and a new class is filled by
-    :func:`herding_select` over its rows of ``stream.train``, with q capped
+    :func:`herding_select` over its rows of ``stream.train_x``, with q capped
     at its row count.  Leftover budget slots stay unassigned.
     """
     if t < 1:
@@ -394,18 +389,19 @@ def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuf
         if old is not None:
             entries[c] = list(old[:q])
             continue
-        rows = np.flatnonzero(stream.train.labels == c)
+        rows = np.flatnonzero(stream.train_y == c)
         if rows.size == 0:
             raise DataError(f"class {c} has no training rows")
-        picks = herding_select(stream.train.features[rows], min(q, rows.size))
+        picks = herding_select(stream.train_x[rows], min(q, rows.size))
         entries[c] = rows[picks].tolist()
     return MemoryBuffer(mem.budget, entries)
 
 
 def ood_subset(
     ood: FeatureDataset, t: int, total_steps: int, rng: RngStream
-) -> FeatureDataset:
-    """First floor(n * t / total_steps) rows of a fixed seeded permutation.
+) -> np.ndarray:
+    """The features of the first floor(n * t / total_steps) rows of a fixed
+    seeded permutation, read-only.
 
     The permutation depends only on the stream identity, so subsets are
     nested across t: subset(t) is a prefix of subset(t+1).
@@ -415,7 +411,7 @@ def ood_subset(
     perm = rng.child("perm").gen.permutation(ood.n)
     take = (ood.n * t) // total_steps
     # a permuted prefix is no run of rows, so the subset is a copy
-    return ood.subset(perm[:take])
+    return _read_only(ood.features[perm[:take]])
 
 
 def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]:
@@ -427,7 +423,8 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     ``id_test`` labels must lie below ``id_train``'s class count.  Both ID
     sets must hold rows of every class below that count: a class without
     training rows would be a head row nothing trains, one without test
-    rows a class nothing tests.
+    rows a class nothing tests.  A count above ``id_train``'s row count
+    fails before the rows of each class are counted.
     """
     path = Path(path)
     try:
@@ -467,6 +464,8 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
             raise DimensionMismatchError(
                 f"manifest set {name!r} has {ds.dim} features per row, id_train has {train.dim}"
             )
+    if train.n_classes > train.n:
+        raise DataError(f"manifest class count {train.n_classes} exceeds id_train's {train.n} rows")
     for name, ds in (("id_train", train), ("id_test", test)):
         missing = np.flatnonzero(np.bincount(ds.labels, minlength=train.n_classes) == 0)
         if missing.size:

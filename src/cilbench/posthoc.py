@@ -117,7 +117,7 @@ def fit_scorer(
         raise ValueError(f"unknown scorer {name!r}")
     if name not in _NEEDS_FIT:
         return None
-    Z = model.penultimate(np.asarray(fit_features, dtype=np.float64))
+    Z = model.penultimate(fit_features)
     if name == "react":
         if params.react_percentile >= 100.0:
             thresh = np.inf  # clipping disabled
@@ -227,7 +227,6 @@ def score_batch(
 ) -> np.ndarray:
     """Scores for a batch of raw feature rows (higher = more ID)."""
     params = params or PosthocParams()
-    X = np.asarray(X, dtype=np.float64)
     if name not in SCORER_NAMES:
         raise ValueError(f"unknown scorer {name!r}")
     if name == "odin":
@@ -268,7 +267,7 @@ def odin_input_gradient(model, X: np.ndarray, T: float) -> np.ndarray:
     target = np.argmax(P, axis=1)
     # d log p_target / d logits = (onehot - p) / T
     G = -P / T
-    G[np.arange(X.shape[0]), target] += 1.0 / T
+    G[np.arange(len(G)), target] += 1.0 / T
     return model.backprop_input(X, G)
 
 

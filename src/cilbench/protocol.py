@@ -214,10 +214,10 @@ def _timed(phases: dict, name: str):
 
 
 def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
-    """The CIL phase: yields ``(t, model, mem_t, id_test, acc, took)`` per
-    step: the model after step t, the memory before it, the test rows of
-    tasks 1..t, and the timing record with ``cil_train`` and ACC in ``score_id``."""
-    model = CilModel.fresh(stream.train.dim)
+    """The CIL phase: yields ``(t, model, mem_t, id_x, acc, took)`` per
+    step: the model after step t, the memory before it, the test features
+    of tasks 1..t, and the timing record with ``cil_train`` and ACC in ``score_id``."""
+    model = CilModel.fresh(stream.train_x.shape[1])
     mem = MemoryBuffer(cfg.memory_budget)
     rng = RngStream(seed, "run").child("cil")
     for t in range(1, stream.num_steps + 1):
@@ -225,16 +225,16 @@ def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
         mem_t = mem
         with _timed(took, "cil_train"):
             model, mem = train_task(model, stream, t, mem_t, cfg.cil_config, rng, train_log)
-        id_test = stream.test_through(t)
+        id_x, id_y = stream.test_through(t)
         with _timed(took, "score_id"):
-            acc = evaluate_accuracy(model, id_test)
-        yield t, model, mem_t, id_test, acc, took
+            acc = evaluate_accuracy(model, id_x, id_y)
+        yield t, model, mem_t, id_x, acc, took
 
 
 def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple[list, CilModel]:
     """The OOD phase of one ``_trajectory`` step: its records and scoring
     model.  Adds the step's remaining phase times to ``took``."""
-    t, model, mem_t, id_test, acc, took = step
+    t, model, mem_t, id_x, acc, took = step
     T = stream.num_steps
     scorer, params, ft = cfg.scorer, cfg.scorer_params, cfg.finetune_params
     score_model = model
@@ -246,12 +246,12 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple
     with _timed(took, "scorer_fit"):
         fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
     with _timed(took, "score_id"):
-        id_scores = score_batch(scorer, score_model, fit, id_test.features, params)
+        id_scores = score_batch(scorer, score_model, fit, id_x, params)
     records = []
     for entry in suite.entries:
         with _timed(took, "score_ood"):
             sub = ood_subset(entry.dataset, t, T, RngStream(seed, f"oodsubset/{entry.name}"))
-            ood_scores = score_batch(scorer, score_model, fit, sub.features, params)
+            ood_scores = score_batch(scorer, score_model, fit, sub, params)
         with _timed(took, "metrics"):
             records.append(
                 {
@@ -259,8 +259,8 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple
                     "step": t,
                     "ood_dataset": entry.name,
                     "tag": entry.tag,
-                    "n_id_test": int(id_test.n),
-                    "n_ood_test": int(sub.n),
+                    "n_id_test": id_x.shape[0],
+                    "n_ood_test": sub.shape[0],
                     "acc": acc,
                     "auroc": auroc(id_scores, ood_scores),
                     "fpr95": fpr_at_tpr95(id_scores, ood_scores),

@@ -7,10 +7,12 @@ that the fused cross-entropy kernel must reproduce bit for bit;
 the BER objective's terms into the loss its gradient is taken of.
 ``rank_auroc``, ``rank_fpr_at_tpr95`` and ``rank_average_precision`` compute
 the metrics from one pooled ranking of the float64 ID and OOD score arrays;
-the counting metrics must give their bits.
+the counting metrics must give their bits.  ``subset`` builds a checked
+dataset from chosen rows of another.
 """
 import numpy as np
 
+from cilbench.data import FeatureDataset
 from cilbench.finetune import ber_terms
 from cilbench.numerics import logsumexp_rows, softmax_rows
 
@@ -30,6 +32,12 @@ def log_softmax_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     shifted = m - m.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def subset(ds: FeatureDataset, idx) -> FeatureDataset:
+    """The rows ``idx`` of ``ds``, in that order, as a new checked dataset."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return FeatureDataset(ds.features[idx], ds.labels[idx], ds.n_classes)
 
 
 def head_bytes(head) -> tuple[bytes, bytes]:

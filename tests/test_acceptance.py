@@ -62,8 +62,8 @@ def forgetting_runs():
                 "stream": stream,
                 "suite": suite,
                 "replay_model": model_rep,
-                "acc1_none": evaluate_accuracy(model_none, stream.test_through(1)),
-                "acc1_replay": evaluate_accuracy(model_rep, stream.test_through(1)),
+                "acc1_none": evaluate_accuracy(model_none, *stream.test_through(1)),
+                "acc1_replay": evaluate_accuracy(model_rep, *stream.test_through(1)),
             }
         )
     return out, time.perf_counter() - t0
@@ -233,9 +233,9 @@ def test_criterion_6_bias_reproduction(forgetting_runs):
     for r in runs:
         model, stream, suite = r["replay_model"], r["stream"], r["suite"]
         final = stream.classes[-1]
-        te = stream.test_through(stream.num_steps)
-        conf = score_batch("msp", model, None, te.features)
-        is_new = np.isin(te.labels, final)
+        te_x, te_y = stream.test_through(stream.num_steps)
+        conf = score_batch("msp", model, None, te_x)
+        is_new = np.isin(te_y, final)
         old_conf.append(conf[~is_new].mean())
         new_conf.append(conf[is_new].mean())
 
@@ -279,19 +279,19 @@ def test_criterion_7_ber_ablation_ordering():
         for t in range(1, T + 1):
             mem_t = mem
             model, mem = train_task(model, stream, t, mem_t, DEFAULT_CIL, rng)
-            id_test = stream.test_through(t)
+            id_x, _ = stream.test_through(t)
             for key, over in variants.items():
                 cfg = BerConfig(hinge_orientation=SELECTED_ORIENTATION, **over)
                 fmodel = finetune_step_loop(
                     model, stream, t, mem_t, "ber", cfg, rng.child(f"ft-{key}-{t}")
                 )
-                id_s = score_batch("energy", fmodel, None, id_test.features)
+                id_s = score_batch("energy", fmodel, None, id_x)
                 aucs = [
                     auroc(
                         id_s,
                         score_batch(
                             "energy", fmodel, None,
-                            ood_subset(e.dataset, t, T, RngStream(seed, f"sub/{e.name}")).features,
+                            ood_subset(e.dataset, t, T, RngStream(seed, f"sub/{e.name}")),
                         ),
                     )
                     for e in suite.entries
@@ -356,16 +356,16 @@ def test_criterion_10_near_far_ordering():
         model = CilModel.fresh(spec.dim)
         rng = RngStream(seed, "nf")
         model, _ = train_task(model, stream, 1, MemoryBuffer(REPLAY_BUDGET), DEFAULT_CIL, rng)
-        id_test = stream.test_through(1)
-        fit_rows = stream.task_train(1).features
+        id_x, _ = stream.test_through(1)
+        fit_rows, _ = stream.task_train(1)
         for name in SCORER_NAMES:
             fit = fit_scorer(name, model, fit_rows)
-            id_s = score_batch(name, model, fit, id_test.features)
+            id_s = score_batch(name, model, fit, id_x)
             near, far = [], []
             for e in suite.entries:
                 sub = ood_subset(e.dataset, 1, stream.num_steps, RngStream(seed, f"sub/{e.name}"))
                 (near if e.tag == "near" else far).append(
-                    auroc(id_s, score_batch(name, model, fit, sub.features))
+                    auroc(id_s, score_batch(name, model, fit, sub))
                 )
             near_avg[name].append(np.mean(near))
             far_avg[name].append(np.mean(far))

@@ -51,13 +51,13 @@ def small_stream(seed=0, k=2):
 
 
 def run_stream(stream, cfg, budget, seed):
-    model = CilModel.fresh(stream.train.dim)
+    model = CilModel.fresh(stream.train_x.shape[1])
     mem = MemoryBuffer(budget)
     rng = RngStream(seed, "cil-test")
     per_task_acc = []
     for t in range(1, stream.num_steps + 1):
         model, mem = train_task(model, stream, t, mem, cfg, rng)
-        per_task_acc.append(evaluate_accuracy(model, stream.test_through(t)))
+        per_task_acc.append(evaluate_accuracy(model, *stream.test_through(t)))
     return model, per_task_acc
 
 
@@ -80,8 +80,8 @@ def test_replay_beats_no_replay_on_first_task():
         model_none, mem_none = train_task(model_none, stream, t, mem_none, cfg, rng_a)
         model_rep, mem_rep = train_task(model_rep, stream, t, mem_rep, cfg, rng_b)
     task1 = stream.test_through(1)
-    acc_none = evaluate_accuracy(model_none, task1)
-    acc_rep = evaluate_accuracy(model_rep, task1)
+    acc_none = evaluate_accuracy(model_none, *task1)
+    acc_rep = evaluate_accuracy(model_rep, *task1)
     assert acc_none < acc_rep
 
 
@@ -96,7 +96,7 @@ def test_forgetting_is_monotone_without_replay():
         accs = []
         for t in range(1, stream.num_steps + 1):
             model, mem = train_task(model, stream, t, mem, FAST, rng)
-            accs.append(evaluate_accuracy(model, stream.test_through(1)))
+            accs.append(evaluate_accuracy(model, *stream.test_through(1)))
         curves.append(accs)
     mean = np.mean(curves, axis=0)
     assert all(a >= b - 1e-9 for a, b in zip(mean, mean[1:]))
@@ -127,7 +127,6 @@ def test_evaluate_accuracy_matches_rowwise_oracle():
     model = CilModel(head, [0, 1, 2, 3])
     feats = gen.normal(size=(50, 6))
     labels = gen.integers(0, 4, 50)
-    ds = FeatureDataset(feats, labels, 4)
     expect = 0
     for i in range(50):
         logits = head.W @ feats[i] + head.b
@@ -136,18 +135,17 @@ def test_evaluate_accuracy_matches_rowwise_oracle():
             if logits[j] > logits[best]:
                 best = j
         expect += int(best == labels[i])
-    assert evaluate_accuracy(model, ds) == pytest.approx(expect / 50)
+    assert evaluate_accuracy(model, feats, labels) == pytest.approx(expect / 50)
 
 
 def test_evaluate_accuracy_tie_break_and_unseen_label():
     head = LinearHead(np.zeros((2, 3)), np.zeros(2))
     model = CilModel(head, [0, 1])
     feats = np.ones((4, 3))
-    ds = FeatureDataset(feats, [0, 0, 1, 1], 2)
     # all logits tie, every prediction is class 0
-    assert evaluate_accuracy(model, ds) == 0.5
+    assert evaluate_accuracy(model, feats, np.array([0, 0, 1, 1])) == 0.5
     with pytest.raises(ValueError):
-        evaluate_accuracy(model, FeatureDataset(feats, [0, 0, 2, 2], 3))
+        evaluate_accuracy(model, feats, np.array([0, 0, 2, 2]))
 
 
 def test_average_incremental_accuracy_hand_mean():
@@ -168,9 +166,9 @@ def test_old_class_confidence_drops_below_new():
         for t in range(1, stream.num_steps + 1):
             model, mem = train_task(model, stream, t, mem, FAST, rng)
         final = stream.classes[-1]
-        test = stream.test_through(stream.num_steps)
-        conf = score_batch("msp", model, None, test.features)
-        is_new = np.isin(test.labels, final)
+        test_x, test_y = stream.test_through(stream.num_steps)
+        conf = score_batch("msp", model, None, test_x)
+        is_new = np.isin(test_y, final)
         old_conf.append(conf[~is_new].mean())
         new_conf.append(conf[is_new].mean())
     assert np.mean(old_conf) < np.mean(new_conf)

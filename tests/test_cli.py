@@ -8,6 +8,7 @@ import pytest
 import cilbench.protocol as protocol
 from cilbench.cli import main
 from cilbench.data import FeatureDataset, load_dataset, save_dataset
+from oracles import subset
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -267,7 +268,7 @@ def test_run_manifest_with_a_class_missing_is_a_data_error(
     if drop_test_class is not None:
         test = load_dataset(manifest.parent / doc["id_test"])
         keep = np.flatnonzero(test.labels != drop_test_class)
-        save_dataset(test.subset(keep), manifest.parent / "id_test_less.bin")
+        save_dataset(subset(test, keep), manifest.parent / "id_test_less.bin")
         doc["id_test"] = "id_test_less.bin"
     manifest.write_text(json.dumps(doc))
     over = {"step_size": 3, "memory_budget": 8, **over}

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cilbench.data import (
     _SAVE_ROWS,
+    DataError,
     DimensionMismatchError,
     FeatureDataset,
     FormatError,
@@ -24,6 +25,7 @@ from cilbench.data import (
 )
 from cilbench.numerics import RngStream
 from cilbench.synthgen import SynthSpec, generate
+from oracles import subset
 
 
 def make_ds(n_per_class, K, d, seed=0):
@@ -78,6 +80,23 @@ def test_nonfinite_feature_rejected():
         FeatureDataset(np.array([[1.0, np.nan]]), [0], 1)
 
 
+@pytest.mark.parametrize(
+    "labels", [[0.7, 1.2], [0.0, 1.0], np.array([True, False]), np.array(["0", "1"])]
+)
+def test_non_integer_labels_are_rejected_not_truncated(labels):
+    # float labels used to be truncated ([0.7, 1.2] -> [0, 1]) and bools
+    # read as classes 1 and 0
+    with pytest.raises(FormatError, match="labels must be integers"):
+        FeatureDataset(np.ones((2, 3)), labels)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+def test_integer_labels_of_any_width_are_read_as_int64(dtype):
+    ds = FeatureDataset(np.ones((3, 2)), np.array([2, 0, 1], dtype=dtype))
+    assert ds.labels.dtype == np.int64 and ds.n_classes == 3
+    np.testing.assert_array_equal(ds.labels, [2, 0, 1])
+
+
 def test_split_tasks_even():
     tr = make_ds(5, 6, 3)
     te = make_ds(2, 6, 3, seed=1)
@@ -85,7 +104,7 @@ def test_split_tasks_even():
     assert stream.num_steps == 3
     assert list(stream.classes) == [(0, 1), (2, 3), (4, 5)]
     for t, classes in enumerate(stream.classes, 1):
-        assert set(np.unique(stream.task_train(t).labels)) == set(classes)
+        assert set(np.unique(stream.task_train(t)[1])) == set(classes)
 
 
 def test_split_tasks_remainder_and_disjoint():
@@ -119,14 +138,15 @@ def test_split_tasks_seeded_order_is_deterministic():
 def _per_task_oracle(tr, te, stream):
     """Each task's (train, test) as per-task subsets of the inputs."""
     for classes in stream.classes:
-        yield [ds.subset(np.flatnonzero(np.isin(ds.labels, classes))) for ds in (tr, te)]
+        yield [subset(ds, np.flatnonzero(np.isin(ds.labels, classes))) for ds in (tr, te)]
 
 
 def _task_test(stream, t):
-    """Task t's test rows: the part of ``test_through(t)`` past task t - 1."""
-    through = stream.test_through(t)
+    """Task t's test (features, labels): the part of ``test_through(t)``
+    past task t - 1."""
+    x, y = stream.test_through(t)
     start = stream.test_bounds[t - 1]
-    return FeatureDataset(through.features[start:], through.labels[start:], through.n_classes)
+    return x[start:], y[start:]
 
 
 def test_split_tasks_class_sorted_input_is_not_copied():
@@ -135,10 +155,10 @@ def test_split_tasks_class_sorted_input_is_not_copied():
     stream = split_tasks(tr, te, 3)
     for t in range(1, stream.num_steps + 1):
         for part, ds in ((stream.task_train(t), tr), (_task_test(stream, t), te)):
-            assert np.shares_memory(part.features, ds.features)
-            assert np.shares_memory(part.labels, ds.labels)
+            assert np.shares_memory(part[0], ds.features)
+            assert np.shares_memory(part[1], ds.labels)
     for t in range(1, stream.num_steps + 1):
-        assert np.shares_memory(stream.test_through(t).features, stream.test_through(1).features)
+        assert np.shares_memory(stream.test_through(t)[0], stream.test_through(1)[0])
 
 
 @pytest.mark.parametrize("layout", ["seeded", "shuffled"])
@@ -150,21 +170,56 @@ def test_split_tasks_regroups_rows_like_per_task_subsets(layout):
         order = RngStream(4, "order")
     else:
         rng = np.random.default_rng(2)
-        tr, te = (ds.subset(rng.permutation(ds.n)) for ds in (tr, te))
+        tr, te = (subset(ds, rng.permutation(ds.n)) for ds in (tr, te))
     stream = split_tasks(tr, te, 3, order)
     seen = []
     for t, oracle in enumerate(_per_task_oracle(tr, te, stream), 1):
         task_train, task_test = stream.task_train(t), _task_test(stream, t)
         for part, want in zip((task_train, task_test), oracle):
-            np.testing.assert_array_equal(part.features, want.features)
-            np.testing.assert_array_equal(part.labels, want.labels)
+            np.testing.assert_array_equal(part[0], want.features)
+            np.testing.assert_array_equal(part[1], want.labels)
         seen.append(oracle[1])
-        through = stream.test_through(t)
-        np.testing.assert_array_equal(through.features, np.concatenate([s.features for s in seen]))
-        np.testing.assert_array_equal(through.labels, np.concatenate([s.labels for s in seen]))
+        through_x, through_y = stream.test_through(t)
+        np.testing.assert_array_equal(through_x, np.concatenate([s.features for s in seen]))
+        np.testing.assert_array_equal(through_y, np.concatenate([s.labels for s in seen]))
         # one gather per input: the tasks are slices of it, not of the input
-        assert np.shares_memory(task_test.features, stream.test.features)
-        assert not np.shares_memory(task_train.features, tr.features)
+        assert np.shares_memory(task_test[0], stream.test_x)
+        assert not np.shares_memory(task_train[0], tr.features)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    layout=st.sampled_from(["class_sorted", "shuffled", "seeded"]),
+    n_classes=st.integers(2, 9),
+    k=st.integers(2, 9),
+    n_train=st.integers(1, 4),
+    n_test=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_stream_slices_are_read_only_views_of_the_per_task_rows(
+    layout, n_classes, k, n_train, n_test, seed
+):
+    tr = make_ds(n_train, n_classes, 3, seed)
+    te = make_ds(n_test, n_classes, 3, seed + 1)
+    order = RngStream(seed, "order") if layout == "seeded" else None
+    if layout == "shuffled":
+        rng = np.random.default_rng(seed)
+        tr, te = (subset(ds, rng.permutation(ds.n)) for ds in (tr, te))
+    stream = split_tasks(tr, te, min(k, n_classes), order)
+    train_arrays, test_arrays = (stream.train_x, stream.train_y), (stream.test_x, stream.test_y)
+    seen = []
+    for t, (want_train, want_test) in enumerate(_per_task_oracle(tr, te, stream), 1):
+        seen.append(want_test)
+        want_through = [np.concatenate([s.features for s in seen]),
+                        np.concatenate([s.labels for s in seen])]
+        for got, want, whole in (
+            (stream.task_train(t), [want_train.features, want_train.labels], train_arrays),
+            (stream.test_through(t), want_through, test_arrays),
+        ):
+            for part, expect, array in zip(got, want, whole):
+                np.testing.assert_array_equal(part, expect, strict=True)
+                assert not part.flags.writeable
+                assert np.shares_memory(part, array)
 
 
 def test_test_through_rejects_steps_outside_the_stream():
@@ -186,11 +241,11 @@ def test_task_views_are_read_only():
     te = make_ds(2, 4, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     with pytest.raises(ValueError, match="read-only"):
-        stream.task_train(1).features[0, 0] = 1.0
+        stream.task_train(1)[0][0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        _task_test(stream, 2).labels[0] = 0
+        _task_test(stream, 2)[1][0] = 0
     with pytest.raises(ValueError, match="read-only"):
-        stream.test_through(2).features[0] += 1.0
+        stream.test_through(2)[0][0] += 1.0
     # the caller's arrays stay writable
     assert tr.features.flags.writeable and te.labels.flags.writeable
 
@@ -208,7 +263,8 @@ def test_rows_from_outside_are_checked_before_split_tasks_sees_them(order):
     with pytest.raises(LabelOutOfRangeError):
         split_tasks(FeatureDataset(tr.features, labels, 4), te, 2, order)
     with pytest.raises(FormatError):
-        stream.train.subset([])  # an empty selection is still no dataset
+        # an empty selection is still no dataset
+        FeatureDataset(stream.train_x[[]], stream.train_y[[]], 4)
 
 
 def test_save_dataset_writes_the_float32_and_int32_payload(tmp_path):
@@ -382,38 +438,39 @@ def test_step_rows_materialization():
     te = make_ds(2, 6, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     mem = rebalance_memory(MemoryBuffer(8), stream, 2)
-    task = stream.task_train(3)
+    task_x, task_y = stream.task_train(3)
+    n = task_x.shape[0]
     X_all, y_all = step_rows(stream, 3, mem)
     # task 3's rows first, then the memory, class-ordered
-    np.testing.assert_array_equal(X_all[: task.n], task.features)
-    np.testing.assert_array_equal(y_all[: task.n], task.labels)
-    X, y = X_all[task.n :], y_all[task.n :]
+    np.testing.assert_array_equal(X_all[:n], task_x)
+    np.testing.assert_array_equal(y_all[:n], task_y)
+    X, y = X_all[n:], y_all[n:]
     assert X.shape[0] == sum(len(v) for v in mem.entries.values()) == len(y)
     assert list(y) == sorted(y)
     for c in mem.entries:
         np.testing.assert_array_equal(
-            X[y == c], stream.train.features[np.asarray(mem.entries[c])]
+            X[y == c], stream.train_x[np.asarray(mem.entries[c])]
         )
-        assert np.all(stream.train.labels[mem.entries[c]] == c)
+        assert np.all(stream.train_y[mem.entries[c]] == c)
 
 
 def test_step_rows_without_memory_is_the_task_itself():
     stream = split_tasks(make_ds(10, 4, 3), make_ds(2, 4, 3, seed=1), 2)
-    task = stream.task_train(2)
+    task_x, task_y = stream.task_train(2)
     for mem in (MemoryBuffer(0), MemoryBuffer(8, {0: [], 1: []})):
         X, y = step_rows(stream, 2, mem)
-        np.testing.assert_array_equal(X, task.features, strict=True)
-        np.testing.assert_array_equal(y, task.labels, strict=True)
+        np.testing.assert_array_equal(X, task_x, strict=True)
+        np.testing.assert_array_equal(y, task_y, strict=True)
 
 
 def test_ood_subset_sizes_and_nesting():
     ds = make_ds(120, 5, 3)  # 600 rows
     rng = RngStream(3, "ood")
     sub2 = ood_subset(ds, 2, 5, rng)
-    assert sub2.n == 240
-    assert ood_subset(ds, 5, 5, rng).n == 600
+    assert sub2.shape == (240, 3)
+    assert ood_subset(ds, 5, 5, rng).shape[0] == 600
     sub1 = ood_subset(ds, 1, 5, rng)
-    np.testing.assert_array_equal(sub1.features, sub2.features[: sub1.n])
+    np.testing.assert_array_equal(sub1, sub2[: sub1.shape[0]])
     with pytest.raises(ValueError):
         ood_subset(ds, 0, 5, rng)
     with pytest.raises(ValueError):
@@ -427,7 +484,7 @@ def test_ood_subset_ratio_constant_when_test_sizes_equal():
     ratios = []
     for t in range(1, 6):
         sub = ood_subset(ds, t, 5, rng)
-        ratios.append(sub.n / (t * per_task_test))
+        ratios.append(sub.shape[0] / (t * per_task_test))
     assert max(ratios) - min(ratios) <= 1 / per_task_test  # within one sample
 
 
@@ -447,6 +504,33 @@ def test_suite_manifest_round_trip(tmp_path):
     assert train.n == 12 and test.n == 6
     assert suite.entries[0].name == "noise"
     assert suite.entries[0].tag == "far"
+
+
+def test_manifest_class_count_above_the_id_train_rows_fails_before_counting(tmp_path):
+    # an 8-row suite declaring a million classes: counting the rows of each
+    # class first made a message naming the ~10^6 empty classes
+    for name, ds in (("train", make_ds(1, 8, 2)), ("test", make_ds(1, 8, 2, seed=1)),
+                     ("noise", make_ds(8, 1, 2, seed=2))):
+        save_dataset(ds, tmp_path / f"{name}.bin")
+    manifest = tmp_path / "suite.json"
+    manifest.write_text(
+        '{"n_classes": 1000000, "id_train": "train.bin", "id_test": "test.bin",'
+        ' "ood": [{"name": "noise", "path": "noise.bin", "tag": "far"}]}'
+    )
+    with pytest.raises(DataError) as info:
+        load_suite_manifest(manifest)
+    message = str(info.value)
+    assert len(message) < 200
+    assert "1000000" in message and "8 rows" in message
+
+
+def test_ood_subset_is_a_read_only_feature_array():
+    ds = make_ds(20, 3, 4)
+    sub = ood_subset(ds, 2, 3, RngStream(1, "ood"))
+    assert sub.shape == (40, 4) and sub.dtype == np.float64
+    assert not sub.flags.writeable
+    # a gathered copy: the dataset's rows stay the caller's
+    assert not np.shares_memory(sub, ds.features) and ds.features.flags.writeable
 
 
 def test_ood_suite_validation():

@@ -375,8 +375,8 @@ def test_plain_finetune_matches_base_accuracy():
     cfg = BerConfig(epochs=10, batch_size=64)
     f_model = finetune_step_loop(model, stream, 2, mems[1], "plain", cfg, RngStream(2, "ft"))
     test = stream.test_through(2)
-    acc_h = evaluate_accuracy(model, test)
-    acc_f = evaluate_accuracy(f_model, test)
+    acc_h = evaluate_accuracy(model, *test)
+    acc_f = evaluate_accuracy(f_model, *test)
     assert abs(acc_h - acc_f) <= 0.02
 
 
@@ -400,16 +400,16 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
     """finetune_step_loop with its own epoch loop and its own row assembly
     (the memory's rows of the stream's training set gathered class by
     class), as it was before it shared the CIL epoch loop."""
-    task_train = stream.task_train(t)
+    task_x, task_y = stream.task_train(t)
     row_of = {c: i for i, c in enumerate(model.seen_classes)}
-    xs = [stream.train.features[np.asarray(mem.entries[c], dtype=np.int64)]
+    xs = [stream.train_x[np.asarray(mem.entries[c], dtype=np.int64)]
           for c in sorted(mem.entries) if mem.entries[c]]
     ys = [np.full(len(mem.entries[c]), c, dtype=np.int64) for c in sorted(mem.entries)
           if mem.entries[c]]
-    mem_X_raw = np.concatenate(xs) if xs else np.zeros((0, task_train.dim))
+    mem_X_raw = np.concatenate(xs) if xs else np.zeros((0, task_x.shape[1]))
     mem_y = np.concatenate(ys) if ys else np.zeros(0, dtype=np.int64)
-    Z_new = task_train.features
-    y_new = np.array([row_of[int(c)] for c in task_train.labels], dtype=np.int64)
+    Z_new = task_x
+    y_new = np.array([row_of[int(c)] for c in task_y], dtype=np.int64)
     Z_mem = mem_X_raw
     y_mem = np.array([row_of[int(c)] for c in mem_y], dtype=np.int64)
 
@@ -535,7 +535,7 @@ def test_ber_widens_id_ood_score_gap():
             mems.append(mem)
             model, mem = train_task(model, stream, t, mem, cil, rng)
         T = stream.num_steps
-        id_X = stream.test_through(T).features
+        id_X, _ = stream.test_through(T)
         ood_X = np.concatenate([e.dataset.features for e in suite.entries])
         for method, kw in (("plain", {}), ("ber", {"hinge_orientation": "energy_paper"})):
             fm = finetune_step_loop(

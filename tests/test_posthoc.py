@@ -286,6 +286,9 @@ def test_scorers_are_deterministic():
         s1 = score_batch(name, model, fit, X)
         s2 = score_batch(name, model, fit, X)
         np.testing.assert_array_equal(s1, s2)
+        # rows given as lists score alike: the model reads them as float64
+        from_lists = fit_scorer(name, model, bank.tolist())
+        np.testing.assert_array_equal(score_batch(name, model, from_lists, X.tolist()), s1)
 
 
 def test_fit_scorer_rejects_unknown():

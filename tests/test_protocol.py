@@ -7,7 +7,7 @@ import pytest
 
 import cilbench.protocol as protocol
 from cilbench.cil import CilConfig
-from cilbench.data import FormatError
+from cilbench.data import FeatureDataset, FormatError
 from cilbench.finetune import BerConfig
 from cilbench.posthoc import PosthocParams
 from cilbench.protocol import (
@@ -19,7 +19,7 @@ from cilbench.protocol import (
     run_benchmark,
     verify_consistency,
 )
-from cilbench.synthgen import SynthSpec
+from cilbench.synthgen import SynthSpec, write_synth_suite
 
 SMALL_SYNTH = {
     "n_classes": 8,
@@ -278,6 +278,45 @@ def test_a_seed_frees_its_rows_before_the_next_seed(class_order):
     # the suite is most of a seed's peak: holding seed 0's rows while
     # seed 1's are made would put the ratio near 1.6 (1.2 for seeded)
     assert two <= 1.1 * one
+
+
+def count_dataset_checks(monkeypatch) -> list:
+    """Patch ``FeatureDataset``'s check to count its runs in the returned list."""
+    checks = []
+    check = FeatureDataset.__post_init__
+
+    def counting(self):
+        checks.append(1)
+        check(self)
+
+    monkeypatch.setattr(FeatureDataset, "__post_init__", counting)
+    return checks
+
+
+@pytest.mark.parametrize(
+    "over",
+    [{}, {"class_order": "seeded"}, {"ood": {"method": "ber"}}, {"ood": {"method": "nnguide"}}],
+    ids=["energy", "seeded", "ber", "nnguide"],
+)
+def test_rows_are_checked_once_where_they_enter(monkeypatch, over):
+    # a seed's suite is checked when generate builds it (ID train, ID test
+    # and each OOD set); its task stream, step slices and OOD subsets are
+    # plain read-only arrays that are not checked again
+    checks = count_dataset_checks(monkeypatch)
+    cfg = small_config(**over)  # two seeds
+    report = run_benchmark(cfg)
+    assert report.aggregates["effective_seeds"] == 2
+    spec = cfg.synth_spec
+    assert len(checks) == len(cfg.seeds) * (2 + spec.n_near_sets + spec.n_far_sets)
+
+
+def test_a_manifest_suite_is_checked_once_per_run(monkeypatch, tmp_path):
+    spec = SynthSpec(**SMALL_SYNTH)
+    manifest = write_synth_suite(spec, tmp_path / "suite")
+    checks = count_dataset_checks(monkeypatch)
+    report = run_benchmark(small_config(data={"manifest": str(manifest)}))
+    assert report.aggregates["effective_seeds"] == 2
+    assert len(checks) == 2 + spec.n_near_sets + spec.n_far_sets
 
 
 @pytest.mark.parametrize(

@@ -106,7 +106,7 @@ def test_vanishing_noise_makes_one_task_separable():
     model = CilModel.fresh(spec.dim)
     cfg = CilConfig(epochs_per_task=10)
     model, _ = train_task(model, stream, 1, MemoryBuffer(0), cfg, RngStream(0, "s0"))
-    assert evaluate_accuracy(model, stream.test_through(1)) == 1.0
+    assert evaluate_accuracy(model, *stream.test_through(1)) == 1.0
 
 
 def test_small_noise_far_sets_are_trivially_detectable():
@@ -125,13 +125,13 @@ def test_small_noise_far_sets_are_trivially_detectable():
         model, _ = train_task(
             model, stream, 1, MemoryBuffer(200), CilConfig(), RngStream(seed, "ss")
         )
-        id_s = score_batch("energy", model, None, stream.test_through(1).features)
+        id_s = score_batch("energy", model, None, stream.test_through(1)[0])
         far = [
             auroc(
                 id_s,
                 score_batch(
                     "energy", model, None,
-                    ood_subset(e.dataset, 1, 5, RngStream(seed, f"f/{e.name}")).features,
+                    ood_subset(e.dataset, 1, 5, RngStream(seed, f"f/{e.name}")),
                 ),
             )
             for e in suite.entries
