@@ -96,8 +96,8 @@ def _cmd_run(args) -> int:
         return _fail("runtime", f"{type(exc).__name__}: {exc}", EXIT_RUNTIME)
     if report.aggregates["effective_seeds"] == 0:
         first = report.failures[0]["error"] if report.failures else "no seeds ran"
-        if first.startswith("data:"):
-            return _fail("data", first, EXIT_DATA)
+        if first.startswith("data: "):  # report.json keeps the prefix; stderr has [data]
+            return _fail("data", first.removeprefix("data: "), EXIT_DATA)
         return _fail("runtime", f"all seeds failed: {first}", EXIT_RUNTIME)
     try:
         paths = emit_report(report, out_dir)

@@ -11,7 +11,8 @@ The binary on-disk format is little-endian:
     n*d float32 features (row-major) | n int32 labels
 
 A suite manifest is a JSON document naming the ID train/test files and a
-list of OOD datasets, each tagged ``near`` or ``far``.
+list of OOD datasets, each tagged ``near`` or ``far``.  Every data fault
+is one :class:`DataError`; one in a manifest set names the set and file.
 """
 from __future__ import annotations
 
@@ -27,10 +28,6 @@ from .numerics import RngStream
 
 __all__ = [
     "DataError",
-    "FormatError",
-    "DimensionMismatchError",
-    "LabelOutOfRangeError",
-    "NonFiniteFeatureError",
     "FeatureDataset",
     "TaskStream",
     "MemoryBuffer",
@@ -52,23 +49,8 @@ _SAVE_ROWS = 4096
 
 
 class DataError(Exception):
-    """Base class for dataset ingestion errors."""
-
-
-class FormatError(DataError):
-    """Malformed header, truncated payload, or unparsable text."""
-
-
-class DimensionMismatchError(DataError):
-    """Row width disagrees with the declared feature dimension."""
-
-
-class LabelOutOfRangeError(DataError):
-    """A label falls outside [0, n_classes)."""
-
-
-class NonFiniteFeatureError(DataError):
-    """A feature value is NaN or infinite."""
+    """Rows or a suite that cannot be read or break a dataset invariant:
+    the one data error, whose message says what is wrong and where."""
 
 
 @dataclass(frozen=True)
@@ -84,17 +66,17 @@ class FeatureDataset:
         feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
         labels = np.asarray(self.labels)
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
-            raise FormatError("features must be a nonempty (n, d) matrix")
+            raise DataError("features must be a nonempty (n, d) matrix")
         if labels.shape != (feats.shape[0],):
-            raise DimensionMismatchError("labels must have one entry per row")
+            raise DataError("labels must have one entry per row")
         if labels.dtype.kind not in "iu":
-            raise FormatError(f"labels must be integers, not {labels.dtype}")
+            raise DataError(f"labels must be integers, not {labels.dtype}")
         labels = labels.astype(np.int64, copy=False)
         if not np.all(np.isfinite(feats)):
-            raise NonFiniteFeatureError("non-finite feature value")
+            raise DataError("non-finite feature value")
         n_classes = self.n_classes if self.n_classes > 0 else int(labels.max()) + 1
         if labels.min() < 0 or labels.max() >= n_classes:
-            raise LabelOutOfRangeError(f"labels must lie in [0, {n_classes})")
+            raise DataError(f"labels must lie in [0, {n_classes})")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n_classes", n_classes)
@@ -174,7 +156,10 @@ class OodEntry:
 
     def __post_init__(self):
         if self.tag not in ("near", "far"):
-            raise DataError(f"unknown OOD tag {self.tag!r}")
+            raise DataError(f"OOD set {self.name!r}: unknown OOD tag {self.tag!r}")
+        # the name is a field of report.csv, written without quoting
+        if any(ch in self.name for ch in ',"\r\n'):
+            raise DataError(f"OOD set name {self.name!r} holds a comma, quote, CR or LF")
 
 
 @dataclass(frozen=True)
@@ -204,22 +189,23 @@ def load_dataset(path, n_classes: int = 0) -> FeatureDataset:
     """Load a binary feature file, validating all invariants.
 
     ``n_classes`` caps the label range when the caller knows the class
-    count (labels >= n_classes raise :class:`LabelOutOfRangeError`).
+    count.  A file that cannot be read (missing, a directory, unreadable)
+    or breaks the format or a dataset invariant raises :class:`DataError`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FormatError(f"no such file: {path}")
-    raw = path.read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if len(raw) < 16:
-        raise FormatError("file too short for header")
+        raise DataError("file too short for header")
     if raw[:4] != _MAGIC:
-        raise FormatError("bad magic, expected OCF1")
+        raise DataError("bad magic, expected OCF1")
     version, n, d = struct.unpack("<III", raw[4:16])
     if version != _VERSION:
-        raise FormatError(f"unsupported version {version}")
+        raise DataError(f"unsupported version {version}")
     expect = 16 + 4 * n * d + 4 * n
     if len(raw) != expect:
-        raise FormatError(f"payload size mismatch ({len(raw)} != {expect})")
+        raise DataError(f"payload size mismatch ({len(raw)} != {expect})")
     feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16)
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=16 + 4 * n * d)
     # the check reads them into new float64 and int64 arrays
@@ -418,10 +404,13 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     """Read a suite manifest JSON; paths are resolved against its directory.
 
     Schema: {"n_classes": int > 0?, "id_train": str, "id_test": str,
-             "ood": [{"name": str, "path": str, "tag": "near"|"far"}]}
-    ``id_test`` and every OOD set must be as wide as ``id_train``, and
-    ``id_test`` labels must lie below ``id_train``'s class count.  Both ID
-    sets must hold rows of every class below that count: a class without
+             "ood": [{"name": str, "path": str, "tag": "near"|"far"}],
+             "synth_spec": object?}
+    Any other key, at the top or in an OOD entry, is an error.  Every set
+    is read by one local ``load``, which also checks that the set is as
+    wide as ``id_train``; any failure there names the set and its file.
+    ``id_test`` labels must lie below ``id_train``'s class count, and both
+    ID sets must hold rows of every class below it: a class without
     training rows would be a head row nothing trains, one without test
     rows a class nothing tests.  A count above ``id_train``'s row count
     fails before the rows of each class are counted.
@@ -430,40 +419,46 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read manifest {path}: {exc}") from exc
+        raise DataError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise FormatError(f"manifest {path} is not a JSON object")
-    base = path.parent
+        raise DataError(f"manifest {path} is not a JSON object")
     # absent, the count is inferred from id_train; present, it is the count
     n_classes = doc.get("n_classes", 0)
     if "n_classes" in doc and not (is_int(n_classes) and n_classes > 0):
-        raise FormatError(f"manifest n_classes must be a positive integer, not {n_classes!r}")
+        raise DataError(f"manifest n_classes must be a positive integer, not {n_classes!r}")
     if not isinstance(doc.get("ood"), list) or not doc["ood"]:
-        raise FormatError("manifest 'ood' must be a nonempty list of OOD sets")
+        raise DataError("manifest 'ood' must be a nonempty list of OOD sets")
     if not all(isinstance(e, dict) for e in doc["ood"]):
-        raise FormatError("manifest 'ood' entries must be objects")
+        raise DataError("manifest 'ood' entries must be objects")
+    unknown = sorted(doc.keys() - {"n_classes", "id_train", "id_test", "ood", "synth_spec"})
+    unknown += [f"ood[{i}].{key}" for i, e in enumerate(doc["ood"])
+                for key in sorted(e.keys() - {"name", "path", "tag"})]
+    if unknown:
+        raise DataError(f"manifest has unknown keys: {', '.join(unknown)}")
     named = [(doc, "id_train"), (doc, "id_test")]
     named += [(e, key) for e in doc["ood"] for key in ("name", "path")]
     bad = [f"{key}={d[key]!r}" for d, key in named if not isinstance(d.get(key, ""), str)]
     if bad:
-        raise FormatError(f"manifest names and paths must be strings: {', '.join(bad)}")
-    try:
-        train = load_dataset(base / doc["id_train"], n_classes)
+        raise DataError(f"manifest names and paths must be strings: {', '.join(bad)}")
+
+    def load(name: str, rel: str, n_classes: int = 0, dim: int | None = None) -> FeatureDataset:
         try:
-            test = load_dataset(base / doc["id_test"], train.n_classes)
-        except LabelOutOfRangeError as exc:
-            raise LabelOutOfRangeError(f"manifest set 'id_test': {exc}") from exc
+            ds = load_dataset(path.parent / rel, n_classes)
+            if dim is not None and ds.dim != dim:
+                raise DataError(f"{ds.dim} features per row, id_train has {dim}")
+            return ds
+        except DataError as exc:
+            raise DataError(f"manifest set {name!r} ({rel}): {exc}") from exc
+
+    try:
+        train = load("id_train", doc["id_train"], n_classes)
+        test = load("id_test", doc["id_test"], train.n_classes, train.dim)
         entries = tuple(
-            OodEntry(e["name"], load_dataset(base / e["path"]), e["tag"])
+            OodEntry(e["name"], load(e["name"], e["path"], dim=train.dim), e["tag"])
             for e in doc["ood"]
         )
     except KeyError as exc:
-        raise FormatError(f"manifest missing field {exc}") from exc
-    for name, ds in [("id_test", test)] + [(e.name, e.dataset) for e in entries]:
-        if ds.dim != train.dim:
-            raise DimensionMismatchError(
-                f"manifest set {name!r} has {ds.dim} features per row, id_train has {train.dim}"
-            )
+        raise DataError(f"manifest missing field {exc}") from exc
     if train.n_classes > train.n:
         raise DataError(f"manifest class count {train.n_classes} exceeds id_train's {train.n} rows")
     for name, ds in (("id_train", train), ("id_test", test)):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,48 @@ def test_run_manifest_with_mismatched_widths_is_a_data_error(tmp_path, capsys, t
     assert run_manifest(tmp_path, manifest, "out", seeds=[0, 1]) == 2
     err = capsys.readouterr().err
     assert "CILBENCH-ERROR [data]" in err and "6 features per row, id_train has 16" in err
+
+
+def _patch(path, offset, fmt, value):
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(raw)
+
+
+FILE_FAULTS = {
+    "missing": (lambda p: p.unlink(), "No such file or directory"),
+    "directory": (lambda p: (p.unlink(), p.mkdir()), "Is a directory"),
+    "bad_magic": (lambda p: _patch(p, 0, "4s", b"XXXX"), "bad magic, expected OCF1"),
+    "truncated": (lambda p: p.write_bytes(p.read_bytes()[:-3]), "payload size mismatch"),
+    "nan_feature": (lambda p: _patch(p, 16, "<f", float("nan")), "non-finite feature value"),
+    "label_out_of_range": (lambda p: _patch(p, -4, "<i", -1), "labels must lie in"),
+}
+
+
+@pytest.mark.parametrize("fault", FILE_FAULTS)
+@pytest.mark.parametrize(
+    "name, file", [("id_train", "id_train.bin"), ("id_test", "id_test.bin"), ("far2", "ood_far2.bin")]
+)
+def test_a_broken_manifest_set_is_a_data_error_that_names_it(tmp_path, capsys, name, file, fault):
+    # the OOD sets' errors used to name no set, and a directory exited 3
+    manifest = gen_suite(tmp_path)
+    breaks, message = FILE_FAULTS[fault]
+    breaks(manifest.parent / file)
+    assert run_manifest(tmp_path, manifest, "out") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"CILBENCH-ERROR [data]: manifest set {name!r} ({file}): ")
+    assert message in err[0]
+
+
+def test_a_data_error_is_printed_with_one_prefix(tmp_path, capsys):
+    # stderr read "CILBENCH-ERROR [data]: data: ..."; report.json failures
+    # keep their "data: " (test_protocol.py)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, "data": {"manifest": "no/such/manifest.json"}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("CILBENCH-ERROR [data]: cannot read manifest ")
 
 
 def test_run_without_out_dir_exits_1(tmp_path):

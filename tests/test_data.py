@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,12 +9,8 @@ from hypothesis import strategies as st
 from cilbench.data import (
     _SAVE_ROWS,
     DataError,
-    DimensionMismatchError,
     FeatureDataset,
-    FormatError,
-    LabelOutOfRangeError,
     MemoryBuffer,
-    NonFiniteFeatureError,
     OodEntry,
     OodSuite,
     herding_select,
@@ -57,26 +56,26 @@ def test_load_errors_are_distinct(tmp_path):
 
     bad_magic = tmp_path / "magic.bin"
     bad_magic.write_bytes(b"XXXX" + p.read_bytes()[4:])
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="bad magic, expected OCF1"):
         load_dataset(bad_magic)
 
     truncated = tmp_path / "trunc.bin"
     truncated.write_bytes(p.read_bytes()[:-3])
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match=r"payload size mismatch \(37 != 40\)"):
         load_dataset(truncated)
 
-    with pytest.raises(LabelOutOfRangeError):
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 1\)"):
         load_dataset(p, n_classes=1)  # file holds label 1
 
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match="missing.bin: No such file"):
         load_dataset(tmp_path / "missing.bin")
 
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DataError, match="labels must have one entry per row"):
         FeatureDataset(np.ones((2, 2)), [0, 1, 0], 2)  # one label too many
 
 
 def test_nonfinite_feature_rejected():
-    with pytest.raises(NonFiniteFeatureError):
+    with pytest.raises(DataError, match="non-finite feature value"):
         FeatureDataset(np.array([[1.0, np.nan]]), [0], 1)
 
 
@@ -86,7 +85,7 @@ def test_nonfinite_feature_rejected():
 def test_non_integer_labels_are_rejected_not_truncated(labels):
     # float labels used to be truncated ([0.7, 1.2] -> [0, 1]) and bools
     # read as classes 1 and 0
-    with pytest.raises(FormatError, match="labels must be integers"):
+    with pytest.raises(DataError, match="labels must be integers"):
         FeatureDataset(np.ones((2, 3)), labels)
 
 
@@ -257,12 +256,12 @@ def test_rows_from_outside_are_checked_before_split_tasks_sees_them(order):
     stream = split_tasks(tr, te, 2, order)
     feats, labels = tr.features.copy(), tr.labels.copy()
     feats[7, 1] = np.inf
-    with pytest.raises(NonFiniteFeatureError):
+    with pytest.raises(DataError, match="non-finite feature value"):
         split_tasks(FeatureDataset(feats, labels, 4), te, 2, order)
     labels[3] = 4
-    with pytest.raises(LabelOutOfRangeError):
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 4\)"):
         split_tasks(FeatureDataset(tr.features, labels, 4), te, 2, order)
-    with pytest.raises(FormatError):
+    with pytest.raises(DataError, match=r"features must be a nonempty \(n, d\) matrix"):
         # an empty selection is still no dataset
         FeatureDataset(stream.train_x[[]], stream.train_y[[]], 4)
 
@@ -504,6 +503,51 @@ def test_suite_manifest_round_trip(tmp_path):
     assert train.n == 12 and test.n == 6
     assert suite.entries[0].name == "noise"
     assert suite.entries[0].tag == "far"
+
+
+def write_small_suite(tmp_path, **top):
+    """A 3-class suite with one far set ``noise``; ``top`` updates the manifest."""
+    for name, ds in (("train", make_ds(4, 3, 2)), ("test", make_ds(2, 3, 2, seed=1)),
+                     ("noise", make_ds(5, 1, 2, seed=2))):
+        save_dataset(ds, tmp_path / f"{name}.bin")
+    doc = {"n_classes": 3, "id_train": "train.bin", "id_test": "test.bin",
+           "ood": [{"name": "noise", "path": "noise.bin", "tag": "far"}], **top}
+    manifest = tmp_path / "suite.json"
+    manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "top, unknown",
+    [
+        # the typo ran, and the class count was inferred without a word
+        ({"n_clases": 5}, "n_clases"),
+        ({"ood": [{"name": "noise", "path": "noise.bin", "tag": "far", "tags": "near"}]},
+         "ood[0].tags"),
+    ],
+)
+def test_manifest_rejects_keys_it_does_not_know(tmp_path, top, unknown):
+    with pytest.raises(DataError, match=rf"manifest has unknown keys: {re.escape(unknown)}$"):
+        load_suite_manifest(write_small_suite(tmp_path, **top))
+    # gen-synth writes synth_spec beside the sets
+    assert load_suite_manifest(write_small_suite(tmp_path, synth_spec={"seed": 0}))[0].n == 12
+
+
+@pytest.mark.parametrize("name", ["near,1", "near\n2", 'near"3', "far\r4"])
+def test_ood_names_that_would_break_report_csv_are_rejected(tmp_path, name):
+    # report.csv writes the name unquoted: "near,1" and "near\n2" gave rows
+    # of 3, 8, 10 and 11 fields under a 10-field header
+    with pytest.raises(DataError, match="holds a comma, quote, CR or LF"):
+        OodEntry(name, make_ds(2, 1, 2), "near")
+    manifest = write_small_suite(tmp_path, ood=[{"name": name, "path": "noise.bin", "tag": "far"}])
+    with pytest.raises(DataError, match=re.escape(f"OOD set name {name!r}")):
+        load_suite_manifest(manifest)
+
+
+def test_an_unknown_ood_tag_names_its_set():
+    # the message named the tag alone, so a manifest of six sets left the set unsaid
+    with pytest.raises(DataError, match="^OOD set 'x': unknown OOD tag 'weird'$"):
+        OodEntry("x", make_ds(2, 1, 2), "weird")
 
 
 def test_manifest_class_count_above_the_id_train_rows_fails_before_counting(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import cilbench.protocol as protocol
 from cilbench.cil import CilConfig
-from cilbench.data import FeatureDataset, FormatError
+from cilbench.data import DataError, FeatureDataset
 from cilbench.finetune import BerConfig
 from cilbench.posthoc import PosthocParams
 from cilbench.protocol import (
@@ -321,7 +321,7 @@ def test_a_manifest_suite_is_checked_once_per_run(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize(
     "exc, error",
-    [(FormatError("bad manifest"), "data: bad manifest"), (RuntimeError("boom"), "RuntimeError: boom")],
+    [(DataError("bad manifest"), "data: bad manifest"), (RuntimeError("boom"), "RuntimeError: boom")],
 )
 def test_manifest_load_failure_fails_every_seed(monkeypatch, exc, error):
     def failing(path):
