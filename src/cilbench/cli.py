@@ -1,8 +1,10 @@
 """Command-line entry point: generate data, run benchmarks, emit reports.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime
-failure.  Errors print one machine-parsable line to stderr with the
-prefix ``CILBENCH-ERROR [kind]:``.  Seeds run one after another.
+failure.  ``main`` maps an uncaught error to its exit code, printing one
+machine-parsable line to stderr with the prefix ``CILBENCH-ERROR [kind]:``:
+``ConfigError`` is ``config``, ``DataError`` is ``data``, anything else
+``runtime``.  Seeds run one after another.
 ``report`` re-checks the aggregates of the report it reads against its
 records (exit 2 when they disagree or the document is not a report).
 """
@@ -14,6 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .data import DataError
 from .protocol import (
     BenchmarkReport,
     ConfigError,
@@ -65,39 +68,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_synth(args) -> int:
     try:
-        spec = SynthSpec.from_dict(json.loads(Path(args.spec).read_text()))
-    except ConfigError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+        doc = json.loads(Path(args.spec).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         return _fail("config", f"bad synth spec: {exc}", EXIT_CONFIG)
     try:
-        manifest = write_synth_suite(spec, args.out)
+        manifest = write_synth_suite(SynthSpec.from_dict(doc), args.out)
     except OSError as exc:
-        return _fail("data", f"cannot write suite: {exc}", EXIT_DATA)
+        return _fail("runtime", f"cannot write suite: {exc}", EXIT_RUNTIME)
     print(manifest)
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = RunConfig.from_json(args.config)
-        if args.seed_override is not None:
-            cfg = replace(cfg, seeds=(args.seed_override,))
-    except ConfigError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+    cfg = RunConfig.from_json(args.config)
+    if args.seed_override is not None:
+        cfg = replace(cfg, seeds=(args.seed_override,))
     out_dir = args.out or cfg.out_dir
     if out_dir is None:
-        return _fail("config", "no output directory (set out_dir or pass --out)", EXIT_CONFIG)
-    try:
-        report = run_benchmark(cfg, artifact_dir=out_dir)
-    except ConfigError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
-    except Exception as exc:
-        return _fail("runtime", f"{type(exc).__name__}: {exc}", EXIT_RUNTIME)
+        raise ConfigError("no output directory (set out_dir or pass --out)")
+    report = run_benchmark(cfg, artifact_dir=out_dir)
     if report.aggregates["effective_seeds"] == 0:
         first = report.failures[0]["error"] if report.failures else "no seeds ran"
-        if first.startswith("data: "):  # report.json keeps the prefix; stderr has [data]
-            return _fail("data", first.removeprefix("data: "), EXIT_DATA)
         return _fail("runtime", f"all seeds failed: {first}", EXIT_RUNTIME)
     try:
         paths = emit_report(report, out_dir)
@@ -136,10 +127,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        RunConfig.from_json(args.config)
-    except ConfigError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+    RunConfig.from_json(args.config)
     print("ok")
     return EXIT_OK
 
@@ -152,7 +140,14 @@ def main(argv=None) -> int:
         "report": _cmd_report,
         "validate-config": _cmd_validate,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigError as exc:
+        return _fail("config", str(exc), EXIT_CONFIG)
+    except DataError as exc:
+        return _fail("data", str(exc), EXIT_DATA)
+    except Exception as exc:
+        return _fail("runtime", f"{type(exc).__name__}: {exc}", EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

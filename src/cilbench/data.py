@@ -406,7 +406,8 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     Schema: {"n_classes": int > 0?, "id_train": str, "id_test": str,
              "ood": [{"name": str, "path": str, "tag": "near"|"far"}],
              "synth_spec": object?}
-    Any other key, at the top or in an OOD entry, is an error.  Every set
+    Any other key, at the top or in an OOD entry, is an error, as is a
+    missing one, named with its entry (``ood[2]``) if it is one.  Every set
     is read by one local ``load``, which also checks that the set is as
     wide as ``id_train``; any failure there names the set and its file.
     ``id_test`` labels must lie below ``id_train``'s class count, and both
@@ -440,6 +441,12 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     bad = [f"{key}={d[key]!r}" for d, key in named if not isinstance(d.get(key, ""), str)]
     if bad:
         raise DataError(f"manifest names and paths must be strings: {', '.join(bad)}")
+    missing = [("", key) for key in ("id_train", "id_test") if key not in doc]
+    missing += [(f" ood[{i}]", key) for i, e in enumerate(doc["ood"])
+                for key in ("name", "path", "tag") if key not in e]
+    if missing:
+        where, key = missing[0]
+        raise DataError(f"manifest{where} missing field {key!r}")
 
     def load(name: str, rel: str, n_classes: int = 0, dim: int | None = None) -> FeatureDataset:
         try:
@@ -450,15 +457,12 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
         except DataError as exc:
             raise DataError(f"manifest set {name!r} ({rel}): {exc}") from exc
 
-    try:
-        train = load("id_train", doc["id_train"], n_classes)
-        test = load("id_test", doc["id_test"], train.n_classes, train.dim)
-        entries = tuple(
-            OodEntry(e["name"], load(e["name"], e["path"], dim=train.dim), e["tag"])
-            for e in doc["ood"]
-        )
-    except KeyError as exc:
-        raise DataError(f"manifest missing field {exc}") from exc
+    train = load("id_train", doc["id_train"], n_classes)
+    test = load("id_test", doc["id_test"], train.n_classes, train.dim)
+    entries = tuple(
+        OodEntry(e["name"], load(e["name"], e["path"], dim=train.dim), e["tag"])
+        for e in doc["ood"]
+    )
     if train.n_classes > train.n:
         raise DataError(f"manifest class count {train.n_classes} exceeds id_train's {train.n} rows")
     for name, ds in (("id_train", train), ("id_test", test)):

@@ -31,14 +31,7 @@ import numpy as np
 
 from .cil import CilConfig, CilModel, evaluate_accuracy, train_task
 from .configcheck import ConfigError, check_field_types, check_keys, is_int, parse_section
-from .data import (
-    DataError,
-    MemoryBuffer,
-    load_suite_manifest,
-    ood_subset,
-    split_tasks,
-    step_rows,
-)
+from .data import MemoryBuffer, load_suite_manifest, ood_subset, split_tasks, step_rows
 from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
 from .model import save_head
@@ -281,14 +274,12 @@ def _run_seed(cfg: RunConfig, seed: int, stream, suite, artifact_dir: Path | Non
         if artifact_dir is not None:
             with _timed(took, "checkpoint_io"):
                 ckpt = artifact_dir / "checkpoints"
-                ckpt.mkdir(parents=True, exist_ok=True)
                 save_head(model.head, ckpt / f"head_seed{seed}_step{t}.och")
                 if score_model is not model:
                     save_head(score_model.head, ckpt / f"extra_head_seed{seed}_step{t}.och")
 
     if artifact_dir is not None:
         logs = artifact_dir / "logs"
-        logs.mkdir(parents=True, exist_ok=True)
         for name, entries in (("train", train_log), ("finetune", ft_log), ("timings", timings)):
             if entries is not None:
                 lines = "".join(json.dumps(e, sort_keys=True) + "\n" for e in entries)
@@ -347,34 +338,27 @@ def verify_consistency(report: BenchmarkReport) -> bool:
 def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     """Execute every seed in turn and aggregate.
 
+    A manifest suite is loaded once, before any seed, and shared by the
+    seeds; any error in it, or in making the artifact directory's
+    ``checkpoints`` and ``logs`` (made after the suite loads), ends the run.
     A failing seed is recorded under ``failures`` and does not abort the
-    others; a :class:`ConfigError` found once the data is loaded aborts the
-    run.  Synthetic data is generated per seed, from ``synth_spec`` with
-    that seed (a run config takes no ``data.synth.seed``).  A manifest
-    suite is read by the first seed and reused once it loads; a failed read
-    fails that seed and is retried by the next, so a bad manifest fails
-    every seed.  A seed's stream goes straight into ``_run_seed``, so its
-    rows are freed when the seed ends, before the next seed's are made.
+    others.  Synthetic data is generated per seed, from ``synth_spec`` with
+    that seed (a run config takes no ``data.synth.seed``).  A seed's stream
+    goes straight into ``_run_seed``, so its rows are freed when the seed
+    ends, before the next seed's are made.
     """
+    manifest = None if cfg.synth_spec is not None else _load_manifest(cfg)
     artifact_dir = Path(artifact_dir) if artifact_dir else None
-    results: dict[int, list[dict]] = {}
+    if artifact_dir is not None:
+        for sub in ("checkpoints", "logs"):
+            (artifact_dir / sub).mkdir(parents=True, exist_ok=True)
+    records: list[dict] = []
     failures: list[dict] = []
-    manifest = None
     for seed in cfg.seeds:
         try:
-            if cfg.synth_spec is None:
-                manifest = manifest or _load_manifest(cfg)
-            results[seed] = _run_seed(cfg, seed, *_seed_data(cfg, seed, manifest), artifact_dir)
-        except DataError as exc:
-            failures.append({"seed": seed, "error": f"data: {exc}"})
-        except ConfigError:
-            raise  # the same for every seed
+            records += _run_seed(cfg, seed, *_seed_data(cfg, seed, manifest), artifact_dir)
         except Exception as exc:  # seed-level isolation
             failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
-
-    records: list[dict] = []
-    for seed in sorted(results):
-        records.extend(results[seed])
     records.sort(key=lambda r: (r["seed"], r["step"], r["ood_dataset"]))
     failures.sort(key=lambda f: f["seed"])
     aggregates = _aggregate(records, cfg.seeds)

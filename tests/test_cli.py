@@ -328,13 +328,69 @@ def test_a_broken_manifest_set_is_a_data_error_that_names_it(tmp_path, capsys, n
 
 
 def test_a_data_error_is_printed_with_one_prefix(tmp_path, capsys):
-    # stderr read "CILBENCH-ERROR [data]: data: ..."; report.json failures
-    # keep their "data: " (test_protocol.py)
+    # stderr read "CILBENCH-ERROR [data]: data: ..."; a manifest that cannot
+    # be read now ends the run before any seed, so no report is written
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_RUN, "data": {"manifest": "no/such/manifest.json"}}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("CILBENCH-ERROR [data]: cannot read manifest ")
+
+
+def test_an_unwritable_out_dir_fails_the_run_before_any_training(tmp_path, capsys, monkeypatch):
+    # the output directory was first made after step 1 of each seed, so
+    # every seed trained and then failed, and the run exited 3 after all
+    calls = []
+    original = protocol.train_task
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(protocol, "train_task", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, "seeds": [0, 1, 2]}))
+    out = tmp_path / "a_file"
+    out.write_text("")
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("CILBENCH-ERROR [runtime]: NotADirectoryError: "), err
+
+
+def test_gen_synth_write_failure_is_a_runtime_error(tmp_path, capsys):
+    # it exited 2, the code of bad input data, where run's writes exit 3
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_RUN["data"]["synth"], "seed": 7}))
+    out = tmp_path / "a_file"
+    out.write_text("")
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("CILBENCH-ERROR [runtime]: cannot write suite: "), err
+
+
+@pytest.mark.parametrize("command", ["gen-synth", "report", "validate-config"])
+def test_an_unexpected_error_is_one_runtime_line(tmp_path, capsys, monkeypatch, command):
+    # these printed a traceback; main maps every uncaught error to an exit code
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_RUN["data"]["synth"], "seed": 7}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_RUN))
+    report = tmp_path / "report.json"
+    report.write_text("{}")
+    monkeypatch.setattr("cilbench.cli.write_synth_suite", boom)
+    monkeypatch.setattr("cilbench.cli.BenchmarkReport.from_dict", boom)
+    monkeypatch.setattr("cilbench.cli.RunConfig.from_json", boom)
+    argv = {
+        "gen-synth": ["--spec", str(spec), "--out", str(tmp_path / "suite")],
+        "report": ["--in", str(report), "--format", "md"],
+        "validate-config": ["--config", str(cfg)],
+    }[command]
+    assert main([command, *argv]) == 3
+    assert capsys.readouterr().err.splitlines() == ["CILBENCH-ERROR [runtime]: RuntimeError: boom"]
 
 
 def test_run_without_out_dir_exits_1(tmp_path):

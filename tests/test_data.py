@@ -533,6 +533,21 @@ def test_manifest_rejects_keys_it_does_not_know(tmp_path, top, unknown):
     assert load_suite_manifest(write_small_suite(tmp_path, synth_spec={"seed": 0}))[0].n == 12
 
 
+def test_a_missing_manifest_field_names_its_entry(tmp_path):
+    # a missing key in an OOD entry named the key alone, so a suite of six
+    # sets had to be searched by hand for the entry lacking it
+    ood = [{"name": f"noise{i}", "path": "noise.bin", "tag": "far"} for i in range(3)]
+    del ood[2]["tag"]
+    with pytest.raises(DataError, match=r"^manifest ood\[2\] missing field 'tag'$"):
+        load_suite_manifest(write_small_suite(tmp_path, ood=ood))
+    manifest = write_small_suite(tmp_path)
+    doc = json.loads(manifest.read_text())
+    del doc["id_test"]
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="^manifest missing field 'id_test'$"):
+        load_suite_manifest(manifest)
+
+
 @pytest.mark.parametrize("name", ["near,1", "near\n2", 'near"3', "far\r4"])
 def test_ood_names_that_would_break_report_csv_are_rejected(tmp_path, name):
     # report.csv writes the name unquoted: "near,1" and "near\n2" gave rows
