@@ -53,7 +53,7 @@ from .configcheck import check_field_types
 from .data import MemoryBuffer, TaskStream, step_rows
 from .model import LinearHead, ce_loss, head_grad
 from .model import sgd_step  # noqa: F401  (bench/layertrace.py wraps finetune.sgd_step)
-from .numerics import RngStream, l2_rows, l2_rows_backward, logsumexp_softmax_rows
+from .numerics import RngStream, l2_rows, l2_rows_backward, logsumexp_softmax_rows, row_norms
 from .numerics import softmax_cross_entropy
 
 __all__ = [
@@ -220,8 +220,9 @@ def logitnorm_ce_loss(
 ) -> tuple[float, np.ndarray]:
     """Cross-entropy on z / (||z|| * tau_ln) with its analytic gradient."""
     Z = head.logits(X)
-    loss, Gu = softmax_cross_entropy(l2_rows(Z, tau_ln), y_rows)
-    return loss, head_grad(l2_rows_backward(Z, Gu, tau_ln), X)
+    norms = row_norms(Z)
+    loss, Gu = softmax_cross_entropy(l2_rows(Z, tau_ln, norms), y_rows)
+    return loss, head_grad(l2_rows_backward(Z, Gu, tau_ln, norms), X)
 
 
 def ber_terms(

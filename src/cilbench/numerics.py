@@ -20,6 +20,7 @@ __all__ = [
     "softmax_cross_entropy",
     "l2_rows",
     "l2_rows_backward",
+    "row_norms",
 ]
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -94,19 +95,32 @@ def softmax_cross_entropy(Z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarr
     return float(loss), G
 
 
-def l2_rows(X: np.ndarray, tau: float = 1.0) -> np.ndarray:
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm floored at 1e-12, as an (n, 1) column: the
+    divisor of :func:`l2_rows` before ``tau``."""
+    return np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+
+
+def l2_rows(X: np.ndarray, tau: float = 1.0, norms: np.ndarray | None = None) -> np.ndarray:
     """Rows scaled to unit L2 norm, then divided by ``tau``; a row of norm
-    below 1e-12 is divided by 1e-12 * tau instead (a zero row stays zero)."""
+    below 1e-12 is divided by 1e-12 * tau instead (a zero row stays zero).
+    ``norms``, if given, is ``row_norms(X)``."""
     X = np.asarray(X, dtype=np.float64)
-    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    if norms is None:
+        norms = row_norms(X)
     return X / (norms * tau)
 
 
-def l2_rows_backward(X: np.ndarray, G: np.ndarray, tau: float = 1.0) -> np.ndarray:
+def l2_rows_backward(
+    X: np.ndarray, G: np.ndarray, tau: float = 1.0, norms: np.ndarray | None = None
+) -> np.ndarray:
     """The gradient w.r.t. ``X`` given ``G``, the gradient w.r.t.
     ``l2_rows(X, tau)``: (G - u <G, u>) / (max(||x||, 1e-12) * tau) per
-    row, u being the row scaled to unit norm."""
+    row, u being the row scaled to unit norm.  ``norms``, if given, is
+    ``row_norms(X)``, so a caller that ran the forward need not take the
+    norms again."""
     X = np.asarray(X, dtype=np.float64)
-    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    if norms is None:
+        norms = row_norms(X)
     unit = X / norms
     return (G - unit * (G * unit).sum(axis=1, keepdims=True)) / (norms * tau)

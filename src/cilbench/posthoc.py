@@ -15,14 +15,18 @@ min(100, C) probabilities, k=10 neighbours for the feature-bank scorers.
 ``relation_simplified`` is a deliberately reduced form of the relation
 scorer (positive-cosine neighbours weighted by their MSP).
 
-The feature-bank scorers compare queries with the bank in 48-row slices
-scored on a thread pool, one worker per usable core (numpy's matmul and
-argpartition release the GIL).  Each worker holds one slice of
-similarities at a time, and no more workers run than a budget of 2^21
-similarities holds slices (16 MB, or one worker for a bank of more than
-43690 rows), so memory is bounded by the budget and not by queries x
-bank.  Every row's scores come from the same 48-row BLAS call whatever
-the worker count, so the scores do not depend on it.
+The feature-bank scorers find each query's k nearest bank rows exactly.
+A float32 screen, one BLAS call per slice of 128 queries against a
+float32 copy of the bank, keeps for each query only the bank rows that
+could still be among its k; those few are rescored in float64, one fixed
+numpy reduction per pair, and the k are chosen from the rescored values
+(:func:`_topk_sims` states the error bound and the proof).  So the
+similarities and neighbours are those of an unscreened float64 search,
+and no bit of them follows the slice height, the worker count, or the
+BLAS threads and kernels.  Slices are scored on a thread pool, one
+worker per usable core (numpy's matmul, reductions and sorts release the
+GIL), and no more workers run than a budget of 2^21 screened cells holds
+slices, so memory is bounded by the budget and not by queries x bank.
 """
 from __future__ import annotations
 
@@ -95,16 +99,18 @@ class ScorerFit:
     react_threshold: float | None = None
     klm_templates: np.ndarray | None = None  # (n_templates, C), floored
     bank_features: np.ndarray | None = None  # L2-normalized penultimates
-    bank_msp: np.ndarray | None = None
+    bank_f32: np.ndarray | None = None  # bank_features cast to float32
+    bank_msp: np.ndarray | None = None  # relation_simplified only
 
 
 def percentile_nearest_rank(values: np.ndarray, p: float) -> float:
-    """Nearest-rank percentile: sorted[ceil(p/100 * n) - 1]."""
-    flat = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    """Nearest-rank percentile: sorted[ceil(p/100 * n) - 1], read from one
+    partition at that rank instead of a full sort."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("empty sample")
-    rank = max(1, math.ceil(p / 100.0 * flat.size))
-    return float(flat[min(rank, flat.size) - 1])
+    rank = min(max(1, math.ceil(p / 100.0 * flat.size)), flat.size) - 1
+    return float(np.partition(flat, rank)[rank])
 
 
 def fit_scorer(
@@ -124,34 +130,38 @@ def fit_scorer(
         else:
             thresh = percentile_nearest_rank(Z, params.react_percentile)
         return ScorerFit(react_threshold=thresh)
-    P = softmax_rows(model.head.logits(Z))
-    if name == "klm":
-        preds = np.argmax(P, axis=1)
-        templates = []
-        for k in range(model.head.n_classes):
-            sel = preds == k
-            if np.any(sel):
-                templates.append(np.maximum(P[sel].mean(axis=0), 1e-12))
-        return ScorerFit(klm_templates=np.array(templates))
-    # feature banks for nnguide / relation_simplified
-    return ScorerFit(bank_features=l2_rows(Z), bank_msp=P.max(axis=1))
+    if name in ("nnguide", "relation_simplified"):
+        bank = l2_rows(Z)
+        msp = None
+        if name == "relation_simplified":
+            msp = softmax_rows(model.head.logits(Z)).max(axis=1)
+        return ScorerFit(bank_features=bank, bank_f32=bank.astype(np.float32), bank_msp=msp)
+    P = softmax_rows(model.head.logits(Z))  # klm
+    preds = np.argmax(P, axis=1)
+    templates = []
+    for k in range(model.head.n_classes):
+        sel = preds == k
+        if np.any(sel):
+            templates.append(np.maximum(P[sel].mean(axis=0), 1e-12))
+    return ScorerFit(klm_templates=np.array(templates))
 
 
-# The similarity budget in cells, shared by the worker threads: each
-# computes one slice of rows x bank similarities at a time, and no more
-# workers run than the budget holds slices, so memory does not grow with
-# the number of queries.
-_BLOCK_CELLS = 1 << 21  # 16 MB of float64
-# Queries are compared with the bank in slices of this many rows, one BLAS
-# call each.  OpenBLAS multiplies in row tiles and finishes leftover rows
-# with other kernels, so a block edge that cuts a tile can change the last
-# bits of those rows.  48 covers the x86 dgemm row tiles: with
-# single-threaded BLAS, blocks of 24 or 48 rows matched the full product bit
-# for bit on an AVX-512 Xeon, blocks of 16, 32 or 64 rows did not, and
-# one-row blocks (computed by gemv) never did.  With two BLAS threads none
-# of the block sizes tried matched the full product or each other, so the
-# slice is fixed and the scores never depend on how many workers there are.
-_SLICE_ROWS = 48
+# The screen's budget in cells, shared by the worker threads: each screens
+# one slice of rows x bank at a time (a float32 similarity and a one-byte
+# mask per cell), and no more workers run than the budget holds slices, so
+# memory does not grow with the number of queries.
+_BLOCK_CELLS = 1 << 21
+# Queries are screened in slices of this many rows, one float32 BLAS call
+# each.  No output bit depends on the height, only speed and memory do:
+# taller slices spread OpenBLAS's packing of the bank over more rows, and
+# each worker holds 5 bytes per cell of its slice.
+_SLICE_ROWS = 128
+# Candidates are rescored in chunks whose gathered float64 rows hold at most
+# this many cells per operand.
+_RESCORE_CELLS = 1 << 16
+# The screen's bound on a row's k-th similarity comes from the maxima of at
+# least this many groups of bank rows per neighbour.
+_SCREEN_GROUPS = 8
 
 
 def _usable_cores() -> int:
@@ -161,34 +171,59 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _top_k(part: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k largest values and their column indices, both (m, k),
-    in ascending value with ties in column order.  Columns tied with the
-    k-th largest value enter the k lowest first.
+def _pair_sims(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``A`` with the same row of ``B``, by
+    one fixed numpy reduction per pair, never BLAS: a pair's bits depend on
+    its two rows alone, not on which other pairs share the call."""
+    return np.einsum("ij,ij->i", A, B)
 
-    ``argpartition`` leaves open which of several tied columns enter the
-    k, and its choice changes with the CPU features numpy dispatches on.
-    Partitioning one place lower also gives the largest value left out:
-    only a row where that value equals the smallest of its k can have
-    such a choice, and only those rows are sorted in full, stably.
-    """
-    m, nb = part.shape
-    rows = np.arange(m)[:, None]
-    if k == nb:
-        cols = np.broadcast_to(np.arange(nb), part.shape)
+
+def _screen_margin(d: int) -> float:
+    """How far below the screen's bound a candidate's float32 similarity
+    may lie: 2 eps for d columns, plus 2^-22 for rounding the threshold to
+    float32 (see :func:`_topk_sims`)."""
+    u, v = 2.0**-24, 2.0**-53
+    if (d + 2) * u >= 0.25:
+        return math.inf  # a screen this coarse keeps every bank row anyway
+
+    def gamma(n: int, unit: float) -> float:
+        return n * unit / (1 - n * unit)
+
+    eps = (gamma(d + 2, u) + gamma(d, v)) * (1 + 2.0**-20) ** 2 + d * 2.0**-120
+    return 2 * eps + 2.0**-22
+
+
+def _slice_top_k(fit: ScorerFit, Zs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_topk_sims` for one slice of query rows."""
+    # a row's norm takes numpy's pairwise sum only from contiguous rows
+    Q = l2_rows(np.ascontiguousarray(Zs))
+    h, d = Q.shape
+    nb = fit.bank_f32.shape[0]
+    n_groups = _SCREEN_GROUPS * k
+    if nb < n_groups:  # every (bank row, query) pair is a candidate
+        c, r = np.divmod(np.arange(nb * h), h)
     else:
-        parted = np.argpartition(part, nb - k - 1, axis=1)
-        cols = parted[:, -k:]
-        left_out = part[rows[:, 0], parted[:, -k - 1]]
-    vals = part[rows, cols]
-    order = np.lexsort((cols, vals), axis=1)
-    vals, cols = vals[rows, order], cols[rows, order]
-    if k < nb:
-        for r in np.flatnonzero(left_out == vals[:, 0]):
-            keep = np.argsort(-part[r], kind="stable")[:k]
-            keep = keep[np.lexsort((keep, part[r, keep]))]
-            vals[r], cols[r] = part[r, keep], keep
-    return vals, cols
+        screen = fit.bank_f32 @ Q.astype(np.float32).T  # (bank, h)
+        width = nb // n_groups
+        n_groups = nb // width
+        # group g holds bank rows g, g + n_groups, g + 2 * n_groups, ...
+        maxima = screen[: n_groups * width].reshape(width, n_groups, h).max(axis=0)
+        kth = np.partition(maxima, n_groups - k, axis=0)[n_groups - k]
+        thresholds = kth - np.float32(_screen_margin(d))
+        c, r = np.divmod(np.flatnonzero(screen >= thresholds), h)
+        del screen
+    cap = max(1, _RESCORE_CELLS // d)
+    s = np.concatenate([
+        _pair_sims(Q[r[j : j + cap]], fit.bank_features[c[j : j + cap]])
+        for j in range(0, r.size, cap)
+    ])
+    # each row's candidates, largest first with ties in bank order; its
+    # first k are its neighbours
+    counts = np.bincount(r, minlength=h)
+    take = np.lexsort((c, -s, r))[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    vals, cols = s[take], c[take]
+    asc = np.lexsort((cols, vals), axis=1)
+    return np.take_along_axis(vals, asc, 1), np.take_along_axis(cols, asc, 1)
 
 
 def _topk_sims(
@@ -196,12 +231,40 @@ def _topk_sims(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cosine similarities of each row to its k nearest bank rows and the
     bank indices of those rows, both (n, min(k, bank)), each row in
-    ascending similarity with ties in bank order.  Bank rows tied at the
-    k-th similarity enter in bank order (:func:`_top_k`), so neither
-    the k nor their order depends on how numpy's ``argpartition`` runs."""
-    Q = l2_rows(Z)
-    bank_t = fit.bank_features.T
-    n, nb = Q.shape[0], bank_t.shape[1]
+    ascending similarity with ties in bank order.
+
+    With q a query row and b a bank row, both from :func:`l2_rows`, the
+    similarity is s = _pair_sims(q, b) in float64, and the k are the k
+    largest s, ties at the k-th taken in bank order: what a stable
+    descending sort of every s would give.  Only candidates are rescored:
+
+    * eps.  The screen t is the float32 product of q and b cast to float32,
+      in whatever order BLAS sums.  With u = 2^-24, v = 2^-53 and
+      g(n, w) = n w / (1 - n w), the two casts and the d-term float32 dot
+      are off by at most g(d + 2, u) sum |q_l b_l| from the exact product,
+      and the float64 reduction by at most g(d, v) sum |q_l b_l|.  l2_rows
+      rounds a norm by about d 2^-54, so for any d below 2^30 its rows have
+      norms of at most 1 + 2^-20, sum |q_l b_l| <= (1 + 2^-20)^2, and
+      |t - s| <= eps = (g(d + 2, u) + g(d, v)) (1 + 2^-20)^2
+      + d 2^-120, the last term covering float32 underflow; about
+      (d + 2) 2^-24.
+    * A bound.  Split the bank rows into G >= 8k disjoint groups and let L
+      be the k-th largest of the groups' screened maxima.  The k groups
+      with the largest maxima each hold a bank row with t >= L, so k
+      distinct rows have s >= L - eps: the k-th largest s is at least
+      L - eps.
+    * Candidates.  A bank row among the k, or tied with the k-th, has
+      s >= L - eps, so t >= L - 2 eps.  The screen keeps every row with
+      t >= L - (2 eps + 2^-22), the 2^-22 covering the float32 rounding
+      of that threshold.  So the candidates hold the k and every row tied
+      with the k-th, and choosing the k among them by (s descending, bank
+      index) chooses them among all bank rows.
+
+    A bank of fewer than 8k rows makes every row a candidate.  No step
+    depends on how the queries are sliced or which BLAS kernel ran the
+    screen, so neither do the bytes returned."""
+    nb = fit.bank_features.shape[0]
+    n = Z.shape[0]
     k = min(k, nb)
     starts = range(0, n, _SLICE_ROWS)
     fit_in_budget = _BLOCK_CELLS // (_SLICE_ROWS * nb)
@@ -211,7 +274,7 @@ def _topk_sims(
 
     def score_slice(start: int) -> None:
         rows = slice(start, start + _SLICE_ROWS)
-        sims[rows], idx[rows] = _top_k(Q[rows] @ bank_t, k)
+        sims[rows], idx[rows] = _slice_top_k(fit, Z[rows], k)
 
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(score_slice, starts))  # re-raises a worker's error

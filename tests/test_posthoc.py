@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cilbench import posthoc
 from cilbench.cil import CilModel
@@ -316,11 +318,19 @@ def unit_dyadic_rows(gen, n, d, splits):
     return X
 
 
+def pair_sims_matrix(fit, Z):
+    """Every query x bank cosine, each by the pair reduction the bank
+    search rescores its candidates with."""
+    Q, B = l2_rows(Z), fit.bank_features
+    n, nb = Q.shape[0], B.shape[0]
+    return posthoc._pair_sims(np.repeat(Q, nb, axis=0), np.tile(B, (n, 1))).reshape(n, nb)
+
+
 def full_topk(fit, Z, k):
-    """The whole query x bank matrix with a stable descending sort, so bank
-    rows tied at the k-th similarity enter in bank order; each row's k in
-    ascending similarity, ties in bank order."""
-    sims = l2_rows(Z) @ fit.bank_features.T
+    """The unscreened search: every pair's float64 cosine with a stable
+    descending sort, so bank rows tied at the k-th similarity enter in bank
+    order; each row's k in ascending similarity, ties in bank order."""
+    sims = pair_sims_matrix(fit, Z)
     k = min(k, sims.shape[1])
     idx = np.argsort(-sims, axis=1, kind="stable")[:, :k]
     part = np.take_along_axis(sims, idx, axis=1)
@@ -331,9 +341,9 @@ def full_topk(fit, Z, k):
 @pytest.mark.parametrize(
     "n_query, n_bank, block_cells, k",
     [
-        (130, 100, 4800, 10),  # 48-row blocks, 130 is not a multiple of 48
-        (130, 100, 30_000, 10),  # 288 rows per block: one block
-        (200, 300, 1000, 10),  # bank above the cell budget: 48-row floor
+        (130, 100, 4800, 10),  # budget below one slice: one worker
+        (130, 100, 30_000, 10),  # two slices, the second ragged: two workers
+        (200, 300, 1000, 10),  # bank above the cell budget: one worker
         (97, 5, 1 << 21, 10),  # k larger than the bank
         (0, 50, 1 << 21, 10),  # no queries
     ],
@@ -373,7 +383,7 @@ def test_bank_rows_tied_at_the_kth_similarity_enter_in_bank_order(monkeypatch):
     Z = unit_dyadic_rows(gen, 200, d, 6)
     params = PosthocParams(knn_k=k)
     fit = fit_scorer("relation_simplified", model, bank, params)
-    full = l2_rows(Z) @ fit.bank_features.T
+    full = pair_sims_matrix(fit, Z)
     got = {}
     for cores in (1, 2, 3, 4):
         monkeypatch.setattr(posthoc, "_usable_cores", lambda: cores)
@@ -399,12 +409,79 @@ def test_bank_rows_tied_at_the_kth_similarity_enter_in_bank_order(monkeypatch):
     assert boundary_ties > 100
 
 
+def bank_search_case(kind, d, n_query, n_bank, seed):
+    """Raw query and bank rows of one kind: Gaussian; small integers, so
+    that many cosines tie exactly; near-ties, bank rows 1e-9 apart, so that
+    many cosines lie closer together than the float32 screen resolves; or
+    Gaussian banks with zero queries mixed in, whose cosines all tie at 0."""
+    gen = np.random.default_rng(seed)
+    if kind == "integer":
+        return (gen.integers(-2, 3, size=(n, d)).astype(float) for n in (n_query, n_bank))
+    if kind == "near_tie":
+        base = gen.normal(size=d)
+        Z = gen.normal(size=(n_query, d))
+        Z[gen.random(n_query) < 0.25] = base
+        return Z, base + 1e-9 * gen.normal(size=(n_bank, d))
+    Z = gen.normal(size=(n_query, d))
+    if kind == "zero_queries":
+        Z[gen.random(n_query) < 0.5] = 0.0
+    return Z, gen.normal(size=(n_bank, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "integer", "near_tie", "zero_queries"]),
+    k=st.integers(1, 12),
+    bank_size=st.sampled_from(["k", "k+1", "8k-1", "8k", "5000"]),
+    d=st.integers(1, 8),
+    n_query=st.integers(0, 20),
+    slice_rows=st.sampled_from([1, 3, 128]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example("zero_queries", 10, "5000", 8, 20, 128, 0)
+@example("near_tie", 10, "8k", 8, 20, 3, 1)
+def test_bank_search_is_the_unscreened_float64_top_k(
+    kind, k, bank_size, d, n_query, slice_rows, seed
+):
+    n_bank = {"k": k, "k+1": k + 1, "8k-1": 8 * k - 1, "8k": 8 * k, "5000": 5000}[bank_size]
+    Z, bank = bank_search_case(kind, d, n_query, n_bank, seed)
+    model = logit_model(np.eye(2, d), np.zeros(2))
+    fit = fit_scorer("nnguide", model, bank)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posthoc, "_SLICE_ROWS", slice_rows)
+        sims, idx = posthoc._topk_sims(fit, Z, k)
+    want_sims, want_idx = full_topk(fit, Z, k)
+    assert sims.tobytes() == want_sims.tobytes()
+    assert idx.tobytes() == want_idx.astype(np.intp).tobytes()
+
+
+def test_each_query_alone_gets_the_batch_bytes():
+    # a one-row slice takes numpy's matrix-vector path through BLAS, whose
+    # float32 screen rounds unlike a slice's; the rescored bytes do not
+    gen = np.random.default_rng(31)
+    d, k = 24, 10
+    model = logit_model(gen.normal(size=(6, d)), gen.normal(size=6))
+    fit = fit_scorer("nnguide", model, gen.normal(size=(300, d)))
+    Z = gen.normal(size=(150, d))
+    Z[7] = 0.0
+    sims, idx = posthoc._topk_sims(fit, Z, k)
+    for i in range(Z.shape[0]):
+        one_sims, one_idx = posthoc._topk_sims(fit, Z[i : i + 1], k)
+        assert one_sims.tobytes() == sims[i : i + 1].tobytes()
+        assert one_idx.tobytes() == idx[i : i + 1].tobytes()
+    # column-major rows, whose norms numpy would sum in another order
+    f_sims, f_idx = posthoc._topk_sims(fit, np.asfortranarray(Z), k)
+    assert f_sims.tobytes() == sims.tobytes()
+    assert f_idx.tobytes() == idx.tobytes()
+
+
 def test_worker_count_does_not_change_bank_scores(monkeypatch):
-    # Gaussian rows, unlike the dyadic rows above, round differently when
-    # the BLAS call that computes a row changes.  500 queries make eleven
-    # 48-row slices, the last one ragged; the budget holds three slices of
-    # the 300-row bank, so a fourth core adds no worker.
-    monkeypatch.setattr(posthoc, "_BLOCK_CELLS", 3 * 48 * 300)
+    # Gaussian rows, unlike the dyadic rows above, have float32 screens that
+    # round differently when the BLAS call that computes a row changes.  500
+    # queries make four 128-row slices, the last one ragged; the budget
+    # holds three slices of the 300-row bank, so a fourth core adds no worker.
+    monkeypatch.setattr(posthoc, "_SLICE_ROWS", 128)
+    monkeypatch.setattr(posthoc, "_BLOCK_CELLS", 3 * 128 * 300)
     pools = []
 
     class SpyPool(posthoc.ThreadPoolExecutor):
