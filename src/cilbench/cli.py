@@ -4,24 +4,27 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime
 failure.  ``main`` maps an uncaught error to its exit code, printing one
 machine-parsable line to stderr with the prefix ``CILBENCH-ERROR [kind]:``:
 ``ConfigError`` is ``config``, ``DataError`` is ``data``, anything else
-``runtime``.  Seeds run one after another.
-``report`` re-checks the aggregates of the report it reads against its
-records (exit 2 when they disagree or the document is not a report).
+``runtime``; a command prints its own line only for a failed write or a
+run with no seed left (exit 3).  Seeds run one after another.
+``validate-config`` runs ``protocol.preflight``, every check ``run``
+makes before a seed.  ``report`` re-checks a report's aggregates against
+its records (exit 2 when they disagree or the document is not a report).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .configcheck import read_json
 from .data import DataError
 from .protocol import (
     BenchmarkReport,
     ConfigError,
     RunConfig,
     emit_report,
+    preflight,
     run_benchmark,
     verify_consistency,
 )
@@ -67,12 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_synth(args) -> int:
+    spec = SynthSpec.from_dict(read_json(args.spec, "synth spec", ConfigError))
     try:
-        doc = json.loads(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail("config", f"bad synth spec: {exc}", EXIT_CONFIG)
-    try:
-        manifest = write_synth_suite(SynthSpec.from_dict(doc), args.out)
+        manifest = write_synth_suite(spec, args.out)
     except OSError as exc:
         return _fail("runtime", f"cannot write suite: {exc}", EXIT_RUNTIME)
     print(manifest)
@@ -100,10 +100,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        doc = json.loads(Path(args.input).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail("data", f"cannot read report: {exc}", EXIT_DATA)
+    doc = read_json(args.input, "report", DataError)
     out_dir = args.out or Path(args.input).parent
     fmt = {"md": "markdown", "csv": "csv"}[args.format]
     try:
@@ -115,19 +112,19 @@ def _cmd_report(args) -> int:
                     "; it holds aggregates.consistency_ok, so the report predates"
                     " the current format and must be re-run with `cilbench run`"
                 )
-            return _fail("data", msg, EXIT_DATA)
+            raise DataError(msg)
         paths = emit_report(report, out_dir, formats=(fmt,))
     except OSError as exc:
         return _fail("runtime", f"cannot write report: {exc}", EXIT_RUNTIME)
     except (AttributeError, KeyError, TypeError) as exc:  # not the shape of a report
-        return _fail("data", f"malformed report: {type(exc).__name__}: {exc}", EXIT_DATA)
+        raise DataError(f"malformed report: {type(exc).__name__}: {exc}") from exc
     for path in paths:
         print(path)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    RunConfig.from_json(args.config)
+    preflight(RunConfig.from_json(args.config))
     print("ok")
     return EXIT_OK
 

@@ -2,17 +2,28 @@
 types read from the annotations, so that a JSON value of the wrong type
 (or a NaN or infinite number, which Python's ``json`` reads) fails
 validation and not a run.  ``parse_section`` is the one way a config
-section (a JSON object) becomes its dataclass."""
+section (a JSON object) becomes its dataclass, and ``read_json`` the one
+way a JSON file is read."""
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
-__all__ = ["ConfigError", "is_int", "check_keys", "check_field_types", "parse_section"]
+__all__ = ["ConfigError", "is_int", "check_keys", "check_field_types", "parse_section", "read_json"]
 
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+def read_json(path, what: str, error: type[Exception]):
+    """The JSON document in the file ``path``, or ``error("cannot read {what} {path}: ...")``."""
+    try:
+        return json.loads(Path(path).read_bytes())  # as JSON bytes, not in the locale encoding
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def is_int(value) -> bool:

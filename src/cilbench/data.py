@@ -16,14 +16,13 @@ is one :class:`DataError`; one in a manifest set names the set and file.
 """
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .configcheck import is_int
+from .configcheck import is_int, read_json
 from .numerics import RngStream
 
 __all__ = [
@@ -417,10 +416,7 @@ def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
     fails before the rows of each class are counted.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
+    doc = read_json(path, "manifest", DataError)
     if not isinstance(doc, dict):
         raise DataError(f"manifest {path} is not a JSON object")
     # absent, the count is inferred from id_train; present, it is the count

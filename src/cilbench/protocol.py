@@ -30,7 +30,7 @@ from time import perf_counter
 import numpy as np
 
 from .cil import CilConfig, CilModel, evaluate_accuracy, train_task
-from .configcheck import ConfigError, check_field_types, check_keys, is_int, parse_section
+from .configcheck import ConfigError, check_field_types, check_keys, is_int, parse_section, read_json
 from .data import MemoryBuffer, load_suite_manifest, ood_subset, split_tasks, step_rows
 from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
@@ -39,7 +39,7 @@ from .numerics import RngStream
 from .posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from .synthgen import SynthSpec, generate
 
-__all__ = ["RunConfig", "BenchmarkReport", "run_benchmark", "emit_report"]
+__all__ = ["RunConfig", "BenchmarkReport", "preflight", "run_benchmark", "emit_report"]
 
 OOD_METHODS = SCORER_NAMES + FINETUNE_METHODS
 
@@ -56,20 +56,6 @@ PHASES = (
 )
 
 
-def _check_ood_sizes(n_classes: int, step_size: int, ood_sizes) -> None:
-    """Reject a suite that cannot run: ``ood_subset`` takes floor(n / T)
-    rows of each OOD set at step 1, so a set needs at least T rows."""
-    if step_size > n_classes:
-        raise ConfigError(f"step_size {step_size} exceeds class count {n_classes}")
-    steps = -(-n_classes // step_size)
-    smallest = min(ood_sizes)
-    if smallest < steps:
-        raise ConfigError(
-            f"an OOD set of {smallest} rows is empty at step 1 of {steps}; "
-            f"each set needs at least {steps} rows"
-        )
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One benchmark run: data, step size, one CIL method, one OOD method.
@@ -79,7 +65,8 @@ class RunConfig:
     (``None`` for a post-hoc method), ``scorer`` and ``scorer_params`` (a
     post-hoc method's own name and ``params``, which take no ``score_with``
     or ``scorer_params``; else those two, ``energy`` by default) and
-    ``synth_spec`` (``None`` for a manifest)."""
+    ``synth_spec`` (``None`` for a manifest).  Whether the config can run
+    on its data is :func:`preflight`'s to say."""
 
     data: dict
     step_size: int = 4
@@ -143,13 +130,10 @@ class RunConfig:
         }
         for name, value in parsed.items():
             object.__setattr__(self, name, value)  # frozen: read-only once set
-        spec = self.synth_spec
-        if spec is not None:
-            if "seed" in synth:
-                raise ConfigError(
-                    "data.synth.seed is not a run setting: each run seed generates its own suite"
-                )
-            _check_ood_sizes(spec.n_classes, self.step_size, [spec.n_ood_per_set])
+        if synth is not None and "seed" in synth:
+            raise ConfigError(
+                "data.synth.seed is not a run setting: each run seed generates its own suite"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -157,13 +141,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, "config", ConfigError))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds)}
@@ -184,10 +162,28 @@ class BenchmarkReport:
         return cls(doc["config"], doc["records"], doc["aggregates"], doc["failures"])
 
 
-def _load_manifest(cfg: RunConfig):
-    train, test, suite = load_suite_manifest(cfg.data["manifest"])
-    _check_ood_sizes(train.n_classes, cfg.step_size, [e.dataset.n for e in suite.entries])
-    return train, test, suite
+def preflight(cfg: RunConfig):
+    """The one check of ``cfg`` against its data, made by ``validate-config``
+    and by a run before any seed.  Returns a manifest's loaded ``(train,
+    test, suite)``, else ``None``.  ``ConfigError`` rejects a ``step_size``
+    above the class count, or an OOD set with fewer rows than steps, which
+    ``ood_subset`` would leave empty at step 1 of T (floor(n / T) rows)."""
+    spec, manifest = cfg.synth_spec, None
+    if spec is not None:
+        n_classes, smallest = spec.n_classes, spec.n_ood_per_set
+    else:
+        manifest = load_suite_manifest(cfg.data["manifest"])
+        train, _, suite = manifest
+        n_classes, smallest = train.n_classes, min(e.dataset.n for e in suite.entries)
+    if cfg.step_size > n_classes:
+        raise ConfigError(f"step_size {cfg.step_size} exceeds class count {n_classes}")
+    steps = -(-n_classes // cfg.step_size)
+    if smallest < steps:
+        raise ConfigError(
+            f"an OOD set of {smallest} rows is empty at step 1 of {steps}; "
+            f"each set needs at least {steps} rows"
+        )
+    return manifest
 
 
 def _seed_data(cfg: RunConfig, seed: int, manifest):
@@ -338,16 +334,16 @@ def verify_consistency(report: BenchmarkReport) -> bool:
 def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     """Execute every seed in turn and aggregate.
 
-    A manifest suite is loaded once, before any seed, and shared by the
-    seeds; any error in it, or in making the artifact directory's
-    ``checkpoints`` and ``logs`` (made after the suite loads), ends the run.
+    :func:`preflight` runs first and loads a manifest suite once for every
+    seed; a fault it finds, or in then making the artifact directory's
+    ``checkpoints`` and ``logs``, ends the run before any seed.
     A failing seed is recorded under ``failures`` and does not abort the
     others.  Synthetic data is generated per seed, from ``synth_spec`` with
     that seed (a run config takes no ``data.synth.seed``).  A seed's stream
     goes straight into ``_run_seed``, so its rows are freed when the seed
     ends, before the next seed's are made.
     """
-    manifest = None if cfg.synth_spec is not None else _load_manifest(cfg)
+    manifest = preflight(cfg)
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     if artifact_dir is not None:
         for sub in ("checkpoints", "logs"):

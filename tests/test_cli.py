@@ -141,28 +141,51 @@ def test_identity_extractor_validates_and_runs(tmp_path, extractor):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_run_rejects_manifest_with_too_few_ood_rows(tmp_path, capsys):
+# configs that validate-config passed and run failed; each is a manifest
+# config on a gen-synth suite of 8 classes and 3-row OOD sets, with these
+# changes, and the exit code and stderr line of both commands
+UNRUNNABLE_MANIFESTS = {
+    "missing_manifest": (
+        {"data": {"manifest": "no/such/manifest.json"}}, None, 2,
+        "CILBENCH-ERROR [data]: cannot read manifest no/such/manifest.json: [Errno 2] "
+        "No such file or directory: 'no/such/manifest.json'",
+    ),
+    # 8 classes in steps of 2 is 4 steps; floor(3 / 4) = 0 rows at step 1
+    "too_few_ood_rows": (
+        {"step_size": 2}, None, 1,
+        "CILBENCH-ERROR [config]: an OOD set of 3 rows is empty at step 1 of 4; "
+        "each set needs at least 4 rows",
+    ),
+    "step_size_above_classes": (
+        {"step_size": 9}, None, 1,
+        "CILBENCH-ERROR [config]: step_size 9 exceeds class count 8",
+    ),
+    "junk_far2": (
+        {"step_size": 2}, "ood_far2.bin", 2,
+        "CILBENCH-ERROR [data]: manifest set 'far2' (ood_far2.bin): file too short for header",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNRUNNABLE_MANIFESTS)
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_validate_and_run_fail_alike(tmp_path, capsys, command, case):
+    over, junk, code, line = UNRUNNABLE_MANIFESTS[case]
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({
-        "n_classes": 8, "dim": 16, "n_train_per_class": 30,
-        "n_test_per_class": 10, "n_ood_per_set": 3, "seed": 7,
-    }))
-    suite_dir = tmp_path / "suite"
-    assert main(["gen-synth", "--spec", str(spec), "--out", str(suite_dir)]) == 0
+    spec.write_text(json.dumps({**SMALL_RUN["data"]["synth"], "n_ood_per_set": 3, "seed": 7}))
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "suite")]) == 0
+    if junk is not None:
+        (tmp_path / "suite" / junk).write_text("junk\n")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        **SMALL_RUN, "data": {"manifest": str(suite_dir / "manifest.json")}, "step_size": 2,
-    }))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    assert "empty at step 1 of 4" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
-
-
-def test_run_missing_data_file_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**SMALL_RUN, "data": {"manifest": "no/such/manifest.json"}}))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "CILBENCH-ERROR [data]" in capsys.readouterr().err
+    manifest = {"data": {"manifest": str(tmp_path / "suite" / "manifest.json")}}
+    cfg.write_text(json.dumps({**SMALL_RUN, **manifest, **over}))
+    capsys.readouterr()
+    argv = ["--config", str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main([command, *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def gen_suite(tmp_path) -> Path:
@@ -192,6 +215,10 @@ def test_manifest_suite_is_read_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(protocol, "load_suite_manifest", counting)
     assert run_manifest(tmp_path, manifest, "all", seeds=[0, 1, 2]) == 0
     assert len(calls) == 1
+    # validate-config checks the suite as run does, with one load
+    calls.clear()
+    assert main(["validate-config", "--config", str(tmp_path / "all.json")]) == 0
+    assert calls == [str(manifest)]
     # the seeds share the loaded data, yet each seed's records are those of
     # a run of that seed alone
     records = json.loads((tmp_path / "all" / "report.json").read_text())["records"]
@@ -391,6 +418,35 @@ def test_an_unexpected_error_is_one_runtime_line(tmp_path, capsys, monkeypatch, 
     }[command]
     assert main([command, *argv]) == 3
     assert capsys.readouterr().err.splitlines() == ["CILBENCH-ERROR [runtime]: RuntimeError: boom"]
+
+
+# (file bytes, a fragment of the error), by fault
+JSON_FAULTS = {
+    "missing": (None, "No such file or directory"),
+    "not_json": (b"{", "Expecting"),
+    "not_utf8": (b"\xff{}", "can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("fault", JSON_FAULTS)
+@pytest.mark.parametrize("command", ["validate-config", "run", "gen-synth", "report"])
+def test_an_unreadable_json_file_is_one_line_that_names_it(tmp_path, capsys, command, fault):
+    content, message = JSON_FAULTS[fault]
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_bytes(content)
+    out = ["--out", str(tmp_path / "out")]
+    flag, what, kind, code, extra = {
+        "validate-config": ("--config", "config", "config", 1, []),
+        "run": ("--config", "config", "config", 1, out),
+        "gen-synth": ("--spec", "synth spec", "config", 1, out),
+        "report": ("--in", "report", "data", 2, ["--format", "md"]),
+    }[command]
+    assert main([command, flag, str(path), *extra]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"CILBENCH-ERROR [{kind}]: cannot read {what} {path}: ")
+    assert message in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_without_out_dir_exits_1(tmp_path):

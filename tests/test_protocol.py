@@ -16,6 +16,7 @@ from cilbench.protocol import (
     ConfigError,
     RunConfig,
     emit_report,
+    preflight,
     run_benchmark,
     verify_consistency,
 )
@@ -77,6 +78,25 @@ def test_config_validation_errors():
 def test_config_error_names_the_section(over, message):
     with pytest.raises(ConfigError, match=message):
         small_config(**over)
+
+
+def test_preflight_checks_a_config_against_its_data(tmp_path):
+    # RunConfig checks the document; whether its data can run is preflight's
+    assert preflight(small_config()) is None
+    too_small = small_config(data={"synth": {**SMALL_SYNTH, "n_ood_per_set": 3}}, step_size=2)
+    message = r"^an OOD set of 3 rows is empty at step 1 of 4; each set needs at least 4 rows$"
+    with pytest.raises(ConfigError, match=message):
+        preflight(too_small)
+    with pytest.raises(ConfigError, match=message):
+        run_benchmark(too_small, artifact_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match=r"^step_size 9 exceeds class count 8$"):
+        preflight(small_config(step_size=9))
+    spec = SynthSpec(**SMALL_SYNTH)
+    manifest = write_synth_suite(spec, tmp_path / "suite")
+    train, test, suite = preflight(small_config(data={"manifest": str(manifest)}))
+    assert (train.n_classes, test.n_classes) == (8, 8)
+    assert len(suite.entries) == spec.n_near_sets + spec.n_far_sets
 
 
 def test_sections_are_parsed_once_at_construction(monkeypatch):
