@@ -172,7 +172,9 @@ class OodSuite:
 
 
 def save_dataset(ds: FeatureDataset, path) -> None:
-    """Write the binary feature format (little-endian, float32 payload)."""
+    """Write the binary feature format (little-endian, float32 payload).
+    A feature too large for float32 raises :class:`DataError`, since
+    :func:`load_dataset` would reject the infinity it casts to."""
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -180,7 +182,11 @@ def save_dataset(ds: FeatureDataset, path) -> None:
         # float32 blocks of _SAVE_ROWS rows, each written from its own buffer:
         # the payload is never held as a whole second copy, nor as bytes
         for start in range(0, ds.n, _SAVE_ROWS):
-            fh.write(memoryview(ds.features[start : start + _SAVE_ROWS].astype("<f4")))
+            with np.errstate(over="ignore"):
+                block = ds.features[start : start + _SAVE_ROWS].astype("<f4")
+            if not np.isfinite(block).all():
+                raise DataError(f"cannot write {path}: a feature value overflows float32")
+            fh.write(memoryview(block))
         fh.write(memoryview(ds.labels.astype("<i4")))
 
 

@@ -2,13 +2,15 @@
 
 Row-wise stable log-sum-exp and softmax with a temperature (one exp
 serves both), fused softmax cross-entropy, row L2 normalization and its
-backward, and a seeded RNG with named substreams.  All math is 64-bit;
-all randomness flows through :class:`RngStream` so a run is reproducible
-from a single seed regardless of call order elsewhere.
+backward, a seeded RNG with named substreams, and the count of cores
+the thread pools may use.  All math is 64-bit; all randomness flows
+through :class:`RngStream` so a run is reproducible from a single seed
+regardless of call order elsewhere.
 """
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -21,9 +23,17 @@ __all__ = [
     "l2_rows",
     "l2_rows_backward",
     "row_norms",
+    "usable_cores",
 ]
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: the most workers a thread pool runs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class RngStream:

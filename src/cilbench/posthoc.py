@@ -31,14 +31,13 @@ slices, so memory is bounded by the budget and not by queries x bank.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .configcheck import check_field_types
-from .numerics import l2_rows, logsumexp_rows, softmax_rows
+from .numerics import l2_rows, logsumexp_rows, softmax_rows, usable_cores
 
 __all__ = [
     "PosthocParams",
@@ -164,13 +163,6 @@ _RESCORE_CELLS = 1 << 16
 _SCREEN_GROUPS = 8
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _pair_sims(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """The dot product of each row of ``A`` with the same row of ``B``, by
     one fixed numpy reduction per pair, never BLAS: a pair's bits depend on
@@ -268,7 +260,7 @@ def _topk_sims(
     k = min(k, nb)
     starts = range(0, n, _SLICE_ROWS)
     fit_in_budget = _BLOCK_CELLS // (_SLICE_ROWS * nb)
-    workers = max(1, min(_usable_cores(), len(starts), fit_in_budget))
+    workers = max(1, min(usable_cores(), len(starts), fit_in_budget))
     sims = np.empty((n, k))
     idx = np.empty((n, k), dtype=np.intp)
 

@@ -8,13 +8,15 @@ the BER objective's terms into the loss its gradient is taken of.
 ``rank_auroc``, ``rank_fpr_at_tpr95`` and ``rank_average_precision`` compute
 the metrics from one pooled ranking of the float64 ID and OOD score arrays;
 the counting metrics must give their bits.  ``subset`` builds a checked
-dataset from chosen rows of another.
+dataset from chosen rows of another.  ``synth_generate`` is the serial
+synthetic-suite generator whose bytes ``synthgen.generate`` must give.
 """
 import numpy as np
 
-from cilbench.data import FeatureDataset
+from cilbench.data import FeatureDataset, OodEntry, OodSuite
 from cilbench.finetune import ber_terms
-from cilbench.numerics import logsumexp_rows, softmax_rows
+from cilbench.numerics import RngStream, logsumexp_rows, softmax_rows
+from cilbench.synthgen import SynthSpec, _class_means, _reserved_axes
 
 
 def logsumexp(v, tau: float = 1.0) -> float:
@@ -86,3 +88,67 @@ def rank_average_precision(a: np.ndarray, b: np.ndarray) -> float:
     positions = np.flatnonzero(flags) + 1
     tp = np.arange(1, b.size + 1)
     return float((tp / positions).sum() / b.size)
+
+
+def _unit_rows(gen, n, d):
+    g = gen.normal(size=(n, d))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _project_off(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove the component of each row lying in span(basis rows)."""
+    q, _ = np.linalg.qr(basis.T, mode="reduced")
+    return rows - (rows @ q) @ q.T
+
+
+def synth_generate(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset, OodSuite]:
+    """Deterministic (train, test, ood suite) for the given spec, drawn
+    class by class and set by set on the calling thread."""
+    rng = RngStream(spec.seed, "synthgen")
+    means = _class_means(spec, rng)
+    K, d = spec.n_classes, spec.dim
+
+    # each class writes its block straight into the returned arrays, so the
+    # suite is never held twice
+    n_tr, n_te = spec.n_train_per_class, spec.n_test_per_class
+    train_x = np.empty((K * n_tr, d))
+    test_x = np.empty((K * n_te, d))
+    for c in range(K):
+        gen = rng.child(f"class{c}").gen
+        rows = means[c] + spec.std * gen.normal(size=(n_tr + n_te, d))
+        train_x[c * n_tr : (c + 1) * n_tr] = rows[:n_tr]
+        test_x[c * n_te : (c + 1) * n_te] = rows[n_tr:]
+    classes = np.arange(K, dtype=np.int64)
+    train = FeatureDataset(train_x, np.repeat(classes, n_tr), K)
+    test = FeatureDataset(test_x, np.repeat(classes, n_te), K)
+
+    entries = []
+    for s in range(spec.n_near_sets):
+        gen = rng.child(f"near{s}").gen
+        i = gen.integers(0, K, spec.n_ood_per_set)
+        off = 1 + gen.integers(0, K - 1, spec.n_ood_per_set)
+        j = (i + off) % K  # guaranteed distinct pair
+        mids = 0.5 * (means[i] + means[j])
+        rows = (
+            mids
+            + spec.near_jitter * gen.normal(size=(spec.n_ood_per_set, d))
+            + spec.std * gen.normal(size=(spec.n_ood_per_set, d))
+        )
+        entries.append(
+            OodEntry(f"near{s + 1}", FeatureDataset(rows, np.zeros(len(rows), np.int64), 1), "near")
+        )
+
+    reserved = _reserved_axes(spec)
+    for s in range(spec.n_far_sets):
+        gen = rng.child(f"far{s}").gen
+        noise = spec.std * gen.normal(size=(spec.n_ood_per_set, d))
+        if reserved:
+            axis = np.zeros(d)
+            axis[d - reserved + s] = 1.0
+            rows = spec.far_radius * axis + _project_off(noise, means)
+        else:  # no reserved axes: random shell directions
+            rows = spec.far_radius * _unit_rows(gen, spec.n_ood_per_set, d) + noise
+        entries.append(
+            OodEntry(f"far{s + 1}", FeatureDataset(rows, np.zeros(len(rows), np.int64), 1), "far")
+        )
+    return train, test, OodSuite(tuple(entries))

@@ -396,6 +396,21 @@ def test_gen_synth_write_failure_is_a_runtime_error(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("CILBENCH-ERROR [runtime]: cannot write suite: "), err
 
 
+def test_gen_synth_of_a_far_radius_float32_cannot_hold_is_a_data_error(tmp_path, capsys):
+    # it wrote inf into ood_far1.bin with a numpy warning and exited 0, and
+    # the suite then failed validate-config with "non-finite feature value";
+    # a RuntimeWarning fails this test (see pyproject.toml)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_RUN["data"]["synth"], "far_radius": 1e40}))
+    out = tmp_path / "suite"
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"CILBENCH-ERROR [data]: cannot write {out / 'ood_far1.bin'}: a feature value overflows float32"
+    ]
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["gen-synth", "report", "validate-config"])
 def test_an_unexpected_error_is_one_runtime_line(tmp_path, capsys, monkeypatch, command):
     # these printed a traceback; main maps every uncaught error to an exit code

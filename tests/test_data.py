@@ -273,6 +273,15 @@ def test_save_dataset_writes_the_float32_and_int32_payload(tmp_path):
     assert raw[16:] == ds.features.astype("<f4").tobytes() + ds.labels.astype("<i4").tobytes()
 
 
+def test_save_dataset_rejects_a_value_float32_cannot_hold(tmp_path):
+    # it wrote inf with a RuntimeWarning, and load_dataset then rejected the file
+    ds = make_ds(_SAVE_ROWS + 3, 2, 3)
+    ds.features[_SAVE_ROWS + 1, 2] = -1e40  # in the second write block
+    path = tmp_path / "ds.bin"
+    with pytest.raises(DataError, match=re.escape(f"cannot write {path}: ") + "a feature value overflows float32"):
+        save_dataset(ds, path)
+
+
 def test_herding_picks_point_nearest_mean():
     feats = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     assert herding_select(feats, 1) == [2]  # mean is (1, 0)

@@ -386,7 +386,7 @@ def test_bank_rows_tied_at_the_kth_similarity_enter_in_bank_order(monkeypatch):
     full = pair_sims_matrix(fit, Z)
     got = {}
     for cores in (1, 2, 3, 4):
-        monkeypatch.setattr(posthoc, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(posthoc, "usable_cores", lambda: cores)
         sims, idx = posthoc._topk_sims(fit, Z, k)
         scores = {
             name: score_batch(name, model, fit_scorer(name, model, bank, params), Z, params)
@@ -501,7 +501,7 @@ def test_worker_count_does_not_change_bank_scores(monkeypatch):
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
         for cores in (1, 2, 3, 4):
-            monkeypatch.setattr(posthoc, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(posthoc, "usable_cores", lambda: cores)
             for name in ("nnguide", "relation_simplified"):
                 fit = fit_scorer(name, model, bank, params)
                 sims, idx = posthoc._topk_sims(fit, Z, k)
@@ -524,7 +524,7 @@ def test_bank_scoring_memory_is_bounded_by_the_block(monkeypatch):
     X = gen.normal(size=(n, d))
     full_matrix = n * n * 8  # 128 MB
     for workers in (1, 2):
-        monkeypatch.setattr(posthoc, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(posthoc, "usable_cores", lambda: workers)
         tracemalloc.start()
         try:
             score_batch("nnguide", model, fit, X)

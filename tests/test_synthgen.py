@@ -1,11 +1,15 @@
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cilbench.data import load_suite_manifest
+from cilbench import synthgen
+from cilbench.data import load_suite_manifest, save_dataset
 from cilbench.synthgen import SynthSpec, generate, write_synth_suite
+from oracles import synth_generate
 
 SMALL = SynthSpec(
     n_classes=6,
@@ -50,6 +54,99 @@ def test_generate_holds_the_suite_about_once():
     assert peak < 1.5 * returned
     np.testing.assert_array_equal(train.labels, np.repeat(np.arange(100), 30))
     np.testing.assert_array_equal(test.labels, np.repeat(np.arange(100), 5))
+
+
+def suite_bytes(train, test, suite):
+    """Every byte of a generated suite, with the OOD sets' names and tags."""
+    return (
+        [ds.features.tobytes() + ds.labels.tobytes() for ds in (train, test)]
+        + [(e.name, e.tag, e.dataset.features.tobytes()) for e in suite.entries]
+    )
+
+
+def force_workers(monkeypatch, workers, values_per_worker=1):
+    """Let generate run its tasks on up to ``workers`` threads, one per
+    ``values_per_worker`` values (by default however small the suite);
+    return the list of pool sizes it opens."""
+    pools = []
+
+    class SpyPool(synthgen.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(synthgen, "ThreadPoolExecutor", SpyPool)
+    monkeypatch.setattr(synthgen, "usable_cores", lambda: workers)
+    monkeypatch.setattr(synthgen, "_VALUES_PER_WORKER", values_per_worker)
+    return pools
+
+
+# 12 columns hold _CHUNK_CELLS // 12 = 1365 rows per chunk, so 3001 OOD rows
+# span three chunks, the last one ragged
+ORACLE_SPECS = [
+    SMALL,  # reserved far axes: 12 - 2 > 6
+    SynthSpec(n_classes=10, dim=12, n_train_per_class=7, n_test_per_class=3,
+              n_ood_per_set=3001, seed=1),  # no reserved axes: 12 - 2 = 10
+    SynthSpec(n_classes=4, dim=12, n_train_per_class=9, n_test_per_class=2,
+              n_ood_per_set=3001, n_near_sets=0, n_far_sets=3, seed=2),
+    SynthSpec(n_classes=4, dim=5, n_train_per_class=9, n_test_per_class=2,
+              n_ood_per_set=3001, n_near_sets=0, n_far_sets=3, seed=5),  # none reserved
+    SynthSpec(n_classes=4, dim=12, n_train_per_class=5, n_test_per_class=5,
+              n_ood_per_set=3001, n_near_sets=3, n_far_sets=0, seed=4),
+    SynthSpec(n_classes=7, dim=3000, n_train_per_class=3, n_test_per_class=1,
+              n_ood_per_set=7, n_near_sets=1, n_far_sets=1, seed=6),  # 5 rows per chunk
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"K{s.n_classes}-d{s.dim}-s{s.seed}")
+def test_generate_gives_the_serial_oracle_bytes(monkeypatch, spec, workers):
+    pools = force_workers(monkeypatch, workers)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        got = suite_bytes(*generate(spec))
+    finally:
+        sys.setswitchinterval(switch)
+    assert pools == ([2] if workers == 2 else [])
+    assert got == suite_bytes(*synth_generate(spec))
+
+
+def test_a_small_suite_is_drawn_without_a_pool(monkeypatch):
+    # the shipped spec's 288,000 values are under one worker's share, so
+    # its many small warm-up runs pay nothing for a pool
+    pools = force_workers(monkeypatch, 2, synthgen._VALUES_PER_WORKER)
+    spec_path = Path(__file__).resolve().parent.parent / "configs" / "example_synth_spec.json"
+    generate(SynthSpec.from_dict(json.loads(spec_path.read_text())))
+    assert pools == []
+
+
+def test_written_suite_has_the_serial_oracle_bytes(tmp_path, monkeypatch):
+    force_workers(monkeypatch, 2)
+    spec = ORACLE_SPECS[1]
+    write_synth_suite(spec, tmp_path / "suite")
+    train, test, suite = synth_generate(spec)
+    names = {"id_train.bin": train, "id_test.bin": test}
+    names.update({f"ood_{e.name}.bin": e.dataset for e in suite.entries})
+    for name, ds in names.items():
+        save_dataset(ds, tmp_path / name)
+        assert (tmp_path / "suite" / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "suite").glob("*.bin")) == sorted(names)
+
+
+def test_generate_peaks_no_higher_than_the_serial_oracle():
+    # the proportions of test_generate_holds_the_suite_about_once
+    spec = SynthSpec(n_classes=100, dim=256, n_train_per_class=30, n_test_per_class=5,
+                     n_ood_per_set=500, seed=0)
+    peaks = {}
+    for name, fn in (("generate", generate), ("oracle", synth_generate)):
+        tracemalloc.start()
+        try:
+            fn(spec)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["generate"] <= peaks["oracle"]
 
 
 def test_empirical_class_means_close():
