@@ -1,10 +1,20 @@
 """Dataset containers, task streams, replay memory, and OOD test subsets.
 
-Feature datasets are plain (n, d) float64 matrices with integer labels.
-A :class:`FeatureDataset` is rows checked where they enter the engine
+Feature datasets are (n, d) matrices with integer labels, held as float32
+when given float32 (a file's features, as ``load_dataset`` reads them)
+and as float64 otherwise (``synthgen.generate``'s).  A
+:class:`FeatureDataset` is rows checked where they enter the engine
 (``load_dataset``, ``synthgen.generate``).  Inside a run, rows are plain
 read-only arrays that nothing checks again: the task stream's arrays,
 its step slices and the OOD subsets.
+
+Every array a run computes with is float64, made at one boundary, where
+a step reads its rows: ``TaskStream.task_train`` and ``test_through``,
+``step_rows``, ``ood_subset`` and ``herding_select``.  No float32 row may
+pass it, since NumPy 2 keeps ``float32_array * python_float`` in float32,
+which would change the bytes of everything computed from it.  Float64
+rows pass it as they are, as views where a step reads a slice.
+
 The binary on-disk format is little-endian:
 
     magic "OCF1" | u32 version=1 | u32 n | u32 d
@@ -55,14 +65,19 @@ class DataError(Exception):
 @dataclass(frozen=True)
 class FeatureDataset:
     """Rows of feature vectors, checked when built: finite features, at
-    least one row, one integer label per row in [0, n_classes)."""
+    least one row, one integer label per row in [0, n_classes).  Float32
+    features are kept as given, a loaded file's as a read-only view of its
+    bytes, so a manifest suite is held at the size it is stored; any other
+    features become float64.  Rows reach arithmetic through the float64
+    boundary named in the module docstring."""
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int = 0
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        feats = np.asarray(self.features)
+        feats = np.ascontiguousarray(feats, np.float32 if feats.dtype == np.float32 else np.float64)
         labels = np.asarray(self.labels)
         if feats.ndim != 2 or feats.shape[0] == 0 or feats.shape[1] == 0:
             raise DataError("features must be a nonempty (n, d) matrix")
@@ -122,19 +137,27 @@ class TaskStream:
         """Seen-class set after step t (1-based), in task order."""
         return tuple(c for classes in self.classes[:t] for c in classes)
 
-    def _rows(self, x, y, bounds, first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """(features, labels) of tasks first..t: read-only slices of x, y."""
+    def _part(self, bounds, first: int, t: int) -> slice:
+        """The rows of tasks first..t under ``bounds``."""
         if not 1 <= t <= self.num_steps:
             raise ValueError("step index out of range")
-        part = slice(bounds[first - 1], bounds[t])
-        return x[part], y[part]
+        return slice(bounds[first - 1], bounds[t])
+
+    def _rows(self, x, y, bounds, first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(features, labels) of tasks first..t, read-only: float64
+        features, a slice of a float64 ``x`` or a copy of a float32 one,
+        and a slice of ``y``."""
+        part = self._part(bounds, first, t)
+        return _read_only(np.asarray(x[part], dtype=np.float64)), y[part]
 
     def task_train(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The training rows of task t (1-based): slices of ``train_x``, ``train_y``."""
+        """The training rows of task t (1-based), from ``train_x``, ``train_y``
+        as :meth:`_rows` says."""
         return self._rows(self.train_x, self.train_y, self.train_bounds, t, t)
 
     def test_through(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """The test rows of tasks 1..t: prefixes of ``test_x``, ``test_y``."""
+        """The test rows of tasks 1..t, from prefixes of ``test_x``, ``test_y``
+        as :meth:`_rows` says."""
         return self._rows(self.test_x, self.test_y, self.test_bounds, 1, t)
 
 
@@ -171,12 +194,14 @@ class OodSuite:
             raise DataError("OOD dataset names must be unique")
 
 
-def save_dataset(ds: FeatureDataset, path) -> None:
-    """Write the binary feature format (little-endian, float32 payload).
+def save_dataset(ds: FeatureDataset, path, dest=None) -> None:
+    """Write the binary feature format (little-endian, float32 payload) to
+    ``dest``, by default ``path``: a caller that writes under a temporary
+    name passes the file it is making as ``path``, which errors name.
     A feature too large for float32 raises :class:`DataError`, since
     :func:`load_dataset` would reject the infinity it casts to."""
     path = Path(path)
-    with open(path, "wb") as fh:
+    with open(path if dest is None else dest, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, ds.n, ds.dim))
         # float32 blocks of _SAVE_ROWS rows, each written from its own buffer:
@@ -213,7 +238,8 @@ def load_dataset(path, n_classes: int = 0) -> FeatureDataset:
         raise DataError(f"payload size mismatch ({len(raw)} != {expect})")
     feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=16)
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=16 + 4 * n * d)
-    # the check reads them into new float64 and int64 arrays
+    # the features stay a read-only float32 view of raw; the check reads the
+    # labels into a new int64 array
     return FeatureDataset(feats.reshape(n, d), labels, n_classes)
 
 
@@ -274,11 +300,13 @@ def step_rows(
     """The rows a head trains on at step t (1-based): task t's training
     rows, then the exemplars of ``mem`` in ascending class order, as
     (features, labels)."""
-    X, y = stream.task_train(t)
+    part = stream._part(stream.train_bounds, t, t)
     rows = [r for c in sorted(mem.entries) for r in mem.entries[c]]
     # exemplars come from other tasks' rows, so the rows a step trains on
-    # are not one run of the suite: this copy is the step's
-    return np.concatenate([X, stream.train_x[rows]]), np.concatenate([y, stream.train_y[rows]])
+    # are not one run of the suite: this copy is the step's, float64 in one
+    # pass from the stream's storage
+    X = np.concatenate([stream.train_x[part], stream.train_x[rows]], dtype=np.float64)
+    return X, np.concatenate([stream.train_y[part], stream.train_y[rows]])
 
 
 def herding_select(class_features: np.ndarray, q: int) -> list[int]:
@@ -392,7 +420,7 @@ def ood_subset(
     ood: FeatureDataset, t: int, total_steps: int, rng: RngStream
 ) -> np.ndarray:
     """The features of the first floor(n * t / total_steps) rows of a fixed
-    seeded permutation, read-only.
+    seeded permutation, read-only float64.
 
     The permutation depends only on the stream identity, so subsets are
     nested across t: subset(t) is a prefix of subset(t+1).
@@ -402,7 +430,7 @@ def ood_subset(
     perm = rng.child("perm").gen.permutation(ood.n)
     take = (ood.n * t) // total_steps
     # a permuted prefix is no run of rows, so the subset is a copy
-    return _read_only(ood.features[perm[:take]])
+    return _read_only(np.asarray(ood.features[perm[:take]], dtype=np.float64))
 
 
 def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]:

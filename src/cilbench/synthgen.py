@@ -23,6 +23,7 @@ product, runs on the calling thread after the draws.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from functools import partial
@@ -201,16 +202,21 @@ def generate(spec: SynthSpec) -> tuple[FeatureDataset, FeatureDataset, OodSuite]
 
 
 def write_synth_suite(spec: SynthSpec, out_dir) -> Path:
-    """Generate and write binary datasets plus a suite manifest JSON."""
+    """Generate and write binary datasets plus a suite manifest JSON.
+
+    Every file is written under a temporary name in ``out_dir`` and renamed
+    into place only once all of them are written, the manifest last.  So a
+    suite that fails to write (a value float32 cannot hold, a full disk)
+    leaves the directory's files as they were; a failed rename can leave
+    some renamed.  Either way no temporary file is left."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, test, suite = generate(spec)
-    save_dataset(train, out / "id_train.bin")
-    save_dataset(test, out / "id_test.bin")
+    sets = {"id_train.bin": train, "id_test.bin": test}
     ood_docs = []
     for entry in suite.entries:
         fname = f"ood_{entry.name}.bin"
-        save_dataset(entry.dataset, out / fname)
+        sets[fname] = entry.dataset
         ood_docs.append({"name": entry.name, "path": fname, "tag": entry.tag})
     manifest = {
         "n_classes": spec.n_classes,
@@ -219,6 +225,15 @@ def write_synth_suite(spec: SynthSpec, out_dir) -> Path:
         "ood": ood_docs,
         "synth_spec": spec.to_dict(),
     }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    temps = {name: out / f".{name}.tmp" for name in [*sets, "manifest.json"]}
+    try:
+        for name, ds in sets.items():
+            save_dataset(ds, out / name, temps[name])
+        temps["manifest.json"].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    return out / "manifest.json"

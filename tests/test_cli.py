@@ -411,6 +411,25 @@ def test_gen_synth_of_a_far_radius_float32_cannot_hold_is_a_data_error(tmp_path,
     assert not (out / "manifest.json").exists()
 
 
+def test_a_failed_gen_synth_leaves_the_suite_there_as_it_was(tmp_path, capsys):
+    # it wrote id_train.bin, id_test.bin and both near sets in place, then a
+    # 16-byte ood_far1.bin, and left the old manifest.json beside them
+    example = json.loads((REPO / "configs" / "example_synth_spec.json").read_text())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(example))
+    out = tmp_path / "suite"
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    spec.write_text(json.dumps({**example, "seed": 1, "far_radius": 1e40}))
+    capsys.readouterr()
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"CILBENCH-ERROR [data]: cannot write {out / 'ood_far1.bin'}: a feature value overflows float32"
+    ]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["gen-synth", "report", "validate-config"])
 def test_an_unexpected_error_is_one_runtime_line(tmp_path, capsys, monkeypatch, command):
     # these printed a traceback; main maps every uncaught error to an exit code
@@ -539,18 +558,60 @@ PINS_RECORDED_UNDER = "numpy 2.4.6, scipy-openblas 0.3.31"
 PIN_MESSAGE = f"pins recorded under {PINS_RECORDED_UNDER}; this run has numpy {np.__version__}"
 
 
+# The same contract for data.manifest runs at seed 0 on the suite gen-synth
+# writes from configs/example_synth_spec.json: rows read from float32 files,
+# a path no row above takes.  The manifest path is relative to the working
+# directory, so the path the report echoes is the same in every tmp_path.
+MANIFEST_PINS = [
+    ("energy", "example_run", {},
+     "1a94b3883ab5fa49d0017243db97ca21693bd4a096e69684d275b17c77187bdd"),
+    ("seeded_order", "example_run", {"class_order": "seeded"},
+     "9217510c7e9431bc0c0455da9afe533b7839647ae22b81b83e81a654a2bfcad0"),
+    ("nnguide", "example_run", {"ood": {"method": "nnguide"}},
+     "a71505cadad7b783d976c47dd856421d4c4b718760dc8b6eed73c539c905b1e2"),
+    ("odin", "example_run", {"ood": {"method": "odin"}},
+     "bea9779ec7798050eefeba8cc617151abd8558015fb2ae510b5e1a63a505b516"),
+    ("t2fnorm_odin", "example_ber_run", {"ood": {"method": "t2fnorm", "score_with": "odin"}},
+     "442d2e83d9edb51467181f7ec9841b58f4933afcb3dae1623a07f92d130afe14"),
+    ("ber_distill_wa", "example_ber_run", {"cil": {"method": "replay_distill_wa"}},
+     "da0b919c3474381b9acd76e27466cfd8918b01642f4851c698128a3afb7fda9f"),
+]
+
+
+def edited_config(config: str, edits: dict) -> dict:
+    """configs/<config>.json with ``edits`` applied as the pin tables say."""
+    doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
+    for key, value in edits.items():
+        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    return doc
+
+
+def report_digest(tmp_path, doc: dict) -> str:
+    """SHA-256 of the report.json that ``cilbench run`` of ``doc`` writes."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    return hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "config, edits, sha256", [pytest.param(*row[1:], id=row[0]) for row in REPORT_PINS]
 )
 def test_shipped_config_writes_the_recorded_report_bytes(tmp_path, config, edits, sha256):
-    doc = json.loads((REPO / "configs" / f"{config}.json").read_text())
-    for key, value in edits.items():
-        doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
-    digest = hashlib.sha256((tmp_path / "run" / "report.json").read_bytes()).hexdigest()
-    assert digest == sha256, PIN_MESSAGE
+    assert report_digest(tmp_path, edited_config(config, edits)) == sha256, PIN_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "config, edits, sha256", [pytest.param(*row[1:], id=row[0]) for row in MANIFEST_PINS]
+)
+def test_manifest_config_writes_the_recorded_report_bytes(
+    tmp_path, monkeypatch, config, edits, sha256
+):
+    spec = REPO / "configs" / "example_synth_spec.json"
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "suite")]) == 0
+    monkeypatch.chdir(tmp_path)
+    doc = {**edited_config(config, edits), "data": {"manifest": "suite/manifest.json"}, "seeds": [0]}
+    assert report_digest(tmp_path, doc) == sha256, PIN_MESSAGE
 
 
 def test_end_to_end_gen_run_report(tmp_path):

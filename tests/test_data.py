@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from cilbench.data import (
     step_rows,
 )
 from cilbench.numerics import RngStream
-from cilbench.synthgen import SynthSpec, generate
+from cilbench.synthgen import SynthSpec, generate, write_synth_suite
 from oracles import subset
 
 
@@ -599,6 +600,73 @@ def test_ood_subset_is_a_read_only_feature_array():
     assert not sub.flags.writeable
     # a gathered copy: the dataset's rows stay the caller's
     assert not np.shares_memory(sub, ds.features) and ds.features.flags.writeable
+
+
+def boundary_arrays(train, test, suite, order):
+    """Per step of a run on the suite: task_train, test_through, step_rows
+    and each OOD set's ood_subset, then the exemplars kept after the step."""
+    stream = split_tasks(train, test, 3, order)
+    mem, out = MemoryBuffer(24), []
+    for t in range(1, stream.num_steps + 1):
+        out += [*stream.task_train(t), *stream.test_through(t), *step_rows(stream, t, mem)]
+        out += [ood_subset(e.dataset, t, stream.num_steps, RngStream(0, e.name))
+                for e in suite.entries]
+        mem = rebalance_memory(mem, stream, t)
+        out.append(mem.entries)
+    return out
+
+
+def widened(ds):
+    return FeatureDataset(ds.features.astype(np.float64), ds.labels, ds.n_classes)
+
+
+@pytest.mark.parametrize("order", [None, RngStream(5, "order")], ids=["identity", "seeded"])
+def test_a_manifest_suite_is_held_as_float32_and_read_as_float64(tmp_path, order):
+    spec = SynthSpec(n_classes=8, dim=16, n_train_per_class=30, n_test_per_class=10,
+                     n_ood_per_set=40, seed=3)
+    train, test, suite = load_suite_manifest(write_synth_suite(spec, tmp_path))
+    for ds in (train, test, *(e.dataset for e in suite.entries)):
+        assert ds.features.dtype == np.float32 and not ds.features.flags.writeable
+    got = boundary_arrays(train, test, suite, order)
+    for a in got:
+        if isinstance(a, np.ndarray) and a.ndim == 2:
+            assert a.dtype == np.float64
+    # the same arrays and exemplar picks as on the suite widened before the run
+    wide_ood = OodSuite(tuple(OodEntry(e.name, widened(e.dataset), e.tag) for e in suite.entries))
+    want = boundary_arrays(widened(train), widened(test), wide_ood, order)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(a, dict):
+            assert a == b
+        else:
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+def test_a_float64_suite_passes_the_boundary_as_views():
+    train, test, _ = generate(SynthSpec(n_classes=8, dim=16, n_train_per_class=30,
+                                        n_test_per_class=10, n_ood_per_set=40, seed=3))
+    assert train.features.dtype == np.float64
+    stream = split_tasks(train, test, 3)
+    for t in range(1, stream.num_steps + 1):
+        assert np.shares_memory(stream.task_train(t)[0], train.features)
+        assert np.shares_memory(stream.test_through(t)[0], test.features)
+
+
+def test_load_suite_manifest_holds_a_suite_at_its_stored_size(tmp_path):
+    # the scaled suite's width (dim 256) at a few MB; it held the suite as
+    # float64, twice its files' bytes
+    spec = SynthSpec(n_classes=10, dim=256, n_train_per_class=100, n_test_per_class=20,
+                     n_ood_per_set=500, seed=0)
+    manifest = write_synth_suite(spec, tmp_path)
+    stored = sum(p.stat().st_size for p in tmp_path.glob("*.bin"))
+    tracemalloc.start()
+    try:
+        loaded = load_suite_manifest(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded[0].n == 1000
+    assert peak <= 1.2 * stored
 
 
 def test_ood_suite_validation():
