@@ -15,6 +15,7 @@ from cilbench import (
     auroc,
     fit_scorer,
     generate,
+    ood_order,
     ood_subset,
     score_batch,
     split_tasks,
@@ -38,7 +39,8 @@ for name in SCORER_NAMES:
     near, far = [], []
     for entry in suite.entries:
         # the step's OOD rows: a feature array, a prefix of one permutation
-        sub = ood_subset(entry.dataset, 1, stream.num_steps, RngStream(1, f"sub/{entry.name}"))
+        order = ood_order(entry.dataset, RngStream(1, f"sub/{entry.name}"))
+        sub = ood_subset(entry.dataset, 1, stream.num_steps, order)
         bucket = near if entry.tag == "near" else far
         bucket.append(auroc(id_scores, score_batch(name, model, fit, sub)))
     print(f"{name:<22} {np.mean(near):9.4f} {np.mean(far):9.4f}")

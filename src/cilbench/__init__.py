@@ -12,6 +12,7 @@ from .data import (
     TaskStream,
     load_dataset,
     load_suite_manifest,
+    ood_order,
     ood_subset,
     save_dataset,
     split_tasks,
@@ -52,6 +53,7 @@ __all__ = [
     "load_dataset",
     "load_head",
     "load_suite_manifest",
+    "ood_order",
     "ood_subset",
     "run_benchmark",
     "save_dataset",

@@ -1,8 +1,9 @@
 """Dataset containers, task streams, replay memory, and OOD test subsets.
 
 Feature datasets are (n, d) matrices with integer labels, held as float32
-when given float32 (a file's features, as ``load_dataset`` reads them)
-and as float64 otherwise (``synthgen.generate``'s).  A
+when given float32 (a file's features, as ``load_dataset`` reads them, or
+a suite ``synthgen.generate`` draws for a file) and as float64 otherwise
+(the suite it draws for a run).  A
 :class:`FeatureDataset` is rows checked where they enter the engine
 (``load_dataset``, ``synthgen.generate``).  Inside a run, rows are plain
 read-only arrays that nothing checks again: the task stream's arrays,
@@ -48,6 +49,7 @@ __all__ = [
     "step_rows",
     "rebalance_memory",
     "herding_select",
+    "ood_order",
     "ood_subset",
     "load_suite_manifest",
 ]
@@ -204,11 +206,12 @@ def save_dataset(ds: FeatureDataset, path, dest=None) -> None:
     with open(path if dest is None else dest, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, ds.n, ds.dim))
-        # float32 blocks of _SAVE_ROWS rows, each written from its own buffer:
-        # the payload is never held as a whole second copy, nor as bytes
+        # float32 blocks of _SAVE_ROWS rows: float32 rows are written as they
+        # are, others each cast into its own buffer, so the payload is never
+        # held as a whole second copy, nor as bytes
         for start in range(0, ds.n, _SAVE_ROWS):
             with np.errstate(over="ignore"):
-                block = ds.features[start : start + _SAVE_ROWS].astype("<f4")
+                block = ds.features[start : start + _SAVE_ROWS].astype("<f4", copy=False)
             if not np.isfinite(block).all():
                 raise DataError(f"cannot write {path}: a feature value overflows float32")
             fh.write(memoryview(block))
@@ -416,21 +419,26 @@ def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuf
     return MemoryBuffer(mem.budget, entries)
 
 
-def ood_subset(
-    ood: FeatureDataset, t: int, total_steps: int, rng: RngStream
-) -> np.ndarray:
-    """The features of the first floor(n * t / total_steps) rows of a fixed
-    seeded permutation, read-only float64.
+def ood_order(ood: FeatureDataset, rng: RngStream) -> np.ndarray:
+    """The fixed seeded permutation of ``ood``'s rows whose prefixes
+    :func:`ood_subset` takes; it depends only on the stream identity."""
+    return rng.child("perm").gen.permutation(ood.n)
 
-    The permutation depends only on the stream identity, so subsets are
-    nested across t: subset(t) is a prefix of subset(t+1).
+
+def ood_subset(
+    ood: FeatureDataset, t: int, total_steps: int, order: np.ndarray
+) -> np.ndarray:
+    """The features of the rows ``order[:floor(n * t / total_steps)]``,
+    read-only float64, ``order`` being :func:`ood_order`'s permutation.
+
+    One permutation serves every step, so subsets are nested across t:
+    subset(t) is a prefix of subset(t+1).
     """
     if not 1 <= t <= total_steps:
         raise ValueError("step index out of range")
-    perm = rng.child("perm").gen.permutation(ood.n)
     take = (ood.n * t) // total_steps
     # a permuted prefix is no run of rows, so the subset is a copy
-    return _read_only(np.asarray(ood.features[perm[:take]], dtype=np.float64))
+    return _read_only(np.asarray(ood.features[order[:take]], dtype=np.float64))
 
 
 def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]:

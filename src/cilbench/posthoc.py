@@ -43,6 +43,7 @@ __all__ = [
     "PosthocParams",
     "ScorerFit",
     "SCORER_NAMES",
+    "FITTED_SCORERS",
     "fit_scorer",
     "score_batch",
 ]
@@ -59,7 +60,8 @@ SCORER_NAMES = (
     "relation_simplified",
 )
 
-_NEEDS_FIT = ("react", "klm", "nnguide", "relation_simplified")
+# the scorers that fit_scorer fits from a step's rows; it returns None for the others
+FITTED_SCORERS = ("react", "klm", "nnguide", "relation_simplified")
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def fit_scorer(
     params = params or PosthocParams()
     if name not in SCORER_NAMES:
         raise ValueError(f"unknown scorer {name!r}")
-    if name not in _NEEDS_FIT:
+    if name not in FITTED_SCORERS:
         return None
     Z = model.penultimate(fit_features)
     if name == "react":

@@ -31,12 +31,12 @@ import numpy as np
 
 from .cil import CilConfig, CilModel, evaluate_accuracy, train_task
 from .configcheck import ConfigError, check_field_types, check_keys, is_int, parse_section, read_json
-from .data import MemoryBuffer, load_suite_manifest, ood_subset, split_tasks, step_rows
+from .data import MemoryBuffer, load_suite_manifest, ood_order, ood_subset, split_tasks, step_rows
 from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
 from .model import save_head
 from .numerics import RngStream
-from .posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
+from .posthoc import FITTED_SCORERS, SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from .synthgen import SynthSpec, generate
 
 __all__ = ["RunConfig", "BenchmarkReport", "preflight", "run_benchmark", "emit_report"]
@@ -203,8 +203,8 @@ def _timed(phases: dict, name: str):
 
 
 def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
-    """The CIL phase: yields ``(t, model, mem_t, id_x, acc, took)`` per
-    step: the model after step t, the memory before it, the test features
+    """The CIL phase: yields ``(t, model, mem_t, acc, took)`` per step: the
+    model after step t, the memory before it, the accuracy on the test rows
     of tasks 1..t, and the timing record with ``cil_train`` and ACC in ``score_id``."""
     model = CilModel.fresh(stream.train_x.shape[1])
     mem = MemoryBuffer(cfg.memory_budget)
@@ -214,16 +214,20 @@ def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
         mem_t = mem
         with _timed(took, "cil_train"):
             model, mem = train_task(model, stream, t, mem_t, cfg.cil_config, rng, train_log)
-        id_x, id_y = stream.test_through(t)
         with _timed(took, "score_id"):
-            acc = evaluate_accuracy(model, id_x, id_y)
-        yield t, model, mem_t, id_x, acc, took
+            acc = evaluate_accuracy(model, *stream.test_through(t))
+        yield t, model, mem_t, acc, took
 
 
-def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple[list, CilModel]:
+def _score_step(cfg: RunConfig, seed: int, stream, step, ood_sets, ft_log) -> tuple[list, CilModel]:
     """The OOD phase of one ``_trajectory`` step: its records and scoring
-    model.  Adds the step's remaining phase times to ``took``."""
-    t, model, mem_t, id_x, acc, took = step
+    model.  ``ood_sets`` pairs each OOD entry with its ``ood_order``.  Adds
+    the step's remaining phase times to ``took``.
+
+    Each float64 row array a step reads is dropped once read: the rows a
+    scorer fits from (gathered only for a scorer that fits), the ID test
+    rows once scored, and each OOD subset before the next is built."""
+    t, model, mem_t, acc, took = step
     T = stream.num_steps
     scorer, params, ft = cfg.scorer, cfg.scorer_params, cfg.finetune_params
     score_model = model
@@ -233,14 +237,18 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple
         with _timed(took, "finetune"):
             score_model = finetune_step_loop(model, stream, t, mem_t, method, ft, rng, ft_log)
     with _timed(took, "scorer_fit"):
-        fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
+        fit = None
+        if scorer in FITTED_SCORERS:
+            fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
     with _timed(took, "score_id"):
-        id_scores = score_batch(scorer, score_model, fit, id_x, params)
+        # read again: _trajectory dropped its ID rows once it had measured ACC
+        id_scores = score_batch(scorer, score_model, fit, stream.test_through(t)[0], params)
     records = []
-    for entry in suite.entries:
+    for entry, order in ood_sets:
         with _timed(took, "score_ood"):
-            sub = ood_subset(entry.dataset, t, T, RngStream(seed, f"oodsubset/{entry.name}"))
+            sub = ood_subset(entry.dataset, t, T, order)
             ood_scores = score_batch(scorer, score_model, fit, sub, params)
+            del sub  # before the next set's subset is built
         with _timed(took, "metrics"):
             records.append(
                 {
@@ -248,8 +256,8 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple
                     "step": t,
                     "ood_dataset": entry.name,
                     "tag": entry.tag,
-                    "n_id_test": id_x.shape[0],
-                    "n_ood_test": sub.shape[0],
+                    "n_id_test": id_scores.shape[0],
+                    "n_ood_test": ood_scores.shape[0],
                     "acc": acc,
                     "auroc": auroc(id_scores, ood_scores),
                     "fpr95": fpr_at_tpr95(id_scores, ood_scores),
@@ -262,10 +270,14 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, suite, ft_log) -> tuple
 def _run_seed(cfg: RunConfig, seed: int, stream, suite, artifact_dir: Path | None) -> list[dict]:
     train_log, timings, records = [], [], []
     ft_log: list | None = None if cfg.finetune_params is None else []
+    # one permutation per OOD set and seed, whose prefixes every step takes
+    ood_sets = [
+        (e, ood_order(e.dataset, RngStream(seed, f"oodsubset/{e.name}"))) for e in suite.entries
+    ]
     for step in _trajectory(cfg, seed, stream, train_log):
         t, model, took = step[0], step[1], step[-1]
         timings.append(took)
-        step_records, score_model = _score_step(cfg, seed, stream, step, suite, ft_log)
+        step_records, score_model = _score_step(cfg, seed, stream, step, ood_sets, ft_log)
         records += step_records
         if artifact_dir is not None:
             with _timed(took, "checkpoint_io"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, train_task
-from cilbench.data import MemoryBuffer, ood_subset, split_tasks
+from cilbench.data import MemoryBuffer, ood_order, ood_subset, split_tasks
 from cilbench.finetune import BerConfig, finetune_step_loop, nter_loss, oter_loss
 from cilbench.metrics import auroc, average_precision, fpr_at_tpr95
 from cilbench.model import LinearHead, ce_loss
@@ -275,6 +275,9 @@ def test_criterion_7_ber_ablation_ordering():
         model = CilModel.fresh(spec.dim)
         mem = MemoryBuffer(REPLAY_BUDGET)
         rng = RngStream(seed, "ablate")
+        orders = {
+            e.name: ood_order(e.dataset, RngStream(seed, f"sub/{e.name}")) for e in suite.entries
+        }
         per_step = {k: [] for k in variants}
         for t in range(1, T + 1):
             mem_t = mem
@@ -291,7 +294,7 @@ def test_criterion_7_ber_ablation_ordering():
                         id_s,
                         score_batch(
                             "energy", fmodel, None,
-                            ood_subset(e.dataset, t, T, RngStream(seed, f"sub/{e.name}")),
+                            ood_subset(e.dataset, t, T, orders[e.name]),
                         ),
                     )
                     for e in suite.entries
@@ -363,7 +366,8 @@ def test_criterion_10_near_far_ordering():
             id_s = score_batch(name, model, fit, id_x)
             near, far = [], []
             for e in suite.entries:
-                sub = ood_subset(e.dataset, 1, stream.num_steps, RngStream(seed, f"sub/{e.name}"))
+                order = ood_order(e.dataset, RngStream(seed, f"sub/{e.name}"))
+                sub = ood_subset(e.dataset, 1, stream.num_steps, order)
                 (near if e.tag == "near" else far).append(
                     auroc(id_s, score_batch(name, model, fit, sub))
                 )

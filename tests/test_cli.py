@@ -495,6 +495,19 @@ def test_gen_synth_bad_spec_exits_1(tmp_path):
     assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_gen_synth_rejects_a_seed_outside_the_stream_range(tmp_path, capsys, seed):
+    # RngStream reads seeds modulo 2^64: seed -1 wrote the suite of seed
+    # 2^64 - 1, and seed 2^64 the suite of seed 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SMALL_RUN["data"]["synth"], "seed": seed}))
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"CILBENCH-ERROR [config]: bad synth spec: seed must be an integer"
+                   f" in [0, 2^64), got {seed}"]
+    assert not (tmp_path / "d").exists()
+
+
 @pytest.mark.parametrize("counts", [{"n_near_sets": -1}, {"n_far_sets": -1}])
 def test_gen_synth_rejects_negative_ood_set_counts(tmp_path, capsys, counts):
     spec = tmp_path / "spec.json"
@@ -576,6 +589,28 @@ MANIFEST_PINS = [
     ("ber_distill_wa", "example_ber_run", {"cil": {"method": "replay_distill_wa"}},
      "da0b919c3474381b9acd76e27466cfd8918b01642f4851c698128a3afb7fda9f"),
 ]
+
+
+# SHA-256 of every file gen-synth writes for configs/example_synth_spec.json,
+# recorded while generate drew every suite in float64 and save_dataset cast
+# it block by block: the float32 suite gen-synth now draws must match them
+GEN_SYNTH_SHA256 = {
+    "id_test.bin": "93855b750e7281e658e05227d26675c31d5ebf4e259c9473724a88653eb8c8ae",
+    "id_train.bin": "47fd3ea192990679212272483b4c514eb4e90bed62b0f6e4b6d51f5069c5b84f",
+    "manifest.json": "06b33d83e11d55103635dcd7dc309963391af917bc53037b04d9da32ca35ca48",
+    "ood_far1.bin": "0955541d3f1ff308492cad94752a8344200404d8d8fa50eda17ad8848b1a864a",
+    "ood_far2.bin": "9aae6795591b8e1a394e93b082ee8786a208398ac5112d2d5c476d2e2c770c07",
+    "ood_near1.bin": "321601705a1f9c3128f74a75e4cb59cfd592d4e57020ad617949986216a2eb23",
+    "ood_near2.bin": "ae1782882bb3110fca20577a1534afb585c02f7b4fbbf95c79fa4a61d82744be",
+}
+
+
+def test_gen_synth_writes_the_recorded_suite_bytes(tmp_path):
+    spec = REPO / "configs" / "example_synth_spec.json"
+    assert main(["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "suite")]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "suite").iterdir()}
+    assert written == GEN_SYNTH_SHA256, PIN_MESSAGE
 
 
 def edited_config(config: str, edits: dict) -> dict:

@@ -17,6 +17,7 @@ from cilbench.data import (
     herding_select,
     load_dataset,
     load_suite_manifest,
+    ood_order,
     ood_subset,
     rebalance_memory,
     save_dataset,
@@ -474,25 +475,25 @@ def test_step_rows_without_memory_is_the_task_itself():
 
 def test_ood_subset_sizes_and_nesting():
     ds = make_ds(120, 5, 3)  # 600 rows
-    rng = RngStream(3, "ood")
-    sub2 = ood_subset(ds, 2, 5, rng)
+    order = ood_order(ds, RngStream(3, "ood"))
+    sub2 = ood_subset(ds, 2, 5, order)
     assert sub2.shape == (240, 3)
-    assert ood_subset(ds, 5, 5, rng).shape[0] == 600
-    sub1 = ood_subset(ds, 1, 5, rng)
+    assert ood_subset(ds, 5, 5, order).shape[0] == 600
+    sub1 = ood_subset(ds, 1, 5, order)
     np.testing.assert_array_equal(sub1, sub2[: sub1.shape[0]])
     with pytest.raises(ValueError):
-        ood_subset(ds, 0, 5, rng)
+        ood_subset(ds, 0, 5, order)
     with pytest.raises(ValueError):
-        ood_subset(ds, 6, 5, rng)
+        ood_subset(ds, 6, 5, order)
 
 
 def test_ood_subset_ratio_constant_when_test_sizes_equal():
     ds = make_ds(100, 5, 3)  # 500 OOD rows
-    rng = RngStream(9, "ood")
+    order = ood_order(ds, RngStream(9, "ood"))
     per_task_test = 40
     ratios = []
     for t in range(1, 6):
-        sub = ood_subset(ds, t, 5, rng)
+        sub = ood_subset(ds, t, 5, order)
         ratios.append(sub.shape[0] / (t * per_task_test))
     assert max(ratios) - min(ratios) <= 1 / per_task_test  # within one sample
 
@@ -595,7 +596,7 @@ def test_manifest_class_count_above_the_id_train_rows_fails_before_counting(tmp_
 
 def test_ood_subset_is_a_read_only_feature_array():
     ds = make_ds(20, 3, 4)
-    sub = ood_subset(ds, 2, 3, RngStream(1, "ood"))
+    sub = ood_subset(ds, 2, 3, ood_order(ds, RngStream(1, "ood")))
     assert sub.shape == (40, 4) and sub.dtype == np.float64
     assert not sub.flags.writeable
     # a gathered copy: the dataset's rows stay the caller's
@@ -607,10 +608,10 @@ def boundary_arrays(train, test, suite, order):
     and each OOD set's ood_subset, then the exemplars kept after the step."""
     stream = split_tasks(train, test, 3, order)
     mem, out = MemoryBuffer(24), []
+    perms = [(e.dataset, ood_order(e.dataset, RngStream(0, e.name))) for e in suite.entries]
     for t in range(1, stream.num_steps + 1):
         out += [*stream.task_train(t), *stream.test_through(t), *step_rows(stream, t, mem)]
-        out += [ood_subset(e.dataset, t, stream.num_steps, RngStream(0, e.name))
-                for e in suite.entries]
+        out += [ood_subset(ds, t, stream.num_steps, perm) for ds, perm in perms]
         mem = rebalance_memory(mem, stream, t)
         out.append(mem.entries)
     return out

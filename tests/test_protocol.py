@@ -300,6 +300,46 @@ def test_a_seed_frees_its_rows_before_the_next_seed(class_order):
     assert two <= 1.1 * one
 
 
+def test_a_manifest_run_holds_its_suite_and_about_one_float64_set(tmp_path):
+    # a step drops each float64 row array once it has read it: the rows a
+    # scorer fits from (gathered for a fitted scorer only), the ID test rows
+    # once scored and each OOD subset before the next is built.  Kept until
+    # the step ended, they put this peak at the stored suite plus 3.4
+    # float64 OOD sets; dropped, it is the suite plus 1.6
+    spec = SynthSpec(n_classes=8, dim=256, n_train_per_class=200, n_test_per_class=200,
+                     n_ood_per_set=2000)
+    manifest = write_synth_suite(spec, tmp_path / "suite")
+    cfg = small_config(data={"manifest": str(manifest)}, seeds=[0], memory_budget=200,
+                       cil={"method": "replay", "epochs_per_task": 2, "batch_size": 128})
+    run_benchmark(cfg)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        run_benchmark(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(p.stat().st_size for p in (tmp_path / "suite").glob("*.bin"))
+    float64_set = 8 * spec.n_ood_per_set * spec.dim
+    assert peak <= stored + 2 * float64_set
+
+
+@pytest.mark.parametrize("method, fits", [("energy", False), ("react", True)])
+def test_a_seed_permutes_each_ood_set_once_and_gathers_rows_only_to_fit(
+    monkeypatch, method, fits
+):
+    calls = {"ood_order": 0, "ood_subset": 0, "step_rows": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(protocol, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(protocol, name, counting)
+    cfg = small_config(ood={"method": method})  # two seeds of two steps
+    run_benchmark(cfg)
+    sets = cfg.synth_spec.n_near_sets + cfg.synth_spec.n_far_sets
+    assert calls == {"ood_order": 2 * sets, "ood_subset": 2 * 2 * sets, "step_rows": 2 * 2 * fits}
+
+
 def count_dataset_checks(monkeypatch) -> list:
     """Patch ``FeatureDataset``'s check to count its runs in the returned list."""
     checks = []
