@@ -28,7 +28,7 @@ for budget in (0, 200):
 
 # confidence bias at the final step of the replay run
 final_classes = stream.classes[-1]
-test_x, test_y = stream.test_through(stream.num_steps)  # read-only arrays
+test_x, test_y = stream.test_through(stream.num_steps)  # a view of the rows, and labels
 conf = score_batch("msp", model, None, test_x)
 is_new = np.isin(test_y, final_classes)
 print(f"mean confidence: old classes {conf[~is_new].mean():.3f} "

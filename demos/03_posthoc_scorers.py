@@ -38,7 +38,7 @@ for name in SCORER_NAMES:
     id_scores = score_batch(name, model, fit, id_x)
     near, far = [], []
     for entry in suite.entries:
-        # the step's OOD rows: a feature array, a prefix of one permutation
+        # the step's OOD rows: a view of a prefix of one permutation
         order = ood_order(entry.dataset, RngStream(1, f"sub/{entry.name}"))
         sub = ood_subset(entry.dataset, 1, stream.num_steps, order)
         bucket = near if entry.tag == "near" else far

@@ -9,6 +9,7 @@ from .data import (
     MemoryBuffer,
     OodEntry,
     OodSuite,
+    RowView,
     TaskStream,
     load_dataset,
     load_suite_manifest,
@@ -39,6 +40,7 @@ __all__ = [
     "OodSuite",
     "PosthocParams",
     "RngStream",
+    "RowView",
     "RunConfig",
     "SynthSpec",
     "TaskStream",

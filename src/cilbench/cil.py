@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configcheck import check_field_types
-from .data import MemoryBuffer, TaskStream, rebalance_memory, step_rows
+from .data import MemoryBuffer, RowView, TaskStream, rebalance_memory, step_rows
 from .model import (
     LinearHead,
     ce_loss,
@@ -197,7 +197,8 @@ def train_task(
     head = expand_head(model.head, len(classes), rng.child(f"init-t{t}"))
     seen = list(model.seen_classes) + list(classes)
 
-    X, y = step_rows(stream, t, mem)
+    rows, y = step_rows(stream, t, mem)
+    X = rows.widen()
     y_rows = CilModel(head, seen).head_rows(y)
     distill = cfg.method != "replay" and t > 1 and cfg.distill_weight != 0.0
     if distill:
@@ -236,9 +237,13 @@ def train_task(
     return CilModel(head, seen), rebalance_memory(mem, stream, t)
 
 
-def evaluate_accuracy(model: CilModel, X: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of rows of ``X`` whose argmax logit matches their label in
-    ``y`` (ties go to the lowest class index); an unseen label is an error."""
+def evaluate_accuracy(model: CilModel, X, y: np.ndarray) -> float:
+    """Fraction of rows of ``X``, an array or a ``RowView`` read slice by
+    slice, whose argmax logit matches their label in ``y`` (ties go to the
+    lowest class index); an unseen label is an error."""
     rows = model.head_rows(y)
-    preds = np.argmax(model.logits(X), axis=1)
+    view = RowView.of(X)
+    preds = np.empty(view.shape[0], dtype=np.intp)
+    for part in view.slices():
+        preds[part] = np.argmax(model.logits(view.read(part)), axis=1)
     return float((preds == rows).mean())

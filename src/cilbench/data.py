@@ -6,15 +6,20 @@ a suite ``synthgen.generate`` draws for a file) and as float64 otherwise
 (the suite it draws for a run).  A
 :class:`FeatureDataset` is rows checked where they enter the engine
 (``load_dataset``, ``synthgen.generate``).  Inside a run, rows are plain
-read-only arrays that nothing checks again: the task stream's arrays,
-its step slices and the OOD subsets.
+read-only arrays that nothing checks again: the task stream's arrays and
+the views a step reads them through.
 
-Every array a run computes with is float64, made at one boundary, where
-a step reads its rows: ``TaskStream.task_train`` and ``test_through``,
-``step_rows``, ``ood_subset`` and ``herding_select``.  No float32 row may
-pass it, since NumPy 2 keeps ``float32_array * python_float`` in float32,
-which would change the bytes of everything computed from it.  Float64
-rows pass it as they are, as views where a step reads a slice.
+A step reads every row set through a :class:`RowView`: the stored array
+and the rows of it the set holds, with no copy.  ``TaskStream.task_train``
+and ``test_through``, ``step_rows`` and ``ood_subset`` each hand one out.
+Every array a run computes with is float64, made at one boundary, the
+view: :meth:`RowView.read` widens one slice of rows at a time, and
+:meth:`RowView.widen` a whole set for training, which samples batches
+from it every epoch (``herding_select`` widens the class rows it is
+given as well).  No float32 row may pass it, since NumPy 2 keeps
+``float32_array * python_float`` in float32, which would change the
+bytes of everything computed from it.  Float64 rows pass it as they
+are, as views where a slice is one run of rows.
 
 The binary on-disk format is little-endian:
 
@@ -40,6 +45,7 @@ __all__ = [
     "DataError",
     "FeatureDataset",
     "TaskStream",
+    "RowView",
     "MemoryBuffer",
     "OodEntry",
     "OodSuite",
@@ -57,6 +63,10 @@ __all__ = [
 _MAGIC = b"OCF1"
 _VERSION = 1
 _SAVE_ROWS = 4096
+# RowView.slices' default budget: a slice holds at most this many values
+# (2 MiB in float64), so a desk-sized set is one slice and a scaled one a
+# few; whole-set widening goes by the same slices
+_SLICE_CELLS = 1 << 18
 
 
 class DataError(Exception):
@@ -107,6 +117,60 @@ class FeatureDataset:
 
 
 @dataclass(frozen=True)
+class RowView:
+    """Rows of a stored feature array, read as float64 a slice at a time.
+
+    ``storage`` is an (N, d) float32 or float64 array, kept as given, and
+    ``index`` the rows of it the view holds, in view order (None: every
+    row).  The view holds no row of its own, and hands rows out only in
+    float64: :meth:`read` returns C-contiguous float64 rows, a view where
+    they are one run of float64 storage and a new array otherwise, so no
+    slice a scorer, a fit or a rescore reads is float32."""
+
+    storage: np.ndarray
+    index: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, rows) -> "RowView":
+        """``rows`` as a view: a view as it is, anything else as the
+        array ``np.asarray`` makes of it."""
+        return rows if isinstance(rows, cls) else cls(np.asarray(rows))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.storage.shape[0] if self.index is None else self.index.shape[0]
+        return n, self.storage.shape[1]
+
+    def _stored(self, sel) -> np.ndarray:
+        """The stored rows at view positions ``sel``, as stored."""
+        return self.storage[sel if self.index is None else self.index[sel]]
+
+    def read(self, sel) -> np.ndarray:
+        """The float64 rows at view positions ``sel``, a slice or an
+        integer array."""
+        return np.ascontiguousarray(self._stored(sel), dtype=np.float64)
+
+    def slices(self, cells: int = _SLICE_CELLS):
+        """Consecutive slices of the view's positions, each of ``cells // d``
+        rows (at least one), the last one ragged: a caller reads each as
+        it uses it, so no two are held at once."""
+        n, d = self.shape
+        height = max(1, cells // d)
+        return (slice(start, min(start + height, n)) for start in range(0, n, height))
+
+    def widen(self) -> np.ndarray:
+        """Every row in float64, read-only: the storage itself if it is
+        float64 and the view holds all of it in order, else a new array
+        filled slice by slice."""
+        if self.index is None and self.storage.dtype == np.float64:
+            return _read_only(np.ascontiguousarray(self.storage))
+        out = np.empty(self.shape)
+        for part in self.slices():
+            out[part] = self._stored(part)  # widened as it is copied in
+        return _read_only(out)
+
+
+@dataclass(frozen=True)
 class TaskStream:
     """Ordered partition of classes into tasks with disjoint label sets.
 
@@ -145,19 +209,18 @@ class TaskStream:
             raise ValueError("step index out of range")
         return slice(bounds[first - 1], bounds[t])
 
-    def _rows(self, x, y, bounds, first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """(features, labels) of tasks first..t, read-only: float64
-        features, a slice of a float64 ``x`` or a copy of a float32 one,
-        and a slice of ``y``."""
+    def _rows(self, x, y, bounds, first: int, t: int) -> tuple[RowView, np.ndarray]:
+        """(features, labels) of tasks first..t: a view of the slice of
+        ``x`` and the slice of ``y``, both read-only, neither a copy."""
         part = self._part(bounds, first, t)
-        return _read_only(np.asarray(x[part], dtype=np.float64)), y[part]
+        return RowView(x[part]), y[part]
 
-    def task_train(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def task_train(self, t: int) -> tuple[RowView, np.ndarray]:
         """The training rows of task t (1-based), from ``train_x``, ``train_y``
         as :meth:`_rows` says."""
         return self._rows(self.train_x, self.train_y, self.train_bounds, t, t)
 
-    def test_through(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def test_through(self, t: int) -> tuple[RowView, np.ndarray]:
         """The test rows of tasks 1..t, from prefixes of ``test_x``, ``test_y``
         as :meth:`_rows` says."""
         return self._rows(self.test_x, self.test_y, self.test_bounds, 1, t)
@@ -299,17 +362,16 @@ def split_tasks(
 
 def step_rows(
     stream: TaskStream, t: int, mem: MemoryBuffer
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[RowView, np.ndarray]:
     """The rows a head trains on at step t (1-based): task t's training
-    rows, then the exemplars of ``mem`` in ascending class order, as
-    (features, labels)."""
+    rows, then the exemplars of ``mem`` in ascending class order, as a
+    view of ``stream.train_x`` and their labels."""
     part = stream._part(stream.train_bounds, t, t)
-    rows = [r for c in sorted(mem.entries) for r in mem.entries[c]]
+    exemplars = np.array([r for c in sorted(mem.entries) for r in mem.entries[c]], dtype=np.intp)
     # exemplars come from other tasks' rows, so the rows a step trains on
-    # are not one run of the suite: this copy is the step's, float64 in one
-    # pass from the stream's storage
-    X = np.concatenate([stream.train_x[part], stream.train_x[rows]], dtype=np.float64)
-    return X, np.concatenate([stream.train_y[part], stream.train_y[rows]])
+    # are not one run of the suite: the view gathers them where read
+    index = np.concatenate([np.arange(part.start, part.stop), exemplars])
+    return RowView(stream.train_x, index), stream.train_y[index]
 
 
 def herding_select(class_features: np.ndarray, q: int) -> list[int]:
@@ -427,18 +489,18 @@ def ood_order(ood: FeatureDataset, rng: RngStream) -> np.ndarray:
 
 def ood_subset(
     ood: FeatureDataset, t: int, total_steps: int, order: np.ndarray
-) -> np.ndarray:
-    """The features of the rows ``order[:floor(n * t / total_steps)]``,
-    read-only float64, ``order`` being :func:`ood_order`'s permutation.
+) -> RowView:
+    """A view of the rows ``order[:floor(n * t / total_steps)]`` of
+    ``ood``'s features, ``order`` being :func:`ood_order`'s permutation.
 
     One permutation serves every step, so subsets are nested across t:
-    subset(t) is a prefix of subset(t+1).
+    subset(t) is a prefix of subset(t+1).  The view holds only the row
+    numbers; its reader gathers them from the set a slice at a time.
     """
     if not 1 <= t <= total_steps:
         raise ValueError("step index out of range")
     take = (ood.n * t) // total_steps
-    # a permuted prefix is no run of rows, so the subset is a copy
-    return _read_only(np.asarray(ood.features[order[:take]], dtype=np.float64))
+    return RowView(ood.features, order[:take])
 
 
 def load_suite_manifest(path) -> tuple[FeatureDataset, FeatureDataset, OodSuite]:

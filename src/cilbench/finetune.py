@@ -297,8 +297,8 @@ def finetune_step_loop(
     feature_tau = cfg.t2f_tau if method == "t2fnorm" else None
     tuned = CilModel(model.head.clone(), list(model.seen_classes), feature_tau)
     head = tuned.head
-    X_raw, labels = step_rows(stream, t, mem)
-    Z_all = tuned.penultimate(X_raw)
+    rows, labels = step_rows(stream, t, mem)
+    Z_all = tuned.penultimate(rows.widen())
     y_all = model.head_rows(labels)
     n_new = stream.train_bounds[t] - stream.train_bounds[t - 1]
     Z_new, Z_mem = Z_all[:n_new], Z_all[n_new:]

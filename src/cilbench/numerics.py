@@ -62,22 +62,31 @@ class RngStream:
         return f"RngStream(seed={self.seed}, label={self.label!r})"
 
 
-def logsumexp_softmax_rows(m: np.ndarray, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise tau * log(sum_j exp(m_ij / tau)) and softmax of m / tau,
-    both from one max-shifted exp."""
+def _shifted_exp_rows(m: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise tau * log(sum_j exp(m_ij / tau)), the max-shifted exp of
+    m / tau it is read from, and that exp's row sums."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     scaled = np.asarray(m, dtype=np.float64) / tau
     peak = scaled.max(axis=1, keepdims=True)
     P = np.exp(scaled - peak)
     total = P.sum(axis=1, keepdims=True)
+    return tau * (peak[:, 0] + np.log(total[:, 0])), P, total
+
+
+def logsumexp_softmax_rows(m: np.ndarray, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise tau * log(sum_j exp(m_ij / tau)) and softmax of m / tau,
+    both from one max-shifted exp."""
+    lse, P, total = _shifted_exp_rows(m, tau)
     P /= total
-    return tau * (peak[:, 0] + np.log(total[:, 0])), P
+    return lse, P
 
 
 def logsumexp_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:
-    """Row-wise tau * log(sum_j exp(m_ij / tau)) with max subtraction."""
-    return logsumexp_softmax_rows(m, tau)[0]
+    """Row-wise tau * log(sum_j exp(m_ij / tau)) with max subtraction: the
+    log-sum-exp of :func:`logsumexp_softmax_rows`, without normalizing the
+    softmax it does not return."""
+    return _shifted_exp_rows(m, tau)[0]
 
 
 def softmax_rows(m: np.ndarray, tau: float = 1.0) -> np.ndarray:

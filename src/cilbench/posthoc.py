@@ -3,11 +3,18 @@
 Every scorer returns a scalar where HIGHER means more in-distribution;
 the metrics module never needs per-scorer sign handling.  Scorers that
 use training statistics are refit at every incremental step on the rows
-available at that step (new-task train plus replay memory).  A batch
-takes one frozen forward pass through the model (``CilModel``): the
-penultimate features, the logits and the softmax are each computed at
-most once, and only when the scorer reads them.  ODIN alone runs two
-passes, and its input gradient comes from ``CilModel.backprop_input``.
+available at that step (new-task train plus replay memory).  A batch is
+an array or a ``data.RowView`` of stored rows, and is scored slice by
+slice, each slice read in float64 from storage as it is scored, so no
+whole float64 copy of a row set is made.  Each slice takes one frozen
+forward pass through the model (``CilModel``): the penultimate
+features, the logits and the softmax are each computed at most once,
+and only when the scorer reads them.  ODIN alone runs two passes, and
+its input gradient comes from ``CilModel.backprop_input``.  A scorer
+without a feature bank runs on the calling thread in slices of 2^18
+values, so a desk-sized set is one slice; a slice's logits are one BLAS
+product, whose last bits may follow the slice height as they follow the
+BLAS threads.
 
 Hyperparameter defaults follow the methods' original papers: ODIN
 T=1000 / eps=0.0014, ReAct 90th percentile, GEN gamma=0.1 with the top
@@ -16,28 +23,33 @@ min(100, C) probabilities, k=10 neighbours for the feature-bank scorers.
 scorer (positive-cosine neighbours weighted by their MSP).
 
 The feature-bank scorers find each query's k nearest bank rows exactly.
-A float32 screen, one BLAS call per slice of 128 queries against a
-float32 copy of the bank, keeps for each query only the bank rows that
-could still be among its k; those few are rescored in float64, one fixed
+The fit holds the bank once, as float32 screen rows, beside each row's
+float64 norm and a view of the rows it was built from.  A float32
+screen, one BLAS call per slice of 128 queries against the screen rows,
+keeps for each query only the bank rows that could still be among its
+k; those few are rebuilt in float64 from storage and rescored, one fixed
 numpy reduction per pair, and the k are chosen from the rescored values
 (:func:`_topk_sims` states the error bound and the proof).  So the
 similarities and neighbours are those of an unscreened float64 search,
 and no bit of them follows the slice height, the worker count, or the
 BLAS threads and kernels.  Slices are scored on a thread pool, one
 worker per usable core (numpy's matmul, reductions and sorts release the
-GIL), and no more workers run than a budget of 2^21 screened cells holds
-slices, so memory is bounded by the budget and not by queries x bank.
+GIL), each slice making its own forward and its own top-k, and no more
+workers run than a budget of 2^21 screened cells holds slices, so
+memory is bounded by the budget and not by queries x bank.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .configcheck import check_field_types
-from .numerics import l2_rows, logsumexp_rows, softmax_rows, usable_cores
+from .data import RowView
+from .numerics import l2_rows, logsumexp_rows, row_norms, softmax_rows, usable_cores
 
 __all__ = [
     "PosthocParams",
@@ -62,6 +74,8 @@ SCORER_NAMES = (
 
 # the scorers that fit_scorer fits from a step's rows; it returns None for the others
 FITTED_SCORERS = ("react", "klm", "nnguide", "relation_simplified")
+# the fitted scorers that search a feature bank
+_BANK_SCORERS = ("nnguide", "relation_simplified")
 
 
 @dataclass(frozen=True)
@@ -95,13 +109,27 @@ class PosthocParams:
 
 @dataclass
 class ScorerFit:
-    """ID statistics for the scorers that need them; immutable after fit."""
+    """ID statistics for the scorers that need them; immutable after fit.
+
+    A feature bank is held once: ``bank_features`` are its L2-normalized
+    penultimate rows cast to float32, the screen, and its float64 rows are
+    rebuilt from ``bank_rows`` where a rescore reads them
+    (:meth:`bank_unit`)."""
 
     react_threshold: float | None = None
     klm_templates: np.ndarray | None = None  # (n_templates, C), floored
-    bank_features: np.ndarray | None = None  # L2-normalized penultimates
-    bank_f32: np.ndarray | None = None  # bank_features cast to float32
+    bank_features: np.ndarray | None = None  # (bank, d) float32 screen rows
+    bank_norms: np.ndarray | None = None  # (bank, 1) float64 row_norms of the penultimates
+    bank_rows: RowView | None = None  # the rows the bank was built from
+    bank_map: Callable[[np.ndarray], np.ndarray] | None = None  # the fit model's penultimate
     bank_msp: np.ndarray | None = None  # relation_simplified only
+
+    def bank_unit(self, idx: np.ndarray) -> np.ndarray:
+        """The float64 L2-normalized penultimates of bank rows ``idx``,
+        rebuilt from storage: widened, mapped and divided by their stored
+        norms, the bits of ``l2_rows`` over the whole bank, since every
+        step is row by row on contiguous rows."""
+        return l2_rows(self.bank_map(self.bank_rows.read(idx)), norms=self.bank_norms[idx])
 
 
 def percentile_nearest_rank(values: np.ndarray, p: float) -> float:
@@ -115,28 +143,39 @@ def percentile_nearest_rank(values: np.ndarray, p: float) -> float:
 
 
 def fit_scorer(
-    name: str, model, fit_features: np.ndarray, params: PosthocParams | None = None
+    name: str, model, fit_features, params: PosthocParams | None = None
 ) -> ScorerFit | None:
-    """Fit ID statistics for ``name`` from raw feature rows; None when the
-    scorer is purely output-based."""
+    """Fit ID statistics for ``name`` from raw feature rows, an array or a
+    ``RowView``; None when the scorer is purely output-based.  A bank is
+    built slice by slice from a view of the rows, which the fit keeps and
+    reads again to rescore, so the rows must not change while it is used
+    (a run's rows are read-only)."""
     params = params or PosthocParams()
     if name not in SCORER_NAMES:
         raise ValueError(f"unknown scorer {name!r}")
     if name not in FITTED_SCORERS:
         return None
-    Z = model.penultimate(fit_features)
+    rows = RowView.of(fit_features)
+    if name in _BANK_SCORERS:
+        nb, d = rows.shape
+        screen = np.empty((nb, d), dtype=np.float32)
+        norms = np.empty((nb, 1))
+        msp = np.empty(nb) if name == "relation_simplified" else None
+        for part in rows.slices():
+            Z = model.penultimate(rows.read(part))
+            norms[part] = row_norms(Z)
+            screen[part] = l2_rows(Z, norms=norms[part])
+            if msp is not None:
+                msp[part] = softmax_rows(model.head.logits(Z)).max(axis=1)
+        return ScorerFit(bank_features=screen, bank_norms=norms, bank_rows=rows,
+                         bank_map=model.penultimate, bank_msp=msp)
+    Z = model.penultimate(rows.widen())
     if name == "react":
         if params.react_percentile >= 100.0:
             thresh = np.inf  # clipping disabled
         else:
             thresh = percentile_nearest_rank(Z, params.react_percentile)
         return ScorerFit(react_threshold=thresh)
-    if name in ("nnguide", "relation_simplified"):
-        bank = l2_rows(Z)
-        msp = None
-        if name == "relation_simplified":
-            msp = softmax_rows(model.head.logits(Z)).max(axis=1)
-        return ScorerFit(bank_features=bank, bank_f32=bank.astype(np.float32), bank_msp=msp)
     P = softmax_rows(model.head.logits(Z))  # klm
     preds = np.argmax(P, axis=1)
     templates = []
@@ -152,12 +191,13 @@ def fit_scorer(
 # mask per cell), and no more workers run than the budget holds slices, so
 # memory does not grow with the number of queries.
 _BLOCK_CELLS = 1 << 21
-# Queries are screened in slices of this many rows, one float32 BLAS call
-# each.  No output bit depends on the height, only speed and memory do:
-# taller slices spread OpenBLAS's packing of the bank over more rows, and
-# each worker holds 5 bytes per cell of its slice.
+# Bank scorers score queries in slices of this many rows, each screened by
+# one float32 BLAS call.  No neighbour or similarity bit depends on the
+# height, only speed and memory do: taller slices spread OpenBLAS's packing
+# of the bank over more rows, and each worker holds 5 bytes per cell of its
+# slice.
 _SLICE_ROWS = 128
-# Candidates are rescored in chunks whose gathered float64 rows hold at most
+# Candidates are rescored in chunks whose rebuilt float64 rows hold at most
 # this many cells per operand.
 _RESCORE_CELLS = 1 << 16
 # The screen's bound on a row's k-th similarity comes from the maxima of at
@@ -192,12 +232,12 @@ def _slice_top_k(fit: ScorerFit, Zs: np.ndarray, k: int) -> tuple[np.ndarray, np
     # a row's norm takes numpy's pairwise sum only from contiguous rows
     Q = l2_rows(np.ascontiguousarray(Zs))
     h, d = Q.shape
-    nb = fit.bank_f32.shape[0]
+    nb = fit.bank_features.shape[0]
     n_groups = _SCREEN_GROUPS * k
     if nb < n_groups:  # every (bank row, query) pair is a candidate
         c, r = np.divmod(np.arange(nb * h), h)
     else:
-        screen = fit.bank_f32 @ Q.astype(np.float32).T  # (bank, h)
+        screen = fit.bank_features @ Q.astype(np.float32).T  # (bank, h)
         width = nb // n_groups
         n_groups = nb // width
         # group g holds bank rows g, g + n_groups, g + 2 * n_groups, ...
@@ -208,7 +248,7 @@ def _slice_top_k(fit: ScorerFit, Zs: np.ndarray, k: int) -> tuple[np.ndarray, np
         del screen
     cap = max(1, _RESCORE_CELLS // d)
     s = np.concatenate([
-        _pair_sims(Q[r[j : j + cap]], fit.bank_features[c[j : j + cap]])
+        _pair_sims(Q[r[j : j + cap]], fit.bank_unit(c[j : j + cap]))
         for j in range(0, r.size, cap)
     ])
     # each row's candidates, largest first with ties in bank order; its
@@ -223,14 +263,17 @@ def _slice_top_k(fit: ScorerFit, Zs: np.ndarray, k: int) -> tuple[np.ndarray, np
 def _topk_sims(
     fit: ScorerFit, Z: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine similarities of each row to its k nearest bank rows and the
-    bank indices of those rows, both (n, min(k, bank)), each row in
-    ascending similarity with ties in bank order.
+    """Cosine similarities of each row of ``Z``, penultimate features, to
+    its k nearest bank rows and the bank indices of those rows, both
+    (n, min(k, bank)), each row in ascending similarity with ties in bank
+    order.
 
-    With q a query row and b a bank row, both from :func:`l2_rows`, the
-    similarity is s = _pair_sims(q, b) in float64, and the k are the k
-    largest s, ties at the k-th taken in bank order: what a stable
-    descending sort of every s would give.  Only candidates are rescored:
+    With q a query row from :func:`l2_rows` and b a bank row from
+    :meth:`ScorerFit.bank_unit` (the bits of :func:`l2_rows` over the
+    bank), the similarity is s = _pair_sims(q, b) in float64, and the k
+    are the k largest s, ties at the k-th taken in bank order: what a
+    stable descending sort of every s would give.  Only candidates are
+    rescored:
 
     * eps.  The screen t is the float32 product of q and b cast to float32,
       in whatever order BLAS sums.  With u = 2^-24, v = 2^-53 and
@@ -257,41 +300,71 @@ def _topk_sims(
     A bank of fewer than 8k rows makes every row a candidate.  No step
     depends on how the queries are sliced or which BLAS kernel ran the
     screen, so neither do the bytes returned."""
-    nb = fit.bank_features.shape[0]
     n = Z.shape[0]
-    k = min(k, nb)
-    starts = range(0, n, _SLICE_ROWS)
-    fit_in_budget = _BLOCK_CELLS // (_SLICE_ROWS * nb)
-    workers = max(1, min(usable_cores(), len(starts), fit_in_budget))
+    k = min(k, fit.bank_features.shape[0])
     sims = np.empty((n, k))
     idx = np.empty((n, k), dtype=np.intp)
 
-    def score_slice(start: int) -> None:
-        rows = slice(start, start + _SLICE_ROWS)
+    def score_slice(rows: slice) -> None:
         sims[rows], idx[rows] = _slice_top_k(fit, Z[rows], k)
 
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(score_slice, starts))  # re-raises a worker's error
+    _pool_slices(score_slice, n, fit)
     return sims, idx
+
+
+def _pool_slices(score_slice, n: int, fit: ScorerFit) -> None:
+    """``score_slice(rows)`` for each slice of ``_SLICE_ROWS`` of n query
+    rows, on a thread pool of one worker per usable core, as many as
+    slices, and no more than the cell budget holds slices against the
+    bank of ``fit``."""
+    starts = range(0, n, _SLICE_ROWS)
+    fit_in_budget = _BLOCK_CELLS // (_SLICE_ROWS * fit.bank_features.shape[0])
+    workers = max(1, min(usable_cores(), len(starts), fit_in_budget))
+    slices = (slice(start, min(start + _SLICE_ROWS, n)) for start in starts)
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(score_slice, slices))  # re-raises a worker's error
 
 
 def score_batch(
     name: str,
     model,
     fit: ScorerFit | None,
-    X: np.ndarray,
+    X,
     params: PosthocParams | None = None,
 ) -> np.ndarray:
-    """Scores for a batch of raw feature rows (higher = more ID)."""
+    """Scores for a batch of raw feature rows, an array or a ``RowView``
+    (higher = more ID), one float64 per row, read and scored slice by
+    slice: 128-row slices on the bank scorers' pool, else slices of 2^18
+    values on the calling thread."""
     params = params or PosthocParams()
     if name not in SCORER_NAMES:
         raise ValueError(f"unknown scorer {name!r}")
+    rows = RowView.of(X)
+    out = np.empty(rows.shape[0])
+    if name in _BANK_SCORERS:
+        k = min(params.knn_k, fit.bank_features.shape[0])
+
+        def score_slice(part: slice) -> None:
+            Z = model.penultimate(rows.read(part))
+            sims, idx = _slice_top_k(fit, Z, k)
+            if name == "relation_simplified":
+                out[part] = (np.maximum(sims, 0.0) * fit.bank_msp[idx]).sum(axis=1)
+            else:
+                energy = logsumexp_rows(model.head.logits(Z), params.tau)
+                out[part] = energy * sims.mean(axis=1)
+
+        _pool_slices(score_slice, rows.shape[0], fit)
+        return out
+    for part in rows.slices():
+        out[part] = _score_rows(name, model, fit, rows.read(part), params)
+    return out
+
+
+def _score_rows(name: str, model, fit: ScorerFit | None, X: np.ndarray, params: PosthocParams):
+    """A scorer without a bank on float64 rows ``X``."""
     if name == "odin":
         return _score_odin_batch(model, X, params)
     Z = model.penultimate(X)
-    if name == "relation_simplified":
-        sims, idx = _topk_sims(fit, Z, params.knn_k)
-        return (np.maximum(sims, 0.0) * fit.bank_msp[idx]).sum(axis=1)
     if name == "react":
         Z = np.minimum(Z, fit.react_threshold)
     logits = model.head.logits(Z)
@@ -299,9 +372,6 @@ def score_batch(
         return logsumexp_rows(logits, params.tau)
     if name == "maxlogit":
         return logits.max(axis=1)
-    if name == "nnguide":
-        sims, _ = _topk_sims(fit, Z, params.knn_k)
-        return logsumexp_rows(logits, params.tau) * sims.mean(axis=1)
     P = softmax_rows(logits)
     if name == "msp":
         return P.max(axis=1)

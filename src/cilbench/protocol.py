@@ -224,9 +224,11 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, ood_sets, ft_log) -> tu
     model.  ``ood_sets`` pairs each OOD entry with its ``ood_order``.  Adds
     the step's remaining phase times to ``took``.
 
-    Each float64 row array a step reads is dropped once read: the rows a
-    scorer fits from (gathered only for a scorer that fits), the ID test
-    rows once scored, and each OOD subset before the next is built."""
+    Every row set a step reads is a ``RowView`` of the stored suite, read
+    in float64 a slice at a time as it is fitted or scored: the rows a
+    scorer fits from (taken only for a scorer that fits; a bank fit keeps
+    its view), the ID test rows and each OOD subset, so no whole float64
+    copy of a set is made."""
     t, model, mem_t, acc, took = step
     T = stream.num_steps
     scorer, params, ft = cfg.scorer, cfg.scorer_params, cfg.finetune_params
@@ -241,14 +243,12 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, ood_sets, ft_log) -> tu
         if scorer in FITTED_SCORERS:
             fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
     with _timed(took, "score_id"):
-        # read again: _trajectory dropped its ID rows once it had measured ACC
         id_scores = score_batch(scorer, score_model, fit, stream.test_through(t)[0], params)
     records = []
     for entry, order in ood_sets:
         with _timed(took, "score_ood"):
             sub = ood_subset(entry.dataset, t, T, order)
             ood_scores = score_batch(scorer, score_model, fit, sub, params)
-            del sub  # before the next set's subset is built
         with _timed(took, "metrics"):
             records.append(
                 {

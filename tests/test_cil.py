@@ -211,7 +211,8 @@ def two_forward_train_task(model, stream, t, mem, cfg, rng, log_sink):
     head = expand_head(model.head, len(classes), rng.child(f"init-t{t}"))
     seen = list(model.seen_classes) + list(classes)
     row_of = {c: i for i, c in enumerate(seen)}
-    X, y = step_rows(stream, t, mem)
+    rows, y = step_rows(stream, t, mem)
+    X = rows.widen()
     y_rows = np.array([row_of[int(c)] for c in y], dtype=np.int64)
     if old_head is not None:
         P_old = softmax_rows(old_head.logits(X), cfg.distill_temperature)

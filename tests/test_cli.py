@@ -582,6 +582,14 @@ MANIFEST_PINS = [
      "9217510c7e9431bc0c0455da9afe533b7839647ae22b81b83e81a654a2bfcad0"),
     ("nnguide", "example_run", {"ood": {"method": "nnguide"}},
      "a71505cadad7b783d976c47dd856421d4c4b718760dc8b6eed73c539c905b1e2"),
+    # the other fitted scorers: the relation bank's MSP, and the two fits
+    # that widen their rows whole
+    ("relation_simplified", "example_run", {"ood": {"method": "relation_simplified"}},
+     "7a4aed027292e52cad9a36e26f7f369e6a2895ab674eda86794b2b7b65ec2696"),
+    ("react", "example_run", {"ood": {"method": "react"}},
+     "38e0d371754ae0f6eb90b5ee29d183914e8a5c7552250751f4a14c76f33c3974"),
+    ("klm", "example_run", {"ood": {"method": "klm"}},
+     "bf2e5d6cee9bc7c8bc0dc071a8fdef3787003fad6eac6efe1a28ef79b92a9895"),
     ("odin", "example_run", {"ood": {"method": "odin"}},
      "bea9779ec7798050eefeba8cc617151abd8558015fb2ae510b5e1a63a505b516"),
     ("t2fnorm_odin", "example_ber_run", {"ood": {"method": "t2fnorm", "score_with": "odin"}},

@@ -14,6 +14,7 @@ from cilbench.data import (
     MemoryBuffer,
     OodEntry,
     OodSuite,
+    RowView,
     herding_select,
     load_dataset,
     load_suite_manifest,
@@ -34,6 +35,11 @@ def make_ds(n_per_class, K, d, seed=0):
     feats = rng.normal(size=(n_per_class * K, d))
     labels = np.repeat(np.arange(K), n_per_class)
     return FeatureDataset(feats, labels, K)
+
+
+def arrays(part):
+    """A (view, labels) pair as (float64 features, labels)."""
+    return part[0].widen(), part[1]
 
 
 def test_binary_round_trip_bit_identical(tmp_path):
@@ -145,7 +151,7 @@ def _per_task_oracle(tr, te, stream):
 def _task_test(stream, t):
     """Task t's test (features, labels): the part of ``test_through(t)``
     past task t - 1."""
-    x, y = stream.test_through(t)
+    x, y = arrays(stream.test_through(t))
     start = stream.test_bounds[t - 1]
     return x[start:], y[start:]
 
@@ -155,11 +161,13 @@ def test_split_tasks_class_sorted_input_is_not_copied():
     te = make_ds(2, 7, 3, seed=1)
     stream = split_tasks(tr, te, 3)
     for t in range(1, stream.num_steps + 1):
-        for part, ds in ((stream.task_train(t), tr), (_task_test(stream, t), te)):
+        for part, ds in ((arrays(stream.task_train(t)), tr), (_task_test(stream, t), te)):
             assert np.shares_memory(part[0], ds.features)
             assert np.shares_memory(part[1], ds.labels)
     for t in range(1, stream.num_steps + 1):
-        assert np.shares_memory(stream.test_through(t)[0], stream.test_through(1)[0])
+        assert np.shares_memory(
+            stream.test_through(t)[0].widen(), stream.test_through(1)[0].widen()
+        )
 
 
 @pytest.mark.parametrize("layout", ["seeded", "shuffled"])
@@ -175,12 +183,12 @@ def test_split_tasks_regroups_rows_like_per_task_subsets(layout):
     stream = split_tasks(tr, te, 3, order)
     seen = []
     for t, oracle in enumerate(_per_task_oracle(tr, te, stream), 1):
-        task_train, task_test = stream.task_train(t), _task_test(stream, t)
+        task_train, task_test = arrays(stream.task_train(t)), _task_test(stream, t)
         for part, want in zip((task_train, task_test), oracle):
             np.testing.assert_array_equal(part[0], want.features)
             np.testing.assert_array_equal(part[1], want.labels)
         seen.append(oracle[1])
-        through_x, through_y = stream.test_through(t)
+        through_x, through_y = arrays(stream.test_through(t))
         np.testing.assert_array_equal(through_x, np.concatenate([s.features for s in seen]))
         np.testing.assert_array_equal(through_y, np.concatenate([s.labels for s in seen]))
         # one gather per input: the tasks are slices of it, not of the input
@@ -214,8 +222,8 @@ def test_stream_slices_are_read_only_views_of_the_per_task_rows(
         want_through = [np.concatenate([s.features for s in seen]),
                         np.concatenate([s.labels for s in seen])]
         for got, want, whole in (
-            (stream.task_train(t), [want_train.features, want_train.labels], train_arrays),
-            (stream.test_through(t), want_through, test_arrays),
+            (arrays(stream.task_train(t)), [want_train.features, want_train.labels], train_arrays),
+            (arrays(stream.test_through(t)), want_through, test_arrays),
         ):
             for part, expect, array in zip(got, want, whole):
                 np.testing.assert_array_equal(part, expect, strict=True)
@@ -242,11 +250,11 @@ def test_task_views_are_read_only():
     te = make_ds(2, 4, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     with pytest.raises(ValueError, match="read-only"):
-        stream.task_train(1)[0][0, 0] = 1.0
+        stream.task_train(1)[0].widen()[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         _task_test(stream, 2)[1][0] = 0
     with pytest.raises(ValueError, match="read-only"):
-        stream.test_through(2)[0][0] += 1.0
+        stream.test_through(2)[0].widen()[0] += 1.0
     # the caller's arrays stay writable
     assert tr.features.flags.writeable and te.labels.flags.writeable
 
@@ -448,9 +456,9 @@ def test_step_rows_materialization():
     te = make_ds(2, 6, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     mem = rebalance_memory(MemoryBuffer(8), stream, 2)
-    task_x, task_y = stream.task_train(3)
+    task_x, task_y = arrays(stream.task_train(3))
     n = task_x.shape[0]
-    X_all, y_all = step_rows(stream, 3, mem)
+    X_all, y_all = arrays(step_rows(stream, 3, mem))
     # task 3's rows first, then the memory, class-ordered
     np.testing.assert_array_equal(X_all[:n], task_x)
     np.testing.assert_array_equal(y_all[:n], task_y)
@@ -466,9 +474,9 @@ def test_step_rows_materialization():
 
 def test_step_rows_without_memory_is_the_task_itself():
     stream = split_tasks(make_ds(10, 4, 3), make_ds(2, 4, 3, seed=1), 2)
-    task_x, task_y = stream.task_train(2)
+    task_x, task_y = arrays(stream.task_train(2))
     for mem in (MemoryBuffer(0), MemoryBuffer(8, {0: [], 1: []})):
-        X, y = step_rows(stream, 2, mem)
+        X, y = arrays(step_rows(stream, 2, mem))
         np.testing.assert_array_equal(X, task_x, strict=True)
         np.testing.assert_array_equal(y, task_y, strict=True)
 
@@ -480,7 +488,7 @@ def test_ood_subset_sizes_and_nesting():
     assert sub2.shape == (240, 3)
     assert ood_subset(ds, 5, 5, order).shape[0] == 600
     sub1 = ood_subset(ds, 1, 5, order)
-    np.testing.assert_array_equal(sub1, sub2[: sub1.shape[0]])
+    np.testing.assert_array_equal(sub1.widen(), sub2.widen()[: sub1.shape[0]])
     with pytest.raises(ValueError):
         ood_subset(ds, 0, 5, order)
     with pytest.raises(ValueError):
@@ -594,13 +602,18 @@ def test_manifest_class_count_above_the_id_train_rows_fails_before_counting(tmp_
     assert "1000000" in message and "8 rows" in message
 
 
-def test_ood_subset_is_a_read_only_feature_array():
+def test_ood_subset_is_a_view_of_the_set_read_as_float64():
     ds = make_ds(20, 3, 4)
-    sub = ood_subset(ds, 2, 3, ood_order(ds, RngStream(1, "ood")))
-    assert sub.shape == (40, 4) and sub.dtype == np.float64
-    assert not sub.flags.writeable
+    order = ood_order(ds, RngStream(1, "ood"))
+    sub = ood_subset(ds, 2, 3, order)
+    # the view holds the set's own array and the row numbers, no row copy
+    assert sub.shape == (40, 4) and sub.storage is ds.features
+    np.testing.assert_array_equal(sub.index, order[:40])
+    rows = sub.widen()
+    assert rows.dtype == np.float64 and not rows.flags.writeable
+    np.testing.assert_array_equal(rows, ds.features[order[:40]], strict=True)
     # a gathered copy: the dataset's rows stay the caller's
-    assert not np.shares_memory(sub, ds.features) and ds.features.flags.writeable
+    assert not np.shares_memory(rows, ds.features) and ds.features.flags.writeable
 
 
 def boundary_arrays(train, test, suite, order):
@@ -610,8 +623,9 @@ def boundary_arrays(train, test, suite, order):
     mem, out = MemoryBuffer(24), []
     perms = [(e.dataset, ood_order(e.dataset, RngStream(0, e.name))) for e in suite.entries]
     for t in range(1, stream.num_steps + 1):
-        out += [*stream.task_train(t), *stream.test_through(t), *step_rows(stream, t, mem)]
-        out += [ood_subset(ds, t, stream.num_steps, perm) for ds, perm in perms]
+        out += [*arrays(stream.task_train(t)), *arrays(stream.test_through(t))]
+        out += [*arrays(step_rows(stream, t, mem))]
+        out += [ood_subset(ds, t, stream.num_steps, perm).widen() for ds, perm in perms]
         mem = rebalance_memory(mem, stream, t)
         out.append(mem.entries)
     return out
@@ -649,8 +663,8 @@ def test_a_float64_suite_passes_the_boundary_as_views():
     assert train.features.dtype == np.float64
     stream = split_tasks(train, test, 3)
     for t in range(1, stream.num_steps + 1):
-        assert np.shares_memory(stream.task_train(t)[0], train.features)
-        assert np.shares_memory(stream.test_through(t)[0], test.features)
+        assert np.shares_memory(stream.task_train(t)[0].widen(), train.features)
+        assert np.shares_memory(stream.test_through(t)[0].widen(), test.features)
 
 
 def test_load_suite_manifest_holds_a_suite_at_its_stored_size(tmp_path):
@@ -676,3 +690,27 @@ def test_ood_suite_validation():
         OodEntry("x", ds, "weird")
     with pytest.raises(Exception):
         OodSuite((OodEntry("a", ds, "near"), OodEntry("a", ds, "far")))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("indexed", [False, True], ids=["all_rows", "indexed"])
+def test_a_row_view_reads_float64_slices_of_its_storage(dtype, indexed):
+    gen = np.random.default_rng(6)
+    storage = gen.normal(size=(50, 8)).astype(dtype)
+    index = gen.permutation(50)[:37] if indexed else None
+    view = RowView(storage, index)
+    want = (storage if index is None else storage[index]).astype(np.float64)
+    assert view.shape == want.shape and RowView.of(view) is view
+    parts = list(view.slices(cells=24))  # 3 rows of 8 per slice
+    assert parts == [slice(i, min(i + 3, 37 if indexed else 50)) for i in range(0, want.shape[0], 3)]
+    for part in parts:
+        rows = view.read(part)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        np.testing.assert_array_equal(rows, want[part], strict=True)
+    picks = np.array([5, 0, 5, 2])
+    np.testing.assert_array_equal(view.read(picks), want[picks], strict=True)
+    whole = view.widen()
+    np.testing.assert_array_equal(whole, want, strict=True)
+    assert not whole.flags.writeable
+    # float64 storage read whole and in order is passed through, not copied
+    assert np.shares_memory(whole, storage) == (dtype == np.float64 and not indexed)

@@ -400,7 +400,8 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
     """finetune_step_loop with its own epoch loop and its own row assembly
     (the memory's rows of the stream's training set gathered class by
     class), as it was before it shared the CIL epoch loop."""
-    task_x, task_y = stream.task_train(t)
+    task_rows, task_y = stream.task_train(t)
+    task_x = task_rows.widen()
     row_of = {c: i for i, c in enumerate(model.seen_classes)}
     xs = [stream.train_x[np.asarray(mem.entries[c], dtype=np.int64)]
           for c in sorted(mem.entries) if mem.entries[c]]
@@ -486,7 +487,8 @@ def test_one_sgd_epochs_call_trains_the_head(method):
     model, stream, mems = small_trained_model(seed=7)
     cfg = BerConfig(epochs=3, batch_size=48)
     t = 2
-    X, labels = step_rows(stream, t, mems[t - 1])
+    rows, labels = step_rows(stream, t, mems[t - 1])
+    X = rows.widen()
     y = model.head_rows(labels)
     head = model.head.clone()
 

@@ -64,3 +64,45 @@ def test_tracer_counts_every_sgd_step_of_cil_and_finetune():
     # restore() put every wrapped name back
     for fn in (protocol.run_benchmark, protocol.train_task, cil.sgd_step, finetune.sgd_step):
         assert not hasattr(fn, "__wrapped__")
+
+
+def test_tracer_counts_the_rows_and_bank_cells_scored():
+    # the tracer counts scoring where protocol calls score_batch and
+    # ood_subset; a refactor that moves scoring off those names reads 0 here
+    n_classes, per_class, n_test, n_ood, step_size, budget = 6, 20, 5, 12, 2, 10
+    cfg = RunConfig.from_dict({
+        "data": {"synth": {"n_classes": n_classes, "dim": 8, "n_train_per_class": per_class,
+                           "n_test_per_class": n_test, "n_ood_per_set": n_ood}},
+        "step_size": step_size,
+        "memory_budget": budget,
+        "cil": {"method": "replay", "epochs_per_task": 2, "batch_size": 16},
+        "ood": {"method": "nnguide"},
+        "seeds": [0, 1],
+    })
+    sets = cfg.synth_spec.n_near_sets + cfg.synth_spec.n_far_sets
+    layertrace = load_layertrace()
+    tracer = layertrace.Tracer()
+    layertrace.install(tracer)
+    try:
+        report = protocol.run_benchmark(cfg)
+    finally:
+        tracer.restore()
+    assert report.failures == []
+
+    # step t scores the test rows of its 2t classes and floor(n * t / T)
+    # rows of each OOD set against a bank of the task's rows plus the
+    # memory kept after step t - 1 (an equal quota per seen class)
+    T = n_classes // step_size
+    rows = cells = 0
+    for t in range(1, T + 1):
+        scored = t * step_size * n_test + sets * (n_ood * t // T)
+        seen_before = (t - 1) * step_size
+        bank = step_size * per_class + (budget // seen_before * seen_before if seen_before else 0)
+        rows += scored
+        cells += scored * bank
+    seeds = len(cfg.seeds)
+    assert tracer.metric("posthoc.score_batch.rows") == seeds * rows
+    assert tracer.metric("posthoc.score_batch.bank_cells") == seeds * cells
+    assert tracer.metric("data.ood_subset.calls") == seeds * T * sets
+    assert tracer.metric("posthoc.score_batch.calls") == seeds * T * (1 + sets)
+    assert tracer.metric("posthoc.fit_scorer.calls") == seeds * T

@@ -210,3 +210,16 @@ def test_logsumexp_softmax_rows_matches_the_copies_it_replaced(tau):
         assert P.tobytes() == separate_softmax_rows(M, tau).tobytes()
         assert logsumexp_rows(M, tau).tobytes() == lse.tobytes()
         assert softmax_rows(M, tau).tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.3, 1000.0])
+def test_logsumexp_rows_is_the_fused_log_sum_exp_bit_for_bit(tau):
+    # logsumexp_rows skips the softmax division, which comes after the
+    # log-sum-exp is read, so its bits are those of the fused function
+    gen = np.random.default_rng(int(tau * 7) + 1)
+    for n, c, scale in ((1, 1, 1.0), (7, 3, 1e-3), (64, 100, 50.0), (300, 10, 1e4)):
+        M = gen.normal(size=(n, c)) * scale
+        M[0, -1] = M[0, 0]  # a tie at the row maximum
+        assert logsumexp_rows(M, tau).tobytes() == logsumexp_softmax_rows(M, tau)[0].tobytes()
+    with pytest.raises(ValueError, match="tau"):
+        logsumexp_rows(np.zeros((2, 2)), 0.0)

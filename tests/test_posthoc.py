@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from cilbench import posthoc
 from cilbench.cil import CilModel
+from cilbench.data import FeatureDataset, RowView, ood_order, ood_subset
 from cilbench.model import LinearHead
-from cilbench.numerics import l2_rows, logsumexp_rows
+from cilbench.numerics import RngStream, l2_rows, logsumexp_rows
 from cilbench.posthoc import (
     SCORER_NAMES,
     PosthocParams,
@@ -320,8 +321,9 @@ def unit_dyadic_rows(gen, n, d, splits):
 
 def pair_sims_matrix(fit, Z):
     """Every query x bank cosine, each by the pair reduction the bank
-    search rescores its candidates with."""
-    Q, B = l2_rows(Z), fit.bank_features
+    search rescores its candidates with, against ``l2_rows`` of the whole
+    bank in float64 (the fit holds only its float32 screen)."""
+    Q, B = l2_rows(Z), l2_rows(fit.bank_map(fit.bank_rows.widen()))
     n, nb = Q.shape[0], B.shape[0]
     return posthoc._pair_sims(np.repeat(Q, nb, axis=0), np.tile(B, (n, 1))).reshape(n, nb)
 
@@ -532,3 +534,91 @@ def test_bank_scoring_memory_is_bounded_by_the_block(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < full_matrix / 3
+
+
+def float32_rows(gen, n, d):
+    """A view of n float32 rows, as a manifest suite holds them."""
+    return RowView(gen.normal(size=(n, d)).astype(np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_slice_a_view_hands_out_is_float64(monkeypatch, dtype):
+    # the scorers, the bank build and the rescore read rows only through
+    # RowView.read, the float64 boundary, whatever the storage holds
+    reads = []
+    read = RowView.read
+
+    def spy(self, sel):
+        rows = read(self, sel)
+        reads.append((self.storage.dtype, isinstance(sel, slice), rows.dtype))
+        return rows
+
+    monkeypatch.setattr(RowView, "read", spy)
+    gen = np.random.default_rng(43)
+    d = 12
+    model = logit_model(gen.normal(size=(5, d)), gen.normal(size=5))
+    bank = RowView(gen.normal(size=(200, d)).astype(dtype), gen.permutation(200)[:150])
+    X = RowView(gen.normal(size=(300, d)).astype(dtype), gen.permutation(300))
+    for name in SCORER_NAMES:
+        reads.clear()
+        fit = fit_scorer(name, model, bank)
+        score_batch(name, model, fit, X)
+        assert reads and {r[0] for r in reads} == {np.dtype(dtype)}
+        assert {r[2] for r in reads} == {np.dtype(np.float64)}
+        if name in ("nnguide", "relation_simplified"):
+            assert any(not by_slice for _, by_slice, _ in reads)  # the rescore's gathers
+
+
+@pytest.mark.parametrize("feature_tau", [None, 0.1])
+def test_a_float32_view_scores_as_its_float64_widening(feature_tau):
+    gen = np.random.default_rng(44)
+    d = 16
+    head = LinearHead(gen.normal(size=(6, d)), gen.normal(size=6))
+    model = CilModel(head, list(range(6)), feature_tau)
+    bank, X = float32_rows(gen, 400, d), float32_rows(gen, 700, d)
+    for name in SCORER_NAMES:
+        got = score_batch(name, model, fit_scorer(name, model, bank), X)
+        wide = fit_scorer(name, model, bank.widen())
+        assert got.tobytes() == score_batch(name, model, wide, X.widen()).tobytes(), name
+
+
+@pytest.mark.parametrize("feature_tau", [None, 0.25])
+@pytest.mark.parametrize("d", [8, 37, 256, 1000])
+def test_a_rebuilt_bank_row_has_the_bits_of_the_whole_bank(d, feature_tau):
+    # the rescore rebuilds its candidates from storage: widened, mapped and
+    # divided by the stored norm, row by row as l2_rows does the whole bank
+    gen = np.random.default_rng(d)
+    model = CilModel(LinearHead(gen.normal(size=(3, d)), np.zeros(3)), [0, 1, 2], feature_tau)
+    bank = float32_rows(gen, 600, d)
+    want = l2_rows(model.penultimate(bank.widen()))
+    fit = fit_scorer("nnguide", model, bank)
+    assert fit.bank_features.dtype == np.float32
+    assert fit.bank_features.tobytes() == want.astype(np.float32).tobytes()
+    for _ in range(40):
+        idx = gen.integers(0, 600, size=int(gen.integers(1, 60)))
+        assert fit.bank_unit(idx).tobytes() == want[idx].tobytes()
+
+
+@pytest.mark.parametrize("name", ["energy", "nnguide"])
+def test_scoring_memory_does_not_grow_with_the_rows_scored(monkeypatch, name):
+    # a float32 OOD set of 4n rows, scored through ood_subset's view at n
+    # and at 4n rows: the rows are read a slice at a time, so the peak
+    # grows by the score arrays only, where a float64 copy of the subset
+    # grew it by 3n rows of 2 KiB
+    monkeypatch.setattr(posthoc, "usable_cores", lambda: 1)
+    gen = np.random.default_rng(45)
+    n, d = 1024, 256
+    ood = FeatureDataset(gen.normal(size=(4 * n, d)).astype(np.float32), np.zeros(4 * n, int))
+    order = ood_order(ood, RngStream(0, "ood"))
+    model = logit_model(gen.normal(size=(10, d)) / 16, gen.normal(size=10))
+    fit = fit_scorer(name, model, float32_rows(gen, 1000, d))
+    peaks = {}
+    for t in (1, 4, 1, 4):  # the first pass warms up first-call allocations
+        tracemalloc.start()
+        try:
+            scores = score_batch(name, model, fit, ood_subset(ood, t, 4, order))
+            peaks[t] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (t * n,)
+    assert peaks[4] - peaks[1] <= 4 * (4 * n * 8)

@@ -405,7 +405,7 @@ def test_scorer_fit_uses_step_rows_only(monkeypatch):
     original = protocol.fit_scorer
 
     def spy(name, model, fit_features, params=None):
-        seen_counts.append(np.asarray(fit_features).shape[0])
+        seen_counts.append(fit_features.shape[0])
         return original(name, model, fit_features, params)
 
     monkeypatch.setattr(protocol, "fit_scorer", spy)
