@@ -106,13 +106,7 @@ def _cmd_report(args) -> int:
     try:
         report = BenchmarkReport.from_dict(doc)
         if not verify_consistency(report):
-            msg = f"aggregates disagree with the records in {args.input}"
-            if "consistency_ok" in report.aggregates:
-                msg += (
-                    "; it holds aggregates.consistency_ok, so the report predates"
-                    " the current format and must be re-run with `cilbench run`"
-                )
-            raise DataError(msg)
+            raise DataError(f"aggregates disagree with the records in {args.input}")
         paths = emit_report(report, out_dir, formats=(fmt,))
     except OSError as exc:
         return _fail("runtime", f"cannot write report: {exc}", EXIT_RUNTIME)

@@ -13,13 +13,15 @@ A step reads every row set through a :class:`RowView`: the stored array
 and the rows of it the set holds, with no copy.  ``TaskStream.task_train``
 and ``test_through``, ``step_rows`` and ``ood_subset`` each hand one out.
 Every array a run computes with is float64, made at one boundary, the
-view: :meth:`RowView.read` widens one slice of rows at a time, and
-:meth:`RowView.widen` a whole set for training, which samples batches
-from it every epoch (``herding_select`` widens the class rows it is
-given as well).  No float32 row may pass it, since NumPy 2 keeps
-``float32_array * python_float`` in float32, which would change the
-bytes of everything computed from it.  Float64 rows pass it as they
-are, as views where a slice is one run of rows.
+view: :meth:`RowView.read` widens one slice of rows at a time, so a set
+that is scored, measured for ACC or fitted into a bank (which keeps its
+view to rescore) is never held whole in float64.  :meth:`RowView.widen`
+widens a whole set for training, which samples batches from it every
+epoch, and for the other fitted scorers (``herding_select`` widens the
+class rows it is given as well).  No float32 row may pass it, since
+NumPy 2 keeps ``float32_array * python_float`` in float32, which would
+change the bytes of everything computed from it.  Float64 rows pass it
+as they are, as views where a slice is one run of rows.
 
 The binary on-disk format is little-endian:
 
@@ -63,7 +65,7 @@ __all__ = [
 _MAGIC = b"OCF1"
 _VERSION = 1
 _SAVE_ROWS = 4096
-# RowView.slices' default budget: a slice holds at most this many values
+# RowView.slices' budget: a slice holds at most this many values
 # (2 MiB in float64), so a desk-sized set is one slice and a scaled one a
 # few; whole-set widening goes by the same slices
 _SLICE_CELLS = 1 << 18
@@ -150,12 +152,12 @@ class RowView:
         integer array."""
         return np.ascontiguousarray(self._stored(sel), dtype=np.float64)
 
-    def slices(self, cells: int = _SLICE_CELLS):
-        """Consecutive slices of the view's positions, each of ``cells // d``
-        rows (at least one), the last one ragged: a caller reads each as
-        it uses it, so no two are held at once."""
+    def slices(self):
+        """Consecutive slices of the view's positions, each of
+        ``_SLICE_CELLS // d`` rows (at least one), the last one ragged: a
+        caller reads each as it uses it, so no two are held at once."""
         n, d = self.shape
-        height = max(1, cells // d)
+        height = max(1, _SLICE_CELLS // d)
         return (slice(start, min(start + height, n)) for start in range(0, n, height))
 
     def widen(self) -> np.ndarray:

@@ -4,17 +4,16 @@ Every scorer returns a scalar where HIGHER means more in-distribution;
 the metrics module never needs per-scorer sign handling.  Scorers that
 use training statistics are refit at every incremental step on the rows
 available at that step (new-task train plus replay memory).  A batch is
-an array or a ``data.RowView`` of stored rows, and is scored slice by
-slice, each slice read in float64 from storage as it is scored, so no
-whole float64 copy of a row set is made.  Each slice takes one frozen
-forward pass through the model (``CilModel``): the penultimate
-features, the logits and the softmax are each computed at most once,
-and only when the scorer reads them.  ODIN alone runs two passes, and
-its input gradient comes from ``CilModel.backprop_input``.  A scorer
-without a feature bank runs on the calling thread in slices of 2^18
-values, so a desk-sized set is one slice; a slice's logits are one BLAS
-product, whose last bits may follow the slice height as they follow the
-BLAS threads.
+an array or a ``data.RowView`` of stored rows, scored slice by slice
+across the float64 boundary the ``data`` module states.  Each slice
+takes one frozen forward pass through the model (``CilModel``): the
+penultimate features, the logits and the softmax are each computed at
+most once, and only when the scorer reads them.  ODIN alone runs two
+passes, and its input gradient comes from ``CilModel.backprop_input``.
+A scorer without a feature bank runs on the calling thread in slices of
+2^18 values, so a desk-sized set is one slice; a slice's logits are one
+BLAS product, whose last bits may follow the slice height as they follow
+the BLAS threads.
 
 Hyperparameter defaults follow the methods' original papers: ODIN
 T=1000 / eps=0.0014, ReAct 90th percentile, GEN gamma=0.1 with the top
@@ -29,7 +28,7 @@ screen, one BLAS call per slice of 128 queries against the screen rows,
 keeps for each query only the bank rows that could still be among its
 k; those few are rebuilt in float64 from storage and rescored, one fixed
 numpy reduction per pair, and the k are chosen from the rescored values
-(:func:`_topk_sims` states the error bound and the proof).  So the
+(:func:`_slice_top_k` states the error bound and the proof).  So the
 similarities and neighbours are those of an unscreened float64 search,
 and no bit of them follows the slice height, the worker count, or the
 BLAS threads and kernels.  Slices are scored on a thread pool, one
@@ -215,7 +214,7 @@ def _pair_sims(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _screen_margin(d: int) -> float:
     """How far below the screen's bound a candidate's float32 similarity
     may lie: 2 eps for d columns, plus 2^-22 for rounding the threshold to
-    float32 (see :func:`_topk_sims`)."""
+    float32 (see :func:`_slice_top_k`)."""
     u, v = 2.0**-24, 2.0**-53
     if (d + 2) * u >= 0.25:
         return math.inf  # a screen this coarse keeps every bank row anyway
@@ -228,45 +227,9 @@ def _screen_margin(d: int) -> float:
 
 
 def _slice_top_k(fit: ScorerFit, Zs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_topk_sims` for one slice of query rows."""
-    # a row's norm takes numpy's pairwise sum only from contiguous rows
-    Q = l2_rows(np.ascontiguousarray(Zs))
-    h, d = Q.shape
-    nb = fit.bank_features.shape[0]
-    n_groups = _SCREEN_GROUPS * k
-    if nb < n_groups:  # every (bank row, query) pair is a candidate
-        c, r = np.divmod(np.arange(nb * h), h)
-    else:
-        screen = fit.bank_features @ Q.astype(np.float32).T  # (bank, h)
-        width = nb // n_groups
-        n_groups = nb // width
-        # group g holds bank rows g, g + n_groups, g + 2 * n_groups, ...
-        maxima = screen[: n_groups * width].reshape(width, n_groups, h).max(axis=0)
-        kth = np.partition(maxima, n_groups - k, axis=0)[n_groups - k]
-        thresholds = kth - np.float32(_screen_margin(d))
-        c, r = np.divmod(np.flatnonzero(screen >= thresholds), h)
-        del screen
-    cap = max(1, _RESCORE_CELLS // d)
-    s = np.concatenate([
-        _pair_sims(Q[r[j : j + cap]], fit.bank_unit(c[j : j + cap]))
-        for j in range(0, r.size, cap)
-    ])
-    # each row's candidates, largest first with ties in bank order; its
-    # first k are its neighbours
-    counts = np.bincount(r, minlength=h)
-    take = np.lexsort((c, -s, r))[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-    vals, cols = s[take], c[take]
-    asc = np.lexsort((cols, vals), axis=1)
-    return np.take_along_axis(vals, asc, 1), np.take_along_axis(cols, asc, 1)
-
-
-def _topk_sims(
-    fit: ScorerFit, Z: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine similarities of each row of ``Z``, penultimate features, to
-    its k nearest bank rows and the bank indices of those rows, both
-    (n, min(k, bank)), each row in ascending similarity with ties in bank
-    order.
+    """The k nearest bank rows to each row of ``Zs``, a slice of penultimate
+    features, with k at most the bank: their cosine similarities and bank
+    indices, both (rows, k), each row ascending with ties in bank order.
 
     With q a query row from :func:`l2_rows` and b a bank row from
     :meth:`ScorerFit.bank_unit` (the bits of :func:`l2_rows` over the
@@ -300,29 +263,35 @@ def _topk_sims(
     A bank of fewer than 8k rows makes every row a candidate.  No step
     depends on how the queries are sliced or which BLAS kernel ran the
     screen, so neither do the bytes returned."""
-    n = Z.shape[0]
-    k = min(k, fit.bank_features.shape[0])
-    sims = np.empty((n, k))
-    idx = np.empty((n, k), dtype=np.intp)
-
-    def score_slice(rows: slice) -> None:
-        sims[rows], idx[rows] = _slice_top_k(fit, Z[rows], k)
-
-    _pool_slices(score_slice, n, fit)
-    return sims, idx
-
-
-def _pool_slices(score_slice, n: int, fit: ScorerFit) -> None:
-    """``score_slice(rows)`` for each slice of ``_SLICE_ROWS`` of n query
-    rows, on a thread pool of one worker per usable core, as many as
-    slices, and no more than the cell budget holds slices against the
-    bank of ``fit``."""
-    starts = range(0, n, _SLICE_ROWS)
-    fit_in_budget = _BLOCK_CELLS // (_SLICE_ROWS * fit.bank_features.shape[0])
-    workers = max(1, min(usable_cores(), len(starts), fit_in_budget))
-    slices = (slice(start, min(start + _SLICE_ROWS, n)) for start in starts)
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(score_slice, slices))  # re-raises a worker's error
+    # a row's norm takes numpy's pairwise sum only from contiguous rows
+    Q = l2_rows(np.ascontiguousarray(Zs))
+    h, d = Q.shape
+    nb = fit.bank_features.shape[0]
+    n_groups = _SCREEN_GROUPS * k
+    if nb < n_groups:  # every (bank row, query) pair is a candidate
+        c, r = np.divmod(np.arange(nb * h), h)
+    else:
+        screen = fit.bank_features @ Q.astype(np.float32).T  # (bank, h)
+        width = nb // n_groups
+        n_groups = nb // width
+        # group g holds bank rows g, g + n_groups, g + 2 * n_groups, ...
+        maxima = screen[: n_groups * width].reshape(width, n_groups, h).max(axis=0)
+        kth = np.partition(maxima, n_groups - k, axis=0)[n_groups - k]
+        thresholds = kth - np.float32(_screen_margin(d))
+        c, r = np.divmod(np.flatnonzero(screen >= thresholds), h)
+        del screen
+    cap = max(1, _RESCORE_CELLS // d)
+    s = np.concatenate([
+        _pair_sims(Q[r[j : j + cap]], fit.bank_unit(c[j : j + cap]))
+        for j in range(0, r.size, cap)
+    ])
+    # each row's candidates, largest first with ties in bank order; its
+    # first k are its neighbours
+    counts = np.bincount(r, minlength=h)
+    take = np.lexsort((c, -s, r))[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    vals, cols = s[take], c[take]
+    asc = np.lexsort((cols, vals), axis=1)
+    return np.take_along_axis(vals, asc, 1), np.take_along_axis(cols, asc, 1)
 
 
 def score_batch(
@@ -340,9 +309,11 @@ def score_batch(
     if name not in SCORER_NAMES:
         raise ValueError(f"unknown scorer {name!r}")
     rows = RowView.of(X)
-    out = np.empty(rows.shape[0])
+    n = rows.shape[0]
+    out = np.empty(n)
     if name in _BANK_SCORERS:
-        k = min(params.knn_k, fit.bank_features.shape[0])
+        nb = fit.bank_features.shape[0]
+        k = min(params.knn_k, nb)
 
         def score_slice(part: slice) -> None:
             Z = model.penultimate(rows.read(part))
@@ -353,7 +324,12 @@ def score_batch(
                 energy = logsumexp_rows(model.head.logits(Z), params.tau)
                 out[part] = energy * sims.mean(axis=1)
 
-        _pool_slices(score_slice, rows.shape[0], fit)
+        # a worker per usable core and slice, within the screen's cell budget
+        starts = range(0, n, _SLICE_ROWS)
+        workers = max(1, min(usable_cores(), len(starts), _BLOCK_CELLS // (_SLICE_ROWS * nb)))
+        slices = (slice(start, min(start + _SLICE_ROWS, n)) for start in starts)
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(score_slice, slices))  # re-raises a worker's error
         return out
     for part in rows.slices():
         out[part] = _score_rows(name, model, fit, rows.read(part), params)

@@ -222,13 +222,10 @@ def _trajectory(cfg: RunConfig, seed: int, stream, train_log: list):
 def _score_step(cfg: RunConfig, seed: int, stream, step, ood_sets, ft_log) -> tuple[list, CilModel]:
     """The OOD phase of one ``_trajectory`` step: its records and scoring
     model.  ``ood_sets`` pairs each OOD entry with its ``ood_order``.  Adds
-    the step's remaining phase times to ``took``.
-
-    Every row set a step reads is a ``RowView`` of the stored suite, read
-    in float64 a slice at a time as it is fitted or scored: the rows a
-    scorer fits from (taken only for a scorer that fits; a bank fit keeps
-    its view), the ID test rows and each OOD subset, so no whole float64
-    copy of a set is made."""
+    the step's remaining phase times to ``took``.  Every row set it reads
+    (the fit rows, taken only for a scorer that fits, the ID test rows and
+    each OOD subset) is a ``RowView`` of the stored suite, read as the
+    ``data`` module docstring states."""
     t, model, mem_t, acc, took = step
     T = stream.num_steps
     scorer, params, ft = cfg.scorer, cfg.scorer_params, cfg.finetune_params

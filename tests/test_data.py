@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cilbench import data
 from cilbench.data import (
     _SAVE_ROWS,
     DataError,
@@ -694,14 +695,15 @@ def test_ood_suite_validation():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("indexed", [False, True], ids=["all_rows", "indexed"])
-def test_a_row_view_reads_float64_slices_of_its_storage(dtype, indexed):
+def test_a_row_view_reads_float64_slices_of_its_storage(monkeypatch, dtype, indexed):
+    monkeypatch.setattr(data, "_SLICE_CELLS", 24)  # 3 rows of 8 per slice
     gen = np.random.default_rng(6)
     storage = gen.normal(size=(50, 8)).astype(dtype)
     index = gen.permutation(50)[:37] if indexed else None
     view = RowView(storage, index)
     want = (storage if index is None else storage[index]).astype(np.float64)
     assert view.shape == want.shape and RowView.of(view) is view
-    parts = list(view.slices(cells=24))  # 3 rows of 8 per slice
+    parts = list(view.slices())
     assert parts == [slice(i, min(i + 3, 37 if indexed else 50)) for i in range(0, want.shape[0], 3)]
     for part in parts:
         rows = view.read(part)

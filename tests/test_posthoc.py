@@ -340,6 +340,18 @@ def full_topk(fit, Z, k):
     return np.take_along_axis(part, order, axis=1), np.take_along_axis(idx, order, axis=1)
 
 
+def top_k_by_slice(fit, Z, k):
+    """The bank search of ``Z`` as ``score_batch`` runs it: k clamped to
+    the bank, then one ``_slice_top_k`` call per slice of ``_SLICE_ROWS``
+    rows."""
+    n, k = Z.shape[0], min(k, fit.bank_features.shape[0])
+    sims, idx = np.empty((n, k)), np.empty((n, k), dtype=np.intp)
+    for start in range(0, n, posthoc._SLICE_ROWS):
+        part = slice(start, start + posthoc._SLICE_ROWS)
+        sims[part], idx[part] = posthoc._slice_top_k(fit, Z[part], k)
+    return sims, idx
+
+
 @pytest.mark.parametrize(
     "n_query, n_bank, block_cells, k",
     [
@@ -361,7 +373,7 @@ def test_blocked_topk_matches_full_matrix(monkeypatch, n_query, n_bank, block_ce
     for name in ("nnguide", "relation_simplified"):
         fit = fit_scorer(name, model, bank, params)
         part, idx = full_topk(fit, Z, k)
-        sims, got_idx = posthoc._topk_sims(fit, Z, k)
+        sims, got_idx = top_k_by_slice(fit, Z, k)
         assert sims.tobytes() == part.tobytes()
         np.testing.assert_array_equal(got_idx, idx)
         if name == "nnguide":
@@ -389,7 +401,7 @@ def test_bank_rows_tied_at_the_kth_similarity_enter_in_bank_order(monkeypatch):
     got = {}
     for cores in (1, 2, 3, 4):
         monkeypatch.setattr(posthoc, "usable_cores", lambda: cores)
-        sims, idx = posthoc._topk_sims(fit, Z, k)
+        sims, idx = top_k_by_slice(fit, Z, k)
         scores = {
             name: score_batch(name, model, fit_scorer(name, model, bank, params), Z, params)
             for name in ("nnguide", "relation_simplified")
@@ -451,7 +463,7 @@ def test_bank_search_is_the_unscreened_float64_top_k(
     fit = fit_scorer("nnguide", model, bank)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posthoc, "_SLICE_ROWS", slice_rows)
-        sims, idx = posthoc._topk_sims(fit, Z, k)
+        sims, idx = top_k_by_slice(fit, Z, k)
     want_sims, want_idx = full_topk(fit, Z, k)
     assert sims.tobytes() == want_sims.tobytes()
     assert idx.tobytes() == want_idx.astype(np.intp).tobytes()
@@ -466,13 +478,13 @@ def test_each_query_alone_gets_the_batch_bytes():
     fit = fit_scorer("nnguide", model, gen.normal(size=(300, d)))
     Z = gen.normal(size=(150, d))
     Z[7] = 0.0
-    sims, idx = posthoc._topk_sims(fit, Z, k)
+    sims, idx = top_k_by_slice(fit, Z, k)
     for i in range(Z.shape[0]):
-        one_sims, one_idx = posthoc._topk_sims(fit, Z[i : i + 1], k)
+        one_sims, one_idx = posthoc._slice_top_k(fit, Z[i : i + 1], k)
         assert one_sims.tobytes() == sims[i : i + 1].tobytes()
         assert one_idx.tobytes() == idx[i : i + 1].tobytes()
     # column-major rows, whose norms numpy would sum in another order
-    f_sims, f_idx = posthoc._topk_sims(fit, np.asfortranarray(Z), k)
+    f_sims, f_idx = top_k_by_slice(fit, np.asfortranarray(Z), k)
     assert f_sims.tobytes() == sims.tobytes()
     assert f_idx.tobytes() == idx.tobytes()
 
@@ -492,6 +504,15 @@ def test_worker_count_does_not_change_bank_scores(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(posthoc, "ThreadPoolExecutor", SpyPool)
+    searches = []  # each slice's query, similarity and index bytes
+    search = posthoc._slice_top_k
+
+    def spy_search(fit, Zs, k):
+        sims, idx = search(fit, Zs, k)
+        searches.append((Zs.tobytes(), sims.tobytes(), idx.tobytes()))
+        return sims, idx
+
+    monkeypatch.setattr(posthoc, "_slice_top_k", spy_search)
     gen = np.random.default_rng(29)
     d, C, k = 24, 6, 10
     model = logit_model(gen.normal(size=(C, d)), gen.normal(size=C))
@@ -506,15 +527,16 @@ def test_worker_count_does_not_change_bank_scores(monkeypatch):
             monkeypatch.setattr(posthoc, "usable_cores", lambda: cores)
             for name in ("nnguide", "relation_simplified"):
                 fit = fit_scorer(name, model, bank, params)
-                sims, idx = posthoc._topk_sims(fit, Z, k)
+                searches.clear()
                 scores = score_batch(name, model, fit, Z, params)
-                got[cores, name] = (sims.tobytes(), idx.tobytes(), scores.tobytes())
+                got[cores, name] = (sorted(searches), scores.tobytes())
     finally:
         sys.setswitchinterval(switch)
-    # one pool per _topk_sims call and per score_batch call
-    assert pools == [1] * 4 + [2] * 4 + [3] * 4 + [3] * 4
+    # one pool per score_batch call
+    assert pools == [1, 1, 2, 2, 3, 3, 3, 3]
     for cores in (2, 3, 4):
         for name in ("nnguide", "relation_simplified"):
+            assert len(got[cores, name][0]) == 4
             assert got[cores, name] == got[1, name]
 
 
