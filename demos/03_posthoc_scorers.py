@@ -21,6 +21,7 @@ from cilbench import (
     split_tasks,
     train_task,
 )
+from cilbench.data import step_rows
 from cilbench.posthoc import SCORER_NAMES
 
 spec = SynthSpec(seed=1)
@@ -30,7 +31,7 @@ model = CilModel.fresh(spec.dim)
 model, _ = train_task(model, stream, 1, MemoryBuffer(200), CilConfig(), RngStream(1, "demo"))
 
 id_x, _ = stream.test_through(1)  # (features, labels) of the tasks so far
-fit_rows, _ = stream.task_train(1)  # step-1 rows only
+fit_rows, _ = step_rows(stream, 1, MemoryBuffer(0))  # step-1 rows only
 
 print(f"{'scorer':<22} {'AUC near':>9} {'AUC far':>9}")
 for name in SCORER_NAMES:

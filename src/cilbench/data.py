@@ -10,18 +10,19 @@ read-only arrays that nothing checks again: the task stream's arrays and
 the views a step reads them through.
 
 A step reads every row set through a :class:`RowView`: the stored array
-and the rows of it the set holds, with no copy.  ``TaskStream.task_train``
-and ``test_through``, ``step_rows`` and ``ood_subset`` each hand one out.
+and the row numbers of it the set holds, with no copy.  ``test_through``,
+``step_rows`` and ``ood_subset`` each hand one out, and each view of a
+run holds row numbers, so its reader gathers the rows from storage.
 Every array a run computes with is float64, made at one boundary, the
 view: :meth:`RowView.read` widens one slice of rows at a time, so a set
 that is scored, measured for ACC or fitted into a bank (which keeps its
 view to rescore) is never held whole in float64.  :meth:`RowView.widen`
-widens a whole set for training, which samples batches from it every
-epoch, and for the other fitted scorers (``herding_select`` widens the
-class rows it is given as well).  No float32 row may pass it, since
-NumPy 2 keeps ``float32_array * python_float`` in float32, which would
-change the bytes of everything computed from it.  Float64 rows pass it
-as they are, as views where a slice is one run of rows.
+widens a whole set, slice by slice, for training, which samples batches
+from it every epoch, and for the other fitted scorers
+(``herding_select`` widens the class rows it is given as well).  No
+float32 row may pass it, since NumPy 2 keeps ``float32_array *
+python_float`` in float32, which would change the bytes of everything
+computed from it.
 
 The binary on-disk format is little-endian:
 
@@ -161,11 +162,8 @@ class RowView:
         return (slice(start, min(start + height, n)) for start in range(0, n, height))
 
     def widen(self) -> np.ndarray:
-        """Every row in float64, read-only: the storage itself if it is
-        float64 and the view holds all of it in order, else a new array
-        filled slice by slice."""
-        if self.index is None and self.storage.dtype == np.float64:
-            return _read_only(np.ascontiguousarray(self.storage))
+        """Every row in float64, read-only: a new array filled slice by
+        slice."""
         out = np.empty(self.shape)
         for part in self.slices():
             out[part] = self._stored(part)  # widened as it is copied in
@@ -177,25 +175,23 @@ class TaskStream:
     """Ordered partition of classes into tasks with disjoint label sets.
 
     Task t (1-based) adds the classes ``classes[t - 1]``.  ``train_x`` /
-    ``train_y`` and ``test_x`` / ``test_y`` are the read-only features and
-    labels of every task's rows, task by task: task t's rows are
-    ``train_bounds[t - 1]:train_bounds[t]`` of the train arrays and
-    ``test_bounds[t - 1]:test_bounds[t]`` of the test arrays.  Built by
-    :func:`split_tasks` from checked datasets, so no slice is checked again.
+    ``train_y`` and ``test_x`` / ``test_y`` are the datasets' own features
+    and labels, read-only, and ``train_order`` / ``test_order`` their row
+    numbers task by task, each task's rows in dataset order: task t's
+    training rows are ``train_order[train_bounds[t - 1]:train_bounds[t]]``,
+    its test rows likewise.  Built by :func:`split_tasks` from checked
+    datasets, so no row is checked again.
     """
 
     classes: tuple[tuple[int, ...], ...]
     train_x: np.ndarray
     train_y: np.ndarray
+    train_order: np.ndarray
+    train_bounds: tuple[int, ...]
     test_x: np.ndarray
     test_y: np.ndarray
-    train_bounds: tuple[int, ...]
+    test_order: np.ndarray
     test_bounds: tuple[int, ...]
-
-    def __post_init__(self):
-        flat = self.classes_through(self.num_steps)
-        if len(set(flat)) != len(flat):
-            raise DataError("task class sets must be pairwise disjoint")
 
     @property
     def num_steps(self) -> int:
@@ -205,33 +201,20 @@ class TaskStream:
         """Seen-class set after step t (1-based), in task order."""
         return tuple(c for classes in self.classes[:t] for c in classes)
 
-    def _part(self, bounds, first: int, t: int) -> slice:
-        """The rows of tasks first..t under ``bounds``."""
+    def test_through(self, t: int) -> tuple[RowView, np.ndarray]:
+        """The test rows of tasks 1..t (1-based), task by task: a view of
+        ``test_x`` through a prefix of ``test_order``, and their labels."""
         if not 1 <= t <= self.num_steps:
             raise ValueError("step index out of range")
-        return slice(bounds[first - 1], bounds[t])
-
-    def _rows(self, x, y, bounds, first: int, t: int) -> tuple[RowView, np.ndarray]:
-        """(features, labels) of tasks first..t: a view of the slice of
-        ``x`` and the slice of ``y``, both read-only, neither a copy."""
-        part = self._part(bounds, first, t)
-        return RowView(x[part]), y[part]
-
-    def task_train(self, t: int) -> tuple[RowView, np.ndarray]:
-        """The training rows of task t (1-based), from ``train_x``, ``train_y``
-        as :meth:`_rows` says."""
-        return self._rows(self.train_x, self.train_y, self.train_bounds, t, t)
-
-    def test_through(self, t: int) -> tuple[RowView, np.ndarray]:
-        """The test rows of tasks 1..t, from prefixes of ``test_x``, ``test_y``
-        as :meth:`_rows` says."""
-        return self._rows(self.test_x, self.test_y, self.test_bounds, 1, t)
+        rows = self.test_order[: self.test_bounds[t]]
+        return RowView(self.test_x, rows), self.test_y[rows]
 
 
 @dataclass
 class MemoryBuffer:
-    """Fixed-budget exemplar store; ``entries[c]`` lists the rows of
-    ``TaskStream.train_x`` that class c keeps, in pick order."""
+    """Fixed-budget exemplar store; ``entries[c]`` lists the row numbers
+    of ``TaskStream.train_x``, the training set's own features, that class
+    c keeps, in pick order."""
 
     budget: int
     entries: dict[int, list[int]] = field(default_factory=dict)
@@ -318,21 +301,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _task_major(ds: FeatureDataset, groups) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """``ds``'s features and labels regrouped task by task, in their original
-    order within each task, read-only, and the row bounds of the tasks:
-    the t-th group (0-based) spans rows ``bounds[t]:bounds[t + 1]``."""
-    idx = [np.flatnonzero(np.isin(ds.labels, classes)) for classes in groups]
-    bounds = (0, *np.cumsum([len(i) for i in idx]).tolist())
-    rows = np.concatenate(idx)
-    feats, labels = ds.features, ds.labels
-    if not np.array_equal(rows, np.arange(ds.n)):
-        # a seeded class order or rows not sorted by class: one gather puts
-        # each task's rows in one run, so every task is one slice of it
-        feats, labels = feats[rows], labels[rows]
-    return _read_only(feats), _read_only(labels), bounds
-
-
 def split_tasks(
     ds_train: FeatureDataset,
     ds_test: FeatureDataset,
@@ -343,9 +311,9 @@ def split_tasks(
     the remainder).  Classes are taken in id order, or in the permutation
     drawn from ``class_order.child("class-order")`` when one is given.
 
-    The stream's arrays are read-only task-major copies of the inputs', or,
-    for rows already laid out task by task (identity order on class-sorted
-    rows), views that share the inputs' memory.
+    The stream holds the inputs' own arrays as read-only views and, for
+    each input, its row numbers task by task: no feature row is copied, in
+    any class order or row layout.
     """
     K = ds_train.n_classes
     if k < 2:
@@ -357,22 +325,29 @@ def split_tasks(
     else:
         order = class_order.child("class-order").gen.permutation(K)
     groups = tuple(tuple(int(c) for c in order[start : start + k]) for start in range(0, K, k))
-    train_x, train_y, train_bounds = _task_major(ds_train, groups)
-    test_x, test_y, test_bounds = _task_major(ds_test, groups)
-    return TaskStream(groups, train_x, train_y, test_x, test_y, train_bounds, test_bounds)
+
+    def layout(ds: FeatureDataset) -> tuple:
+        # ds's arrays, its row numbers task by task (in dataset order within
+        # a task) and the task bounds in that order
+        idx = [np.flatnonzero(np.isin(ds.labels, classes)) for classes in groups]
+        bounds = (0, *np.cumsum([len(i) for i in idx]).tolist())
+        return (_read_only(ds.features), _read_only(ds.labels),
+                _read_only(np.concatenate(idx)), bounds)
+
+    return TaskStream(groups, *layout(ds_train), *layout(ds_test))
 
 
 def step_rows(
     stream: TaskStream, t: int, mem: MemoryBuffer
 ) -> tuple[RowView, np.ndarray]:
-    """The rows a head trains on at step t (1-based): task t's training
-    rows, then the exemplars of ``mem`` in ascending class order, as a
-    view of ``stream.train_x`` and their labels."""
-    part = stream._part(stream.train_bounds, t, t)
+    """The rows a head trains on at step t (1-based): task t's slice of
+    ``stream.train_order``, then the exemplars of ``mem`` in ascending
+    class order, as a view of ``stream.train_x`` and their labels."""
+    if not 1 <= t <= stream.num_steps:
+        raise ValueError("step index out of range")
+    task = stream.train_order[stream.train_bounds[t - 1] : stream.train_bounds[t]]
     exemplars = np.array([r for c in sorted(mem.entries) for r in mem.entries[c]], dtype=np.intp)
-    # exemplars come from other tasks' rows, so the rows a step trains on
-    # are not one run of the suite: the view gathers them where read
-    index = np.concatenate([np.arange(part.start, part.stop), exemplars])
+    index = np.concatenate([task, exemplars])
     return RowView(stream.train_x, index), stream.train_y[index]
 
 

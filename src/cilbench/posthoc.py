@@ -200,7 +200,8 @@ _SLICE_ROWS = 128
 # this many cells per operand.
 _RESCORE_CELLS = 1 << 16
 # The screen's bound on a row's k-th similarity comes from the maxima of at
-# least this many groups of bank rows per neighbour.
+# least this many groups of bank rows per neighbour (one row per group in a
+# smaller bank).
 _SCREEN_GROUPS = 8
 
 
@@ -248,11 +249,12 @@ def _slice_top_k(fit: ScorerFit, Zs: np.ndarray, k: int) -> tuple[np.ndarray, np
       |t - s| <= eps = (g(d + 2, u) + g(d, v)) (1 + 2^-20)^2
       + d 2^-120, the last term covering float32 underflow; about
       (d + 2) 2^-24.
-    * A bound.  Split the bank rows into G >= 8k disjoint groups and let L
-      be the k-th largest of the groups' screened maxima.  The k groups
-      with the largest maxima each hold a bank row with t >= L, so k
-      distinct rows have s >= L - eps: the k-th largest s is at least
-      L - eps.
+    * A bound.  Split the bank rows into G disjoint groups: G >= 8k, or
+      one row per group for a bank of fewer than 8k rows, so G >= k as k
+      is at most the bank.  Let L be the k-th largest of the groups'
+      screened maxima.  The k groups with the largest maxima each hold a
+      bank row with t >= L, so k distinct rows have s >= L - eps: the
+      k-th largest s is at least L - eps.
     * Candidates.  A bank row among the k, or tied with the k-th, has
       s >= L - eps, so t >= L - 2 eps.  The screen keeps every row with
       t >= L - (2 eps + 2^-22), the 2^-22 covering the float32 rounding
@@ -260,26 +262,22 @@ def _slice_top_k(fit: ScorerFit, Zs: np.ndarray, k: int) -> tuple[np.ndarray, np
       with the k-th, and choosing the k among them by (s descending, bank
       index) chooses them among all bank rows.
 
-    A bank of fewer than 8k rows makes every row a candidate.  No step
-    depends on how the queries are sliced or which BLAS kernel ran the
-    screen, so neither do the bytes returned."""
+    Every bank size takes this one path.  No step depends on how the
+    queries are sliced or which BLAS kernel ran the screen, so neither do
+    the bytes returned."""
     # a row's norm takes numpy's pairwise sum only from contiguous rows
     Q = l2_rows(np.ascontiguousarray(Zs))
     h, d = Q.shape
     nb = fit.bank_features.shape[0]
-    n_groups = _SCREEN_GROUPS * k
-    if nb < n_groups:  # every (bank row, query) pair is a candidate
-        c, r = np.divmod(np.arange(nb * h), h)
-    else:
-        screen = fit.bank_features @ Q.astype(np.float32).T  # (bank, h)
-        width = nb // n_groups
-        n_groups = nb // width
-        # group g holds bank rows g, g + n_groups, g + 2 * n_groups, ...
-        maxima = screen[: n_groups * width].reshape(width, n_groups, h).max(axis=0)
-        kth = np.partition(maxima, n_groups - k, axis=0)[n_groups - k]
-        thresholds = kth - np.float32(_screen_margin(d))
-        c, r = np.divmod(np.flatnonzero(screen >= thresholds), h)
-        del screen
+    screen = fit.bank_features @ Q.astype(np.float32).T  # (bank, h)
+    width = max(1, nb // (_SCREEN_GROUPS * k))
+    n_groups = nb // width
+    # group g holds bank rows g, g + n_groups, g + 2 * n_groups, ...
+    maxima = screen[: n_groups * width].reshape(width, n_groups, h).max(axis=0)
+    kth = np.partition(maxima, n_groups - k, axis=0)[n_groups - k]
+    thresholds = kth - np.float32(_screen_margin(d))
+    c, r = np.divmod(np.flatnonzero(screen >= thresholds), h)
+    del screen
     cap = max(1, _RESCORE_CELLS // d)
     s = np.concatenate([
         _pair_sims(Q[r[j : j + cap]], fit.bank_unit(c[j : j + cap]))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cilbench.cil import CilConfig, CilModel, evaluate_accuracy, train_task
-from cilbench.data import MemoryBuffer, ood_order, ood_subset, split_tasks
+from cilbench.data import MemoryBuffer, ood_order, ood_subset, split_tasks, step_rows
 from cilbench.finetune import BerConfig, finetune_step_loop, nter_loss, oter_loss
 from cilbench.metrics import auroc, average_precision, fpr_at_tpr95
 from cilbench.model import LinearHead, ce_loss
@@ -360,7 +360,7 @@ def test_criterion_10_near_far_ordering():
         rng = RngStream(seed, "nf")
         model, _ = train_task(model, stream, 1, MemoryBuffer(REPLAY_BUDGET), DEFAULT_CIL, rng)
         id_x, _ = stream.test_through(1)
-        fit_rows, _ = stream.task_train(1)
+        fit_rows, _ = step_rows(stream, 1, MemoryBuffer(0))
         for name in SCORER_NAMES:
             fit = fit_scorer(name, model, fit_rows)
             id_s = score_batch(name, model, fit, id_x)

@@ -532,7 +532,7 @@ REPORT_PINS = [
     ("distill_wa", "example_run", {"cil": {"method": "replay_distill_wa"}, "seeds": [0]},
      "43db712d1d09ef5a52998ba1ddba8363bd1c2ffa3d6027604bdfc2dcc25c4a33"),
     # the shipped configs run in identity order on class-sorted rows; this
-    # is the path that gathers the suite into a task-major copy
+    # is the path whose task-by-task row order is not the suite's own
     ("seeded_order", "example_run", {"class_order": "seeded", "seeds": [0]},
      "a3266fbb98f11d349ed808a1ba99096dd2bd4d41311c80abacf79c6e57d263e3"),
     # the one scoring model with a feature map (L2 norm over a temperature)

@@ -112,7 +112,7 @@ def test_split_tasks_even():
     assert stream.num_steps == 3
     assert list(stream.classes) == [(0, 1), (2, 3), (4, 5)]
     for t, classes in enumerate(stream.classes, 1):
-        assert set(np.unique(stream.task_train(t)[1])) == set(classes)
+        assert set(np.unique(step_rows(stream, t, MemoryBuffer(0))[1])) == set(classes)
 
 
 def test_split_tasks_remainder_and_disjoint():
@@ -161,14 +161,38 @@ def test_split_tasks_class_sorted_input_is_not_copied():
     tr = make_ds(5, 7, 3)
     te = make_ds(2, 7, 3, seed=1)
     stream = split_tasks(tr, te, 3)
+    for ds, x, y, order in ((tr, stream.train_x, stream.train_y, stream.train_order),
+                            (te, stream.test_x, stream.test_y, stream.test_order)):
+        assert np.shares_memory(x, ds.features) and np.shares_memory(y, ds.labels)
+        # identity order on class-sorted rows: task by task is the rows' own order
+        np.testing.assert_array_equal(order, np.arange(ds.n))
     for t in range(1, stream.num_steps + 1):
-        for part, ds in ((arrays(stream.task_train(t)), tr), (_task_test(stream, t), te)):
-            assert np.shares_memory(part[0], ds.features)
-            assert np.shares_memory(part[1], ds.labels)
+        assert step_rows(stream, t, MemoryBuffer(0))[0].storage is stream.train_x
+        assert stream.test_through(t)[0].storage is stream.test_x
+
+
+@pytest.mark.parametrize("layout", ["identity", "seeded", "shuffled"])
+def test_split_tasks_copies_no_feature_row(layout):
+    # float32 rows 64 wide: a copy of the features is 32 times the row
+    # numbers of the task-by-task order
+    tr, te = (FeatureDataset(ds.features.astype(np.float32), ds.labels, 10)
+              for ds in (make_ds(400, 10, 64), make_ds(100, 10, 64, seed=1)))
+    if layout == "shuffled":
+        rng = np.random.default_rng(2)
+        tr, te = (subset(ds, rng.permutation(ds.n)) for ds in (tr, te))
+    order = RngStream(4, "order") if layout == "seeded" else None
+    tracemalloc.start()
+    try:
+        stream = split_tasks(tr, te, 3, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tr.features.nbytes + te.features.nbytes) / 8
+    for x, ds in ((stream.train_x, tr), (stream.test_x, te)):
+        assert np.shares_memory(x, ds.features)
     for t in range(1, stream.num_steps + 1):
-        assert np.shares_memory(
-            stream.test_through(t)[0].widen(), stream.test_through(1)[0].widen()
-        )
+        assert np.shares_memory(step_rows(stream, t, MemoryBuffer(0))[0].storage, tr.features)
+        assert np.shares_memory(stream.test_through(t)[0].storage, te.features)
 
 
 @pytest.mark.parametrize("layout", ["seeded", "shuffled"])
@@ -184,17 +208,21 @@ def test_split_tasks_regroups_rows_like_per_task_subsets(layout):
     stream = split_tasks(tr, te, 3, order)
     seen = []
     for t, oracle in enumerate(_per_task_oracle(tr, te, stream), 1):
-        task_train, task_test = arrays(stream.task_train(t)), _task_test(stream, t)
-        for part, want in zip((task_train, task_test), oracle):
+        train_part, test_part = arrays(step_rows(stream, t, MemoryBuffer(0))), _task_test(stream, t)
+        for part, want in zip((train_part, test_part), oracle):
             np.testing.assert_array_equal(part[0], want.features)
             np.testing.assert_array_equal(part[1], want.labels)
         seen.append(oracle[1])
         through_x, through_y = arrays(stream.test_through(t))
         np.testing.assert_array_equal(through_x, np.concatenate([s.features for s in seen]))
         np.testing.assert_array_equal(through_y, np.concatenate([s.labels for s in seen]))
-        # one gather per input: the tasks are slices of it, not of the input
-        assert np.shares_memory(task_test[0], stream.test_x)
-        assert not np.shares_memory(task_train[0], tr.features)
+        # each task is a slice of the input's order: its rows in input order
+        for ds, order, bounds in ((tr, stream.train_order, stream.train_bounds),
+                                  (te, stream.test_order, stream.test_bounds)):
+            np.testing.assert_array_equal(
+                order[bounds[t - 1] : bounds[t]],
+                np.flatnonzero(np.isin(ds.labels, stream.classes[t - 1])),
+            )
 
 
 @settings(max_examples=80, deadline=None)
@@ -216,20 +244,24 @@ def test_stream_slices_are_read_only_views_of_the_per_task_rows(
         rng = np.random.default_rng(seed)
         tr, te = (subset(ds, rng.permutation(ds.n)) for ds in (tr, te))
     stream = split_tasks(tr, te, min(k, n_classes), order)
-    train_arrays, test_arrays = (stream.train_x, stream.train_y), (stream.test_x, stream.test_y)
+    for ds, x, y in ((tr, stream.train_x, stream.train_y), (te, stream.test_x, stream.test_y)):
+        for array, own in ((x, ds.features), (y, ds.labels)):
+            assert not array.flags.writeable and np.shares_memory(array, own)
     seen = []
     for t, (want_train, want_test) in enumerate(_per_task_oracle(tr, te, stream), 1):
         seen.append(want_test)
         want_through = [np.concatenate([s.features for s in seen]),
                         np.concatenate([s.labels for s in seen])]
-        for got, want, whole in (
-            (arrays(stream.task_train(t)), [want_train.features, want_train.labels], train_arrays),
-            (arrays(stream.test_through(t)), want_through, test_arrays),
+        task = step_rows(stream, t, MemoryBuffer(0))
+        for (view, labels), want, x in (
+            (task, [want_train.features, want_train.labels], stream.train_x),
+            (stream.test_through(t), want_through, stream.test_x),
         ):
-            for part, expect, array in zip(got, want, whole):
-                np.testing.assert_array_equal(part, expect, strict=True)
-                assert not part.flags.writeable
-                assert np.shares_memory(part, array)
+            assert view.storage is x
+            rows = view.widen()
+            assert not rows.flags.writeable
+            np.testing.assert_array_equal(rows, want[0], strict=True)
+            np.testing.assert_array_equal(labels, want[1], strict=True)
 
 
 def test_test_through_rejects_steps_outside_the_stream():
@@ -239,11 +271,11 @@ def test_test_through_rejects_steps_outside_the_stream():
             stream.test_through(t)
 
 
-def test_task_train_rejects_steps_outside_the_stream():
+def test_step_rows_rejects_steps_outside_the_stream():
     stream = split_tasks(make_ds(3, 4, 2), make_ds(1, 4, 2, seed=1), 2)
     for t in (0, stream.num_steps + 1):
         with pytest.raises(ValueError, match="step index"):
-            stream.task_train(t)
+            step_rows(stream, t, MemoryBuffer(0))
 
 
 def test_task_views_are_read_only():
@@ -251,9 +283,11 @@ def test_task_views_are_read_only():
     te = make_ds(2, 4, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     with pytest.raises(ValueError, match="read-only"):
-        stream.task_train(1)[0].widen()[0, 0] = 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        _task_test(stream, 2)[1][0] = 0
+        step_rows(stream, 1, MemoryBuffer(0))[0].widen()[0, 0] = 1.0
+    # a step's labels are its own copy; the stream's arrays are read-only
+    for array in (stream.test_y, stream.train_order, stream.test_order):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
     with pytest.raises(ValueError, match="read-only"):
         stream.test_through(2)[0].widen()[0] += 1.0
     # the caller's arrays stay writable
@@ -457,7 +491,7 @@ def test_step_rows_materialization():
     te = make_ds(2, 6, 3, seed=1)
     stream = split_tasks(tr, te, 2)
     mem = rebalance_memory(MemoryBuffer(8), stream, 2)
-    task_x, task_y = arrays(stream.task_train(3))
+    task_x, task_y = arrays(step_rows(stream, 3, MemoryBuffer(0)))
     n = task_x.shape[0]
     X_all, y_all = arrays(step_rows(stream, 3, mem))
     # task 3's rows first, then the memory, class-ordered
@@ -474,8 +508,10 @@ def test_step_rows_materialization():
 
 
 def test_step_rows_without_memory_is_the_task_itself():
-    stream = split_tasks(make_ds(10, 4, 3), make_ds(2, 4, 3, seed=1), 2)
-    task_x, task_y = arrays(stream.task_train(2))
+    tr = make_ds(10, 4, 3)
+    stream = split_tasks(tr, make_ds(2, 4, 3, seed=1), 2)
+    task = subset(tr, np.flatnonzero(np.isin(tr.labels, stream.classes[1])))
+    task_x, task_y = task.features, task.labels
     for mem in (MemoryBuffer(0), MemoryBuffer(8, {0: [], 1: []})):
         X, y = arrays(step_rows(stream, 2, mem))
         np.testing.assert_array_equal(X, task_x, strict=True)
@@ -618,13 +654,14 @@ def test_ood_subset_is_a_view_of_the_set_read_as_float64():
 
 
 def boundary_arrays(train, test, suite, order):
-    """Per step of a run on the suite: task_train, test_through, step_rows
-    and each OOD set's ood_subset, then the exemplars kept after the step."""
+    """Per step of a run on the suite: the task's rows, test_through,
+    step_rows and each OOD set's ood_subset, then the exemplars kept after
+    the step."""
     stream = split_tasks(train, test, 3, order)
     mem, out = MemoryBuffer(24), []
     perms = [(e.dataset, ood_order(e.dataset, RngStream(0, e.name))) for e in suite.entries]
     for t in range(1, stream.num_steps + 1):
-        out += [*arrays(stream.task_train(t)), *arrays(stream.test_through(t))]
+        out += [*arrays(step_rows(stream, t, MemoryBuffer(0))), *arrays(stream.test_through(t))]
         out += [*arrays(step_rows(stream, t, mem))]
         out += [ood_subset(ds, t, stream.num_steps, perm).widen() for ds, perm in perms]
         mem = rebalance_memory(mem, stream, t)
@@ -663,9 +700,11 @@ def test_a_float64_suite_passes_the_boundary_as_views():
                                         n_test_per_class=10, n_ood_per_set=40, seed=3))
     assert train.features.dtype == np.float64
     stream = split_tasks(train, test, 3)
-    for t in range(1, stream.num_steps + 1):
-        assert np.shares_memory(stream.task_train(t)[0].widen(), train.features)
-        assert np.shares_memory(stream.test_through(t)[0].widen(), test.features)
+    for x, ds in ((stream.train_x, train), (stream.test_x, test)):
+        # the stream holds the suite's own rows, and a run of them is read as a view
+        assert np.shares_memory(x, ds.features)
+        rows = RowView(x).read(slice(5, 40))
+        assert rows.dtype == np.float64 and np.shares_memory(rows, ds.features)
 
 
 def test_load_suite_manifest_holds_a_suite_at_its_stored_size(tmp_path):
@@ -713,6 +752,6 @@ def test_a_row_view_reads_float64_slices_of_its_storage(monkeypatch, dtype, inde
     np.testing.assert_array_equal(view.read(picks), want[picks], strict=True)
     whole = view.widen()
     np.testing.assert_array_equal(whole, want, strict=True)
-    assert not whole.flags.writeable
-    # float64 storage read whole and in order is passed through, not copied
-    assert np.shares_memory(whole, storage) == (dtype == np.float64 and not indexed)
+    assert not whole.flags.writeable and not np.shares_memory(whole, storage)
+    # a run of float64 storage is read as a view, not copied
+    assert np.shares_memory(view.read(parts[1]), storage) == (dtype == np.float64 and not indexed)

@@ -400,7 +400,7 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
     """finetune_step_loop with its own epoch loop and its own row assembly
     (the memory's rows of the stream's training set gathered class by
     class), as it was before it shared the CIL epoch loop."""
-    task_rows, task_y = stream.task_train(t)
+    task_rows, task_y = step_rows(stream, t, MemoryBuffer(0))
     task_x = task_rows.widen()
     row_of = {c: i for i, c in enumerate(model.seen_classes)}
     xs = [stream.train_x[np.asarray(mem.entries[c], dtype=np.int64)]
