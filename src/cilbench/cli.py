@@ -102,12 +102,11 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     doc = read_json(args.input, "report", DataError)
     out_dir = args.out or Path(args.input).parent
-    fmt = {"md": "markdown", "csv": "csv"}[args.format]
     try:
         report = BenchmarkReport.from_dict(doc)
         if not verify_consistency(report):
             raise DataError(f"aggregates disagree with the records in {args.input}")
-        paths = emit_report(report, out_dir, formats=(fmt,))
+        paths = emit_report(report, out_dir, formats=(args.format,))
     except OSError as exc:
         return _fail("runtime", f"cannot write report: {exc}", EXIT_RUNTIME)
     except (AttributeError, KeyError, TypeError) as exc:  # not the shape of a report

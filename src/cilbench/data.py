@@ -11,15 +11,14 @@ the views a step reads them through.
 
 A step reads every row set through a :class:`RowView`: the stored array
 and the row numbers of it the set holds, with no copy.  ``test_through``,
-``step_rows`` and ``ood_subset`` each hand one out, and each view of a
-run holds row numbers, so its reader gathers the rows from storage.
+``step_rows`` and ``ood_subset`` each hand one out, and every view holds
+row numbers, so its reader gathers the rows from storage.
 Every array a run computes with is float64, made at one boundary, the
 view: :meth:`RowView.read` widens one slice of rows at a time, so a set
 that is scored, measured for ACC or fitted into a bank (which keeps its
 view to rescore) is never held whole in float64.  :meth:`RowView.widen`
 widens a whole set, slice by slice, for training, which samples batches
-from it every epoch, and for the other fitted scorers
-(``herding_select`` widens the class rows it is given as well).  No
+from it every epoch, for the other fitted scorers and for herding.  No
 float32 row may pass it, since NumPy 2 keeps ``float32_array *
 python_float`` in float32, which would change the bytes of everything
 computed from it.
@@ -124,29 +123,30 @@ class RowView:
     """Rows of a stored feature array, read as float64 a slice at a time.
 
     ``storage`` is an (N, d) float32 or float64 array, kept as given, and
-    ``index`` the rows of it the view holds, in view order (None: every
-    row).  The view holds no row of its own, and hands rows out only in
-    float64: :meth:`read` returns C-contiguous float64 rows, a view where
-    they are one run of float64 storage and a new array otherwise, so no
+    ``index`` the row numbers of it the view holds, in view order.  The
+    view holds no row of its own, and hands rows out only in float64:
+    :meth:`read` gathers C-contiguous float64 rows into a new array, so no
     slice a scorer, a fit or a rescore reads is float32."""
 
     storage: np.ndarray
-    index: np.ndarray | None = None
+    index: np.ndarray
 
     @classmethod
     def of(cls, rows) -> "RowView":
-        """``rows`` as a view: a view as it is, anything else as the
-        array ``np.asarray`` makes of it."""
-        return rows if isinstance(rows, cls) else cls(np.asarray(rows))
+        """``rows`` as a view: a view as it is, anything else as every row
+        of the array ``np.asarray`` makes of it."""
+        if isinstance(rows, cls):
+            return rows
+        rows = np.asarray(rows)
+        return cls(rows, np.arange(rows.shape[0]))
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.storage.shape[0] if self.index is None else self.index.shape[0]
-        return n, self.storage.shape[1]
+        return self.index.shape[0], self.storage.shape[1]
 
     def _stored(self, sel) -> np.ndarray:
         """The stored rows at view positions ``sel``, as stored."""
-        return self.storage[sel if self.index is None else self.index[sel]]
+        return self.storage[self.index[sel]]
 
     def read(self, sel) -> np.ndarray:
         """The float64 rows at view positions ``sel``, a slice or an
@@ -453,7 +453,7 @@ def rebalance_memory(mem: MemoryBuffer, stream: TaskStream, t: int) -> MemoryBuf
         rows = np.flatnonzero(stream.train_y == c)
         if rows.size == 0:
             raise DataError(f"class {c} has no training rows")
-        picks = herding_select(stream.train_x[rows], min(q, rows.size))
+        picks = herding_select(RowView(stream.train_x, rows).widen(), min(q, rows.size))
         entries[c] = rows[picks].tolist()
     return MemoryBuffer(mem.budget, entries)
 

@@ -36,7 +36,7 @@ from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
 from .model import save_head
 from .numerics import RngStream
-from .posthoc import FITTED_SCORERS, SCORER_NAMES, PosthocParams, fit_scorer, score_batch
+from .posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from .synthgen import SynthSpec, generate
 
 __all__ = ["RunConfig", "BenchmarkReport", "preflight", "run_benchmark", "emit_report"]
@@ -54,6 +54,10 @@ PHASES = (
     "metrics",
     "checkpoint_io",
 )
+# a step's four measures, in the order the report states them
+_METRICS = ("acc", "auroc", "fpr95", "ap")
+# one record's fields: the order a record is built in and report.csv's columns
+_RECORD_FIELDS = ("seed", "step", "ood_dataset", "tag", "n_id_test", "n_ood_test", *_METRICS)
 
 
 @dataclass(frozen=True)
@@ -223,9 +227,8 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, ood_sets, ft_log) -> tu
     """The OOD phase of one ``_trajectory`` step: its records and scoring
     model.  ``ood_sets`` pairs each OOD entry with its ``ood_order``.  Adds
     the step's remaining phase times to ``took``.  Every row set it reads
-    (the fit rows, taken only for a scorer that fits, the ID test rows and
-    each OOD subset) is a ``RowView`` of the stored suite, read as the
-    ``data`` module docstring states."""
+    (the fit rows, the ID test rows and each OOD subset) is a ``RowView``
+    of the stored suite, read as the ``data`` module docstring states."""
     t, model, mem_t, acc, took = step
     T = stream.num_steps
     scorer, params, ft = cfg.scorer, cfg.scorer_params, cfg.finetune_params
@@ -236,9 +239,7 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, ood_sets, ft_log) -> tu
         with _timed(took, "finetune"):
             score_model = finetune_step_loop(model, stream, t, mem_t, method, ft, rng, ft_log)
     with _timed(took, "scorer_fit"):
-        fit = None
-        if scorer in FITTED_SCORERS:
-            fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
+        fit = fit_scorer(scorer, score_model, step_rows(stream, t, mem_t)[0], params)
     with _timed(took, "score_id"):
         id_scores = score_batch(scorer, score_model, fit, stream.test_through(t)[0], params)
     records = []
@@ -247,20 +248,10 @@ def _score_step(cfg: RunConfig, seed: int, stream, step, ood_sets, ft_log) -> tu
             sub = ood_subset(entry.dataset, t, T, order)
             ood_scores = score_batch(scorer, score_model, fit, sub, params)
         with _timed(took, "metrics"):
-            records.append(
-                {
-                    "seed": seed,
-                    "step": t,
-                    "ood_dataset": entry.name,
-                    "tag": entry.tag,
-                    "n_id_test": id_scores.shape[0],
-                    "n_ood_test": ood_scores.shape[0],
-                    "acc": acc,
-                    "auroc": auroc(id_scores, ood_scores),
-                    "fpr95": fpr_at_tpr95(id_scores, ood_scores),
-                    "ap": average_precision(id_scores, ood_scores),
-                }
-            )
+            values = (seed, t, entry.name, entry.tag, id_scores.shape[0], ood_scores.shape[0], acc,
+                      auroc(id_scores, ood_scores), fpr_at_tpr95(id_scores, ood_scores),
+                      average_precision(id_scores, ood_scores))
+            records.append(dict(zip(_RECORD_FIELDS, values, strict=True)))
     return records, score_model
 
 
@@ -294,7 +285,6 @@ def _run_seed(cfg: RunConfig, seed: int, stream, suite, artifact_dir: Path | Non
 
 def _aggregate(records: list[dict], seeds) -> dict:
     steps = sorted({r["step"] for r in records})
-    metrics = ("acc", "auroc", "fpr95", "ap")
 
     def mean_over(rows, key):
         return float(np.mean([r[key] for r in rows])) if rows else None
@@ -303,7 +293,7 @@ def _aggregate(records: list[dict], seeds) -> dict:
     for t in steps:
         rows = [r for r in records if r["step"] == t]
         entry = {"step": t}
-        for m in metrics:
+        for m in _METRICS:
             entry[m] = mean_over(rows, m)
         for tag in ("near", "far"):
             tagged = [r for r in rows if r["tag"] == tag]
@@ -311,7 +301,7 @@ def _aggregate(records: list[dict], seeds) -> dict:
         per_step.append(entry)
 
     over_steps = {}
-    for m in metrics + ("auroc_near", "auroc_far"):
+    for m in _METRICS + ("auroc_near", "auroc_far"):
         vals = [e[m] for e in per_step if e.get(m) is not None]
         over_steps[m] = float(np.mean(vals)) if vals else None
 
@@ -375,20 +365,6 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     return BenchmarkReport(echo, records, aggregates, failures)
 
 
-_CSV_COLUMNS = (
-    "seed",
-    "step",
-    "ood_dataset",
-    "tag",
-    "n_id_test",
-    "n_ood_test",
-    "acc",
-    "auroc",
-    "fpr95",
-    "ap",
-)
-
-
 def _to_markdown(report: BenchmarkReport) -> str:
     cfg = report.config
     agg = report.aggregates
@@ -404,7 +380,7 @@ def _to_markdown(report: BenchmarkReport) -> str:
         "|---|---|---|---|---|",
     ]
     o = agg["over_steps"]
-    columns = ("acc", "auroc", "fpr95", "ap", "auroc_near", "auroc_far")
+    columns = _METRICS + ("auroc_near", "auroc_far")
 
     def row(label, entry, width=len(columns)):
         """One table row: ``label``, then the first ``width`` columns in percent."""
@@ -424,26 +400,31 @@ def _to_markdown(report: BenchmarkReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(
-    report: BenchmarkReport, out_dir, formats=("json", "csv", "markdown")
-) -> list[Path]:
-    """Write report files; identical reports produce identical bytes."""
+def _to_csv(report: BenchmarkReport) -> str:
+    rows = [",".join(_RECORD_FIELDS)]
+    for r in report.records:
+        rows.append(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in _RECORD_FIELDS))
+    return "\n".join(rows) + "\n"
+
+
+# format name -> (file name, renderer); emit_report writes all three by default
+_FORMATS = {
+    "json": ("report.json", lambda report: json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"),
+    "csv": ("report.csv", _to_csv),
+    "md": ("report.md", _to_markdown),
+}
+
+
+def emit_report(report: BenchmarkReport, out_dir, formats=tuple(_FORMATS)) -> list[Path]:
+    """Write the files of ``formats``, each one of ``json``, ``csv`` and
+    ``md``, in the order named; another name raises ``KeyError``.  Identical
+    reports produce identical bytes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if "json" in formats:
-        path = out / "report.json"
-        path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-        written.append(path)
-    if "csv" in formats:
-        path = out / "report.csv"
-        rows = [",".join(_CSV_COLUMNS)]
-        for r in report.records:
-            rows.append(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in _CSV_COLUMNS))
-        path.write_text("\n".join(rows) + "\n")
-        written.append(path)
-    if "markdown" in formats:
-        path = out / "report.md"
-        path.write_text(_to_markdown(report))
+    for name in formats:
+        file_name, render = _FORMATS[name]
+        path = out / file_name
+        path.write_text(render(report))
         written.append(path)
     return written

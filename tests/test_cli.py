@@ -573,8 +573,9 @@ PIN_MESSAGE = f"pins recorded under {PINS_RECORDED_UNDER}; this run has numpy {n
 
 # The same contract for data.manifest runs at seed 0 on the suite gen-synth
 # writes from configs/example_synth_spec.json: rows read from float32 files,
-# a path no row above takes.  The manifest path is relative to the working
-# directory, so the path the report echoes is the same in every tmp_path.
+# a path no row above takes, and herding's replay picks on them.  The
+# manifest path is relative to the working directory, so the path the
+# report echoes is the same in every tmp_path.
 MANIFEST_PINS = [
     ("energy", "example_run", {},
      "1a94b3883ab5fa49d0017243db97ca21693bd4a096e69684d275b17c77187bdd"),
@@ -685,10 +686,12 @@ def test_end_to_end_gen_run_report(tmp_path):
     assert len(step_rows) == 5
     assert (out / "report.json").exists() and (out / "report.csv").exists()
 
-    # re-emitting from report.json is supported and idempotent
-    before = (out / "report.md").read_bytes()
-    assert main(["report", "--in", str(out / "report.json"), "--format", "md"]) == 0
-    assert (out / "report.md").read_bytes() == before
+    # re-emitting from report.json is supported and idempotent; csv reads
+    # its columns from records whose keys come back from JSON sorted
+    for fmt, name in (("md", "report.md"), ("csv", "report.csv")):
+        before = (out / name).read_bytes()
+        assert main(["report", "--in", str(out / "report.json"), "--format", fmt]) == 0
+        assert (out / name).read_bytes() == before
 
 
 def test_run_idempotent_bytes(tmp_path):

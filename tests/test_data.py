@@ -701,10 +701,10 @@ def test_a_float64_suite_passes_the_boundary_as_views():
     assert train.features.dtype == np.float64
     stream = split_tasks(train, test, 3)
     for x, ds in ((stream.train_x, train), (stream.test_x, test)):
-        # the stream holds the suite's own rows, and a run of them is read as a view
+        # the stream holds the suite's own rows, and a view reads them as float64
         assert np.shares_memory(x, ds.features)
-        rows = RowView(x).read(slice(5, 40))
-        assert rows.dtype == np.float64 and np.shares_memory(rows, ds.features)
+        rows = RowView.of(x).read(slice(5, 40))
+        assert rows.dtype == np.float64
 
 
 def test_load_suite_manifest_holds_a_suite_at_its_stored_size(tmp_path):
@@ -738,9 +738,8 @@ def test_a_row_view_reads_float64_slices_of_its_storage(monkeypatch, dtype, inde
     monkeypatch.setattr(data, "_SLICE_CELLS", 24)  # 3 rows of 8 per slice
     gen = np.random.default_rng(6)
     storage = gen.normal(size=(50, 8)).astype(dtype)
-    index = gen.permutation(50)[:37] if indexed else None
-    view = RowView(storage, index)
-    want = (storage if index is None else storage[index]).astype(np.float64)
+    view = RowView(storage, gen.permutation(50)[:37]) if indexed else RowView.of(storage)
+    want = storage[view.index].astype(np.float64)
     assert view.shape == want.shape and RowView.of(view) is view
     parts = list(view.slices())
     assert parts == [slice(i, min(i + 3, 37 if indexed else 50)) for i in range(0, want.shape[0], 3)]
@@ -753,5 +752,3 @@ def test_a_row_view_reads_float64_slices_of_its_storage(monkeypatch, dtype, inde
     whole = view.widen()
     np.testing.assert_array_equal(whole, want, strict=True)
     assert not whole.flags.writeable and not np.shares_memory(whole, storage)
-    # a run of float64 storage is read as a view, not copied
-    assert np.shares_memory(view.read(parts[1]), storage) == (dtype == np.float64 and not indexed)

@@ -560,7 +560,7 @@ def test_bank_scoring_memory_is_bounded_by_the_block(monkeypatch):
 
 def float32_rows(gen, n, d):
     """A view of n float32 rows, as a manifest suite holds them."""
-    return RowView(gen.normal(size=(n, d)).astype(np.float32))
+    return RowView.of(gen.normal(size=(n, d)).astype(np.float32))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -7,7 +7,7 @@ import pytest
 
 import cilbench.protocol as protocol
 from cilbench.cil import CilConfig
-from cilbench.data import DataError, FeatureDataset
+from cilbench.data import DataError, FeatureDataset, RowView
 from cilbench.finetune import BerConfig
 from cilbench.posthoc import PosthocParams
 from cilbench.protocol import (
@@ -327,17 +327,36 @@ def test_a_manifest_run_holds_its_suite_and_about_one_float64_set(tmp_path):
 def test_a_seed_permutes_each_ood_set_once_and_gathers_rows_only_to_fit(
     monkeypatch, method, fits
 ):
-    calls = {"ood_order": 0, "ood_subset": 0, "step_rows": 0}
+    calls = {"ood_order": 0, "ood_subset": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(protocol, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(protocol, name, counting)
+    # every step calls fit_scorer, which reads rows only for a scorer that fits
+    fitting, fit_reads = [False], []
+
+    def fit_spy(*args, _original=protocol.fit_scorer):
+        fitting[0] = True
+        try:
+            return _original(*args)
+        finally:
+            fitting[0] = False
+
+    monkeypatch.setattr(protocol, "fit_scorer", fit_spy)
+    for name in ("read", "widen"):
+        def reading(self, *args, _name=name, _original=getattr(RowView, name)):
+            if fitting[0]:
+                fit_reads.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(RowView, name, reading)
     cfg = small_config(ood={"method": method})  # two seeds of two steps
     run_benchmark(cfg)
     sets = cfg.synth_spec.n_near_sets + cfg.synth_spec.n_far_sets
-    assert calls == {"ood_order": 2 * sets, "ood_subset": 2 * 2 * sets, "step_rows": 2 * 2 * fits}
+    assert calls == {"ood_order": 2 * sets, "ood_subset": 2 * 2 * sets}
+    assert bool(fit_reads) == fits
 
 
 def count_dataset_checks(monkeypatch) -> list:
