@@ -6,7 +6,7 @@ energy fine-tuner scored with energy), the ID test set grows to the
 union of seen tasks, and each OOD dataset contributes a nested subset
 that keeps the OOD/ID ratio fixed.  The report aggregates per step,
 near/far, and over seeds, and is byte-stable across reruns.  Seeds run
-one after another.
+side by side in forked worker processes, one per usable core.
 """
 from cilbench import RunConfig, emit_report, run_benchmark
 

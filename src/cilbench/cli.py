@@ -5,7 +5,8 @@ failure.  ``main`` maps an uncaught error to its exit code, printing one
 machine-parsable line to stderr with the prefix ``CILBENCH-ERROR [kind]:``:
 ``ConfigError`` is ``config``, ``DataError`` is ``data``, anything else
 ``runtime``; a command prints its own line only for a failed write or a
-run with no seed left (exit 3).  Seeds run one after another.
+run with no seed left (exit 3).  Seeds run side by side in worker
+processes, as ``protocol.run_benchmark`` says.
 ``validate-config`` runs ``protocol.preflight``, every check ``run``
 makes before a seed.  ``report`` re-checks a report's aggregates against
 its records (exit 2 when they disagree or the document is not a report).

@@ -11,17 +11,24 @@ trains an extra head from it and scores with ``ood.score_with``, so no OOD
 method can change the CIL trajectory.  :class:`RunConfig` parses every
 section once, when built, and routes a method to either framework.
 Reports are byte-stable: records are sorted and aggregation is an ordered
-reduction.  Seeds run one after another; the ``threads`` setting is
-accepted and validated for compatibility but does not change how a run
-executes or what it writes.  With an artifact directory, each seed also
-writes its head checkpoints, its CIL training log
-(``logs/train_seed{s}.jsonl``), for a fine-tuning method its fine-tune log
-(``logs/finetune_seed{s}.jsonl``), and its per-step phase timings
-(``logs/timings_seed{s}.jsonl``) beside the report, never into it.
+reduction.  A run's seeds are independent, so :func:`run_benchmark` runs
+them side by side in forked worker processes, one per usable core and at
+most one per seed, and in this process when that is one or the platform
+cannot fork safely; no byte of any output depends on which.  The
+``threads`` setting is accepted and validated for compatibility but does
+not change how a run executes or what it writes.  With an artifact
+directory, each seed also writes its head checkpoints, its CIL training
+log (``logs/train_seed{s}.jsonl``), for a fine-tuning method its
+fine-tune log (``logs/finetune_seed{s}.jsonl``), and its per-step phase
+timings (``logs/timings_seed{s}.jsonl``, wall seconds inside the process
+that ran the seed) beside the report, never into it.
 """
 from __future__ import annotations
 
 import json
+import logging
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -35,13 +42,15 @@ from .data import MemoryBuffer, load_suite_manifest, ood_order, ood_subset, spli
 from .finetune import FINETUNE_METHODS, BerConfig, finetune_step_loop
 from .metrics import auroc, average_precision, fpr_at_tpr95
 from .model import save_head
-from .numerics import RngStream
+from .numerics import RngStream, usable_cores
 from .posthoc import SCORER_NAMES, PosthocParams, fit_scorer, score_batch
 from .synthgen import SynthSpec, generate
 
 __all__ = ["RunConfig", "BenchmarkReport", "preflight", "run_benchmark", "emit_report"]
 
 OOD_METHODS = SCORER_NAMES + FINETUNE_METHODS
+
+_log = logging.getLogger(__name__)
 
 # wall seconds per (seed, step) written to logs/timings_seed{s}.jsonl;
 # score_id includes the step's accuracy evaluation on the same ID rows
@@ -81,7 +90,7 @@ class RunConfig:
     cil: dict = field(default_factory=dict)
     ood: dict = field(default_factory=lambda: {"method": "energy"})
     seeds: tuple[int, ...] = (0, 1, 2)
-    threads: int = 1  # validated for compatibility; seeds always run serially
+    threads: int = 1  # validated for compatibility; seed workers follow the usable cores
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -330,8 +339,93 @@ def verify_consistency(report: BenchmarkReport) -> bool:
     return _aggregate(report.records, report.config.get("seeds", [])) == report.aggregates
 
 
+def _failure(seed: int, exc: Exception) -> dict:
+    return {"seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _seed_task(cfg: RunConfig, seed: int, manifest, artifact_dir: Path | None):
+    """One seed from its data to its records: ``(records, None)``, or
+    ``([], failure)`` for a seed that raised (seed-level isolation).  Its
+    stream is freed when it returns."""
+    try:
+        return _run_seed(cfg, seed, *_seed_data(cfg, seed, manifest), artifact_dir), None
+    except Exception as exc:
+        return [], _failure(seed, exc)
+
+
+# a seed worker is a fork of this process, which Windows lacks and macOS's
+# system libraries do not survive, so seeds stay in-process there
+_CAN_FORK = hasattr(os, "fork") and sys.platform != "darwin"
+
+# the run a pool worker serves, set by _worker_start in the worker alone
+_worker_run: tuple | None = None
+
+
+def _worker_start(cfg: RunConfig, manifest, artifact_dir: Path | None) -> None:
+    """A forked worker's set-up.  Fork hands ``initargs`` over as memory, so
+    a manifest suite is shared copy-on-write, not pickled.  OpenBLAS is held
+    to one thread here, through numpy's own library, so the workers do not
+    thread each BLAS call over the cores they already fill; without a
+    library that loads and has the symbol, the worker goes on unpinned."""
+    global _worker_run
+    _worker_run = cfg, manifest, artifact_dir
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            set_threads = getattr(dll, symbol, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                return
+
+
+def _worker_seed(seed: int):
+    cfg, manifest, artifact_dir = _worker_run
+    return _seed_task(cfg, seed, manifest, artifact_dir)
+
+
+def _pooled(cfg: RunConfig, manifest, artifact_dir: Path | None, workers: int) -> list:
+    """Each seed's ``_seed_task`` outcome, from a pool of ``workers`` forked
+    processes.  A worker that dies fails every seed it leaves unfinished, by
+    name; the ``with`` block joins every worker, also on error."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a worker starts from this process's memory, and the
+    # executor forks every worker before it starts a thread of its own
+    context = multiprocessing.get_context("fork")
+    outcomes = []
+    with ProcessPoolExecutor(workers, context, _worker_start, (cfg, manifest, artifact_dir)) as pool:
+        futures = [(seed, pool.submit(_worker_seed, seed)) for seed in cfg.seeds]
+        for seed, future in futures:
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:  # the pool broke: BrokenProcessPool
+                outcomes.append(([], _failure(seed, exc)))
+    return outcomes
+
+
+def _watched() -> str | None:
+    """Why this run must keep its seeds in this process, or ``None``.  A
+    tracer here cannot see into a worker: a name this module looks up that
+    was replaced since import (``bench/layertrace.py``, a test's spy), or
+    ``tracemalloc`` tracing."""
+    now = globals()
+    replaced = sorted(name for name, value in _AS_IMPORTED.items() if now.get(name) is not value)
+    if replaced:
+        return f"{', '.join(replaced)} replaced since import"
+    import tracemalloc
+
+    return "tracemalloc is tracing" if tracemalloc.is_tracing() else None
+
+
 def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
-    """Execute every seed in turn and aggregate.
+    """Execute every seed and aggregate.
 
     :func:`preflight` runs first and loads a manifest suite once for every
     seed; a fault it finds, or in then making the artifact directory's
@@ -340,20 +434,31 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     others.  Synthetic data is generated per seed, from ``synth_spec`` with
     that seed (a run config takes no ``data.synth.seed``).  A seed's stream
     goes straight into ``_run_seed``, so its rows are freed when the seed
-    ends, before the next seed's are made.
+    ends.  Seeds run side by side on ``min(usable_cores(), len(seeds))``
+    forked workers, so N workers hold N seeds' streams at once, each
+    writing its own seed's checkpoints and logs.  They run one after
+    another in this process, each seed's rows freed before the next's are
+    made, on one worker, where the platform cannot fork safely, and while
+    a tracer in this process could not see a worker: a function this
+    module looks up was replaced since import, or ``tracemalloc`` is
+    tracing.  The last case logs one INFO line on ``cilbench.protocol``
+    saying why.
     """
     manifest = preflight(cfg)
     artifact_dir = Path(artifact_dir) if artifact_dir else None
     if artifact_dir is not None:
         for sub in ("checkpoints", "logs"):
             (artifact_dir / sub).mkdir(parents=True, exist_ok=True)
-    records: list[dict] = []
-    failures: list[dict] = []
-    for seed in cfg.seeds:
-        try:
-            records += _run_seed(cfg, seed, *_seed_data(cfg, seed, manifest), artifact_dir)
-        except Exception as exc:  # seed-level isolation
-            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+    workers = min(usable_cores(), len(cfg.seeds)) if _CAN_FORK else 1
+    if workers > 1 and (why := _watched()):
+        _log.info("seeds run in this process: %s", why)
+        workers = 1
+    if workers > 1:
+        outcomes = _pooled(cfg, manifest, artifact_dir, workers)
+    else:
+        outcomes = [_seed_task(cfg, seed, manifest, artifact_dir) for seed in cfg.seeds]
+    records = [r for seed_records, _ in outcomes for r in seed_records]
+    failures = [f for _, f in outcomes if f is not None]
     records.sort(key=lambda r: (r["seed"], r["step"], r["ood_dataset"]))
     failures.sort(key=lambda f: f["seed"])
     aggregates = _aggregate(records, cfg.seeds)
@@ -428,3 +533,8 @@ def emit_report(report: BenchmarkReport, out_dir, formats=tuple(_FORMATS)) -> li
         path.write_text(render(report))
         written.append(path)
     return written
+
+
+# every function and class this module looks up, as imported, for
+# _watched: taken last, once all are bound
+_AS_IMPORTED = {name: value for name, value in globals().items() if callable(value)}

@@ -1,6 +1,10 @@
 import json
+import logging
+import multiprocessing
+import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ import cilbench.protocol as protocol
 from cilbench.cil import CilConfig
 from cilbench.data import DataError, FeatureDataset, RowView
 from cilbench.finetune import BerConfig
-from cilbench.posthoc import PosthocParams
+from cilbench.numerics import RngStream
+from cilbench.posthoc import PosthocParams, fit_scorer
 from cilbench.protocol import (
     PHASES,
     BenchmarkReport,
@@ -21,6 +26,8 @@ from cilbench.protocol import (
     verify_consistency,
 )
 from cilbench.synthgen import SynthSpec, write_synth_suite
+
+REPO = Path(__file__).resolve().parent.parent
 
 SMALL_SYNTH = {
     "n_classes": 8,
@@ -273,6 +280,133 @@ def test_failed_seed_recorded_not_fatal(monkeypatch):
     assert report.failures == [{"seed": 1, "error": "RuntimeError: boom"}]
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores on any host, so a run of two or more seeds forks a
+    pool of two workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def on_cil_stream(monkeypatch, action):
+    """Call ``action(seed)`` as each seed draws its CIL stream, in the
+    process that runs the seed.  ``RngStream`` is patched, not ``protocol``,
+    so the run still forks."""
+    child = RngStream.child
+
+    def hooked(self, name):
+        if name == "cil":
+            action(self.seed)
+        return child(self, name)
+
+    monkeypatch.setattr(RngStream, "child", hooked)
+
+
+class FileLog:
+    """Lines appended to a file, which every process a run forks adds to."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def append(self, line):
+        with open(self.path, "a") as f:
+            f.write(f"{line}\n")
+
+    def lines(self) -> list[str]:
+        return self.path.read_text().splitlines()
+
+    def __len__(self):
+        return len(self.lines())
+
+
+def seed_pids(monkeypatch, tmp_path):
+    """Log the process that runs each seed; returns a function that reads
+    the log as ``{seed: pid}``."""
+    log = FileLog(tmp_path / "pids.log")
+    on_cil_stream(monkeypatch, lambda seed: log.append(f"{seed} {os.getpid()}"))
+    return lambda: {int(seed): int(pid) for seed, pid in map(str.split, log.lines())}
+
+
+def written_files(out) -> dict:
+    """Every file a run wrote under ``out`` but the wall-second timings."""
+    return {
+        f.relative_to(out).as_posix(): f.read_bytes()
+        for f in out.rglob("*") if f.is_file() and not f.name.startswith("timings_")
+    }
+
+
+@pytest.mark.parametrize("config", ["example_run", "example_ber_run"])
+def test_pooled_seeds_write_the_files_of_seeds_run_in_process(
+    monkeypatch, tmp_path, two_cores, config
+):
+    cfg = RunConfig.from_json(REPO / "configs" / f"{config}.json")
+    assert cfg.seeds == (0, 1, 2)
+    pids = seed_pids(monkeypatch, tmp_path)
+    emit_report(run_benchmark(cfg, artifact_dir=tmp_path / "pooled"), tmp_path / "pooled")
+    assert multiprocessing.active_children() == []
+    pooled_pids = pids()
+    assert set(pooled_pids) == {0, 1, 2} and os.getpid() not in pooled_pids.values()
+    monkeypatch.setattr(protocol, "usable_cores", lambda: 1)
+    emit_report(run_benchmark(cfg, artifact_dir=tmp_path / "serial"), tmp_path / "serial")
+    pooled, serial = written_files(tmp_path / "pooled"), written_files(tmp_path / "serial")
+    assert {"report.json", "logs/train_seed2.jsonl", "checkpoints/head_seed2_step1.och"} <= set(pooled)
+    assert list(pooled) == list(serial)
+    for f in pooled:
+        assert pooled[f] == serial[f], f
+
+
+def test_a_seed_that_raises_in_a_worker_fails_as_it_does_in_process(monkeypatch, two_cores):
+    def boom(seed):
+        if seed == 1:
+            raise RuntimeError("boom")
+
+    on_cil_stream(monkeypatch, boom)
+    cfg = small_config(seeds=[0, 1, 2])
+    pooled = run_benchmark(cfg)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(protocol, "usable_cores", lambda: 1)
+    assert pooled.failures == [{"seed": 1, "error": "RuntimeError: boom"}]
+    assert pooled == run_benchmark(cfg)
+
+
+def test_a_worker_that_dies_fails_its_unfinished_seeds_by_name(monkeypatch, two_cores):
+    parent = os.getpid()
+
+    def die(seed):
+        if seed == 1 and os.getpid() != parent:
+            os._exit(3)
+
+    on_cil_stream(monkeypatch, die)
+    report = run_benchmark(small_config(seeds=[0, 1, 2]))
+    assert multiprocessing.active_children() == []
+    failed = {f["seed"] for f in report.failures}
+    assert 1 in failed
+    assert failed.isdisjoint(r["seed"] for r in report.records)
+    assert failed | {r["seed"] for r in report.records} == {0, 1, 2}
+    assert all(f["error"].startswith("BrokenProcessPool: ") for f in report.failures)
+
+
+@pytest.mark.parametrize("tracer", ["replaced", "tracemalloc"])
+def test_a_traced_run_keeps_its_seeds_in_process(monkeypatch, tmp_path, caplog, two_cores, tracer):
+    # a tracer in this process cannot see a worker: bench/layertrace.py
+    # replaces protocol's names, as a test's spy does
+    pids = seed_pids(monkeypatch, tmp_path)
+    if tracer == "replaced":
+        monkeypatch.setattr(protocol, "fit_scorer", lambda *args: fit_scorer(*args))
+        why = "fit_scorer replaced since import"
+    else:
+        tracemalloc.start()
+        why = "tracemalloc is tracing"
+    try:
+        with caplog.at_level(logging.INFO, logger="cilbench.protocol"):
+            report = run_benchmark(small_config())  # two seeds
+    finally:
+        tracemalloc.stop()
+    assert report.aggregates["effective_seeds"] == 2
+    assert pids() == {0: os.getpid(), 1: os.getpid()}
+    assert [r.getMessage() for r in caplog.records] == [f"seeds run in this process: {why}"]
+
+
 @pytest.mark.parametrize("class_order", ["identity", "seeded"])
 def test_a_seed_frees_its_rows_before_the_next_seed(class_order):
     # the scaled suite's proportions (100 classes, dim 256, 300/50 rows per
@@ -359,9 +493,10 @@ def test_a_seed_permutes_each_ood_set_once_and_gathers_rows_only_to_fit(
     assert bool(fit_reads) == fits
 
 
-def count_dataset_checks(monkeypatch) -> list:
-    """Patch ``FeatureDataset``'s check to count its runs in the returned list."""
-    checks = []
+def count_dataset_checks(monkeypatch, tmp_path) -> FileLog:
+    """Patch ``FeatureDataset``'s check to count its runs, in this process
+    and in the run's workers, as lines of the returned log."""
+    checks = FileLog(tmp_path / "checks.log")
     check = FeatureDataset.__post_init__
 
     def counting(self):
@@ -377,11 +512,11 @@ def count_dataset_checks(monkeypatch) -> list:
     [{}, {"class_order": "seeded"}, {"ood": {"method": "ber"}}, {"ood": {"method": "nnguide"}}],
     ids=["energy", "seeded", "ber", "nnguide"],
 )
-def test_rows_are_checked_once_where_they_enter(monkeypatch, over):
+def test_rows_are_checked_once_where_they_enter(monkeypatch, tmp_path, over):
     # a seed's suite is checked when generate builds it (ID train, ID test
     # and each OOD set); its task stream, step slices and OOD subsets are
     # plain read-only arrays that are not checked again
-    checks = count_dataset_checks(monkeypatch)
+    checks = count_dataset_checks(monkeypatch, tmp_path)
     cfg = small_config(**over)  # two seeds
     report = run_benchmark(cfg)
     assert report.aggregates["effective_seeds"] == 2
@@ -392,7 +527,7 @@ def test_rows_are_checked_once_where_they_enter(monkeypatch, over):
 def test_a_manifest_suite_is_checked_once_per_run(monkeypatch, tmp_path):
     spec = SynthSpec(**SMALL_SYNTH)
     manifest = write_synth_suite(spec, tmp_path / "suite")
-    checks = count_dataset_checks(monkeypatch)
+    checks = count_dataset_checks(monkeypatch, tmp_path)
     report = run_benchmark(small_config(data={"manifest": str(manifest)}))
     assert report.aggregates["effective_seeds"] == 2
     assert len(checks) == 2 + spec.n_near_sets + spec.n_far_sets
