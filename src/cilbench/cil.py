@@ -14,7 +14,7 @@ is refilled by herding (``data.herding_select``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,36 +67,23 @@ class CilConfig:
 @dataclass
 class CilModel:
     """The one model object, trained by CIL and scored by every OOD method:
-    the growing head, and ``seen_classes`` mapping head rows to global
-    class ids (row i predicts seen_classes[i]).  Features arrive already
+    the growing head, whose row i predicts the class that the task stream
+    numbers i (``TaskStream.head_row``).  Features arrive already
     extracted, so the model reads its input as float64 rows.
 
     ``feature_tau`` optionally L2-normalizes penultimate features and
     divides them by the given temperature before the head, the transform
     used by the normalized-feature fine-tuner (train and test alike).
     This class is the one definition of the frozen forward pass
-    (feature map, head), of its input gradient and of the map from class
-    ids back to head rows (:meth:`head_rows`).
+    (feature map, head) and of its input gradient.
     """
 
     head: LinearHead
-    seen_classes: list[int] = field(default_factory=list)
     feature_tau: float | None = None
 
     @classmethod
     def fresh(cls, dim: int) -> "CilModel":
-        return cls(LinearHead.empty(dim), [])
-
-    def head_rows(self, labels) -> np.ndarray:
-        """The head row of each class id in ``labels``; an id outside
-        ``seen_classes`` raises ValueError."""
-        labels = np.asarray(labels, dtype=np.int64)
-        seen = np.asarray(self.seen_classes, dtype=np.int64)
-        unseen = ~np.isin(labels, seen)
-        if unseen.any():
-            raise ValueError(f"labels not yet seen: {np.unique(labels[unseen]).tolist()}")
-        order = np.argsort(seen)
-        return order[np.searchsorted(seen, labels, sorter=order)]
+        return cls(LinearHead.empty(dim))
 
     def penultimate(self, X: np.ndarray) -> np.ndarray:
         Z = np.asarray(X, dtype=np.float64)
@@ -192,14 +179,10 @@ def train_task(
     the loss, the distillation term and the logged ``train_acc``.  Raises
     ``DivergenceError`` after an epoch with a non-finite loss or head.
     """
-    classes = stream.classes[t - 1]
     old_count = model.head.n_classes
-    head = expand_head(model.head, len(classes), rng.child(f"init-t{t}"))
-    seen = list(model.seen_classes) + list(classes)
-
-    rows, y = step_rows(stream, t, mem)
+    head = expand_head(model.head, len(stream.classes[t - 1]), rng.child(f"init-t{t}"))
+    rows, y_rows = step_rows(stream, t, mem)
     X = rows.widen()
-    y_rows = CilModel(head, seen).head_rows(y)
     distill = cfg.method != "replay" and t > 1 and cfg.distill_weight != 0.0
     if distill:
         P_old = softmax_rows(model.head.logits(X), cfg.distill_temperature)
@@ -232,18 +215,21 @@ def train_task(
             )
 
     if cfg.method == "replay_distill_wa" and t > 1:
-        head = weight_align(head, list(range(old_count)), list(range(old_count, len(seen))))
+        head = weight_align(head, range(old_count), range(old_count, head.n_classes))
 
-    return CilModel(head, seen), rebalance_memory(mem, stream, t)
+    return CilModel(head), rebalance_memory(mem, stream, t)
 
 
 def evaluate_accuracy(model: CilModel, X, y: np.ndarray) -> float:
     """Fraction of rows of ``X``, an array or a ``RowView`` read slice by
-    slice, whose argmax logit matches their label in ``y`` (ties go to the
-    lowest class index); an unseen label is an error."""
-    rows = model.head_rows(y)
+    slice, whose argmax logit is their head row in ``y`` (ties go to the
+    lowest head row); a row outside ``[0, C)`` for a C-row head is an
+    error."""
+    y, C = np.asarray(y), model.head.n_classes
+    if np.any((y < 0) | (y >= C)):
+        raise ValueError(f"labels must be head rows in [0, {C})")
     view = RowView.of(X)
     preds = np.empty(view.shape[0], dtype=np.intp)
     for part in view.slices():
         preds[part] = np.argmax(model.logits(view.read(part)), axis=1)
-    return float((preds == rows).mean())
+    return float((preds == y).mean())

@@ -174,7 +174,10 @@ class RowView:
 class TaskStream:
     """Ordered partition of classes into tasks with disjoint label sets.
 
-    Task t (1-based) adds the classes ``classes[t - 1]``.  ``train_x`` /
+    Task t (1-based) adds the classes ``classes[t - 1]``.  ``head_row[c]``
+    (read-only) is class c's position in that order, the head row that
+    predicts it, and every label :meth:`test_through` and :func:`step_rows`
+    hand out is one (identity order keeps the class ids).  ``train_x`` /
     ``train_y`` and ``test_x`` / ``test_y`` are the datasets' own features
     and labels, read-only, and ``train_order`` / ``test_order`` their row
     numbers task by task, each task's rows in dataset order: task t's
@@ -184,6 +187,7 @@ class TaskStream:
     """
 
     classes: tuple[tuple[int, ...], ...]
+    head_row: np.ndarray
     train_x: np.ndarray
     train_y: np.ndarray
     train_order: np.ndarray
@@ -203,11 +207,11 @@ class TaskStream:
 
     def test_through(self, t: int) -> tuple[RowView, np.ndarray]:
         """The test rows of tasks 1..t (1-based), task by task: a view of
-        ``test_x`` through a prefix of ``test_order``, and their labels."""
+        ``test_x`` through a prefix of ``test_order``, and their head rows."""
         if not 1 <= t <= self.num_steps:
             raise ValueError("step index out of range")
         rows = self.test_order[: self.test_bounds[t]]
-        return RowView(self.test_x, rows), self.test_y[rows]
+        return RowView(self.test_x, rows), self.head_row[self.test_y[rows]]
 
 
 @dataclass
@@ -309,7 +313,8 @@ def split_tasks(
 ) -> TaskStream:
     """Partition classes into ceil(K/k) tasks of k classes (last task takes
     the remainder).  Classes are taken in id order, or in the permutation
-    drawn from ``class_order.child("class-order")`` when one is given.
+    drawn from ``class_order.child("class-order")`` when one is given, and
+    ``head_row`` numbers them in that order.
 
     The stream holds the inputs' own arrays as read-only views and, for
     each input, its row numbers task by task: no feature row is copied, in
@@ -325,6 +330,8 @@ def split_tasks(
     else:
         order = class_order.child("class-order").gen.permutation(K)
     groups = tuple(tuple(int(c) for c in order[start : start + k]) for start in range(0, K, k))
+    head_row = np.empty(K, dtype=np.int64)
+    head_row[order] = np.arange(K)
 
     def layout(ds: FeatureDataset) -> tuple:
         # ds's arrays, its row numbers task by task (in dataset order within
@@ -334,7 +341,7 @@ def split_tasks(
         return (_read_only(ds.features), _read_only(ds.labels),
                 _read_only(np.concatenate(idx)), bounds)
 
-    return TaskStream(groups, *layout(ds_train), *layout(ds_test))
+    return TaskStream(groups, _read_only(head_row), *layout(ds_train), *layout(ds_test))
 
 
 def step_rows(
@@ -342,13 +349,14 @@ def step_rows(
 ) -> tuple[RowView, np.ndarray]:
     """The rows a head trains on at step t (1-based): task t's slice of
     ``stream.train_order``, then the exemplars of ``mem`` in ascending
-    class order, as a view of ``stream.train_x`` and their labels."""
+    class id order, as a view of ``stream.train_x`` and their head rows
+    (``stream.head_row``)."""
     if not 1 <= t <= stream.num_steps:
         raise ValueError("step index out of range")
     task = stream.train_order[stream.train_bounds[t - 1] : stream.train_bounds[t]]
     exemplars = np.array([r for c in sorted(mem.entries) for r in mem.entries[c]], dtype=np.intp)
     index = np.concatenate([task, exemplars])
-    return RowView(stream.train_x, index), stream.train_y[index]
+    return RowView(stream.train_x, index), stream.head_row[stream.train_y[index]]
 
 
 def herding_select(class_features: np.ndarray, q: int) -> list[int]:

@@ -288,18 +288,17 @@ def finetune_step_loop(
     loss or head raises ``DivergenceError``.
 
     Returns the model the step is scored through: the fine-tuned head,
-    ``model``'s classes, and the feature map the head was trained on.
+    whose rows are ``model``'s, and the feature map it was trained on.
     ``t2fnorm`` features are L2-normalized and divided by ``cfg.t2f_tau``;
     the other methods train on the features as given.
     """
     if method not in FINETUNE_METHODS:
         raise ValueError(f"unknown fine-tune method {method!r}")
     feature_tau = cfg.t2f_tau if method == "t2fnorm" else None
-    tuned = CilModel(model.head.clone(), list(model.seen_classes), feature_tau)
+    tuned = CilModel(model.head.clone(), feature_tau)
     head = tuned.head
-    rows, labels = step_rows(stream, t, mem)
+    rows, y_all = step_rows(stream, t, mem)
     Z_all = tuned.penultimate(rows.widen())
-    y_all = model.head_rows(labels)
     n_new = stream.train_bounds[t] - stream.train_bounds[t - 1]
     Z_new, Z_mem = Z_all[:n_new], Z_all[n_new:]
     y_new, y_mem = y_all[:n_new], y_all[n_new:]

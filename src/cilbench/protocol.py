@@ -413,15 +413,10 @@ def _pooled(cfg: RunConfig, manifest, artifact_dir: Path | None, workers: int) -
 def _watched() -> str | None:
     """Why this run must keep its seeds in this process, or ``None``.  A
     tracer here cannot see into a worker: a name this module looks up that
-    was replaced since import (``bench/layertrace.py``, a test's spy), or
-    ``tracemalloc`` tracing."""
+    was replaced since import (``bench/layertrace.py``, a test's spy)."""
     now = globals()
     replaced = sorted(name for name, value in _AS_IMPORTED.items() if now.get(name) is not value)
-    if replaced:
-        return f"{', '.join(replaced)} replaced since import"
-    import tracemalloc
-
-    return "tracemalloc is tracing" if tracemalloc.is_tracing() else None
+    return f"{', '.join(replaced)} replaced since import" if replaced else None
 
 
 def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
@@ -440,9 +435,8 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     another in this process, each seed's rows freed before the next's are
     made, on one worker, where the platform cannot fork safely, and while
     a tracer in this process could not see a worker: a function this
-    module looks up was replaced since import, or ``tracemalloc`` is
-    tracing.  The last case logs one INFO line on ``cilbench.protocol``
-    saying why.
+    module looks up was replaced since import.  The last case logs one
+    INFO line on ``cilbench.protocol`` saying why.
     """
     manifest = preflight(cfg)
     artifact_dir = Path(artifact_dir) if artifact_dir else None

@@ -535,6 +535,10 @@ REPORT_PINS = [
     # is the path whose task-by-task row order is not the suite's own
     ("seeded_order", "example_run", {"class_order": "seeded", "seeds": [0]},
      "a3266fbb98f11d349ed808a1ba99096dd2bd4d41311c80abacf79c6e57d263e3"),
+    # fine-tuning in seeded class order: the extra head's rows, and the
+    # labels it trains on, are the stream's numbering, not the class ids
+    ("ber_seeded_order", "example_ber_run", {"class_order": "seeded", "seeds": [0]},
+     "178bfbb319f085f92e89060c9c1741fee4377b49350f8d4a4e9a3c2f231f8867"),
     # the one scoring model with a feature map (L2 norm over a temperature)
     # that its scorer backpropagates through
     ("t2fnorm_odin", "example_ber_run",

@@ -209,13 +209,16 @@ def test_split_tasks_regroups_rows_like_per_task_subsets(layout):
     seen = []
     for t, oracle in enumerate(_per_task_oracle(tr, te, stream), 1):
         train_part, test_part = arrays(step_rows(stream, t, MemoryBuffer(0))), _task_test(stream, t)
+        # a step's labels are head rows: the stream's numbering of the classes
         for part, want in zip((train_part, test_part), oracle):
             np.testing.assert_array_equal(part[0], want.features)
-            np.testing.assert_array_equal(part[1], want.labels)
+            np.testing.assert_array_equal(part[1], stream.head_row[want.labels])
         seen.append(oracle[1])
         through_x, through_y = arrays(stream.test_through(t))
         np.testing.assert_array_equal(through_x, np.concatenate([s.features for s in seen]))
-        np.testing.assert_array_equal(through_y, np.concatenate([s.labels for s in seen]))
+        np.testing.assert_array_equal(
+            through_y, stream.head_row[np.concatenate([s.labels for s in seen])]
+        )
         # each task is a slice of the input's order: its rows in input order
         for ds, order, bounds in ((tr, stream.train_order, stream.train_bounds),
                                   (te, stream.test_order, stream.test_bounds)):
@@ -247,14 +250,22 @@ def test_stream_slices_are_read_only_views_of_the_per_task_rows(
     for ds, x, y in ((tr, stream.train_x, stream.train_y), (te, stream.test_x, stream.test_y)):
         for array, own in ((x, ds.features), (y, ds.labels)):
             assert not array.flags.writeable and np.shares_memory(array, own)
+    assert not stream.head_row.flags.writeable
+    # every label handed out is the head row of its class: the class's
+    # position in the stream's class order
+    position = {int(c): i for i, c in enumerate(np.concatenate(stream.classes))}
+
+    def head_rows(ds):
+        return np.array([position[int(c)] for c in ds.labels], dtype=np.int64)
+
     seen = []
     for t, (want_train, want_test) in enumerate(_per_task_oracle(tr, te, stream), 1):
         seen.append(want_test)
         want_through = [np.concatenate([s.features for s in seen]),
-                        np.concatenate([s.labels for s in seen])]
+                        np.concatenate([head_rows(s) for s in seen])]
         task = step_rows(stream, t, MemoryBuffer(0))
         for (view, labels), want, x in (
-            (task, [want_train.features, want_train.labels], stream.train_x),
+            (task, [want_train.features, head_rows(want_train)], stream.train_x),
             (stream.test_through(t), want_through, stream.test_x),
         ):
             assert view.storage is x
@@ -262,6 +273,7 @@ def test_stream_slices_are_read_only_views_of_the_per_task_rows(
             assert not rows.flags.writeable
             np.testing.assert_array_equal(rows, want[0], strict=True)
             np.testing.assert_array_equal(labels, want[1], strict=True)
+            assert (labels < len(stream.classes_through(t))).all()
 
 
 def test_test_through_rejects_steps_outside_the_stream():

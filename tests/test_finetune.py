@@ -366,7 +366,6 @@ def test_finetune_freezes_base_model(method):
     cfg = BerConfig(epochs=3, batch_size=64)
     tuned = finetune_step_loop(model, stream, 2, mems[1], method, cfg, RngStream(1, "ft"))
     assert head_bytes(model.head) == before_head
-    assert tuned.seen_classes == model.seen_classes
     assert tuned.head.n_classes == model.head.n_classes
 
 
@@ -400,9 +399,10 @@ def separate_loop_finetune(model, stream, t, mem, method, cfg, rng, log_sink):
     """finetune_step_loop with its own epoch loop and its own row assembly
     (the memory's rows of the stream's training set gathered class by
     class), as it was before it shared the CIL epoch loop."""
-    task_rows, task_y = step_rows(stream, t, MemoryBuffer(0))
+    task_rows, _ = step_rows(stream, t, MemoryBuffer(0))
     task_x = task_rows.widen()
-    row_of = {c: i for i, c in enumerate(model.seen_classes)}
+    task_y = stream.train_y[task_rows.index]
+    row_of = {c: i for i, c in enumerate(stream.classes_through(t))}
     xs = [stream.train_x[np.asarray(mem.entries[c], dtype=np.int64)]
           for c in sorted(mem.entries) if mem.entries[c]]
     ys = [np.full(len(mem.entries[c]), c, dtype=np.int64) for c in sorted(mem.entries)
@@ -487,9 +487,8 @@ def test_one_sgd_epochs_call_trains_the_head(method):
     model, stream, mems = small_trained_model(seed=7)
     cfg = BerConfig(epochs=3, batch_size=48)
     t = 2
-    rows, labels = step_rows(stream, t, mems[t - 1])
+    rows, y = step_rows(stream, t, mems[t - 1])
     X = rows.widen()
-    y = model.head_rows(labels)
     head = model.head.clone()
 
     def objective(sel):

@@ -34,7 +34,7 @@ def score_one(name, model, fit, x, params=None):
 def logit_model(W, b):
     """Identity-extractor model whose logits equal W x + b."""
     head = LinearHead(np.asarray(W, float), np.asarray(b, float))
-    return CilModel(head, list(range(head.n_classes)))
+    return CilModel(head)
 
 
 def passthrough(logits):
@@ -144,7 +144,7 @@ def test_odin_gradient_through_projection(feature_tau):
     rows onto the sphere of radius 1 / feature_tau, then the head."""
     gen = np.random.default_rng(4)
     head = LinearHead(gen.normal(size=(3, 6)), gen.normal(size=3))
-    model = CilModel(head, [0, 1, 2], feature_tau)
+    model = CilModel(head, feature_tau)
     X = gen.normal(size=(1, 6))
     T = 5.0
     g = odin_input_gradient(model, X, T)[0]
@@ -596,7 +596,7 @@ def test_a_float32_view_scores_as_its_float64_widening(feature_tau):
     gen = np.random.default_rng(44)
     d = 16
     head = LinearHead(gen.normal(size=(6, d)), gen.normal(size=6))
-    model = CilModel(head, list(range(6)), feature_tau)
+    model = CilModel(head, feature_tau)
     bank, X = float32_rows(gen, 400, d), float32_rows(gen, 700, d)
     for name in SCORER_NAMES:
         got = score_batch(name, model, fit_scorer(name, model, bank), X)
@@ -610,7 +610,7 @@ def test_a_rebuilt_bank_row_has_the_bits_of_the_whole_bank(d, feature_tau):
     # the rescore rebuilds its candidates from storage: widened, mapped and
     # divided by the stored norm, row by row as l2_rows does the whole bank
     gen = np.random.default_rng(d)
-    model = CilModel(LinearHead(gen.normal(size=(3, d)), np.zeros(3)), [0, 1, 2], feature_tau)
+    model = CilModel(LinearHead(gen.normal(size=(3, d)), np.zeros(3)), feature_tau)
     bank = float32_rows(gen, 600, d)
     want = l2_rows(model.penultimate(bank.widen()))
     fit = fit_scorer("nnguide", model, bank)

@@ -3,6 +3,8 @@ import logging
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -386,30 +388,37 @@ def test_a_worker_that_dies_fails_its_unfinished_seeds_by_name(monkeypatch, two_
     assert all(f["error"].startswith("BrokenProcessPool: ") for f in report.failures)
 
 
-@pytest.mark.parametrize("tracer", ["replaced", "tracemalloc"])
-def test_a_traced_run_keeps_its_seeds_in_process(monkeypatch, tmp_path, caplog, two_cores, tracer):
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool's modules load only when a run forks its seeds, so a fresh
+    # interpreter imports the package without them (bench/run.py's setup_s
+    # times that import)
+    code = ("import sys, cilbench.cli; "
+            "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["False", "False"]
+
+
+def test_a_traced_run_keeps_its_seeds_in_process(monkeypatch, tmp_path, caplog, two_cores):
     # a tracer in this process cannot see a worker: bench/layertrace.py
     # replaces protocol's names, as a test's spy does
     pids = seed_pids(monkeypatch, tmp_path)
-    if tracer == "replaced":
-        monkeypatch.setattr(protocol, "fit_scorer", lambda *args: fit_scorer(*args))
-        why = "fit_scorer replaced since import"
-    else:
-        tracemalloc.start()
-        why = "tracemalloc is tracing"
-    try:
-        with caplog.at_level(logging.INFO, logger="cilbench.protocol"):
-            report = run_benchmark(small_config())  # two seeds
-    finally:
-        tracemalloc.stop()
+    monkeypatch.setattr(protocol, "fit_scorer", lambda *args: fit_scorer(*args))
+    with caplog.at_level(logging.INFO, logger="cilbench.protocol"):
+        report = run_benchmark(small_config())  # two seeds
     assert report.aggregates["effective_seeds"] == 2
     assert pids() == {0: os.getpid(), 1: os.getpid()}
-    assert [r.getMessage() for r in caplog.records] == [f"seeds run in this process: {why}"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "seeds run in this process: fit_scorer replaced since import"
+    ]
 
 
 @pytest.mark.parametrize("class_order", ["identity", "seeded"])
-def test_a_seed_frees_its_rows_before_the_next_seed(class_order):
-    # the scaled suite's proportions (100 classes, dim 256, 300/50 rows per
+def test_a_seed_frees_its_rows_before_the_next_seed(monkeypatch, class_order):
+    # an in-process property, so the seeds run one after another here.
+    # The scaled suite's proportions (100 classes, dim 256, 300/50 rows per
     # class, 5000 per OOD set, steps of 10, budget 2000) at a tenth of the rows
     def config(seeds):
         return small_config(
@@ -427,6 +436,7 @@ def test_a_seed_frees_its_rows_before_the_next_seed(class_order):
         finally:
             tracemalloc.stop()
 
+    monkeypatch.setattr(protocol, "usable_cores", lambda: 1)
     run_benchmark(config([0]))  # first-call allocations stay out of both peaks
     one, two = peak(config([0])), peak(config([0, 1]))
     # the suite is most of a seed's peak: holding seed 0's rows while
