@@ -174,23 +174,27 @@ def train_task(
     method with t > 1, aligned afterwards.  ``expand_head`` builds the
     trained head from new arrays, so ``model.head`` stays the pre-step
     head that the distillation targets read; they are computed only when
-    distillation runs (a distill method, t > 1 and a nonzero weight).
-    Each batch's logits are computed once, before its update, and serve
-    the loss, the distillation term and the logged ``train_acc``.  Raises
+    distillation runs (a distill method, t > 1 and a nonzero weight),
+    from one logits product over the step rows widened whole, which are
+    freed when it returns.  Each batch is read through the step's view,
+    and its logits are computed once, before its update, and serve the
+    loss, the distillation term and the logged ``train_acc``.  Raises
     ``DivergenceError`` after an epoch with a non-finite loss or head.
     """
     old_count = model.head.n_classes
     head = expand_head(model.head, len(stream.classes[t - 1]), rng.child(f"init-t{t}"))
     rows, y_rows = step_rows(stream, t, mem)
-    X = rows.widen()
     distill = cfg.method != "replay" and t > 1 and cfg.distill_weight != 0.0
     if distill:
-        P_old = softmax_rows(model.head.logits(X), cfg.distill_temperature)
-        logp_old = np.log(np.maximum(P_old, 1e-300))
+        # one logits product over every step row, whose bits the targets
+        # rest on; the widened rows are freed when it returns
+        P_old = softmax_rows(model.head.logits(rows.widen()), cfg.distill_temperature)
+        logp_old = np.maximum(P_old, 1e-300)
+        np.log(logp_old, out=logp_old)
 
     def objective(sel):
         """(loss, correct predictions, grad) of one batch from one forward."""
-        bx, by = X[sel], y_rows[sel]
+        bx, by = rows.read(sel), y_rows[sel]
         Z = head.logits(bx)
         correct = int(np.count_nonzero(np.argmax(Z, axis=1) == by))
         if not distill:
@@ -201,7 +205,7 @@ def train_task(
         loss, grad = ce_loss(head, bx, by, Z, cfg.distill_weight * G)
         return loss + cfg.distill_weight * dl, correct, grad
 
-    n = X.shape[0]
+    n = rows.shape[0]
     sums, iters = sgd_epochs(
         head, n, objective, cfg, cfg.epochs_per_task, rng, f"epoch-t{t}", "CIL training", t
     )

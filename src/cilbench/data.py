@@ -16,9 +16,11 @@ row numbers, so its reader gathers the rows from storage.
 Every array a run computes with is float64, made at one boundary, the
 view: :meth:`RowView.read` widens one slice of rows at a time, so a set
 that is scored, measured for ACC or fitted into a bank (which keeps its
-view to rescore) is never held whole in float64.  :meth:`RowView.widen`
-widens a whole set, slice by slice, for training, which samples batches
-from it every epoch, for the other fitted scorers and for herding.  No
+view to rescore) is never held whole in float64, and neither is a
+training step's: CIL training and fine-tuning read each batch through
+the step's view.  :meth:`RowView.widen` widens a whole set, slice by
+slice, for the distillation targets' one logits product, for the other
+fitted scorers and for herding.  No
 float32 row may pass it, since NumPy 2 keeps ``float32_array *
 python_float`` in float32, which would change the bytes of everything
 computed from it.

@@ -283,7 +283,9 @@ def finetune_step_loop(
     t = 1, in which case the old-task term is skipped).  Plain, logitnorm
     and t2fnorm train on new-task rows and memory pooled; ``ber`` epochs
     run over new-task rows and draw a replay batch per SGD step, all from
-    the step's one batch generator.  Each epoch appends its mean
+    the step's one batch generator, out of the memory rows read once.
+    Each batch is read through the step's view and mapped then; no whole
+    copy of the new-task rows is made.  Each epoch appends its mean
     ``ce``/``l_n``/``l_o`` to ``log_sink``; an epoch with a non-finite
     loss or head raises ``DivergenceError``.
 
@@ -298,12 +300,15 @@ def finetune_step_loop(
     tuned = CilModel(model.head.clone(), feature_tau)
     head = tuned.head
     rows, y_all = step_rows(stream, t, mem)
-    Z_all = tuned.penultimate(rows.widen())
     n_new = stream.train_bounds[t] - stream.train_bounds[t - 1]
-    Z_new, Z_mem = Z_all[:n_new], Z_all[n_new:]
     y_new, y_mem = y_all[:n_new], y_all[n_new:]
 
+    def features(sel):
+        """The rows at step positions ``sel`` through the tuned feature map."""
+        return tuned.penultimate(rows.read(sel))
+
     if method == "ber":
+        Z_mem = features(slice(n_new, None))  # the replay pool, read once
         if Z_mem.shape[0] == 0:
             # step 1 has no memory by design; later steps only with budget 0
             log.log(
@@ -313,23 +318,23 @@ def finetune_step_loop(
             )
             if log_sink is not None:
                 log_sink.append({"task": t, "warning": "empty memory, old-task term skipped"})
-        X, y, label = Z_new, y_new, f"ber-epoch-t{t}"
+        n, label = n_new, f"ber-epoch-t{t}"
         gen = rng.child(f"ber-batches-t{t}").gen
 
         def objective(sel):
-            return _ber_batch(head, X[sel], y[sel], Z_mem, y_mem, cfg, gen)
+            return _ber_batch(head, features(sel), y_new[sel], Z_mem, y_mem, cfg, gen)
     else:
-        X, y, label = Z_all, y_all, f"ft-epoch-t{t}"
+        n, label = rows.shape[0], f"ft-epoch-t{t}"
 
         def objective(sel):
             if method == "logitnorm":
-                loss, grad = logitnorm_ce_loss(head, X[sel], y[sel], cfg.logitnorm_tau)
+                loss, grad = logitnorm_ce_loss(head, features(sel), y_all[sel], cfg.logitnorm_tau)
             else:
-                loss, grad = ce_loss(head, X[sel], y[sel])
+                loss, grad = ce_loss(head, features(sel), y_all[sel])
             return loss, 0.0, 0.0, grad
 
     sums, iters = sgd_epochs(
-        head, X.shape[0], objective, cfg, cfg.epochs, rng, label, f"{method} fine-tuning", t
+        head, n, objective, cfg, cfg.epochs, rng, label, f"{method} fine-tuning", t
     )
     for epoch, terms in enumerate(sums):
         if log_sink is not None:

@@ -73,7 +73,9 @@ class LinearHead:
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1] != self.dim:
             raise ValueError(f"expected dim {self.dim}, got {X.shape[-1]}")
-        return X @ self.W.T + self.b
+        Z = X @ self.W.T
+        Z += self.b
+        return Z
 
     def clone(self) -> "LinearHead":
         return LinearHead(self.W, self.b)

@@ -69,7 +69,8 @@ def _shifted_exp_rows(m: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray
         raise ValueError("tau must be positive")
     scaled = np.asarray(m, dtype=np.float64) / tau
     peak = scaled.max(axis=1, keepdims=True)
-    P = np.exp(scaled - peak)
+    scaled -= peak
+    P = np.exp(scaled, out=scaled)
     total = P.sum(axis=1, keepdims=True)
     return tau * (peak[:, 0] + np.log(total[:, 0])), P, total
 
@@ -105,9 +106,10 @@ def softmax_cross_entropy(Z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarr
     n = Z.shape[0]
     rows = np.arange(n)
     shifted = Z - Z.max(axis=1, keepdims=True)
-    G = np.exp(shifted)
+    picked = shifted[rows, y]
+    G = np.exp(shifted, out=shifted)
     total = G.sum(axis=1, keepdims=True)
-    loss = -(shifted[rows, y] - np.log(total[:, 0])).mean()
+    loss = -(picked - np.log(total[:, 0])).mean()
     G /= total
     G[rows, y] -= 1.0
     G /= n

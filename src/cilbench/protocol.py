@@ -25,6 +25,7 @@ that ran the seed) beside the report, never into it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -353,6 +354,55 @@ def _seed_task(cfg: RunConfig, seed: int, manifest, artifact_dir: Path | None):
         return [], _failure(seed, exc)
 
 
+# (set, get) thread-count symbols of numpy's OpenBLAS: the scipy-openblas64
+# build numpy's wheels bundle, then a plain OpenBLAS
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(set, get)``, the thread-count functions of the OpenBLAS that numpy
+    ships beside itself, looked up once; ``None`` when no library there
+    loads with both."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_SYMBOLS:
+            set_threads, get_threads = getattr(dll, set_name, None), getattr(dll, get_name, None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """OpenBLAS held to one thread inside the block and the count it had
+    restored after it, also on error.  A run's seeds are single-threaded
+    work on small matrices, and pooled seeds already fill the cores, so a
+    BLAS thread per core costs CPU and wall time; a forked worker inherits
+    the pin.  Without the functions the block runs unpinned."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    set_threads, get_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 # a seed worker is a fork of this process, which Windows lacks and macOS's
 # system libraries do not survive, so seeds stay in-process there
 _CAN_FORK = hasattr(os, "fork") and sys.platform != "darwin"
@@ -363,25 +413,10 @@ _worker_run: tuple | None = None
 
 def _worker_start(cfg: RunConfig, manifest, artifact_dir: Path | None) -> None:
     """A forked worker's set-up.  Fork hands ``initargs`` over as memory, so
-    a manifest suite is shared copy-on-write, not pickled.  OpenBLAS is held
-    to one thread here, through numpy's own library, so the workers do not
-    thread each BLAS call over the cores they already fill; without a
-    library that loads and has the symbol, the worker goes on unpinned."""
+    a manifest suite is shared copy-on-write, not pickled, and the worker
+    inherits the run's one-thread BLAS pin (:func:`_one_blas_thread`)."""
     global _worker_run
     _worker_run = cfg, manifest, artifact_dir
-    import ctypes
-
-    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            dll = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            set_threads = getattr(dll, symbol, None)
-            if set_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                return
 
 
 def _worker_seed(seed: int):
@@ -436,7 +471,8 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     made, on one worker, where the platform cannot fork safely, and while
     a tracer in this process could not see a worker: a function this
     module looks up was replaced since import.  The last case logs one
-    INFO line on ``cilbench.protocol`` saying why.
+    INFO line on ``cilbench.protocol`` saying why.  Either way the seeds
+    run at one OpenBLAS thread, and the count is restored after them.
     """
     manifest = preflight(cfg)
     artifact_dir = Path(artifact_dir) if artifact_dir else None
@@ -447,10 +483,11 @@ def run_benchmark(cfg: RunConfig, artifact_dir=None) -> BenchmarkReport:
     if workers > 1 and (why := _watched()):
         _log.info("seeds run in this process: %s", why)
         workers = 1
-    if workers > 1:
-        outcomes = _pooled(cfg, manifest, artifact_dir, workers)
-    else:
-        outcomes = [_seed_task(cfg, seed, manifest, artifact_dir) for seed in cfg.seeds]
+    with _one_blas_thread():
+        if workers > 1:
+            outcomes = _pooled(cfg, manifest, artifact_dir, workers)
+        else:
+            outcomes = [_seed_task(cfg, seed, manifest, artifact_dir) for seed in cfg.seeds]
     records = [r for seed_records, _ in outcomes for r in seed_records]
     failures = [f for _, f in outcomes if f is not None]
     records.sort(key=lambda r: (r["seed"], r["step"], r["ood_dataset"]))

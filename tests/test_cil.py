@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,3 +342,31 @@ def test_training_divergence_names_seed_step_and_epoch():
         DivergenceError, match=r"^CIL training diverged at seed 3 step 1 epoch \d+: "
     ):
         train_task(model, stream, 1, MemoryBuffer(0), cfg, RngStream(3, "cil"))
+
+
+
+def test_a_distilling_step_holds_its_rows_and_its_targets_once():
+    # the distillation targets' one logits product reads the step rows
+    # widened whole, which are freed when it returns, and batches are read
+    # through the step's view.  Rows widened for the whole step, beside the
+    # logits and the softmax's own temporaries, reach widened + 3 * targets.
+    spec = SynthSpec(n_classes=100, dim=256, n_train_per_class=100, n_test_per_class=1,
+                     n_ood_per_set=1, seed=0)
+    train, test, _ = generate(spec)
+    stream = split_tasks(train, test, 50)
+    cfg = CilConfig(epochs_per_task=1, batch_size=128, method="replay_distill")
+    rng = RngStream(0, "mem")
+    model, mem = train_task(CilModel.fresh(256), stream, 1, MemoryBuffer(1000), cfg, rng)
+    n, d = step_rows(stream, 2, mem)[0].shape
+    c_old = model.head.n_classes
+    assert (n, d, c_old) == (6000, 256, 50)
+    tracemalloc.start()
+    try:
+        train_task(model, stream, 2, mem, cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widened, targets, batch = 8 * n * d, 8 * n * c_old, 8 * cfg.batch_size * d
+    # the slack covers the expanded head, the step's row numbers and labels
+    # and a batch's work
+    assert peak < widened + targets + 3 * batch

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -612,3 +613,25 @@ def test_finetune_divergence_names_seed_step_and_epoch():
         DivergenceError, match=r"^ber fine-tuning diverged at seed 5 step 1 epoch \d+: "
     ):
         finetune_step_loop(model, stream, 1, MemoryBuffer(0), "ber", cfg, RngStream(5, "ft"))
+
+
+def test_ber_fine_tuning_holds_no_widened_copy_of_its_new_task_rows():
+    # batches are read through the step's view, and only the replay pool,
+    # the memory rows (a fifth of the new-task rows here), is read whole
+    spec = SynthSpec(n_classes=100, dim=256, n_train_per_class=100, n_test_per_class=1,
+                     n_ood_per_set=1, seed=0)
+    train, test, _ = generate(spec)
+    stream = split_tasks(train, test, 50)
+    cfg = CilConfig(epochs_per_task=1, batch_size=128)
+    rng = RngStream(0, "mem")
+    model, mem = train_task(CilModel.fresh(256), stream, 1, MemoryBuffer(1000), cfg, rng)
+    model, _ = train_task(model, stream, 2, mem, cfg, rng)
+    n_new = stream.train_bounds[2] - stream.train_bounds[1]
+    assert (n_new, sum(map(len, mem.entries.values()))) == (5000, 1000)
+    tracemalloc.start()
+    try:
+        finetune_step_loop(model, stream, 2, mem, "ber", BerConfig(epochs=1), RngStream(0, "ft"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_new * 256

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cilbench.model import LinearHead, ce_loss
 from cilbench.numerics import (
     RngStream,
     l2_rows,
@@ -223,3 +224,30 @@ def test_logsumexp_rows_is_the_fused_log_sum_exp_bit_for_bit(tau):
         assert logsumexp_rows(M, tau).tobytes() == logsumexp_softmax_rows(M, tau)[0].tobytes()
     with pytest.raises(ValueError, match="tau"):
         logsumexp_rows(np.zeros((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.3])
+def test_no_kernel_writes_to_its_input(tau):
+    # the kernels write the temporaries they own in place; every input, a
+    # C-contiguous float64 array as the engine hands them, keeps its bytes
+    gen = np.random.default_rng(11)
+    X = gen.normal(size=(40, 6)) / tau
+    y = gen.integers(5, size=40)
+    head = LinearHead(gen.normal(size=(5, 6)), gen.normal(size=5))
+    Z = head.logits(X) * 3.0
+    G_extra = gen.normal(size=(40, 3))
+    kernels = {
+        "LinearHead.logits": lambda: head.logits(X),
+        "softmax_rows": lambda: softmax_rows(Z, tau),
+        "logsumexp_rows": lambda: logsumexp_rows(Z, tau),
+        "logsumexp_softmax_rows": lambda: logsumexp_softmax_rows(Z, tau),
+        "softmax_cross_entropy": lambda: softmax_cross_entropy(Z, y),
+        "ce_loss": lambda: ce_loss(head, X, y),
+        "ce_loss given Z": lambda: ce_loss(head, X, y, Z, G_extra),
+    }
+    inputs = {"X": X, "y": y, "Z": Z, "G_extra": G_extra, "params": head.params}
+    for name, run in kernels.items():
+        before = {k: v.tobytes() for k, v in inputs.items()}
+        run()
+        for k, v in inputs.items():
+            assert v.tobytes() == before[k], (name, k)

@@ -388,6 +388,62 @@ def test_a_worker_that_dies_fails_its_unfinished_seeds_by_name(monkeypatch, two_
     assert all(f["error"].startswith("BrokenProcessPool: ") for f in report.failures)
 
 
+@pytest.mark.skipif(protocol._openblas_threads() is None, reason="numpy ships no OpenBLAS")
+@pytest.mark.parametrize("cores", [2, 1])
+def test_seeds_run_at_one_blas_thread_and_the_count_is_restored(
+    monkeypatch, tmp_path, cores
+):
+    # pooled (a worker inherits the pin) and in this process alike, and
+    # after a failing seed too
+    set_threads, get_threads = protocol._openblas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    log = FileLog(tmp_path / "threads.log")
+
+    def note(seed):
+        log.append(f"{seed} {os.getpid()} {get_threads()}")
+        if seed == 1:
+            raise RuntimeError("boom")
+
+    on_cil_stream(monkeypatch, note)
+    before = get_threads()
+    set_threads(3)
+    try:
+        report = run_benchmark(small_config(seeds=[0, 1, 2]))
+        after = get_threads()
+    finally:
+        set_threads(before)
+    assert report.failures == [{"seed": 1, "error": "RuntimeError: boom"}]
+    assert after == 3
+    seen = [line.split() for line in log.lines()]
+    assert sorted(int(seed) for seed, _, _ in seen) == [0, 1, 2]
+    assert {int(pid) == os.getpid() for _, pid, _ in seen} == {cores == 1}
+    assert {int(threads) for _, _, threads in seen} == {1}
+
+
+@pytest.mark.skipif(protocol._openblas_threads() is None, reason="numpy ships no OpenBLAS")
+def test_the_blas_count_is_restored_when_a_run_raises(monkeypatch):
+    set_threads, get_threads = protocol._openblas_threads()
+
+    def crash(*args):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(protocol, "_seed_task", crash)
+    before = get_threads()
+    set_threads(3)
+    try:
+        with pytest.raises(RuntimeError, match="crash"):
+            run_benchmark(small_config())
+        after = get_threads()
+    finally:
+        set_threads(before)
+    assert after == 3
+
+
+def test_a_run_goes_on_unpinned_without_blas_functions(monkeypatch):
+    monkeypatch.setattr(protocol, "_openblas_threads", lambda: None)
+    assert run_benchmark(small_config()).aggregates["effective_seeds"] == 2
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # the pool's modules load only when a run forks its seeds, so a fresh
     # interpreter imports the package without them (bench/run.py's setup_s
